@@ -154,6 +154,16 @@ _KNOWN_KEYS = {
 }
 
 
+def _numbers(key: str, value: Any, cast) -> tuple:
+    """A config list converted entry by entry; anything else is rejected."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    try:
+        return tuple(cast(c) for c in value)
+    except TypeError:
+        raise ValueError(f"{key} entries must be numbers, got {value!r}") from None
+
+
 def config_from_mapping(doc: Mapping[str, Any]) -> RunConfig:
     """Validate a parsed config tree and fill in the defaults."""
     if not isinstance(doc, Mapping):
@@ -172,26 +182,27 @@ def config_from_mapping(doc: Mapping[str, Any]) -> RunConfig:
     if "load" in doc:
         kwargs["load"] = _resolve_load_mapping(doc["load"])
     if "grid" in doc:
-        kwargs["grid"] = tuple(int(c) for c in doc["grid"])
+        kwargs["grid"] = _numbers("grid", doc["grid"], int)
     if "domain" in doc and doc["domain"] is not None:
-        kwargs["domain"] = tuple(float(v) for v in doc["domain"])
+        kwargs["domain"] = _numbers("domain", doc["domain"], float)
     for key in ("p", "c0"):
         if key in doc:
             kwargs[key] = float(doc[key])
     if "p_sweep" in doc and doc["p_sweep"] is not None:
         sweep = doc["p_sweep"]
         if isinstance(sweep, Mapping):
-            sweep = (sweep.get("lo", 2.0), sweep.get("hi", 16.0),
-                     sweep.get("count", 8))
-        lo, hi, count = sweep
-        kwargs["p_sweep"] = (float(lo), float(hi), int(count))
+            sweep = [sweep.get("lo", 2.0), sweep.get("hi", 16.0),
+                     sweep.get("count", 8)]
+        lo, hi, count = _numbers("p_sweep", sweep, float)
+        kwargs["p_sweep"] = (lo, hi, int(count))
     if "kappa_hint" in doc and doc["kappa_hint"] is not None:
         kwargs["kappa_hint"] = float(doc["kappa_hint"])
     for key in ("seed", "octaves", "refinements"):
         if key in doc:
             kwargs[key] = int(doc[key])
     if "scale_factors" in doc:
-        kwargs["scale_factors"] = tuple(float(c) for c in doc["scale_factors"])
+        kwargs["scale_factors"] = _numbers("scale_factors",
+                                           doc["scale_factors"], float)
     if "dump_solution" in doc:
         kwargs["dump_solution"] = bool(doc["dump_solution"])
     if "out" in doc:
@@ -486,7 +497,10 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
 
     kappa = verdict.kappa if verdict.status == STRICT_DISSIPATIVE else 0.0
     ensemble = standard_ensemble(cfg.seed)
-    margin = strict_margin(coeffs, spec, ensemble, kappa=kappa)
+    # constant coefficients enter as the (lam, mu) pair, not grid samples
+    pair = _constant_pair(cfg.coefficients)
+    margin = strict_margin(coeffs if pair is None else pair, spec, ensemble,
+                           kappa=kappa)
     rows = [[r.label, r.family, r.form_value, r.gradient_sq, r.residual]
             for r in margin.rows]
     path = writer.csv("residuals",
@@ -511,7 +525,6 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
     code = EXIT_OK
     if verdict.status == NOT_DISSIPATIVE:
         code = EXIT_NEGATIVE
-        pair = _constant_pair(cfg.coefficients)
         if pair is not None and spec.family == POWER:
             report = oscillatory_counterexample(pair[0], pair[1], spec,
                                                 octaves=cfg.octaves)

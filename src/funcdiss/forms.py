@@ -22,7 +22,11 @@ checks the algebra rather than the mesh.
 Everything here is deterministic: test fields are generated from explicit
 seeds, quadrature is tensor Gauss-Legendre with a resolution rule tied to
 the field's wavelength, and probe searches use fixed grids plus a
-derivative-free polish.
+derivative-free polish.  The resolution rule follows the wave direction: a
+plane wave is integrated on its support box rotated into its own frame
+(xi, xi-perp), and only the xi axis is refined per wavelength, so the node
+count of an oscillatory probe doubles, rather than quadruples, per
+frequency octave.
 """
 
 from __future__ import annotations
@@ -75,8 +79,12 @@ class TestField:
     returns (n, 2, 2) with jac[n, i, h] = d_h v_i.  support is the box
     (x0, x1, y0, y1) outside of which the field vanishes identically, and
     wavelength, when set, is the shortest oscillation length the
-    quadrature rule must resolve.  scale is an amplitude hint used by the
-    zero set convention |v| <= 1e-14 * scale.
+    quadrature rule must resolve.  frame, when set, is the unit direction
+    xi along which the field oscillates: the field then varies slowly
+    along xi-perp and vanishes outside the disk inscribed in its support
+    box, so the quadrature rotates the box into the frame (xi, xi-perp)
+    and resolves the wavelength along xi only.  scale is an amplitude hint
+    used by the zero set convention |v| <= 1e-14 * scale.
     """
 
     label: str
@@ -87,6 +95,7 @@ class TestField:
     wavelength: float | None = None
     scale: float = 1.0
     is_real: bool = True
+    frame: tuple[float, float] | None = None
 
 
 def _bump(r, r0, r1):
@@ -221,7 +230,7 @@ def oscillatory_field(center, xi, rho: float, eta, *,
     return TestField(label=label, family="oscillatory", value=value,
                      jacobian=jacobian, support=_support_box(c, r1),
                      wavelength=2.0 * np.pi / rho, scale=max(scale, 1e-30),
-                     is_real=is_real)
+                     is_real=is_real, frame=(float(xi[0]), float(xi[1])))
 
 
 def standard_ensemble(seed: int = 2026, *, n_bump: int = 20, n_rot: int = 20,
@@ -296,33 +305,48 @@ def _axis_cells(extent: float, wavelength: float | None,
     return n
 
 
-def _integrate(fn, support, wavelength, *, order: int = 8,
+def _integrate(fn, v: TestField, *, order: int = 8,
                cells_per_wavelength: float = 10.0, min_cells: int = 12,
                max_axis_points: int = 60000,
-               max_chunk: int = 4_000_000) -> np.ndarray:
-    """Integrate fn(pts) -> (n,) or (n, q) over the support box.
+               max_chunk: int = 250_000) -> np.ndarray:
+    """Integrate fn(pts) -> (n,) or (n, q) over the support of v.
 
-    The evaluation is chunked along x so oscillatory probes with millions of
-    nodes never materialize at once.  Returns a length q vector (q = 1 for
-    scalar integrands).
+    The tensor rule runs on the axes (u, w) of the field's frame: the
+    support box itself for a field without a frame, and the box rotated
+    onto (xi, xi-perp) about its centre for a plane wave, which oscillates
+    along u only.  The wavelength rule refines u, and w as well when there
+    is no frame.  The evaluation is chunked along u so oscillatory probes
+    never materialize more than about max_chunk nodes at once.  Returns a
+    length q vector (q = 1 for scalar integrands).
     """
-    x0, x1, y0, y1 = support
-    nx = _axis_cells(x1 - x0, wavelength, cells_per_wavelength, min_cells)
-    ny = _axis_cells(y1 - y0, wavelength, cells_per_wavelength, min_cells)
-    if max(nx, ny) * order > max_axis_points:
+    x0, x1, y0, y1 = v.support
+    if v.frame is None:
+        origin, axes = np.zeros(2), np.eye(2)
+        u0, u1, w0, w1 = x0, x1, y0, y1
+        w_wavelength = v.wavelength
+    else:
+        origin = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+        xi = np.asarray(v.frame, dtype=float)
+        axes = np.array([xi, [-xi[1], xi[0]]])
+        u0, u1 = x0 - origin[0], x1 - origin[0]
+        w0, w1 = y0 - origin[1], y1 - origin[1]
+        w_wavelength = None
+    nu = _axis_cells(u1 - u0, v.wavelength, cells_per_wavelength, min_cells)
+    nw = _axis_cells(w1 - w0, w_wavelength, cells_per_wavelength, min_cells)
+    if max(nu, nw) * order > max_axis_points:
         raise QuadratureFailure(
-            f"resolution rule asks for {max(nx, ny) * order} nodes per axis "
+            f"resolution rule asks for {max(nu, nw) * order} nodes per axis "
             f"(cap {max_axis_points}); the probe oscillates too fast")
-    xs, wx = _axis_rule(x0, x1, nx, order)
-    ys, wy = _axis_rule(y0, y1, ny, order)
-    rows = max(1, max_chunk // len(ys))
+    us, wu = _axis_rule(u0, u1, nu, order)
+    ws, ww = _axis_rule(w0, w1, nw, order)
+    rows = max(1, max_chunk // len(ws))
     total: np.ndarray | None = None
-    for i0 in range(0, len(xs), rows):
-        xv = xs[i0:i0 + rows]
-        wv = wx[i0:i0 + rows]
-        px, py = np.meshgrid(xv, ys, indexing="ij")
-        pts = np.column_stack([px.ravel(), py.ravel()])
-        w = np.multiply.outer(wv, wy).ravel()
+    for i0 in range(0, len(us), rows):
+        uv = us[i0:i0 + rows]
+        pu = np.repeat(uv, len(ws))
+        pw = np.tile(ws, len(uv))
+        pts = origin + pu[:, None] * axes[0] + pw[:, None] * axes[1]
+        w = np.multiply.outer(wu[i0:i0 + rows], ww).ravel()
         vals = np.asarray(fn(pts))
         if vals.ndim == 1:
             vals = vals[:, None]
@@ -433,7 +457,7 @@ def _form_and_energy(target, phi_spec: PhiSpec, v: TestField,
     else:
         raise TypeError("target must be a GeneralSystem, a CoefficientField "
                         "or a (lambda, mu) pair")
-    out = _integrate(fn, v.support, v.wavelength, **quad)
+    out = _integrate(fn, v, **quad)
     return float(out[0]), float(out[1])
 
 
@@ -455,7 +479,7 @@ def gradient_energy(v: TestField, **quad) -> float:
         jac = v.jacobian(pts)
         return np.einsum("nih,nih->n", jac, np.conj(jac)).real
 
-    return float(_integrate(fn, v.support, v.wavelength, **quad)[0])
+    return float(_integrate(fn, v, **quad)[0])
 
 
 @dataclass(frozen=True)
@@ -616,7 +640,7 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
         ]
         return np.column_stack(cols)
 
-    out = _integrate(fn, v.support, v.wavelength, **quad)
+    out = _integrate(fn, v, **quad)
 
     if isinstance(field, CoefficientField):
         lam_n = field.lam_total.ravel()
@@ -661,7 +685,7 @@ def commutator_ibp(v: TestField, grad_f: Callable[[np.ndarray], np.ndarray],
         carried = vals * div[:, None] - np.einsum("nj,nkj->nk", vals, jac)
         return np.einsum("nk,nk->n", g, carried)
 
-    return float(_integrate(fn, v.support, v.wavelength, **quad)[0])
+    return float(_integrate(fn, v, **quad)[0])
 
 
 def laplacian_shift(system: GeneralSystem, kappa: float) -> GeneralSystem:

@@ -452,9 +452,17 @@ class LambdaProfile:
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def lambda_of(self, t):
-        """Lambda(t) = -s*phi'(s) / (s*phi'(s) + 2*phi(s)) at s = zeta(t)."""
+        """Lambda(t) = -s*phi'(s) / (s*phi'(s) + 2*phi(s)) at s = zeta(t).
+
+        Positive targets below the inversion bracket, t < zeta^-1(1e-12),
+        take Lambda at the bracket edge: Lambda is continuous at 0+, and for
+        the built-in families the two differ by less than 1e-20.
+        """
         t_arr = np.asarray(t, dtype=float)
-        s = _invert_monotone(self.spec.s_sqrt_phi, t_arr,
+        floor = float(self.spec.s_sqrt_phi(_BRACKET_LO))
+        s = _invert_monotone(self.spec.s_sqrt_phi,
+                             np.where((t_arr > 0.0) & (t_arr < floor),
+                                      floor, t_arr),
                              "inverse of s*sqrt(phi)")
         num = s * self.spec.dphi(s)
         out = -num / (num + 2.0 * self.spec.phi(s))

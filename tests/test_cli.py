@@ -1,6 +1,7 @@
 """End-to-end checks of the command line layer: config validation, the
 five commands, exit codes and byte-identical reruns."""
 
+import csv
 import hashlib
 import json
 import shutil
@@ -14,11 +15,14 @@ from funcdiss.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     RunConfig,
+    coefficients_from_mapping,
     config_from_mapping,
     load_config,
     main,
+    phi_from_mapping,
     run,
 )
+from funcdiss.forms import standard_ensemble, strict_margin
 
 
 def _run_doc(tmp_path, doc):
@@ -65,6 +69,25 @@ def test_bad_ranges_rejected():
         config_from_mapping({"command": "check", "p_sweep": [4.0, 2.0, 5]})
     with pytest.raises(ValueError, match="seed"):
         config_from_mapping({"command": "check", "seed": -1})
+
+
+def test_scalar_lists_rejected():
+    with pytest.raises(ValueError, match="grid must be a list"):
+        config_from_mapping({"command": "check", "grid": 16})
+    with pytest.raises(ValueError, match="scale_factors must be a list"):
+        config_from_mapping({"command": "regularity", "scale_factors": 2.0})
+    with pytest.raises(ValueError, match="p_sweep must be a list"):
+        config_from_mapping({"command": "check", "p_sweep": 5})
+    with pytest.raises(ValueError, match="grid entries"):
+        config_from_mapping({"command": "check", "grid": [None, 16]})
+
+
+def test_main_scalar_grid_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text("command: check\ngrid: 16\n", encoding="utf-8")
+    assert main([str(path)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["record"] == "error" and err["error"] == "ValueError"
 
 
 def test_unknown_phi_family_rejected():
@@ -161,6 +184,28 @@ def test_verify_forms_strict_case(tmp_path):
     assert evidence["consistent_with_verdict"] is True
     rows = list(open(cfg.out + "_residuals.csv", encoding="utf-8"))
     assert len(rows) == 61
+
+
+def test_verify_forms_constant_pair_matches_grid_route(tmp_path):
+    # constant coefficients are integrated with the (lam, mu) pair; the
+    # bilinear samples of the constant grid give the same residuals
+    doc = {"command": "verify-forms", "phi": {"family": "power", "p": 4.0},
+           "coefficients": {"lam": 1.3, "mu": 0.9}, "seed": 7}
+    _, records, cfg = _run_doc(tmp_path, doc)
+    kappa = _by_kind(records, "form_evidence")[0]["kappa"]
+    margin = strict_margin(coefficients_from_mapping(doc["coefficients"]),
+                           phi_from_mapping(doc["phi"]), standard_ensemble(7),
+                           kappa=kappa)
+    with open(cfg.out + "_residuals.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(margin.rows)
+    for row, ref in zip(rows, margin.rows):
+        assert row["label"] == ref.label
+        scale = max(abs(ref.form_value), ref.gradient_sq)
+        for key in ("form_value", "gradient_sq", "residual"):
+            assert float(row[key]) == pytest.approx(getattr(ref, key),
+                                                    rel=1e-12,
+                                                    abs=1e-12 * scale)
 
 
 def test_verify_forms_counterexample(tmp_path):

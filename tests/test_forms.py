@@ -1,5 +1,7 @@
 """Form evaluation: frame identities, quadrature routes, breakdown, probes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,51 @@ def test_resolution_cap_raises():
         dissipativity_form((1.0, 1.0), power_phi(4.0), wave)
 
 
+def _counted_wave(rho, seen):
+    wave = oscillatory_field((0.0, 0.0), (0.6, 0.8), rho, (1.0, 0.0),
+                             chi_r0=-0.1, chi_r1=0.3,
+                             background=((0.0, 1.0), 2.0, 0.35, 0.75))
+
+    def value(pts):
+        seen.append(len(pts))
+        return wave.value(pts)
+
+    return dataclasses.replace(wave, value=value)
+
+
+def test_wave_nodes_double_per_octave():
+    # the wavelength rule refines the xi axis only; xi-perp keeps the
+    # min_cells rule, so nodes double per octave up to the rounding of one
+    # cell of 8 x (12 x 8) nodes
+    nodes = []
+    for j in range(4, 9):
+        seen = []
+        dissipativity_form((1.0, 1.0), power_phi(4.0),
+                           _counted_wave(2.0 ** j, seen))
+        nodes.append(sum(seen))
+    for lo, hi in zip(nodes, nodes[1:]):
+        assert 0 <= 2 * lo - hi <= 8 * 96
+    # 10 cells per wavelength on a 1.5 wide box: 306 cells at rho = 128
+    assert nodes[3] == 306 * 8 * 96
+
+
+def test_wave_quadrature_chunks_bound_memory():
+    seen = []
+    dissipativity_form((1.0, 1.0), power_phi(4.0),
+                       _counted_wave(256.0, seen))
+    assert len(seen) > 1 and max(seen) <= 250_000
+    assert sum(seen) == 612 * 8 * 96
+
+
+def test_exp_square_margin_below_inversion_bracket():
+    # some ensemble nodes have 1e-14 * scale < |v| < zeta^-1(1e-12); Lambda
+    # is taken at the bracket edge there instead of failing the run
+    for seed in (6, 43, 2026):
+        report = strict_margin((1.0, 1.0), exp_square_phi(),
+                               standard_ensemble(seed), 0.0)
+        assert np.isfinite(report.min_residual)
+
+
 # ---------------------------------------------------------------------------
 # breakdown of the strict Lame form
 
@@ -351,3 +398,40 @@ def test_probe_search_matches_complex_margin():
     full = algebraic_margin(lame_system(1.0, 1.0), -np.sqrt(lam_sq))
     assert report.algebraic_min == pytest.approx(full.min_value, rel=1e-8,
                                                  abs=1e-10)
+
+
+# (rho, form, gradient_sq) of oscillatory_counterexample(1, 1, power_phi(32))
+# under the earlier rule, which refined both axes of the unrotated box
+AXIS_RULE_ROWS = (
+    (1.0, 10.981801776262543, 43.4044717878954),
+    (2.0, 10.957518638593704, 43.39675917840058),
+    (4.0, 10.86599092390773, 43.384133031800076),
+    (8.0, 10.57374569524397, 43.552896128847),
+    (16.0, 9.952865091556465, 45.44831828212814),
+    (32.0, 8.205603821704557, 54.03109106624882),
+    (64.0, 1.1765048723548475, 88.59911279179033),
+    (128.0, -27.034370337848333, 226.97915674274353),
+)
+
+
+def test_counterexample_full_sweep_matches_axis_rule():
+    report = oscillatory_counterexample(1.0, 1.0, power_phi(32.0),
+                                        octaves=10, stop_at_flip=False)
+    assert report.flip_rho == 128.0
+    assert [row[0] for row in report.rows] == [2.0 ** j for j in range(11)]
+    for row, ref in zip(report.rows, AXIS_RULE_ROWS):
+        assert abs(row[1] - ref[1]) <= 1e-5 * ref[2]
+        assert abs(row[2] - ref[2]) <= 1e-5 * ref[2]
+    assert all(row[1] < 0.0 for row in report.rows[7:])
+
+
+def test_counterexample_matches_finer_rotated_rule():
+    spec = power_phi(32.0)
+    report = oscillatory_counterexample(1.0, 1.0, spec, octaves=7)
+    finer = oscillatory_counterexample(1.0, 1.0, spec, octaves=7, order=10,
+                                       cells_per_wavelength=20.0,
+                                       min_cells=24)
+    assert len(report.rows) == len(finer.rows) == 8
+    for row, ref in zip(report.rows, finer.rows):
+        assert abs(row[1] - ref[1]) <= 1e-5 * ref[2]
+        assert abs(row[2] - ref[2]) <= 1e-5 * ref[2]
