@@ -61,7 +61,6 @@ from .fem import (
 from .forms import oscillatory_counterexample, standard_ensemble, strict_margin
 from .phi import (
     POWER,
-    LambdaProfile,
     PhiSpec,
     exp_square_phi,
     power_phi,
@@ -677,23 +676,25 @@ def _cmd_regularity(cfg: RunConfig, writer: ReportWriter) -> int:
                  "under mesh refinement",
     })
 
-    srows: list[list[Any]] = []
-    base_ratio: float | None = None
-    max_rel = 0.0
+    scale_ratios: list[float] = []
     for c in cfg.scale_factors:
         prob = _load_rhs(cfg, cfg.grid, pair)
         prob = FemProblem(domain=prob.domain, cells=prob.cells,
                           coeffs=prob.coeffs, rhs=c * prob.rhs, p=prob.p)
-        sol = assemble_and_solve(prob)
-        ratio = regularity_ratio(sol)
-        if base_ratio is None:
-            base_ratio = ratio
-        rel = abs(ratio - base_ratio) / abs(base_ratio) if base_ratio else 0.0
-        max_rel = max(max_rel, rel)
-        srows.append([c, ratio, rel])
-    spath = writer.csv("scaling", ["scale", "ratio", "rel_drift"], srows)
-    invariant = max_rel <= 1e-6
-    writer.record("scaling_study", {
+        scale_ratios.append(regularity_ratio(assemble_and_solve(prob)))
+    # Drift is measured against the first row.  A zero, subnormal or
+    # non-finite ratio leaves it undefined, so such a study is never
+    # reported invariant.
+    degenerate = [(c, r) for c, r in zip(cfg.scale_factors, scale_ratios)
+                  if not (math.isfinite(r) and abs(r) >= sys.float_info.min)]
+    base = scale_ratios[0]
+    drifts = [math.nan if degenerate else abs(r - base) / abs(base)
+              for r in scale_ratios]
+    max_rel = math.nan if degenerate else max(drifts)
+    invariant = not degenerate and max_rel <= 1e-6
+    spath = writer.csv("scaling", ["scale", "ratio", "rel_drift"],
+                       list(zip(cfg.scale_factors, scale_ratios, drifts)))
+    scaling = {
         "command": "regularity",
         "p": cfg.p,
         "scale_factors": list(cfg.scale_factors),
@@ -702,7 +703,12 @@ def _cmd_regularity(cfg: RunConfig, writer: ReportWriter) -> int:
         "csv": spath.name,
         "basis": "both sides of the estimate scale like the p-th power of "
                  "the load amplitude, so their ratio must not move",
-    })
+    }
+    if degenerate:
+        c, r = degenerate[0]
+        scaling["note"] = (f"ratio {r!r} at scale factor {c!r} is zero, "
+                           "subnormal or non-finite; drift is undefined")
+    writer.record("scaling_study", scaling)
     return EXIT_OK if (bounded and invariant) else EXIT_NEGATIVE
 
 
@@ -718,7 +724,7 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
                  "t -> t sqrt(phi(t)) sampled on a log grid",
     })
 
-    profile = LambdaProfile(spec)
+    profile = spec.profile
     limit = profile.lambda_infinity()
     writer.record("limit_summary", {
         "command": "report",

@@ -16,6 +16,7 @@ finer grid can only reveal more oscillation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,15 @@ class CoefficientField:
         x0, x1, y0, y1 = self.domain
         return (np.linspace(x0, x1, self.shape[0]),
                 np.linspace(y0, y1, self.shape[1]))
+
+    @cached_property
+    def bmo_value(self) -> float:
+        """BMO seminorm of mu^2/(lambda+3mu), the oscillation the planar
+        sufficiency criterion bounds.  It does not depend on the weight, so
+        a sweep over weights computes it once per field."""
+        lam = self.lam_total
+        mu = self.mu_total
+        return bmo_seminorm(mu * mu / (lam + 3.0 * mu))
 
     def lam_at(self, x, y) -> np.ndarray:
         return bilinear(self.lam_total, self.domain, x, y)

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .coefficients import CoefficientField, GeneralSystem, bmo_seminorm, ess_bounds
+from .coefficients import CoefficientField, GeneralSystem, ess_bounds
 from .errors import BudgetExhausted, EllipticityViolation, NotStrict
-from .phi import LambdaLimit, LambdaProfile, PhiSpec
+from .phi import LambdaLimit, PhiSpec
 
 __all__ = [
     "STRICT_DISSIPATIVE",
@@ -266,7 +266,7 @@ def lame2d_verdict(phi_spec: PhiSpec | None, coeffs: CoefficientField,
     if limit is None:
         if phi_spec is None:
             raise ValueError("need a weight spec or a precomputed limit")
-        limit = LambdaProfile(phi_spec).lambda_infinity()
+        limit = phi_spec.profile.lambda_infinity()
     if vi_holds is None:
         vi_holds = not (phi_spec is not None and phi_spec.vi_exempt)
 
@@ -319,9 +319,7 @@ def lame2d_verdict(phi_spec: PhiSpec | None, coeffs: CoefficientField,
                 f"interval (0, {cap:.6g})")
         kappa = kappa_hint
         notes.append(f"margin kappa taken from caller: {kappa:.6g}")
-    lam = coeffs.lam_total
-    mu = coeffs.mu_total
-    bmo_value = bmo_seminorm(mu * mu / (lam + 3.0 * mu))
+    bmo_value = coeffs.bmo_value
     bmo_threshold = kappa * (1.0 - lam2_suff) / (2.0 * c0)
     if bmo_value <= bmo_threshold:
         notes.append("strict bound and oscillation smallness both certified")
@@ -369,7 +367,7 @@ def lameNd_sufficient(phi_spec: PhiSpec | None, lam: float, mu: float,
     if limit is None:
         if phi_spec is None:
             raise ValueError("need a weight spec or a precomputed limit")
-        limit = LambdaProfile(phi_spec).lambda_infinity()
+        limit = phi_spec.profile.lambda_infinity()
     threshold = constant_threshold(lam, mu)
     lam2 = limit.lambda_inf_sq
     margin = threshold - lam2
@@ -412,7 +410,7 @@ def perturbation_budget(phi_spec: PhiSpec | None, lam0: float, mu0: float,
     if limit is None:
         if phi_spec is None:
             raise ValueError("need a weight spec or a precomputed limit")
-        limit = LambdaProfile(phi_spec).lambda_infinity()
+        limit = phi_spec.profile.lambda_infinity()
     # The base pair must actually be elliptic for the bound to mean anything.
     constant_threshold(lam0, mu0)
     return kappa0 / (2.0 * comparison_constant(limit, dim))

@@ -40,7 +40,7 @@ from scipy.optimize import minimize
 
 from .coefficients import CoefficientField, GeneralSystem, lame_system
 from .errors import QuadratureFailure
-from .phi import POWER, LambdaProfile, PhiSpec
+from .phi import POWER, PhiSpec
 
 __all__ = [
     "TestField",
@@ -359,15 +359,15 @@ def _integrate(fn, v: TestField, *, order: int = 8,
 
 
 def _lambda_values(phi_spec: PhiSpec, t: np.ndarray) -> np.ndarray:
-    """Lambda(t) on the quadrature slab; the power family is a constant."""
+    """Lambda(t) on the quadrature slab; the power family is a constant, any
+    other weight reads the table its spec builds once."""
     if phi_spec.family == POWER:
         p = phi_spec.p
         return np.full_like(t, -(p - 2.0) / p)
-    profile = LambdaProfile(phi_spec)
     out = np.zeros_like(t)
     pos = t > 0.0
     if np.any(pos):
-        out[pos] = profile.lambda_of(t[pos])
+        out[pos] = phi_spec.profile.lambda_of(t[pos])
     return out
 
 
@@ -586,7 +586,7 @@ def _sup_lambda_sq(phi_spec: PhiSpec) -> float:
     if phi_spec.family == POWER:
         lam = (phi_spec.p - 2.0) / phi_spec.p
         return lam * lam
-    limit = LambdaProfile(phi_spec).lambda_infinity()
+    limit = phi_spec.profile.lambda_infinity()
     return max(limit.sup_lambda_sq, limit.lambda_inf_sq)
 
 

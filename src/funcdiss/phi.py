@@ -19,15 +19,19 @@ and the limit ratio
               = - s*phi'(s) / (s*phi'(s) + 2*phi(s))   at s = zeta(t),
 
 whose limit Lambda_inf (and sup of Lambda^2) drives every dissipativity
-criterion downstream.  The dual weight psi is defined by inverting
-s*phi(s): t*psi(t) is the inverse function, and sqrt(psi(|w|))*w equals
-sqrt(phi(|u|))*u for w = phi(|u|)*u, with Lambda_dual = -Lambda.
+criterion downstream.  zeta is read off a forward table of
+(log s, log s*sqrt(phi(s))) built once per weight and polished by a few
+bracketed Newton steps, so Lambda costs a handful of phi evaluations per
+target.  The dual weight psi is defined by inverting s*phi(s): t*psi(t) is
+the inverse function, and sqrt(psi(|w|))*w equals sqrt(phi(|u|))*u for
+w = phi(|u|)*u, with Lambda_dual = -Lambda.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -68,6 +72,14 @@ CUSTOM = "custom"
 _BRACKET_LO = 1e-12
 _BRACKET_HI = 1e12
 _BISECT_ITERS = 60
+# Forward table of s*sqrt(phi(s)) over the same range, 100 nodes per decade.
+# Linear interpolation in log-log starts Newton within about 1e-4 in log s,
+# so three quadratic updates reach rounding level.
+_TABLE_NODES = 2401
+_NEWTON_EVALS = 4
+# Targets this close to a bracket or table edge, relative, are solved at
+# the edge.
+_EDGE_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -132,6 +144,11 @@ class PhiSpec:
         s = np.asarray(s, dtype=float)
         return s * np.sqrt(self.phi(s))
 
+    @cached_property
+    def profile(self) -> LambdaProfile:
+        """The Lambda calculus of this weight, tabulated once per spec."""
+        return LambdaProfile(self)
+
 
 def _trunc_rho(t, k):
     return -0.5 * (t - k + 1.0) ** 2 + t
@@ -174,8 +191,8 @@ def _central_dphi(fn, s, rel=1e-6):
 
 def power_phi(p: float) -> PhiSpec:
     """phi(t) = t^(p-2) for p > 1.  Lambda is the constant -(p-2)/p."""
-    if p <= 1.0:
-        raise ValueError(f"power weight needs p > 1, got {p}")
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"power weight needs a finite p > 1, got {p}")
     return PhiSpec(
         family=POWER, p=float(p), r=p - 2.0, s0=1.0, s1=2.0,
         c1=p - 1.0, c2=p - 1.0, label=f"power(p={p:g})",
@@ -202,10 +219,18 @@ def truncated_power(p: float, k: float) -> PhiSpec:
     p-2 to 0, so condition (vi) fails by design while sup Lambda^2 is still
     (1-2/p)^2, attained near t -> 0.
     """
-    if p < 2.0:
-        raise BadTruncation(f"truncated power needs p >= 2, got p={p}")
-    if k <= 1.0:
-        raise BadTruncation(f"truncation level must exceed 1, got k={k}")
+    if not (math.isfinite(p) and p >= 2.0):
+        raise BadTruncation(
+            f"truncated power needs a finite p >= 2, got p={p}")
+    if not (math.isfinite(k) and k > 1.0):
+        raise BadTruncation(
+            f"truncation level must be finite and exceed 1, got k={k}")
+    with np.errstate(over="ignore"):
+        plateau = np.float64(k - 0.5) ** (p - 2.0)
+    if not (np.isfinite(plateau) and plateau >= np.finfo(float).tiny):
+        raise BadTruncation(
+            f"plateau (k-1/2)^(p-2) = {plateau:.6g} is not a finite normal "
+            f"number for p={p:g}, k={k:g}")
     s0 = min(1.0, 0.9 * (k - 1.0))
     return PhiSpec(
         family=TRUNCATED_POWER, p=float(p), k=float(k), r=p - 2.0,
@@ -374,9 +399,9 @@ def _invert_monotone(g: Callable[[np.ndarray], np.ndarray], t,
     with np.errstate(over="ignore", invalid="ignore"):
         gd = np.asarray(g(decades), dtype=float)
     gd = np.where(np.isnan(gd), np.inf, gd)
-    # Targets tying the left edge (to 1e-9 relative) are taken as solved at
-    # the edge; composed inversions probe exactly there.
-    edge = gd[0] * (1.0 - 1e-9) if gd[0] > 0 else gd[0]
+    # Targets tying the left edge are taken as solved at the edge; composed
+    # inversions probe exactly there.
+    edge = gd[0] * (1.0 - _EDGE_TIE) if gd[0] > 0 else gd[0]
     bad = (t < edge) | (t > np.max(gd))
     if np.any(bad):
         raise BracketFailure(
@@ -433,39 +458,85 @@ class LambdaProfile:
 
     zeta(t) inverts s*sqrt(phi(s)), which is strictly increasing whenever
     condition (ii) holds, because (s^2*phi)' = s*(s*phi)' + s*phi > 0.
+    The forward map is tabulated once, as (log s, log t(s)) on a log-s grid
+    over [1e-12, 1e12], keeping the nodes where t is finite and positive.
+    A target is located in the table, interpolated linearly for a start,
+    and polished by Newton steps on f(u) = u + log(phi(e^u))/2 - log t,
+    f'(u) = 1 + s*phi'/(2*phi), each kept inside the table interval by a
+    bisection fallback.  Lambda comes from the s*phi'/phi of the final
+    iterate.
     """
 
     def __init__(self, spec: PhiSpec):
         self.spec = spec
+        s = np.geomspace(_BRACKET_LO, _BRACKET_HI, _TABLE_NODES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.asarray(spec.s_sqrt_phi(s), dtype=float)
+        keep = np.isfinite(t) & (t > 0.0)
+        if np.count_nonzero(keep) < 2:
+            raise BracketFailure(
+                f"{spec.label or spec.family}: s*sqrt(phi(s)) is finite and "
+                "positive at fewer than two table nodes")
+        self._log_s = np.log(s[keep])
+        self._log_t = np.log(t[keep])
+
+    def _solve(self, t: np.ndarray, *, clamp_low: bool = False):
+        """s = zeta(t) and r = s*phi'(s)/phi(s) there.
+
+        Targets outside the table raise BracketFailure; with clamp_low,
+        positive targets below it are solved at the lower edge instead.
+        """
+        if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
+            raise BracketFailure(
+                "inverse of s*sqrt(phi): target must be finite positive")
+        us, vs = self._log_s, self._log_t
+        y = np.log(t)
+        bad = y > vs[-1] + _EDGE_TIE
+        if not clamp_low:
+            bad |= y < vs[0] - _EDGE_TIE
+        if np.any(bad):
+            raise BracketFailure(
+                f"inverse of s*sqrt(phi): target {t[bad].flat[0]:.6g} "
+                f"outside the tabulated range [{math.exp(vs[0]):.6g}, "
+                f"{math.exp(vs[-1]):.6g}]")
+        y = np.clip(y, vs[0], vs[-1])
+        i = np.clip(np.searchsorted(vs, y), 1, len(vs) - 1)
+        lo, hi = us[i - 1], us[i]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = lo + (hi - lo) * (y - vs[i - 1]) / (vs[i] - vs[i - 1])
+            for step in range(_NEWTON_EVALS):
+                s = np.exp(x)
+                phi = self.spec.phi(s)
+                r = s * self.spec.dphi(s) / phi
+                if step == _NEWTON_EVALS - 1:
+                    break
+                f = x + 0.5 * np.log(phi) - y
+                lo = np.where(f < 0.0, x, lo)
+                hi = np.where(f > 0.0, x, hi)
+                nxt = x - f / (1.0 + 0.5 * r)
+                x = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        return s, r
 
     def zeta(self, t):
         t_arr = np.asarray(t, dtype=float)
-        out = _invert_monotone(self.spec.s_sqrt_phi, t_arr,
-                               "inverse of s*sqrt(phi)")
+        out = self._solve(t_arr)[0]
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def theta(self, t):
         t_arr = np.asarray(t, dtype=float)
-        z = _invert_monotone(self.spec.s_sqrt_phi, t_arr,
-                             "inverse of s*sqrt(phi)")
-        out = z / t_arr
+        out = self._solve(t_arr)[0] / t_arr
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def lambda_of(self, t):
         """Lambda(t) = -s*phi'(s) / (s*phi'(s) + 2*phi(s)) at s = zeta(t).
 
-        Positive targets below the inversion bracket, t < zeta^-1(1e-12),
-        take Lambda at the bracket edge: Lambda is continuous at 0+, and for
-        the built-in families the two differ by less than 1e-20.
+        Positive targets below the table, t < zeta^-1(1e-12), take Lambda
+        at its edge: Lambda is continuous at 0+, and for the built-in
+        families the two differ by less than 1e-20.
         """
         t_arr = np.asarray(t, dtype=float)
-        floor = float(self.spec.s_sqrt_phi(_BRACKET_LO))
-        s = _invert_monotone(self.spec.s_sqrt_phi,
-                             np.where((t_arr > 0.0) & (t_arr < floor),
-                                      floor, t_arr),
-                             "inverse of s*sqrt(phi)")
-        num = s * self.spec.dphi(s)
-        out = -num / (num + 2.0 * self.spec.phi(s))
+        r = self._solve(t_arr, clamp_low=True)[1]
+        out = -r / (r + 2.0)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def lambda_sq_of(self, t):

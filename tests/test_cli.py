@@ -96,6 +96,21 @@ def test_unknown_phi_family_rejected():
                              "phi": {"family": "mystery"}})
 
 
+@pytest.mark.parametrize("phi, error", [
+    ({"family": "power", "p": float("inf")}, "ValueError"),
+    ({"family": "power", "p": float("nan")}, "ValueError"),
+    ({"family": "truncated_power", "p": 4.0, "k": 1.0e300}, "BadTruncation"),
+    ({"family": "truncated_power", "p": float("inf"), "k": 2.0},
+     "BadTruncation"),
+], ids=["power-inf", "power-nan", "truncated-k-1e300", "truncated-p-inf"])
+def test_nonfinite_weight_parameters_exit_3(tmp_path, phi, error):
+    code, records, _ = _run_doc(tmp_path, {"command": "check", "phi": phi})
+    assert code == EXIT_ERROR
+    assert _by_kind(records, "error")[0]["error"] == error
+    assert not [r for r in records if r["record"] == "verdict"]
+    assert _by_kind(records, "summary")[0]["exit_status"] == EXIT_ERROR
+
+
 def test_missing_coefficient_file_rejected():
     with pytest.raises(ValueError, match="not found"):
         config_from_mapping({"command": "check",
@@ -348,6 +363,29 @@ def test_regularity_bounded_and_invariant(tmp_path):
     assert scal["max_rel_drift"] <= 1e-6
     header = open(cfg.out + "_refinement.csv", encoding="utf-8").readline()
     assert header.strip() == "level,cells,weighted_energy,load_norm,ratio"
+
+
+def test_regularity_degenerate_scaling_ratio_is_not_invariant(tmp_path):
+    # A load scaled by 1e-200 underflows the ratio to 0; with the first row
+    # as the base every drift used to read 0 and the study "invariant".
+    code, records, cfg = _run_doc(tmp_path, {
+        "command": "regularity",
+        "coefficients": {"lam": 1.0, "mu": 1.0},
+        "load": {"preset": "smooth"},
+        "grid": [8, 8],
+        "p": 4.0,
+        "refinements": 1,
+        "scale_factors": [1.0e-200, 1.0],
+    })
+    assert code == EXIT_NEGATIVE
+    scal = _by_kind(records, "scaling_study")[0]
+    assert scal["invariant"] is False
+    assert scal["max_rel_drift"] == "nan"
+    assert "scale factor 1e-200" in scal["note"]
+    with open(cfg.out + "_scaling.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[0]["ratio"]) == 0.0
+    assert all(r["rel_drift"] == "nan" for r in rows)
 
 
 def test_regularity_needs_constant_pair(tmp_path):

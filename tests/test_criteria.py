@@ -36,6 +36,7 @@ from funcdiss import (
     ramp_field,
     truncated_power,
 )
+from funcdiss import coefficients
 from funcdiss.criteria import _probe_matrix
 
 P_STAR = 8.0 + 4.0 * math.sqrt(3.0)
@@ -190,6 +191,26 @@ def test_verdict_gentle_ramp_is_strict():
     v = lame2d_verdict(power_phi(4.0), f)
     assert v.status == STRICT_DISSIPATIVE
     assert v.bmo_value < v.bmo_threshold
+
+
+def test_bmo_seminorm_once_per_coefficient_field(monkeypatch):
+    # The oscillation of mu^2/(lambda+3mu) does not depend on the weight,
+    # so a sweep over exponents computes it once for the field.
+    calls = []
+    original = coefficients.bmo_seminorm
+
+    def counting(values):
+        calls.append(values.shape)
+        return original(values)
+
+    monkeypatch.setattr(coefficients, "bmo_seminorm", counting)
+    field = ramp_field(1.0, 1.0, 0.02)
+    verdicts = [lame2d_verdict(power_phi(p), field) for p in (2.5, 3.0, 3.5)]
+    assert [v.status for v in verdicts] == [STRICT_DISSIPATIVE] * 3
+    assert len(calls) == 1
+    lam, mu = field.lam_total, field.mu_total
+    assert all(v.bmo_value == original(mu * mu / (lam + 3.0 * mu))
+               for v in verdicts)
 
 
 def test_verdict_rough_checkerboard_is_inconclusive():

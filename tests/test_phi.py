@@ -20,15 +20,20 @@ from funcdiss import (
     NonConvergent,
     NonPositivePhi,
     NotIncreasing,
+    PhiSpec,
     custom_phi,
     dual_phi,
+    elasticity_breakdown,
     exp_square_phi,
     inverse_s_phi,
     power_phi,
+    standard_ensemble,
+    strict_margin,
     truncated_power,
     validate_phi,
     young_pair,
 )
+from funcdiss.phi import _BRACKET_LO, _invert_monotone
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +50,9 @@ def test_power_phi_values():
 
 
 def test_power_phi_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        power_phi(1.0)
+    for p in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            power_phi(p)
 
 
 def test_truncated_power_frozen_values():
@@ -76,6 +82,11 @@ def test_truncated_power_rejects_bad_parameters():
         truncated_power(1.5, 2.0)
     with pytest.raises(BadTruncation):
         truncated_power(4.0, 1.0)
+    for p, k in ((math.inf, 2.0), (math.nan, 2.0), (4.0, math.inf),
+                 (4.0, math.nan), (4.0, 1e300), (2000.0, 1.2)):
+        # The last two: the plateau (k-1/2)^(p-2) overflows or underflows.
+        with pytest.raises(BadTruncation):
+            truncated_power(p, k)
 
 
 def test_custom_phi_central_difference_derivative():
@@ -176,6 +187,112 @@ def test_lambda_matches_theta_log_derivative():
     dtheta = (prof.theta(t + h) - prof.theta(t - h)) / (2.0 * h)
     assert np.allclose(prof.lambda_of(t), t * dtheta / prof.theta(t),
                        rtol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Forward table against the bisection route
+
+
+def _bisection_lambda(spec, t):
+    """Lambda by the reference route: bisect s*sqrt(phi(s)) = t on the
+    bracket, with targets below it taken at its edge."""
+    floor = float(spec.s_sqrt_phi(_BRACKET_LO))
+    s = _invert_monotone(spec.s_sqrt_phi, np.maximum(t, floor), "reference")
+    num = s * spec.dphi(s)
+    return -num / (num + 2.0 * spec.phi(s))
+
+
+@pytest.mark.parametrize("spec, junctions, lam_atol", [
+    (exp_square_phi(), (), 1e-14),
+    # Near s = k the ratio s*phi'/phi falls to 0 with slope of order one,
+    # so a last-bit change of s moves Lambda by ~1e-15 absolute.
+    (truncated_power(4.0, 1.5), (0.5, 1.5), 1e-14),
+    (truncated_power(6.0, 2.0), (1.0, 2.0), 1e-14),
+    (dual_phi(power_phi(3.0)), (), 1e-14),
+    # Without dphi_fn, phi' is a central difference whose rounding noise is
+    # about 1e-10: two routes whose s differ in the last bits cannot agree
+    # on Lambda more closely than that, while zeta still agrees to 1e-13.
+    (custom_phi(lambda s: 1.0 + s * s), (), 1e-9),
+], ids=["exp_square", "truncated(4,1.5)", "truncated(6,2)", "dual(power3)",
+        "custom-no-dphi"])
+def test_forward_route_matches_bisection(spec, junctions, lam_atol):
+    # For the truncated powers, add the targets of both C^1 junctions.
+    t = np.concatenate([np.geomspace(1e-14, 1e3, 4001),
+                        spec.s_sqrt_phi(np.array(junctions, dtype=float))])
+    prof = LambdaProfile(spec)
+    np.testing.assert_allclose(prof.lambda_of(t), _bisection_lambda(spec, t),
+                               rtol=1e-13, atol=lam_atol)
+    inside = t[t >= spec.s_sqrt_phi(_BRACKET_LO)]
+    ref = _invert_monotone(spec.s_sqrt_phi, inside, "reference")
+    np.testing.assert_allclose(prof.zeta(inside), ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(prof.theta(inside), ref / inside, rtol=1e-13,
+                               atol=0)
+
+
+def test_lambda_below_table_takes_edge_value():
+    for spec in (exp_square_phi(), truncated_power(6.0, 2.0)):
+        prof = LambdaProfile(spec)
+        floor = float(spec.s_sqrt_phi(_BRACKET_LO))
+        below = np.array([1e-300, 1e-30, 0.5 * floor])
+        assert np.array_equal(prof.lambda_of(below),
+                              np.full(3, prof.lambda_of(floor)))
+        with pytest.raises(BracketFailure):
+            prof.zeta(0.5 * floor)
+
+
+def test_target_above_table_raises():
+    # phi = exp(s^2) overflows near s = 26.6, so the table ends near
+    # t = 1e154; the overflow edge is not an answer.
+    prof = LambdaProfile(exp_square_phi())
+    for method in (prof.lambda_of, prof.zeta, prof.theta):
+        with pytest.raises(BracketFailure, match="outside the tabulated"):
+            method(np.array([1.0, 1e200]))
+
+
+def test_lambda_rejects_nonpositive_and_nonfinite_targets():
+    prof = LambdaProfile(exp_square_phi())
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(BracketFailure, match="finite positive"):
+            prof.lambda_of(np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("spec", [power_phi(6.0), exp_square_phi(),
+                                  truncated_power(16.0, 3.0),
+                                  truncated_power(4.0, 1.5)],
+                         ids=lambda s: s.label)
+def test_lambda_infinity_unchanged_by_forward_route(spec):
+    class Bisected(LambdaProfile):
+        def lambda_of(self, t):
+            return _bisection_lambda(self.spec, np.asarray(t, dtype=float))
+
+    new = LambdaProfile(spec).lambda_infinity()
+    ref = Bisected(spec).lambda_infinity()
+    assert new.converged == ref.converged
+    assert new.sup_bounded == ref.sup_bounded
+    for name in ("lambda_inf", "lambda_inf_sq", "sup_lambda_sq",
+                 "tail_variation"):
+        assert getattr(new, name) == pytest.approx(getattr(ref, name),
+                                                   rel=1e-14, abs=1e-14), name
+
+
+def test_forms_build_one_table_per_weight_and_call(monkeypatch):
+    calls = []
+    original = PhiSpec.s_sqrt_phi
+
+    def counting(self, s):
+        calls.append(np.size(s))
+        return original(self, s)
+
+    monkeypatch.setattr(PhiSpec, "s_sqrt_phi", counting)
+    fields = standard_ensemble(3, n_bump=2, n_rot=1, n_osc=1)
+    # A small chunk cap splits every field into many quadrature chunks.
+    strict_margin((1.0, 1.0), custom_phi(lambda s: 1.0 + s * s), fields,
+                  0.1, max_chunk=2000)
+    assert len(calls) == 1
+    calls.clear()
+    elasticity_breakdown((1.0, 1.0), custom_phi(lambda s: 1.0 + s * s),
+                         fields[0], max_chunk=2000)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
