@@ -14,20 +14,28 @@ report is interpretable without the config file that produced it.  The
 report body is a pure function of the config and the seed: rerunning the
 same document produces byte-identical files.
 
+The config schema is the field list of ``RunConfig`` plus the preset table
+``_BLOCKS``; ``config_from_mapping`` checks a document against it and
+nothing else does.  Unknown keys at any level, non-finite numbers,
+non-integer counts and sizes above the ``MAX_*`` caps are rejected.
+
 Exit status: 0 for a clean run, 2 when a verdict or invariant came out
-negative, 3 for an internal error or a config that fails validation (in
-both cases the last record names what failed).
+negative, 3 for any exception or a config that fails validation.  Then an
+error record goes to stderr (config) or the report, and a report named by
+the document ends in error and summary records.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -48,9 +56,7 @@ from .criteria import (
     STRICT_DISSIPATIVE,
     lame2d_verdict,
     lameNd_sufficient,
-    Verdict,
 )
-from .errors import ToolkitError
 from .fem import (
     FemProblem,
     assemble_and_solve,
@@ -84,241 +90,225 @@ EXIT_ERROR = 3
 
 COMMANDS = ("check", "verify-forms", "solve", "regularity", "report")
 
-_PHI_DEFAULT = {"family": "power", "p": 4.0}
-_COEFF_DEFAULT = {"kind": "constant", "lam": 1.0, "mu": 1.0}
-_LOAD_DEFAULT = {"preset": "manufactured", "amp": 1.0}
+# Size caps, so that no document can start a run that never ends.
+MAX_SWEEP_COUNT = 1000      # exponents in a p_sweep
+MAX_OCTAVES = 14            # frequency doublings of the counterexample sweep
+MAX_CELLS = 256 ** 2        # cells of the finest grid (regularity: refined)
+MAX_SHAPE = 1025            # coefficient grid nodes per axis
+
+
+# -- config schema -------------------------------------------------------
+# A parser takes a dotted key and a raw YAML value and returns the resolved
+# value or raises ValueError.  Defaults go through the same parsers.
+
+def _number(key: str, value: Any, lo: float = -math.inf,
+            hi: float = math.inf, above: bool = False, integer: bool = False,
+            finite: bool = True) -> float | int:
+    """A number in [lo, hi] ((lo, hi] when above); finite unless told not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(real):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if integer and real != int(real):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if real < lo or above and real == lo or real > hi:
+        upper = f" and <= {hi:g}" if hi < math.inf else ""
+        raise ValueError(f"{key} must be {'>' if above else '>='} {lo:g}"
+                         f"{upper}, got {value!r}")
+    return int(value) if integer else real
+
+
+def _numbers(key: str, value: Any, sizes: tuple[int, ...] | None = None,
+             **bounds) -> tuple:
+    """A list of numbers checked like _number, of a length in sizes or any."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    if not value or sizes and len(value) not in sizes:
+        want = " or ".join(map(str, sizes or (">= 1",)))
+        raise ValueError(f"{key} needs {want} entries, got {value!r}")
+    return tuple(_number(f"{key} entries", v, **bounds) for v in value)
+
+
+def _optional(parse: Callable) -> Callable:
+    return lambda key, value: None if value is None else parse(key, value)
+
+
+def _choice(options: tuple[str, ...], what: str) -> Callable:
+    def parse(key: str, value: Any) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise ValueError(f"unknown {what} {value!r}; expected one of "
+                             + ", ".join(options))
+        return value
+    return parse
+
+
+def _instance(kind: type, what: str) -> Callable:
+    def parse(key: str, value: Any) -> Any:
+        if not isinstance(value, kind) or value == "":
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        return value
+    return parse
+
+
+def _file(key: str, value: Any) -> str:
+    path = Path(_instance(str, "a file path")(key, value))
+    if not path.is_file():
+        raise ValueError(f"{key} not found: {path}")
+    return str(path)
+
+
+def _p_sweep(key: str, value: Any) -> tuple[float, float, int]:
+    if isinstance(value, Mapping):
+        _no_unknown_keys(key, value, ("lo", "hi", "count"))
+        value = [value.get("lo", 2.0), value.get("hi", 16.0),
+                 value.get("count", 8)]
+    lo, hi, _ = _numbers(key, value, (3,), lo=2.0)
+    if not lo < hi:
+        raise ValueError(f"{key} needs lo < hi, got {value!r}")
+    return lo, hi, _number(f"{key}.count", value[2], 2, MAX_SWEEP_COUNT, integer=True)
+
+
+def _no_unknown_keys(where: str, doc: Mapping, known) -> None:
+    unknown = sorted(map(str, set(doc) - set(known)))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
+_FINITE = (_number, 1.0)
+_WEIGHT = partial(_number, finite=False)
+_GRID = {"lam0": _FINITE, "mu0": _FINITE,
+         "shape": (partial(_numbers, sizes=(2,), lo=2, hi=MAX_SHAPE,
+                           integer=True), (33, 33)),
+         "domain": (partial(_numbers, sizes=(4,)), (0.0, 1.0, 0.0, 1.0))}
+_LOAD = (None, {"amp": _FINITE})
+
+# block: (preset key, default preset,
+#         {preset: (constructor, {parameter: (parser, default)})})
+# A block with a file and no preset key is read as the file preset.  The
+# weight constructors check the weight parameters, which may be non-finite.
+_BLOCKS: dict[str, tuple[str, str, dict[str, tuple[Any, dict]]]] = {
+    "phi": ("family", "power", {
+        "power": (power_phi, {"p": (_WEIGHT, 4.0)}),
+        "exp_square": (exp_square_phi, {}),
+        "truncated_power": (truncated_power,
+                            {"p": (_WEIGHT, 4.0), "k": (_WEIGHT, 2.0)}),
+    }),
+    "coefficients": ("kind", "constant", {
+        "constant": (constant_field, {"lam": _FINITE, "mu": _FINITE}),
+        "ramp": (ramp_field, {**_GRID, "slope": (_number, 0.1)}),
+        "checkerboard": (checkerboard_field,
+                         {**_GRID, "contrast": (_number, 0.1)}),
+        "radial": (radial_field, {**_GRID, "amp": (_number, 0.1)}),
+        "file": (lambda file: load_field(file), {"file": (_file, None)}),
+    }),
+    "load": ("preset", "manufactured", {
+        "manufactured": _LOAD, "smooth": _LOAD, "fiber": _LOAD,
+        "zero": _LOAD, "file": (None, {"file": (_file, None)}),
+    }),
+}
+
+
+def _block(key: str, value: Any) -> dict[str, Any]:
+    """Resolve a phi, coefficients or load block against its preset table."""
+    selector, default, presets = _BLOCKS[key]
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{key} block must be a mapping, got {value!r}")
+    fallback = "file" if "file" in value and "file" in presets else default
+    name = _choice(tuple(presets), f"{key} {selector}")(
+        f"{key}.{selector}", value.get(selector, fallback))
+    params = presets[name][1]
+    _no_unknown_keys(f"{key} block", value, (selector, *params))
+    resolved = {selector: name}
+    for param, (parse, param_default) in params.items():
+        resolved[param] = parse(f"{key}.{param}",
+                                value.get(param, param_default))
+    return resolved
+
+
+def _build(key: str, value: Any):
+    resolved = _block(key, value)
+    constructor = _BLOCKS[key][2][resolved.pop(_BLOCKS[key][0])][0]
+    return constructor(**resolved)
+
+
+def _key(parse: Callable, default: Any = None):
+    return field(metadata={"parse": parse, "default": default})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved run description.
+    """One resolved run, made by config_from_mapping.  Each field names its
+    parser and its default; blocks carry their defaults explicitly so that
+    the config echoed into the report is self contained."""
 
-    Optional blocks carry their defaults explicitly so that the config
-    echoed into the report is self contained.
-    """
+    command: str = _key(_choice(COMMANDS, "command"))
+    phi: Mapping[str, Any] = _key(_block, {})
+    coefficients: Mapping[str, Any] = _key(_block, {})
+    load: Mapping[str, Any] = _key(_block, {})
+    grid: tuple[int, ...] = _key(
+        partial(_numbers, sizes=(2, 3), lo=8, integer=True), (16, 16))
+    domain: tuple[float, ...] | None = _key(_optional(partial(_numbers, sizes=(4, 6))))
+    p: float = _key(partial(_number, lo=2.0), 2.0)
+    p_sweep: tuple[float, float, int] | None = _key(_optional(_p_sweep))
+    c0: float = _key(partial(_number, lo=0.0, above=True), 1.0)
+    kappa_hint: float | None = _key(_optional(partial(_number, lo=0.0, above=True)))
+    seed: int = _key(partial(_number, lo=0, integer=True), 2026)
+    octaves: int = _key(partial(_number, lo=0, hi=MAX_OCTAVES, integer=True), 10)
+    # MAX_CELLS bounds a regularity study; 16 keeps its check a small number
+    refinements: int = _key(partial(_number, lo=1, hi=16, integer=True), 3)
+    scale_factors: tuple[float, ...] = _key(
+        partial(_numbers, lo=0.0, above=True), (0.5, 1.0, 2.0, 4.0))
+    dump_solution: bool = _key(_instance(bool, "true or false"), False)
+    out: str = _key(_instance(str, "a nonempty string"), "report")
 
-    command: str
-    phi: Mapping[str, Any] = field(default_factory=lambda: dict(_PHI_DEFAULT))
-    coefficients: Mapping[str, Any] = field(
-        default_factory=lambda: dict(_COEFF_DEFAULT))
-    load: Mapping[str, Any] = field(default_factory=lambda: dict(_LOAD_DEFAULT))
-    grid: tuple[int, ...] = (16, 16)
-    domain: tuple[float, ...] | None = None
-    p: float = 2.0
-    p_sweep: tuple[float, float, int] | None = None
-    c0: float = 1.0
-    kappa_hint: float | None = None
-    seed: int = 2026
-    octaves: int = 10
-    refinements: int = 3
-    scale_factors: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    dump_solution: bool = False
-    out: str = "report"
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(
-                f"unknown command {self.command!r}; expected one of "
-                + ", ".join(COMMANDS))
-        if not self.c0 > 0.0:
-            raise ValueError(f"c0 must be positive, got {self.c0:g}")
-        if self.kappa_hint is not None and not self.kappa_hint > 0.0:
-            raise ValueError("kappa_hint must be positive when given")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.p < 2.0:
-            raise ValueError(f"p must be >= 2, got {self.p:g}")
-        if self.p_sweep is not None:
-            lo, hi, count = self.p_sweep
-            if not (2.0 <= lo < hi and count >= 2):
-                raise ValueError(
-                    f"p_sweep needs 2 <= lo < hi and count >= 2, got {self.p_sweep}")
-        if len(self.grid) not in (2, 3) or any(int(c) != c or c < 8 for c in self.grid):
-            raise ValueError(
-                f"grid must give 2 or 3 cell counts, each >= 8, got {self.grid}")
-        if self.octaves < 0 or int(self.octaves) != self.octaves:
-            raise ValueError(f"octaves must be a nonnegative integer, got {self.octaves!r}")
-        if self.refinements < 1 or int(self.refinements) != self.refinements:
-            raise ValueError(f"refinements must be a positive integer, got {self.refinements!r}")
-        if not self.scale_factors or any(c <= 0.0 for c in self.scale_factors):
-            raise ValueError("scale_factors must be positive")
-        if not str(self.out):
-            raise ValueError("out prefix must be nonempty")
+    @property
+    def constant_pair(self) -> tuple[float, float] | None:
+        """(lam, mu) of constant coefficients, None for any other source."""
+        if self.coefficients["kind"] != "constant":
+            return None
+        return self.coefficients["lam"], self.coefficients["mu"]
 
 
-_KNOWN_KEYS = {
-    "command", "phi", "coefficients", "load", "grid", "domain", "p",
-    "p_sweep", "c0", "kappa_hint", "seed", "octaves", "refinements",
-    "scale_factors", "dump_solution", "out",
-}
-
-
-def _numbers(key: str, value: Any, cast) -> tuple:
-    """A config list converted entry by entry; anything else is rejected."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    try:
-        return tuple(cast(c) for c in value)
-    except TypeError:
-        raise ValueError(f"{key} entries must be numbers, got {value!r}") from None
-
-
-def config_from_mapping(doc: Mapping[str, Any]) -> RunConfig:
-    """Validate a parsed config tree and fill in the defaults."""
+def config_from_mapping(doc: Any) -> RunConfig:
+    """Validate a parsed config tree and fill in the defaults.  This is the
+    only place a config is checked; what it rejects raises ValueError."""
     if not isinstance(doc, Mapping):
         raise ValueError("config document must be a key/value mapping")
-    unknown = sorted(set(doc) - _KNOWN_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    schema = dataclasses.fields(RunConfig)
+    _no_unknown_keys("config", doc, [f.name for f in schema])
     if "command" not in doc:
         raise ValueError("config needs a 'command' key")
+    cfg = RunConfig(**{f.name: f.metadata["parse"](
+        f.name, doc.get(f.name, f.metadata["default"])) for f in schema})
+    if cfg.domain is not None and len(cfg.domain) != 2 * len(cfg.grid):
+        raise ValueError(f"domain must give lo, hi for each of the "
+                         f"{len(cfg.grid)} grid axes, got {list(cfg.domain)}")
+    levels = cfg.refinements - 1 if cfg.command == "regularity" else 0
+    if math.prod(cfg.grid) << len(cfg.grid) * levels > MAX_CELLS:
+        raise ValueError(f"the finest grid, {list(cfg.grid)} refined "
+                         f"{levels} times, exceeds {MAX_CELLS} cells")
+    return cfg
 
-    kwargs: dict[str, Any] = {"command": str(doc["command"])}
-    if "phi" in doc:
-        kwargs["phi"] = _resolve_phi_mapping(doc["phi"])
-    if "coefficients" in doc:
-        kwargs["coefficients"] = _resolve_coeff_mapping(doc["coefficients"])
-    if "load" in doc:
-        kwargs["load"] = _resolve_load_mapping(doc["load"])
-    if "grid" in doc:
-        kwargs["grid"] = _numbers("grid", doc["grid"], int)
-    if "domain" in doc and doc["domain"] is not None:
-        kwargs["domain"] = _numbers("domain", doc["domain"], float)
-    for key in ("p", "c0"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    if "p_sweep" in doc and doc["p_sweep"] is not None:
-        sweep = doc["p_sweep"]
-        if isinstance(sweep, Mapping):
-            sweep = [sweep.get("lo", 2.0), sweep.get("hi", 16.0),
-                     sweep.get("count", 8)]
-        lo, hi, count = _numbers("p_sweep", sweep, float)
-        kwargs["p_sweep"] = (lo, hi, int(count))
-    if "kappa_hint" in doc and doc["kappa_hint"] is not None:
-        kwargs["kappa_hint"] = float(doc["kappa_hint"])
-    for key in ("seed", "octaves", "refinements"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    if "scale_factors" in doc:
-        kwargs["scale_factors"] = _numbers("scale_factors",
-                                           doc["scale_factors"], float)
-    if "dump_solution" in doc:
-        kwargs["dump_solution"] = bool(doc["dump_solution"])
-    if "out" in doc:
-        kwargs["out"] = str(doc["out"])
-    return RunConfig(**kwargs)
+
+def _read_document(path: str | Path) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        return yaml.safe_load(fh) or {}
 
 
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    return config_from_mapping(doc or {})
-
-
-# -- config block resolution --------------------------------------------
-
-def _resolve_phi_mapping(block: Any) -> dict[str, Any]:
-    if not isinstance(block, Mapping):
-        raise ValueError("phi block must be a mapping with a 'family' key")
-    family = str(block.get("family", "power"))
-    if family == "power":
-        return {"family": "power", "p": float(block.get("p", 4.0))}
-    if family == "exp_square":
-        return {"family": "exp_square"}
-    if family == "truncated_power":
-        return {"family": "truncated_power", "p": float(block.get("p", 4.0)),
-                "k": float(block.get("k", 2.0))}
-    raise ValueError(
-        f"unknown phi family {family!r}; expected power, exp_square "
-        "or truncated_power")
+    return config_from_mapping(_read_document(path))
 
 
 def phi_from_mapping(block: Mapping[str, Any]) -> PhiSpec:
-    resolved = _resolve_phi_mapping(block)
-    family = resolved["family"]
-    if family == "power":
-        return power_phi(resolved["p"])
-    if family == "exp_square":
-        return exp_square_phi()
-    return truncated_power(resolved["p"], resolved["k"])
-
-
-def _resolve_coeff_mapping(block: Any) -> dict[str, Any]:
-    if not isinstance(block, Mapping):
-        raise ValueError("coefficients block must be a mapping")
-    if "file" in block:
-        path = Path(str(block["file"]))
-        if not path.is_file():
-            raise ValueError(f"coefficient grid file not found: {path}")
-        return {"kind": "file", "file": str(path)}
-    kind = str(block.get("kind", block.get("preset", "constant")))
-    shape = tuple(int(n) for n in block.get("shape", (33, 33)))
-    domain = tuple(float(v) for v in block.get("domain", (0.0, 1.0, 0.0, 1.0)))
-    if kind == "constant":
-        return {"kind": "constant", "lam": float(block.get("lam", 1.0)),
-                "mu": float(block.get("mu", 1.0))}
-    if kind == "ramp":
-        return {"kind": "ramp", "lam0": float(block.get("lam0", 1.0)),
-                "mu0": float(block.get("mu0", 1.0)),
-                "slope": float(block.get("slope", 0.1)),
-                "shape": shape, "domain": domain}
-    if kind == "checkerboard":
-        return {"kind": "checkerboard", "lam0": float(block.get("lam0", 1.0)),
-                "mu0": float(block.get("mu0", 1.0)),
-                "contrast": float(block.get("contrast", 0.1)),
-                "shape": shape, "domain": domain}
-    if kind == "radial":
-        return {"kind": "radial", "lam0": float(block.get("lam0", 1.0)),
-                "mu0": float(block.get("mu0", 1.0)),
-                "amp": float(block.get("amp", 0.1)),
-                "shape": shape, "domain": domain}
-    raise ValueError(
-        f"unknown coefficient source {kind!r}; expected constant, ramp, "
-        "checkerboard, radial or a file reference")
+    return _build("phi", block)
 
 
 def coefficients_from_mapping(block: Mapping[str, Any]) -> CoefficientField:
-    resolved = _resolve_coeff_mapping(block)
-    kind = resolved["kind"]
-    if kind == "file":
-        return load_field(resolved["file"])
-    if kind == "constant":
-        return constant_field(resolved["lam"], resolved["mu"])
-    if kind == "ramp":
-        return ramp_field(resolved["lam0"], resolved["mu0"], resolved["slope"],
-                          shape=resolved["shape"], domain=resolved["domain"])
-    if kind == "checkerboard":
-        return checkerboard_field(resolved["lam0"], resolved["mu0"],
-                                  resolved["contrast"], shape=resolved["shape"],
-                                  domain=resolved["domain"])
-    return radial_field(resolved["lam0"], resolved["mu0"], resolved["amp"],
-                        shape=resolved["shape"], domain=resolved["domain"])
-
-
-def _constant_pair(block: Mapping[str, Any]) -> tuple[float, float] | None:
-    resolved = _resolve_coeff_mapping(block)
-    if resolved["kind"] == "constant":
-        return resolved["lam"], resolved["mu"]
-    return None
-
-
-def _resolve_load_mapping(block: Any) -> dict[str, Any]:
-    if not isinstance(block, Mapping):
-        raise ValueError("load block must be a mapping")
-    if "file" in block:
-        path = Path(str(block["file"]))
-        if not path.is_file():
-            raise ValueError(f"load file not found: {path}")
-        return {"preset": "file", "file": str(path)}
-    preset = str(block.get("preset", "manufactured"))
-    if preset not in ("manufactured", "smooth", "fiber", "zero"):
-        raise ValueError(
-            f"unknown load preset {preset!r}; expected manufactured, smooth, "
-            "fiber, zero or a file reference")
-    return {"preset": preset, "amp": float(block.get("amp", 1.0))}
+    return _build("coefficients", block)
 
 
 # -- report writing ------------------------------------------------------
@@ -382,40 +372,6 @@ class ReportWriter:
         self._fh.close()
 
 
-def _config_payload(cfg: RunConfig) -> dict[str, Any]:
-    return {
-        "command": cfg.command,
-        "phi": dict(cfg.phi),
-        "coefficients": dict(cfg.coefficients),
-        "load": dict(cfg.load),
-        "grid": list(cfg.grid),
-        "domain": None if cfg.domain is None else list(cfg.domain),
-        "p": cfg.p,
-        "p_sweep": None if cfg.p_sweep is None else list(cfg.p_sweep),
-        "c0": cfg.c0,
-        "kappa_hint": cfg.kappa_hint,
-        "seed": cfg.seed,
-        "octaves": cfg.octaves,
-        "refinements": cfg.refinements,
-        "scale_factors": list(cfg.scale_factors),
-        "dump_solution": cfg.dump_solution,
-        "out": cfg.out,
-    }
-
-
-def _verdict_payload(verdict: Verdict) -> dict[str, Any]:
-    return {
-        "status": verdict.status,
-        "lambda_inf_sq": verdict.lambda_inf_sq,
-        "rhs": verdict.rhs,
-        "margin": verdict.margin,
-        "kappa": verdict.kappa,
-        "bmo_value": verdict.bmo_value,
-        "bmo_threshold": verdict.bmo_threshold,
-        "notes": list(verdict.notes),
-    }
-
-
 _PLANAR_BASIS = ("necessity: limit ratio of the weight against "
                  "1 - ess sup ((lam+mu)/(lam+3mu))^2; sufficiency: "
                  "kappa-shifted quadratic form plus BMO smallness of "
@@ -450,11 +406,10 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
                          verdict.margin,
                          verdict.kappa if verdict.kappa is not None else "",
                          verdict.status])
-            payload = _verdict_payload(verdict)
-            payload.update({"command": "check", "p": float(p),
-                            "coefficients": _coeff_summary(coeffs),
-                            "basis": _PLANAR_BASIS})
-            writer.record("verdict", payload)
+            writer.record("verdict", {
+                **dataclasses.asdict(verdict), "command": "check",
+                "p": float(p), "coefficients": _coeff_summary(coeffs),
+                "basis": _PLANAR_BASIS})
             if verdict.status == NOT_DISSIPATIVE:
                 worst = EXIT_NEGATIVE
         path = writer.csv("p_sweep",
@@ -466,20 +421,18 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
 
     spec = phi_from_mapping(cfg.phi)
     verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
-    payload = _verdict_payload(verdict)
-    payload.update({"command": "check", "phi": dict(cfg.phi),
-                    "coefficients": _coeff_summary(coeffs),
-                    "basis": _PLANAR_BASIS})
-    writer.record("verdict", payload)
+    writer.record("verdict", {
+        **dataclasses.asdict(verdict), "command": "check",
+        "phi": dict(cfg.phi), "coefficients": _coeff_summary(coeffs),
+        "basis": _PLANAR_BASIS})
 
-    pair = _constant_pair(cfg.coefficients)
+    pair = cfg.constant_pair
     if pair is not None:
         nd = lameNd_sufficient(spec, pair[0], pair[1])
-        nd_payload = _verdict_payload(nd)
-        nd_payload.update({"command": "check", "phi": dict(cfg.phi),
-                           "lam": pair[0], "mu": pair[1],
-                           "basis": _ND_BASIS})
-        writer.record("sufficient_any_dim", nd_payload)
+        writer.record("sufficient_any_dim", {
+            **dataclasses.asdict(nd), "command": "check",
+            "phi": dict(cfg.phi), "lam": pair[0], "mu": pair[1],
+            "basis": _ND_BASIS})
 
     return EXIT_NEGATIVE if verdict.status == NOT_DISSIPATIVE else EXIT_OK
 
@@ -488,16 +441,15 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
     coeffs = coefficients_from_mapping(cfg.coefficients)
     spec = phi_from_mapping(cfg.phi)
     verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
-    payload = _verdict_payload(verdict)
-    payload.update({"command": "verify-forms", "phi": dict(cfg.phi),
-                    "coefficients": _coeff_summary(coeffs),
-                    "basis": _PLANAR_BASIS})
-    writer.record("verdict", payload)
+    writer.record("verdict", {
+        **dataclasses.asdict(verdict), "command": "verify-forms",
+        "phi": dict(cfg.phi), "coefficients": _coeff_summary(coeffs),
+        "basis": _PLANAR_BASIS})
 
     kappa = verdict.kappa if verdict.status == STRICT_DISSIPATIVE else 0.0
     ensemble = standard_ensemble(cfg.seed)
     # constant coefficients enter as the (lam, mu) pair, not grid samples
-    pair = _constant_pair(cfg.coefficients)
+    pair = cfg.constant_pair
     margin = strict_margin(coeffs if pair is None else pair, spec, ensemble,
                            kappa=kappa)
     rows = [[r.label, r.family, r.form_value, r.gradient_sq, r.residual]
@@ -628,7 +580,7 @@ def _solve_payload(cfg: RunConfig, sol) -> dict[str, Any]:
 
 
 def _cmd_solve(cfg: RunConfig, writer: ReportWriter) -> int:
-    pair = _constant_pair(cfg.coefficients)
+    pair = cfg.constant_pair
     if pair is None and len(cfg.grid) != 2:
         raise ValueError("variable coefficients need a planar grid")
     prob = _load_rhs(cfg, cfg.grid, pair)
@@ -646,7 +598,7 @@ def _cmd_solve(cfg: RunConfig, writer: ReportWriter) -> int:
 
 
 def _cmd_regularity(cfg: RunConfig, writer: ReportWriter) -> int:
-    pair = _constant_pair(cfg.coefficients)
+    pair = cfg.constant_pair
     if pair is None:
         raise ValueError("the regularity study needs constant coefficients")
 
@@ -772,30 +724,26 @@ _DISPATCH: dict[str, Callable[[RunConfig, ReportWriter], int]] = {
 }
 
 
+def _end_report(writer: ReportWriter, command: str | None, code: int,
+                exc: Exception | None = None) -> int:
+    """Close a report: an error record when exc is given, then the summary."""
+    if exc is not None:
+        writer.record("error", {"command": command, "error": type(exc).__name__,
+                                "message": str(exc)})
+    writer.record("summary", {"command": command, "exit_status": code,
+                              "csv_files": [p.name for p in writer.csv_paths]})
+    return code
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one run and write its artifacts.  Returns the exit status."""
-    writer = ReportWriter(cfg.out)
-    try:
-        writer.record("config", _config_payload(cfg))
-        code = _DISPATCH[cfg.command](cfg, writer)
-        writer.record("summary", {
-            "command": cfg.command,
-            "exit_status": code,
-            "csv_files": [p.name for p in writer.csv_paths],
-        })
-        return code
-    except (ToolkitError, ValueError, OSError) as exc:
-        writer.record("error", {
-            "command": cfg.command,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        })
-        writer.record("summary", {"command": cfg.command,
-                                  "exit_status": EXIT_ERROR,
-                                  "csv_files": [p.name for p in writer.csv_paths]})
-        return EXIT_ERROR
-    finally:
-        writer.close()
+    with contextlib.closing(ReportWriter(cfg.out)) as writer:
+        try:
+            writer.record("config", dataclasses.asdict(cfg))
+            return _end_report(writer, cfg.command,
+                               _DISPATCH[cfg.command](cfg, writer))
+        except Exception as exc:  # any failure of a run is reported, exit 3
+            return _end_report(writer, cfg.command, EXIT_ERROR, exc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -806,16 +754,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("config", help="YAML run description")
     parser.add_argument("--out", help="override the output prefix")
     args = parser.parse_args(argv)
+    doc: Any = {} if args.out is None else {"out": args.out}
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out=args.out)
-    except (ValueError, yaml.YAMLError) as exc:
+        doc = _read_document(args.config)
+        if args.out is not None and isinstance(doc, Mapping):
+            doc = {**doc, "out": args.out}
+        return run(config_from_mapping(doc))
+    except Exception as exc:  # a rejected config or an unwritable report
         sys.stderr.write(json.dumps(
             {"record": "error", "error": type(exc).__name__,
              "message": str(exc)}, sort_keys=True) + "\n")
+        # A report the document names still ends in error and summary
+        # records, so no earlier report is left standing under its name.
+        out = doc.get("out") if isinstance(doc, Mapping) else None
+        if isinstance(out, str) and out:
+            command = doc.get("command") if doc.get("command") in COMMANDS else None
+            with contextlib.suppress(OSError, ValueError), \
+                    contextlib.closing(ReportWriter(out)) as writer:
+                _end_report(writer, command, EXIT_ERROR, exc)
         return EXIT_ERROR
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ delta / (2 (1 - Lambda_inf^2)) * min(ess inf mu, ess inf (lambda + 2 mu)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,12 @@ class Verdict:
         if self.status not in (STRICT_DISSIPATIVE, DISSIPATIVE_BOUNDARY,
                                NOT_DISSIPATIVE, INCONCLUSIVE):
             raise ValueError(f"unknown verdict status {self.status!r}")
+        # A verdict is a certificate: a NaN field is an error, never a verdict.
+        for name in ("lambda_inf_sq", "rhs", "margin", "kappa", "bmo_value",
+                     "bmo_threshold"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise ValueError(f"verdict field {name} is NaN")
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,17 @@ import csv
 import hashlib
 import json
 import shutil
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from funcdiss import cli
 from funcdiss.cli import (
     EXIT_ERROR,
     EXIT_NEGATIVE,
@@ -88,6 +94,105 @@ def test_main_scalar_grid_is_exit_3(tmp_path, capsys):
     assert main([str(path)]) == EXIT_ERROR
     err = json.loads(capsys.readouterr().err)
     assert err["record"] == "error" and err["error"] == "ValueError"
+
+
+def _main_doc(tmp_path, text):
+    """Run main on a YAML document with its report under tmp_path."""
+    out = tmp_path / "run" / "report"
+    path = tmp_path / "run.yaml"
+    path.write_text(f"{text}\nout: {out}\n", encoding="utf-8")
+    code = main([str(path)])
+    records = [json.loads(line)
+               for line in open(out.with_suffix(".jsonl"), encoding="utf-8")]
+    return code, records
+
+
+@pytest.mark.parametrize("text, message", [
+    # each of these exited 1 with an uncaught TypeError
+    ("command: check\nseed: null", "seed must be a number"),
+    ("command: check\np: [1]", "p must be a number"),
+    ("command: check\nphi: {p: null}", "phi.p must be a number"),
+    ("command: check\ncoefficients: {kind: ramp, shape: 33}",
+     "coefficients.shape must be a list"),
+    # non-finite numbers (c0: .inf exited 0 with bmo_threshold 0.0)
+    ("command: check\nc0: .inf\n"
+     "coefficients: {kind: ramp, lam0: 1, mu0: 1, slope: 0.1}",
+     "c0 must be finite"),
+    ("command: check\np: .nan", "p must be finite"),
+    ("command: check\ncoefficients: {lam: 1, mu: .inf}",
+     "coefficients.mu must be finite"),
+    ("command: regularity\nscale_factors: [1.0, .inf]",
+     "scale_factors entries must be finite"),
+    # unknown keys inside blocks were ignored, and the defaults used
+    ("command: check\ncoefficients: {lam: 1, mu: 1, slop: 5}",
+     "unknown coefficients block keys: slop"),
+    ("command: check\nphi: {family: power, P: 40}",
+     "unknown phi block keys: P"),
+    ("command: check\ncoefficients: {preset: ramp}",
+     "unknown coefficients block keys: preset"),
+    ("command: check\np_sweep: {lo: 2, hi: 8, steps: 4}",
+     "unknown p_sweep keys: steps"),
+    # counts and shapes
+    ("command: check\np_sweep: {lo: 2, hi: 8, count: 2.7}",
+     "p_sweep.count must be an integer"),
+    ("command: solve\ndomain: [0, 1]", "domain needs 4 or 6 entries"),
+    ("command: solve\ngrid: [8, 8, 8]\ndomain: [0, 1, 0, 1]",
+     "domain must give lo, hi for each of the 3 grid axes"),
+    # size caps
+    ("command: check\np_sweep: {lo: 2, hi: 8, count: 100000000}",
+     "p_sweep.count must be >= 2 and <= 1000"),
+    ("command: verify-forms\noctaves: 15", "octaves must be >= 0 and <= 14"),
+    ("command: regularity\ngrid: [32, 32]\nrefinements: 5",
+     "exceeds 65536 cells"),
+    ("command: check\ncoefficients: {kind: radial, shape: [1026, 33]}",
+     "coefficients.shape entries must be >= 2 and <= 1025"),
+], ids=["seed-null", "p-list", "phi-p-null", "shape-scalar", "c0-inf",
+        "p-nan", "mu-inf", "scale-inf", "coeff-unknown-key",
+        "phi-unknown-key", "preset-alias", "sweep-unknown-key",
+        "sweep-count-fraction", "domain-short", "domain-vs-grid",
+        "sweep-count-cap", "octaves-cap", "finest-grid-cap", "shape-cap"])
+def test_rejected_documents_end_in_error_and_summary(tmp_path, capsys, text,
+                                                     message):
+    code, records = _main_doc(tmp_path, text)
+    assert code == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert [r["record"] for r in records] == ["error", "summary"]
+    assert records[0]["message"] == err["message"]
+    assert records[-1]["exit_status"] == EXIT_ERROR
+
+
+def test_size_caps_admit_the_largest_documented_runs():
+    cfg = config_from_mapping({"command": "regularity", "grid": [32, 32],
+                               "refinements": 4})
+    assert cfg.refinements == 4
+    cfg = config_from_mapping({"command": "check", "coefficients": {
+        "kind": "radial", "shape": [1025, 513]},
+        "p_sweep": [2.0, 10.0, 1000], "octaves": 14})
+    assert cfg.coefficients["shape"] == (1025, 513)
+    assert cfg.p_sweep == (2.0, 10.0, 1000)
+    # refinements only scale the grid of a regularity study
+    assert config_from_mapping({"command": "solve", "grid": [128, 128],
+                                "refinements": 3}).grid == (128, 128)
+
+
+def test_run_reports_any_exception(tmp_path, monkeypatch):
+    def broken(cfg, writer):
+        raise TypeError("boom")
+    monkeypatch.setitem(cli._DISPATCH, "check", broken)
+    code, records, _ = _run_doc(tmp_path, {"command": "check"})
+    assert code == EXIT_ERROR
+    assert [r["record"] for r in records] == ["config", "error", "summary"]
+    assert records[1]["error"] == "TypeError"
+
+
+def test_main_unwritable_report_is_exit_3(tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    path = tmp_path / "run.yaml"
+    path.write_text(f"command: check\nout: {tmp_path / 'file' / 'report'}\n",
+                    encoding="utf-8")
+    assert main([str(path)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["record"] == "error"
 
 
 def test_unknown_phi_family_rejected():
@@ -495,3 +600,99 @@ def test_records_have_sorted_keys_and_no_timestamps(tmp_path):
         keys = list(record)
         assert keys == sorted(keys)
         assert not any("time" in k or "date" in k for k in keys)
+
+
+# -- config fuzzing ------------------------------------------------------
+
+_WORD = st.text(alphabet=string.ascii_letters + string.digits + "_.-",
+                max_size=6)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), _WORD, st.integers(-10 ** 400, 10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-3, 40), max_size=4),
+    st.dictionaries(_WORD, st.integers(-3, 3), max_size=2))
+_AMP = st.floats(0.5, 2.0)
+_SHAPE = st.lists(st.integers(2, 9), min_size=2, max_size=2)
+
+
+def _preset(selector, name, **params):
+    return st.fixed_dictionaries({selector: st.just(name)}, optional=params)
+
+
+# Valid documents with small sizes; each then takes up to two mutations
+# that put an arbitrary value at a top-level or block key.
+_VALID = st.fixed_dictionaries({"command": st.sampled_from(
+    ["check", "verify-forms", "solve", "regularity", "report"])}, optional={
+    "phi": st.one_of(
+        _preset("family", "power", p=st.floats(2.0, 40.0)),
+        _preset("family", "exp_square"),
+        _preset("family", "truncated_power", p=st.floats(2.0, 8.0),
+                k=st.floats(1.5, 4.0))),
+    "coefficients": st.one_of(
+        _preset("kind", "constant", lam=_AMP, mu=_AMP),
+        _preset("kind", "ramp", lam0=_AMP, mu0=_AMP,
+                slope=st.floats(0.0, 0.2), shape=_SHAPE),
+        _preset("kind", "radial", lam0=_AMP, mu0=_AMP,
+                amp=st.floats(0.0, 0.2), shape=_SHAPE)),
+    "load": st.one_of(*[_preset("preset", name, amp=_AMP) for name in
+                        ("manufactured", "smooth", "fiber", "zero")]),
+    "grid": st.lists(st.integers(8, 10), min_size=2, max_size=2),
+    "domain": st.just([0.0, 1.0, 0.0, 1.0]),
+    "p": st.floats(2.0, 6.0),
+    "p_sweep": st.fixed_dictionaries({"lo": st.just(2.0),
+                                      "hi": st.floats(2.5, 10.0),
+                                      "count": st.integers(2, 4)}),
+    "c0": st.floats(0.1, 2.0),
+    "kappa_hint": st.none(),
+    "seed": st.integers(0, 5),
+    "octaves": st.integers(0, 3),
+    "refinements": st.integers(1, 2),
+    "scale_factors": st.just([0.5, 1.0]),
+    "dump_solution": st.booleans(),
+})
+_MUTATION = st.one_of(st.none(), st.tuples(
+    st.sampled_from(["command", "phi", "coefficients", "load", "grid",
+                     "domain", "p", "p_sweep", "c0", "kappa_hint", "seed",
+                     "octaves", "refinements", "scale_factors",
+                     "dump_solution", "bogus"]),
+    st.sampled_from([None, "family", "kind", "preset", "p", "k", "lam",
+                     "mu", "lam0", "slope", "amp", "shape", "count",
+                     "extra"]),
+    _JUNK))
+
+
+def _mutate(doc, *mutations):
+    doc = {k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()}
+    for mutation in filter(None, mutations):
+        key, sub, value = mutation
+        if sub is not None and isinstance(doc.get(key), dict):
+            doc[key][sub] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=st.builds(_mutate, _VALID, _MUTATION, _MUTATION))
+def test_config_fuzz_keeps_the_cli_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run" / "report"
+        doc = {**doc, "out": str(out)}
+        try:
+            config_from_mapping(doc)
+        except ValueError:
+            valid = False
+        else:
+            valid = True
+        path = Path(tmp) / "run.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code = main([str(path)])
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR)
+        assert valid or code == EXIT_ERROR
+        records = [json.loads(line) for line in
+                   open(out.with_suffix(".jsonl"), encoding="utf-8")]
+    assert records[-1]["record"] == "summary"
+    assert records[-1]["exit_status"] == code
+    for rec in records:
+        if rec["record"] in ("verdict", "sufficient_any_dim"):
+            assert "nan" not in rec.values()

@@ -160,6 +160,16 @@ def test_verdict_rejects_unknown_status():
         Verdict(status="Maybe", lambda_inf_sq=0.0, rhs=0.0, margin=0.0)
 
 
+@pytest.mark.parametrize("name", ["lambda_inf_sq", "rhs", "margin", "kappa",
+                                  "bmo_value", "bmo_threshold"])
+def test_verdict_rejects_nan(name):
+    fields = dict(status=STRICT_DISSIPATIVE, lambda_inf_sq=0.25, rhs=0.75,
+                  margin=0.5, kappa=0.1, bmo_value=0.0, bmo_threshold=0.2)
+    Verdict(**fields)
+    with pytest.raises(ValueError, match=f"{name} is NaN"):
+        Verdict(**dict(fields, **{name: float("nan")}))
+
+
 def test_kappa_policy_frozen_numbers():
     # gap 0.75, Lambda^2 = 0, ess infs (1, 3): delta = 0.375,
     # kappa = 0.9 * 0.375/2 * 1 = 0.16875.
