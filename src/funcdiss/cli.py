@@ -686,8 +686,8 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
         "sup_lambda_sq": limit.sup_lambda_sq,
         "sup_bounded": limit.sup_bounded,
         "converged": limit.converged,
-        "basis": "tail extrapolation of the logarithmic derivative of the "
-                 "inverse weight",
+        "basis": "closed form of the weight family" if limit.sup_bounded
+                 else "sampled tail; sup_lambda_sq is a lower bound",
     })
 
     t_nodes = np.logspace(-3.0, 6.0, 200)

@@ -10,8 +10,8 @@ Three ingredients combine into a verdict:
   sufficiency The strict inequality, together with smallness of the BMO
               seminorm of mu^2/(lambda+3mu) against a margin kappa chosen
               from the spectral gap, certifies strict dissipativity.
-              Sufficiency only needs sup_t Lambda^2, so weights whose ratio
-              is not monotone (truncated powers) are still covered.
+              Sufficiency only needs a closed-form bound on sup_t Lambda^2,
+              so weights whose ratio is not monotone are still covered.
 
   algebra     The pointwise necessary condition in the plane: for all unit
               xi in R^2 and eta, omega in C^m,
@@ -255,17 +255,16 @@ def kappa_policy(gap: float, lambda_inf_sq: float, mu_min: float,
 def lame2d_verdict(phi_spec: PhiSpec | None, coeffs: CoefficientField,
                    c0: float = 1.0, kappa_hint: float | None = None,
                    *, boundary_tol: float = 1e-10,
-                   limit: LambdaLimit | None = None,
-                   vi_holds: bool | None = None) -> Verdict:
+                   limit: LambdaLimit | None = None) -> Verdict:
     """Decide functional dissipativity for the planar variable Lame operator.
 
     The necessity direction compares the limit ratio against
     rhs = 1 - ess sup ((lambda+mu)/(lambda+3mu))^2; the sufficiency
     direction additionally needs the BMO seminorm of mu^2/(lambda+3mu)
-    below kappa (1 - Lambda_inf^2) / (2 c0).  Weights with a monotone
+    below kappa (1 - sup Lambda^2) / (2 c0).  Weights with a monotone
     squared ratio may certify NotDissipative from the grid tail even when
-    the tail has not converged; an unconverged tail never certifies the
-    strict side.
+    the tail has not converged; only a closed-form sup Lambda^2 certifies
+    the strict side, and the notes name the basis.
 
     kappa_hint overrides the automatic margin choice; it must sit strictly
     inside (0, delta/(2(1-L^2)) * min(ess inf mu, ess inf(lambda+2mu))).
@@ -274,8 +273,7 @@ def lame2d_verdict(phi_spec: PhiSpec | None, coeffs: CoefficientField,
         if phi_spec is None:
             raise ValueError("need a weight spec or a precomputed limit")
         limit = phi_spec.profile.lambda_infinity()
-    if vi_holds is None:
-        vi_holds = not (phi_spec is not None and phi_spec.vi_exempt)
+    vi_holds = not (phi_spec is not None and phi_spec.vi_exempt)
 
     eb = ess_bounds(coeffs)
     rhs = 1.0 - eb.sup_ratio_sq
@@ -287,7 +285,7 @@ def lame2d_verdict(phi_spec: PhiSpec | None, coeffs: CoefficientField,
     lam2_lower = lam2 if limit.converged else (
         limit.sup_lambda_sq if vi_holds else lam2)
     # Upper bound for sup_t Lambda^2, the quantity sufficiency needs.
-    lam2_suff = limit.sup_lambda_sq if limit.converged else None
+    lam2_suff = limit.sup_bound
 
     tol = boundary_tol * max(1.0, abs(rhs))
     if limit.converged and abs(lam2 - rhs) <= tol:
@@ -303,15 +301,16 @@ def lame2d_verdict(phi_spec: PhiSpec | None, coeffs: CoefficientField,
                          f"{lam2_lower:.6g} of an unconverged tail")
         return Verdict(NOT_DISSIPATIVE, lam2, rhs, margin, notes=tuple(notes))
 
-    if lam2_suff is None:
+    if not limit.converged:
         notes.append("limit ratio tail unconverged; strict side not certified")
         return Verdict(INCONCLUSIVE, lam2, rhs, margin, notes=tuple(notes))
 
+    notes.append(_sup_basis(limit))
     if lam2_suff >= rhs - tol:
         if lam2_suff > lam2 + tol:
             notes.append(
-                f"sup Lambda^2 = {lam2_suff:.6g} blocks the quadratic form "
-                "argument although the limit ratio is below the bound")
+                f"sup Lambda^2 bound {lam2_suff:.6g} blocks the quadratic "
+                "form argument although the limit ratio is below the bound")
             return Verdict(INCONCLUSIVE, lam2, rhs, margin, notes=tuple(notes))
         notes.append("limit ratio sits on the necessary bound")
         return Verdict(DISSIPATIVE_BOUNDARY, lam2, rhs, margin, notes=tuple(notes))
@@ -339,6 +338,12 @@ def lame2d_verdict(phi_spec: PhiSpec | None, coeffs: CoefficientField,
     return Verdict(INCONCLUSIVE, lam2, rhs, margin, kappa=kappa,
                    bmo_value=bmo_value, bmo_threshold=bmo_threshold,
                    notes=tuple(notes))
+
+
+def _sup_basis(limit: LambdaLimit) -> str:
+    if limit.sup_bounded:
+        return f"sup Lambda^2 = {limit.sup_lambda_sq:.6g} in closed form"
+    return "sup Lambda^2 sampled, not certified; sufficiency uses |Lambda| < 1"
 
 
 def constant_threshold(lam: float, mu: float) -> float:
@@ -378,24 +383,22 @@ def lameNd_sufficient(phi_spec: PhiSpec | None, lam: float, mu: float,
     threshold = constant_threshold(lam, mu)
     lam2 = limit.lambda_inf_sq
     margin = threshold - lam2
-    if not limit.converged:
-        return Verdict(INCONCLUSIVE, lam2, threshold, margin,
-                       notes=("limit ratio tail unconverged",))
-    lam2_suff = limit.sup_lambda_sq
+    basis = _sup_basis(limit)
     tol = boundary_tol * max(1.0, threshold)
-    if lam2_suff < threshold - tol:
+    if limit.sup_bound < threshold - tol:
         return Verdict(STRICT_DISSIPATIVE, lam2, threshold, margin,
-                       notes=("constant coefficient sufficient bound met",))
+                       notes=(basis,
+                              "constant coefficient sufficient bound met"))
     return Verdict(INCONCLUSIVE, lam2, threshold, margin,
-                   notes=("sufficient bound not met; no conclusion",))
+                   notes=(basis, "sufficient bound not met; no conclusion"))
 
 
 def comparison_constant(limit: LambdaLimit, dim: int = 2) -> float:
     """Coefficient-wise bound C on the perturbation form: the terms
     sigma |grad v|^2, eps (div v)^2, sigma sum d_k v_j d_j v_k and the
     Lambda^2 weighted gradient terms give
-    C = max(2 + 2 sup Lambda^2, dim + sup Lambda^2)."""
-    lam2 = limit.sup_lambda_sq
+    C = max(2 + 2 S, dim + S) with S = LambdaLimit.sup_bound."""
+    lam2 = limit.sup_bound
     return max(2.0 + 2.0 * lam2, dim + lam2)
 
 

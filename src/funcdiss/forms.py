@@ -21,12 +21,12 @@ checks the algebra rather than the mesh.
 
 Everything here is deterministic: test fields are generated from explicit
 seeds, quadrature is tensor Gauss-Legendre with a resolution rule tied to
-the field's wavelength, and probe searches use fixed grids plus a
-derivative-free polish.  The resolution rule follows the wave direction: a
-plane wave is integrated on its support box rotated into its own frame
-(xi, xi-perp), and only the xi axis is refined per wavelength, so the node
-count of an oscillatory probe doubles, rather than quadruples, per
-frequency octave.
+the field's wavelength, and the symbol minimum of the counterexample is a
+1-d grid search with a golden-section polish.  The resolution rule follows
+the wave direction: a plane wave is integrated on its support box rotated
+into its own frame (xi, xi-perp), and only the xi axis is refined per
+wavelength, so the node count of an oscillatory probe doubles, rather than
+quadruples, per frequency octave.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .coefficients import CoefficientField, GeneralSystem, lame_system
+from .coefficients import CoefficientField, GeneralSystem
 from .errors import QuadratureFailure
-from .phi import POWER, PhiSpec
+from .phi import PhiSpec
 
 __all__ = [
     "TestField",
@@ -109,13 +108,14 @@ def _bump_deriv(r, r0, r1):
     return -6.0 * s * (1.0 - s) / (r1 - r0)
 
 
-def _radial_parts(pts, center, r0, r1):
+def _radial_parts(pts, center):
+    """Offsets x - c, lengths r and unit directions, shared by all bumps."""
     dx = pts - np.asarray(center, dtype=float)
     r = np.hypot(dx[:, 0], dx[:, 1])
     safe = np.where(r > 0.0, r, 1.0)
     unit = dx / safe[:, None]
     unit[r == 0.0] = 0.0
-    return dx, _bump(r, r0, r1), _bump_deriv(r, r0, r1), unit
+    return dx, r, unit
 
 
 def _support_box(center, r1):
@@ -135,15 +135,15 @@ def bump_field(center, r0: float, r1: float, offset, matrix,
     c = (float(center[0]), float(center[1]))
 
     def value(pts):
-        dx, b, _, _ = _radial_parts(pts, c, r0, r1)
+        dx, r, _ = _radial_parts(pts, c)
         poly = a[None, :] + dx @ m.T
-        return b[:, None] * poly
+        return _bump(r, r0, r1)[:, None] * poly
 
     def jacobian(pts):
-        dx, b, db, unit = _radial_parts(pts, c, r0, r1)
+        dx, r, unit = _radial_parts(pts, c)
         poly = a[None, :] + dx @ m.T
-        jac = np.einsum("n,ni,nh->nih", db, poly, unit)
-        jac += b[:, None, None] * m[None, :, :]
+        jac = np.einsum("n,ni,nh->nih", _bump_deriv(r, r0, r1), poly, unit)
+        jac += _bump(r, r0, r1)[:, None, None] * m[None, :, :]
         return jac
 
     scale = float(np.abs(a).max(initial=0.0) + np.abs(m).sum() * r1)
@@ -196,18 +196,19 @@ def oscillatory_field(center, xi, rho: float, eta, *,
         r1 = max(r1, g_r1)
 
     def value(pts):
-        dx, chi, _, _ = _radial_parts(pts, c, chi_r0, chi_r1)
+        dx, r, _ = _radial_parts(pts, c)
+        chi = _bump(r, chi_r0, chi_r1)
         theta = rho * (dx @ xi)
         mod = np.exp(1j * theta) if complex_phase else np.cos(theta)
         out = np.multiply.outer(chi * mod, eta)
         if bg is not None:
             omega, amp, g0, g1 = bg
-            _, g, _, _ = _radial_parts(pts, c, g0, g1)
-            out = out + np.multiply.outer(amp * g, omega)
+            out = out + np.multiply.outer(amp * _bump(r, g0, g1), omega)
         return out
 
     def jacobian(pts):
-        dx, chi, dchi, unit = _radial_parts(pts, c, chi_r0, chi_r1)
+        dx, r, unit = _radial_parts(pts, c)
+        chi, dchi = _bump(r, chi_r0, chi_r1), _bump_deriv(r, chi_r0, chi_r1)
         theta = rho * (dx @ xi)
         if complex_phase:
             mod = np.exp(1j * theta)
@@ -221,8 +222,8 @@ def oscillatory_field(center, xi, rho: float, eta, *,
         jac = np.einsum("i,nh->nih", eta, radial + wave)
         if bg is not None:
             omega, amp, g0, g1 = bg
-            _, _, dg, gunit = _radial_parts(pts, c, g0, g1)
-            jac = jac + np.einsum("i,n,nh->nih", amp * omega, dg, gunit)
+            jac = jac + np.einsum("i,n,nh->nih", amp * omega,
+                                  _bump_deriv(r, g0, g1), unit)
         return jac
 
     is_real = not (complex_phase or np.iscomplexobj(eta))
@@ -358,19 +359,6 @@ def _integrate(fn, v: TestField, *, order: int = 8,
     return total
 
 
-def _lambda_values(phi_spec: PhiSpec, t: np.ndarray) -> np.ndarray:
-    """Lambda(t) on the quadrature slab; the power family is a constant, any
-    other weight reads the table its spec builds once."""
-    if phi_spec.family == POWER:
-        p = phi_spec.p
-        return np.full_like(t, -(p - 2.0) / p)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    if np.any(pos):
-        out[pos] = phi_spec.profile.lambda_of(t[pos])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the dissipativity form
 
@@ -396,7 +384,7 @@ def _generic_integrand(system: GeneralSystem, phi_spec: PhiSpec,
 
     def fn(pts):
         vals, jac, nv, mask, unit, d = _field_data(v, pts)
-        lam = _lambda_values(phi_spec, np.where(mask, nv, 1.0))
+        lam = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
         t1 = np.einsum("hkij,njk,nih->n", tensor, jac, np.conj(jac))
         weighted = np.zeros(len(pts), dtype=complex)
         if has_gap:
@@ -424,7 +412,7 @@ def _lame_integrand(lam_at, mu_at, phi_spec: PhiSpec, v: TestField,
         lam = lam_at(pts)
         mu = mu_at(pts)
         vals, jac, nv, mask, unit, d = _field_data(v, pts)
-        lv = _lambda_values(phi_spec, np.where(mask, nv, 1.0))
+        lv = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
         grad2 = np.einsum("nih,nih->n", jac, np.conj(jac)).real
         div = jac[:, 0, 0] + jac[:, 1, 1]
         divsq = (div * np.conj(div)).real
@@ -582,14 +570,6 @@ class FormBreakdown:
                 + self.cross_x1y1 + self.cross_x2y2 + self.commutator_term)
 
 
-def _sup_lambda_sq(phi_spec: PhiSpec) -> float:
-    if phi_spec.family == POWER:
-        lam = (phi_spec.p - 2.0) / phi_spec.p
-        return lam * lam
-    limit = phi_spec.profile.lambda_infinity()
-    return max(limit.sup_lambda_sq, limit.lambda_inf_sq)
-
-
 def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
                          kappa: float = 0.0, **quad) -> FormBreakdown:
     """Evaluate the kappa shifted Lame form and its frame split.
@@ -602,12 +582,13 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
         (lambda + mu - gamma)^2 < (lambda + 2 mu - kappa)^2 (1 - sup Lambda^2)
 
     which is exactly what makes the two quadratic forms in (X1, Y1) and
-    (X2, Y2) jointly positive regardless of the probe.
+    (X2, Y2) jointly positive regardless of the probe, with sup Lambda^2
+    read as LambdaLimit.sup_bound.
     """
     if not v.is_real:
         raise ValueError("the frame breakdown needs a real valued field")
     lam_at, mu_at = _coeff_samplers(field)
-    lam_sup_sq = _sup_lambda_sq(phi_spec)
+    lam_sup_sq = phi_spec.profile.lambda_infinity().sup_bound
 
     def fn(pts):
         lam = np.broadcast_to(np.asarray(lam_at(pts), dtype=float),
@@ -618,7 +599,7 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
         vals = v.value(pts).real
         nv = np.hypot(vals[:, 0], vals[:, 1])
         mask = nv > ZERO_SET_REL * v.scale
-        lv = _lambda_values(phi_spec, np.where(mask, nv, 1.0))
+        lv = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
         lam2 = np.where(mask, lv * lv, 0.0)
         x1, x2, y1, y2 = xy_decompose(v, pts)
         jac = v.jacobian(pts).real
@@ -744,41 +725,37 @@ class CounterexampleReport:
     rows: tuple[tuple[float, float, float], ...]  # (rho, form, grad_sq)
 
 
-def _real_probe_search(lam: float, mu: float, lam_sup_sq: float,
-                       grid: int = 48):
-    """Minimize the symbol form over real unit (xi, omega, eta).
-
-    For the self adjoint Lame tensor the quadratic in eta is
-    eta^T [Q - L^2 (w^T Q w) w w^T] eta with Q = mu I + (lambda + mu) xi xi^T,
-    so a 2-d angular grid plus eigen decomposition finds the exact minimum
-    up to the polish tolerance.
+def _symbol_minimum(lam: float, mu: float, lam_sup_sq: float):
+    """Minimize eta^T [Q - L^2 (w^T Q w) w w^T] eta over real unit
+    (xi, omega, eta), Q = mu I + (lambda + mu) xi xi^T.  By rotation and
+    reflection xi = e1, Q = diag(lambda + 2 mu, mu) and omega = (sqrt x,
+    sqrt(1 - x)); the smallest eigenvalue, from trace and determinant, is
+    minimized on an x grid and polished by golden section.  eta is its unit
+    eigenvector with <eta, omega> >= 0.
     """
-    sys2 = lame_system(lam, mu)
+    a, b = lam + 2.0 * mu, mu
 
-    def min_eig(angles):
-        a, w = angles
-        xi = np.array([np.cos(a), np.sin(a)])
-        om = np.array([np.cos(w), np.sin(w)])
-        q = sys2.contract_xi(xi).real
-        m = q - lam_sup_sq * (om @ q @ om) * np.outer(om, om)
-        vals = np.linalg.eigvalsh(m)
-        return vals[0]
+    def matrix(x):
+        q = lam_sup_sq * (a * x + b * (1.0 - x))
+        return a - q * x, b - q * (1.0 - x), -q * np.sqrt(x * (1.0 - x))
 
-    best = (np.inf, (0.0, 0.0))
-    for a in np.linspace(0.0, np.pi, grid, endpoint=False):
-        for w in np.linspace(0.0, np.pi, grid, endpoint=False):
-            val = min_eig((a, w))
-            if val < best[0]:
-                best = (val, (a, w))
-    res = minimize(min_eig, best[1], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
-    a, w = res.x
-    xi = np.array([np.cos(a), np.sin(a)])
-    om = np.array([np.cos(w), np.sin(w)])
-    q = lame_system(lam, mu).contract_xi(xi).real
-    m = q - lam_sup_sq * (om @ q @ om) * np.outer(om, om)
-    vals, vecs = np.linalg.eigh(m)
-    return float(vals[0]), xi, om, vecs[:, 0]
+    def low(x):  # tr/2 - sqrt(tr^2/4 - det)
+        m11, m22, m12 = matrix(x)
+        return 0.5 * (m11 + m22 - np.hypot(m11 - m22, 2.0 * m12))
+
+    xs = np.linspace(0.0, 1.0, 2049)
+    i = int(np.argmin(low(xs)))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    golden = 0.5 * (5.0 ** 0.5 - 1.0)
+    for _ in range(60):
+        c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        lo, hi = (lo, d) if low(c) <= low(d) else (c, hi)
+    x = min(xs[i], 0.5 * (lo + hi), key=low)
+    m11, m22, m12 = matrix(x)
+    vals, vecs = np.linalg.eigh([[m11, m12], [m12, m22]])
+    omega = np.array([np.sqrt(x), np.sqrt(1.0 - x)])
+    eta = vecs[:, 0] if vecs[:, 0] @ omega >= 0.0 else -vecs[:, 0]
+    return float(vals[0]), np.array([1.0, 0.0]), omega, eta
 
 
 def oscillatory_counterexample(lam: float, mu: float, phi_spec: PhiSpec, *,
@@ -790,14 +767,14 @@ def oscillatory_counterexample(lam: float, mu: float, phi_spec: PhiSpec, *,
 
     The probe is v = background_amp * omega * g(x) + eta * chi(x)
     cos(rho <xi, x>) where (xi, omega, eta) realize the algebraic minimum
-    and g, chi are nested plateau bumps; as rho grows the form scales like
-    the symbol minimum times rho^2, so a negative minimum must surface
-    within a few octaves.  Returns the first dyadic rho with a negative
-    form value (flip_rho is None when the sweep stays non negative, which
-    is the expected outcome below the threshold).
+    at L^2 = LambdaLimit.sup_bound and g, chi are nested plateau bumps; as
+    rho grows the form scales like the symbol minimum times rho^2, so a
+    negative minimum must surface within a few octaves.  Returns the first
+    dyadic rho with a negative form value (flip_rho is None when the sweep
+    stays non negative, which is the expected outcome below the threshold).
     """
-    lam_sup_sq = _sup_lambda_sq(phi_spec)
-    alg_min, xi, omega, eta = _real_probe_search(lam, mu, lam_sup_sq)
+    lam_sup_sq = phi_spec.profile.lambda_infinity().sup_bound
+    alg_min, xi, omega, eta = _symbol_minimum(lam, mu, lam_sup_sq)
     rows = []
     flip: float | None = None
     for j in range(octaves + 1):

@@ -19,12 +19,12 @@ and the limit ratio
               = - s*phi'(s) / (s*phi'(s) + 2*phi(s))   at s = zeta(t),
 
 whose limit Lambda_inf (and sup of Lambda^2) drives every dissipativity
-criterion downstream.  zeta is read off a forward table of
-(log s, log s*sqrt(phi(s))) built once per weight and polished by a few
-bracketed Newton steps, so Lambda costs a handful of phi evaluations per
-target.  The dual weight psi is defined by inverting s*phi(s): t*psi(t) is
-the inverse function, and sqrt(psi(|w|))*w equals sqrt(phi(|u|))*u for
-w = phi(|u|)*u, with Lambda_dual = -Lambda.
+criterion downstream; the power families have both in closed form.
+Otherwise zeta is read off a forward table of (log s, log s*sqrt(phi(s)))
+and polished by a few bracketed Newton steps.  The dual weight psi is
+defined by inverting s*phi(s): t*psi(t) is the inverse function, and
+sqrt(psi(|w|))*w equals sqrt(phi(|u|))*u for w = phi(|u|)*u, with
+Lambda_dual = -Lambda.
 """
 
 from __future__ import annotations
@@ -437,10 +437,10 @@ def inverse_s_phi(spec: PhiSpec, t):
 class LambdaLimit:
     """Tail summary of Lambda^2.
 
-    lambda_inf is the extrapolated limit of Lambda(t); sup_lambda_sq is the
-    grid supremum of Lambda^2 (a lower bound for the true sup, exact for
-    monotone profiles once converged).  sup_bounded certifies
-    sup Lambda^2 < 1; it is never claimed for an unconverged tail.
+    sup_bounded: lambda_inf and sup_lambda_sq are closed forms, the latter
+    the exact sup of Lambda^2 (< 1).  Otherwise both are sampled and
+    sup_lambda_sq is only a lower bound, which may refute but never
+    certify; sup_bound is then 1, from |Lambda| < 1 under condition (ii).
     """
 
     lambda_inf: float
@@ -452,13 +452,25 @@ class LambdaLimit:
     horizon: float
     note: str = ""
 
+    @property
+    def sup_bound(self) -> float:
+        return self.sup_lambda_sq if self.sup_bounded else 1.0
+
+
+def _check_targets(t: np.ndarray) -> None:
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise BracketFailure(
+            "inverse of s*sqrt(phi): target must be finite positive")
+
 
 class LambdaProfile:
     """Derived calculus for one weight: zeta, Theta, Lambda, and the tail.
 
-    zeta(t) inverts s*sqrt(phi(s)), which is strictly increasing whenever
-    condition (ii) holds, because (s^2*phi)' = s*(s*phi)' + s*phi > 0.
-    The forward map is tabulated once, as (log s, log t(s)) on a log-s grid
+    Power weights have Lambda = -(p-2)/p, truncated powers Lambda_inf = 0
+    and sup Lambda^2 = ((p-2)/p)^2.  zeta(t) inverts s*sqrt(phi(s)), which
+    is strictly increasing whenever condition (ii) holds, because
+    (s^2*phi)' = s*(s*phi)' + s*phi > 0.  The forward map is tabulated on
+    the first lookup, as (log s, log t(s)) on a log-s grid
     over [1e-12, 1e12], keeping the nodes where t is finite and positive.
     A target is located in the table, interpolated linearly for a start,
     and polished by Newton steps on f(u) = u + log(phi(e^u))/2 - log t,
@@ -469,16 +481,18 @@ class LambdaProfile:
 
     def __init__(self, spec: PhiSpec):
         self.spec = spec
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
         s = np.geomspace(_BRACKET_LO, _BRACKET_HI, _TABLE_NODES)
         with np.errstate(over="ignore", invalid="ignore"):
-            t = np.asarray(spec.s_sqrt_phi(s), dtype=float)
+            t = np.asarray(self.spec.s_sqrt_phi(s), dtype=float)
         keep = np.isfinite(t) & (t > 0.0)
         if np.count_nonzero(keep) < 2:
             raise BracketFailure(
-                f"{spec.label or spec.family}: s*sqrt(phi(s)) is finite and "
-                "positive at fewer than two table nodes")
-        self._log_s = np.log(s[keep])
-        self._log_t = np.log(t[keep])
+                f"{self.spec.label or self.spec.family}: s*sqrt(phi(s)) is "
+                "finite and positive at fewer than two table nodes")
+        return np.log(s[keep]), np.log(t[keep])
 
     def _solve(self, t: np.ndarray, *, clamp_low: bool = False):
         """s = zeta(t) and r = s*phi'(s)/phi(s) there.
@@ -486,10 +500,8 @@ class LambdaProfile:
         Targets outside the table raise BracketFailure; with clamp_low,
         positive targets below it are solved at the lower edge instead.
         """
-        if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
-            raise BracketFailure(
-                "inverse of s*sqrt(phi): target must be finite positive")
-        us, vs = self._log_s, self._log_t
+        _check_targets(t)
+        us, vs = self._table
         y = np.log(t)
         bad = y > vs[-1] + _EDGE_TIE
         if not clamp_low:
@@ -535,25 +547,35 @@ class LambdaProfile:
         families the two differ by less than 1e-20.
         """
         t_arr = np.asarray(t, dtype=float)
-        r = self._solve(t_arr, clamp_low=True)[1]
-        out = -r / (r + 2.0)
+        if self.spec.family == POWER:
+            _check_targets(t_arr)
+            out = np.full_like(t_arr, -(self.spec.p - 2.0) / self.spec.p)
+        else:
+            r = self._solve(t_arr, clamp_low=True)[1]
+            out = -r / (r + 2.0)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    def lambda_sq_of(self, t):
-        lam = self.lambda_of(t)
-        return lam * lam
 
     def lambda_infinity(self, *, t_min: float = 1e-6, t_max: float = 1e8,
                         per_decade: int = 10, tol: float = 1e-6,
                         require_convergence: bool = False) -> LambdaLimit:
-        """Estimate Lambda_inf on a geometric t grid up to t_max.
+        """Lambda_inf in closed form (horizon inf) or on a geometric t grid.
 
         The tail is extrapolated linearly in 1/log(t) (Richardson style, one
         elimination), which removes the leading logarithmic drift of slowly
         saturating profiles.  Convergence is declared when the last three
         raw nodes vary by less than tol relative to scale; an unconverged
-        tail is reported as such and never certifies sup Lambda^2 < 1.
+        tail is reported as such.
         """
+        if self.spec.family in (POWER, TRUNCATED_POWER):
+            lam = -(self.spec.p - 2.0) / self.spec.p
+            # On the plateau r = s*phi'/phi = 0, and -r/(r+2) is -0.0.
+            lam_inf = lam if self.spec.family == POWER else -0.0
+            return LambdaLimit(
+                lambda_inf=lam_inf, lambda_inf_sq=lam_inf * lam_inf,
+                sup_lambda_sq=lam * lam, sup_bounded=lam * lam < 1.0,
+                converged=True, tail_variation=0.0, horizon=math.inf,
+                note="closed form")
+
         n = max(2, int(round(per_decade * math.log10(t_max / t_min))))
         grid = np.geomspace(t_min, t_max, n)
         lam = self.lambda_of(grid)
@@ -580,10 +602,7 @@ class LambdaProfile:
         # borrows from the extrapolation.
         sup_sq = float(np.max(lam_sq))
         note = ""
-        if converged:
-            sup_bounded = sup_sq < 1.0 - 10.0 * tol
-        else:
-            sup_bounded = False
+        if not converged:
             note = (f"tail still moving (variation {tail_var:.3g}); "
                     f"extrapolated Lambda_inf {lam_inf:.6g}")
             if require_convergence:
@@ -593,7 +612,7 @@ class LambdaProfile:
 
         return LambdaLimit(
             lambda_inf=lam_inf, lambda_inf_sq=lam_inf * lam_inf,
-            sup_lambda_sq=sup_sq, sup_bounded=sup_bounded,
+            sup_lambda_sq=sup_sq, sup_bounded=False,
             converged=converged, tail_variation=tail_var,
             horizon=t_max, note=note)
 

@@ -19,12 +19,14 @@ from funcdiss import (
     STRICT_DISSIPATIVE,
     EllipticityViolation,
     NotStrict,
+    PhiSpec,
     Verdict,
     algebraic_form,
     algebraic_margin,
     checkerboard_field,
     constant_field,
     constant_threshold,
+    custom_phi,
     exp_square_phi,
     kappa_policy,
     lame2d_verdict,
@@ -194,6 +196,66 @@ def test_verdict_truncated_power_blocked_sup():
 
     ok = lame2d_verdict(truncated_power(4.0, 3.0), constant_field(1.0, 1.0))
     assert ok.status == STRICT_DISSIPATIVE
+
+
+def test_verdict_steep_power_builds_no_table(monkeypatch):
+    # p = 7e4 leaves s*sqrt(phi(s)) finite at fewer than two table nodes;
+    # the power family never needs the table.
+    calls = []
+    original = PhiSpec.s_sqrt_phi
+
+    def counting(self, s):
+        calls.append(np.size(s))
+        return original(self, s)
+
+    monkeypatch.setattr(PhiSpec, "s_sqrt_phi", counting)
+    spec = power_phi(7e4)
+    v = lame2d_verdict(spec, constant_field(1.0, 1.0))
+    assert v.status == NOT_DISSIPATIVE
+    assert spec.profile.lambda_of(np.array([1e-3, 1.0, 1e3])) == \
+        pytest.approx(-(7e4 - 2.0) / 7e4, rel=1e-15)
+    assert calls == []
+
+
+def test_verdict_truncated_power_far_plateau_not_refuted():
+    # The plateau of truncated_power(40, 1e3) starts past t = 1e8, so a
+    # sampled tail still reads the power's 0.9025 there; the limit is 0.
+    v = lame2d_verdict(truncated_power(40.0, 1e3), constant_field(1.0, 1.0))
+    assert v.status != NOT_DISSIPATIVE
+    assert v.lambda_inf_sq == 0.0
+    assert any("0.9025 in closed form" in n for n in v.notes)
+
+
+def _stepped_phi(height=0.1, width=1e-3, at=10.0):
+    """s * exp(height * sigma(log(s/at)/width)), sigma the logistic step:
+    Lambda^2 = 1/9 off the step and 0.862 at its middle."""
+    def step(s):
+        return 1.0 / (1.0 + np.exp(-np.log(np.asarray(s) / at) / width))
+
+    def phi(s):
+        return np.asarray(s) * np.exp(height * step(s))
+
+    def dphi(s):
+        g = step(s)
+        return np.exp(height * g) * (1.0 + height * g * (1.0 - g) / width)
+
+    return custom_phi(phi, dphi, r=1.0, c1=1.5, c2=2.5, label="stepped")
+
+
+def test_verdict_sampled_sup_never_certifies_strict():
+    spec = _stepped_phi()
+    s = np.geomspace(9.0, 11.0, 200_001)
+    r = s * spec.dphi(s) / spec.phi(s)
+    assert np.max((r / (r + 2.0)) ** 2) > 0.86     # above rhs = 0.75
+    limit = spec.profile.lambda_infinity()
+    assert limit.sup_lambda_sq < 0.12              # the samples miss the step
+    assert not limit.sup_bounded and limit.sup_bound == 1.0
+    v = lame2d_verdict(spec, constant_field(1.0, 1.0))
+    assert v.status != STRICT_DISSIPATIVE
+    assert any("sampled, not certified" in n for n in v.notes)
+    nd = lameNd_sufficient(spec, 1.0, 1.0)
+    assert nd.status == INCONCLUSIVE
+    assert any("sampled, not certified" in n for n in nd.notes)
 
 
 def test_verdict_gentle_ramp_is_strict():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from funcdiss import (
     QuadratureFailure,
+    algebraic_form,
     algebraic_margin,
     exp_square_phi,
     lame_system,
@@ -17,6 +18,7 @@ from funcdiss import (
 )
 from funcdiss.coefficients import constant_field, ramp_field
 from funcdiss.forms import (
+    _symbol_minimum,
     bump_field,
     commutator_ibp,
     dissipativity_form,
@@ -398,6 +400,25 @@ def test_probe_search_matches_complex_margin():
     full = algebraic_margin(lame_system(1.0, 1.0), -np.sqrt(lam_sq))
     assert report.algebraic_min == pytest.approx(full.min_value, rel=1e-8,
                                                  abs=1e-10)
+
+
+@pytest.mark.parametrize("lam, mu, lam_sq", [
+    (-1.5, 1.0, 0.9), (-0.5, 1.0, 0.5),       # lambda < 0
+    (2.0, 0.5, 1e-6), (1.0, 1.0, 1.0 - 1e-6),  # L^2 near 0 and near 1
+    (3.0, 0.7, 0.3), (0.5, 2.0, 0.7),          # lambda != mu
+])
+def test_symbol_minimum_matches_complex_margin(lam, mu, lam_sq):
+    value, xi, omega, eta = _symbol_minimum(lam, mu, lam_sq)
+    system = lame_system(lam, mu)
+    full = algebraic_margin(system, -np.sqrt(lam_sq))
+    assert value == pytest.approx(full.min_value, rel=1e-8)
+    assert np.array_equal(xi, [1.0, 0.0])
+    assert np.linalg.norm(omega) == pytest.approx(1.0, rel=1e-15)
+    assert np.linalg.norm(eta) == pytest.approx(1.0, rel=1e-15)
+    assert eta @ omega >= 0.0
+    # the returned triple realizes the minimum
+    assert algebraic_form(system, -np.sqrt(lam_sq), xi, eta, omega) == \
+        pytest.approx(value, rel=1e-12, abs=1e-14)
 
 
 # (rho, form, gradient_sq) of oscillatory_counterexample(1, 1, power_phi(32))
