@@ -348,7 +348,11 @@ def _sup_basis(limit: LambdaLimit) -> str:
 
 def constant_threshold(lam: float, mu: float) -> float:
     """Sufficient bound for constant coefficients in any dimension:
-    mu/(lam+2mu) when lam+mu > 0, (lam+2mu)/mu when lam+mu < 0, 1 at balance."""
+    mu/(lam+2mu) when lam+mu > 0, (lam+2mu)/mu when lam+mu < 0, 1 at balance.
+    A non-finite pair raises EllipticityViolation like a non-elliptic one."""
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise EllipticityViolation(
+            f"constant pair not finite: lambda={lam:g}, mu={mu:g}")
     if mu <= 0.0 or lam + 2.0 * mu <= 0.0:
         raise EllipticityViolation(
             f"constant pair not elliptic: mu={mu:g}, lambda+2mu={lam + 2 * mu:g}")

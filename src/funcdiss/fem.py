@@ -1,30 +1,33 @@
 """Multilinear finite elements for the Lame Dirichlet problem Eu = Div F.
 
 The solver targets box domains in R^N, N in {2, 3}, with a structured grid
-of identical cells and Q1 (multilinear) displacement elements.  The weak
-form is
+of identical cells and Q1 (multilinear) displacement elements.  Every
+problem is assembled from the paper's non reduced weak form
 
-    int mu <grad u, grad v> + (lambda + mu) (div u)(div v) dx
+    int lambda (div u)(div v)
+        + mu (<grad u, grad v> + sum_kj d_k u_j d_j v_k) dx
         = int F_ij d_i v_j dx
 
-for constant coefficients, and the non reduced variant
+with (lambda, mu) sampled at the Gauss points of each cell; a constant
+pair is one row of samples shared by all cells, and a planar
+CoefficientField contributes its perturbed pair (lambda + eps, mu + sigma).
+For a constant pair this is the classical reduced form
+mu <grad u, grad v> + (lambda + mu) (div u)(div v) on the constrained
+space, because the two differ by a null Lagrangian on H^1_0.
 
-    int (lambda + eps) (div u)(div v)
-        + (mu + sigma) (<grad u, grad v> + sum_kj d_k u_j d_j v_k) dx
-
-when the coefficient pair varies in space; the two assemblies agree on the
-constrained space for constant coefficients because their difference is a
-null Lagrangian.  The solver exists to probe the weighted energy estimate
+The solver exists to probe the weighted energy estimate
 
     int |grad u|^2 |u|^{p-2} dx <= C ( int |F|^{Np/(N+p-2)} )^{(N+p-2)/N}
 
 through truncated weights, Holder exponent splits and refinement studies,
-not to be a general purpose elasticity code.
+not to be a general purpose elasticity code.  Each solve samples |u|,
+|grad u|^2 and |F| once at order-4 Gauss points, and both sides of the
+estimate are read from those samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -33,9 +36,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .coefficients import CoefficientField
-from .criteria import STRICT_DISSIPATIVE, lame2d_verdict, lameNd_sufficient
-from .errors import EllipticityViolation, NotStrict, SolverDiverged
+from .coefficients import CoefficientField, constant_field
+from .criteria import (
+    STRICT_DISSIPATIVE,
+    constant_threshold,
+    lame2d_verdict,
+    lameNd_sufficient,
+)
+from .errors import NotStrict, SolverDiverged
 from .orlicz import SampledField, log_young, luxemburg_norm
 from .phi import power_phi, truncated_power
 
@@ -62,11 +70,12 @@ __all__ = [
 class FemProblem:
     """Dirichlet problem on a box: geometry, coefficients, load, exponent.
 
-    domain is (x0, x1, y0, y1[, z0, z1]); cells the per-axis cell counts;
-    coeffs either a constant (lambda, mu) pair or a planar CoefficientField
-    (2-D only); rhs the nodal N x N matrix field F with shape
-    nodes + (N, N); p the weight exponent, checked for admissibility
-    against the coefficients before any solve.
+    domain is (x0, x1, y0, y1[, z0, z1]) with finite bounds; cells the
+    per-axis cell counts; coeffs either a constant (lambda, mu) pair, which
+    must be finite and elliptic (EllipticityViolation otherwise), or a
+    planar CoefficientField (2-D only); rhs the nodal N x N matrix field F
+    with shape nodes + (N, N); p the weight exponent, checked for
+    admissibility against the coefficients before any solve.
     """
 
     domain: tuple
@@ -84,6 +93,8 @@ class FemProblem:
             raise ValueError("domain must list lo, hi per axis")
         if min(cells) < 8:
             raise ValueError("need at least 8 cells per side")
+        if not np.all(np.isfinite(np.asarray(self.domain, dtype=float))):
+            raise ValueError("domain bounds must be finite")
         for d in range(n):
             if not self.domain[2 * d + 1] > self.domain[2 * d]:
                 raise ValueError("empty box")
@@ -91,8 +102,10 @@ class FemProblem:
             if n != 2:
                 raise ValueError("variable coefficients are planar only")
         else:
-            lam, mu = self.coeffs
-            self.coeffs = (float(lam), float(mu))
+            lam, mu = (float(c) for c in self.coeffs)
+            # A non-finite or non-elliptic pair raises EllipticityViolation.
+            constant_threshold(lam, mu)
+            self.coeffs = (lam, mu)
         rhs = np.asarray(self.rhs, dtype=float)
         nodes = tuple(c + 1 for c in cells)
         if rhs.shape != nodes + (n, n):
@@ -134,7 +147,6 @@ class FemSolution:
     weighted_energies: Mapping[float, float]
     sobolev_norm_F: float
     iterations: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +186,14 @@ def _reference(dim: int, order: int):
             for e in range(dim):
                 grads[:, a, e] *= dline if e == d else line
     return w, vals, grads
+
+
+def _physical(dim: int, order: int, spacings):
+    """Gauss weights times the cell volume (G,), basis values (G, 2^dim)
+    and physical basis gradients (G, 2^dim, dim) of one grid cell."""
+    w, vals, grads = _reference(dim, order)
+    h = np.asarray(spacings)
+    return w * float(np.prod(h)), vals, grads / h[None, None, :]
 
 
 def _corner_offsets(node_shape):
@@ -220,30 +240,29 @@ def _local_blocks(dim: int, order: int, spacings):
     """Per Gauss point outer products of physical basis gradients.
 
     div_blk[g, a, i, b, j]  = d_i phi_a d_j phi_b
-    lap_blk[g, a, i, b, j]  = delta_ij grad phi_a . grad phi_b
-    swap_blk[g, a, i, b, j] = d_j phi_a d_i phi_b
-    All already multiplied by the Gauss weight times the cell volume.
+    grad_blk[g, a, i, b, j] = delta_ij grad phi_a . grad phi_b
+                              + d_j phi_a d_i phi_b
+    Both already multiplied by the Gauss weight times the cell volume.
     """
-    w, _, grads = _reference(dim, order)
-    h = np.asarray(spacings)
-    phys = grads / h[None, None, :]
-    vol = float(np.prod(h))
-    wv = w * vol
+    wv, _, phys = _physical(dim, order, spacings)
     div_blk = np.einsum("g,gai,gbj->gaibj", wv, phys, phys)
     swap_blk = np.swapaxes(div_blk, 2, 4)  # d_j phi_a d_i phi_b
     gg = np.einsum("g,gad,gbd->gab", wv, phys, phys)
-    eye = np.eye(dim)
-    lap_blk = np.einsum("gab,ij->gaibj", gg, eye)
-    return div_blk, lap_blk, swap_blk
+    lap_blk = np.einsum("gab,ij->gaibj", gg, np.eye(dim))
+    return div_blk, lap_blk + swap_blk
 
 
 def _coefficient_samples(prob: FemProblem, order: int):
-    """(lam, mu) at every element Gauss point, or scalars when constant."""
+    """(lam, mu) at the Gauss points of the cells, in _reference ordering.
+
+    A constant pair gives arrays of shape (1, G), one row that the
+    assembler broadcasts over every cell; a CoefficientField gives
+    (nel, G), sampled per cell.
+    """
     if not isinstance(prob.coeffs, CoefficientField):
         lam, mu = prob.coeffs
-        return float(lam), float(mu)
-    w, vals, _ = _reference(prob.dim, order)
-    axes = prob.node_axes()
+        npts = order ** prob.dim
+        return np.full((1, npts), lam), np.full((1, npts), mu)
     g1, _ = _gauss_1d(order)
     hx, hy = prob.spacings
     ex = prob.domain[0] + hx * np.arange(prob.cells[0])
@@ -264,16 +283,11 @@ def _coefficient_samples(prob: FemProblem, order: int):
 
 
 def _check_admissible(prob: FemProblem):
-    spec = power_phi(prob.p) if prob.p > 2.0 else power_phi(2.0)
+    spec = power_phi(prob.p)
     if prob.dim == 2:
-        if isinstance(prob.coeffs, CoefficientField):
-            verdict = lame2d_verdict(spec, prob.coeffs)
-        else:
-            lam, mu = prob.coeffs
-            grid = CoefficientField(domain=(0.0, 1.0, 0.0, 1.0),
-                                    lam=np.full((2, 2), lam),
-                                    mu=np.full((2, 2), mu))
-            verdict = lame2d_verdict(spec, grid)
+        grid = prob.coeffs if isinstance(prob.coeffs, CoefficientField) \
+            else constant_field(*prob.coeffs, shape=(2, 2))
+        verdict = lame2d_verdict(spec, grid)
         if verdict.status != STRICT_DISSIPATIVE:
             raise NotStrict(
                 f"p = {prob.p:g} is not admissible for these coefficients "
@@ -293,20 +307,13 @@ def _assemble(prob: FemProblem, order: int = 2):
     nnodes = int(np.prod(node_shape))
     enodes = _element_nodes(prob.cells, node_shape)
     nel, nbasis = enodes.shape
-    div_blk, lap_blk, swap_blk = _local_blocks(dim, order, prob.spacings)
-    coeff = _coefficient_samples(prob, order)
-    if isinstance(coeff[0], float):
-        lam, mu = coeff
-        # constant pair: classical reduced form (lambda + mu) div div
-        local = (mu * lap_blk.sum(axis=0)
-                 + (lam + mu) * div_blk.sum(axis=0))
-        data = np.broadcast_to(local[None], (nel,) + local.shape)
-    else:
-        lam, mu = coeff  # (nel, G)
-        data = (np.einsum("eg,gaibj->eaibj", lam, div_blk)
-                + np.einsum("eg,gaibj->eaibj", mu, lap_blk + swap_blk))
     ndof_loc = nbasis * dim
-    data = np.ascontiguousarray(data).reshape(nel, ndof_loc, ndof_loc)
+    div_blk, grad_blk = _local_blocks(dim, order, prob.spacings)
+    lam, mu = _coefficient_samples(prob, order)
+    local = (np.einsum("eg,gaibj->eaibj", lam, div_blk)
+             + np.einsum("eg,gaibj->eaibj", mu, grad_blk))
+    data = np.broadcast_to(local.reshape(-1, ndof_loc, ndof_loc),
+                           (nel, ndof_loc, ndof_loc))
 
     # global dof = node * dim + component
     gdof = (enodes[:, :, None] * dim
@@ -318,10 +325,7 @@ def _assemble(prob: FemProblem, order: int = 2):
         shape=(nnodes * dim, nnodes * dim)).tocsr()
 
     # rhs: r[(a,J)] = int Fhat_{iJ} d_i phi_a, with Fhat the Q1 interpolant
-    w, vals, grads = _reference(dim, order)
-    h = np.asarray(prob.spacings)
-    phys = grads / h[None, None, :]
-    wv = w * float(np.prod(h))
+    wv, vals, phys = _physical(dim, order, prob.spacings)
     f_nodes = prob.rhs.reshape(nnodes, dim, dim)
     f_corners = f_nodes[enodes]                       # (nel, nbasis, N, N)
     f_gauss = np.einsum("gb,ebij->egij", vals, f_corners)
@@ -331,77 +335,67 @@ def _assemble(prob: FemProblem, order: int = 2):
     return mat, rvec
 
 
-def assemble_and_solve(prob: FemProblem, *, rtol: float = 1e-10,
-                       maxiter: int | None = None,
-                       weight_levels=None) -> FemSolution:
-    """Assemble the Q1 system, solve with Jacobi preconditioned CG, and
-    attach the energy bookkeeping.
+def assemble_and_solve(prob: FemProblem) -> FemSolution:
+    """Assemble the Q1 system, solve it and attach the energy bookkeeping.
+
+    Jacobi preconditioned CG runs to a fixed 1e-10 relative residual, with
+    at most 20000 iterations.  The solved field is then sampled once at
+    order-4 Gauss points, and those samples give both the weighted
+    energies, at the levels 2, 4, 8 and max(2, 2 u_max + 1) (u_max the
+    largest nodal |u|) plus the untruncated value under inf, and the load
+    norm.
 
     Raises NotStrict when the declared p fails the admissibility test for
-    the coefficients, EllipticityViolation for a bad coefficient pair, and
-    SolverDiverged if CG does not reach the 1e-10 relative residual.
+    the coefficients and SolverDiverged if CG does not reach the residual;
+    a bad coefficient pair is already rejected by FemProblem.
     """
-    if isinstance(prob.coeffs, tuple):
-        lam, mu = prob.coeffs
-        if mu <= 0.0 or lam + 2.0 * mu <= 0.0:
-            raise EllipticityViolation(
-                f"need mu > 0 and lambda + 2 mu > 0, got ({lam:g}, {mu:g})")
     _check_admissible(prob)
     mat, rvec = _assemble(prob)
     dim = prob.dim
     fixed = np.repeat(_boundary_mask(prob.node_shape), dim)
-    free = ~fixed
-    idx = np.flatnonzero(free)
+    idx = np.flatnonzero(~fixed)
     kff = mat[idx][:, idx]
     bf = rvec[idx]
     x = np.zeros_like(rvec)
+    iterations = 0
     if np.any(bf != 0.0):
         diag = kff.diagonal()
         precond = sparse.dia_array((1.0 / diag[None, :], [0]),
                                    shape=kff.shape)
-        count = [0]
 
         def tick(_):
-            count[0] += 1
+            nonlocal iterations
+            iterations += 1
 
-        xf, info = cg(kff, bf, rtol=rtol, atol=0.0,
-                      maxiter=maxiter or 20000, M=precond, callback=tick)
+        xf, info = cg(kff, bf, rtol=1e-10, atol=0.0, maxiter=20000,
+                      M=precond, callback=tick)
         if info != 0:
             raise SolverDiverged(f"conjugate gradients stopped with "
                                  f"info = {info}")
         x[idx] = xf
-        iterations = count[0]
-    else:
-        iterations = 0
     energy = 0.5 * float(x @ (mat @ x))
     work = float(rvec @ x)
     u = x.reshape(prob.node_shape + (dim,))
-    sol = FemSolution(problem=prob, u=u, energy=energy, rhs_work=work,
-                      weighted_energies={}, sobolev_norm_F=0.0,
-                      iterations=iterations)
-    if weight_levels is None:
-        umax = float(np.max(np.linalg.norm(u.reshape(-1, dim), axis=1)))
-        weight_levels = [2.0, 4.0, 8.0, max(2.0, 2.0 * umax + 1.0)]
-    sol.weighted_energies = weighted_energy(sol, prob.p, weight_levels)
-    sol.sobolev_norm_F = _load_norm(prob)
-    return sol
+    samples = _gauss_samples(prob, u)
+    umax = float(np.max(np.linalg.norm(u.reshape(-1, dim), axis=1)))
+    levels = [2.0, 4.0, 8.0, max(2.0, 2.0 * umax + 1.0)]
+    return FemSolution(
+        problem=prob, u=u, energy=energy, rhs_work=work,
+        weighted_energies=_weighted_energies(samples, prob.p, levels),
+        sobolev_norm_F=_load_norm(prob, samples), iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
 # quadrature over the solved field
 
 
-def _solution_samples(sol: FemSolution, order: int = 4):
-    """|u|, |grad u|^2 and |F| at order-4 Gauss points with their weights."""
-    prob = sol.problem
+def _gauss_samples(prob: FemProblem, u: np.ndarray, order: int = 4):
+    """|u|, |grad u|^2 and |F| at order-4 Gauss points with their weights,
+    each flat over (cell, Gauss point)."""
     dim = prob.dim
-    w, vals, grads = _reference(dim, order)
-    h = np.asarray(prob.spacings)
-    phys = grads / h[None, None, :]
-    wv = w * float(np.prod(h))
+    wv, vals, phys = _physical(dim, order, prob.spacings)
     enodes = _element_nodes(prob.cells, prob.node_shape)
-    u_nodes = sol.u.reshape(-1, dim)
-    u_corners = u_nodes[enodes]                    # (nel, nbasis, N)
+    u_corners = u.reshape(-1, dim)[enodes]         # (nel, nbasis, N)
     u_g = np.einsum("gb,ebj->egj", vals, u_corners)
     grad_g = np.einsum("gbi,ebj->egji", phys, u_corners)
     f_nodes = prob.rhs.reshape(-1, dim, dim)
@@ -409,19 +403,12 @@ def _solution_samples(sol: FemSolution, order: int = 4):
     umag = np.linalg.norm(u_g, axis=2).ravel()
     grad_sq = np.einsum("egji,egji->eg", grad_g, grad_g).ravel()
     fmag = np.sqrt(np.einsum("egij,egij->eg", f_g, f_g)).ravel()
-    weights = np.broadcast_to(wv[None, :], grad_sq.reshape(len(enodes), -1)
-                              .shape).ravel()
+    weights = np.broadcast_to(wv[None, :], (len(enodes), len(wv))).ravel()
     return umag, grad_sq, fmag, weights
 
 
-def weighted_energy(sol: FemSolution, p: float, k_list) -> dict:
-    """Map k -> int |grad u|^2 phi_k(|u|) dx, plus the untruncated value.
-
-    phi_k is the truncated power weight; once k exceeds the solution range
-    the truncation never engages and the value equals
-    int |grad u|^2 |u|^{p-2} dx exactly, reported under the key inf.
-    """
-    umag, grad_sq, _, weights = _solution_samples(sol)
+def _weighted_energies(samples, p: float, k_list) -> dict:
+    umag, grad_sq, _, weights = samples
     out: dict = {}
     for k in k_list:
         spec = truncated_power(p, float(k))
@@ -436,24 +423,27 @@ def weighted_energy(sol: FemSolution, p: float, k_list) -> dict:
     return out
 
 
-def _load_norm(prob: FemProblem, order: int = 4) -> float:
-    """The F-side norm of the energy estimate.
+def weighted_energy(sol: FemSolution, p: float, k_list) -> dict:
+    """Map k -> int |grad u|^2 phi_k(|u|) dx, plus the untruncated value.
+
+    phi_k is the truncated power weight; once k exceeds the solution range
+    the truncation never engages and the value equals
+    int |grad u|^2 |u|^{p-2} dx exactly, reported under the key inf.
+    """
+    return _weighted_energies(_gauss_samples(sol.problem, sol.u), p, k_list)
+
+
+def _load_norm(prob: FemProblem, samples) -> float:
+    """The F-side norm of the energy estimate, from the solve's samples.
 
     N >= 3: Lebesgue norm ||F||_{Np/(N+p-2)} as a plain integral power.
     N = 2: Luxemburg norm of |F|^2 for log_young(p), the degenerate tail
     Young function t (log(t + e))^{(p-2)/p}; for p = 2 it collapses to the
     L^1 norm of |F|^2.
     """
+    _, _, fmag, weights = samples
     dim = prob.dim
     p = prob.p
-    w, vals, _ = _reference(dim, order)
-    wv = w * float(np.prod(prob.spacings))
-    enodes = _element_nodes(prob.cells, prob.node_shape)
-    f_nodes = prob.rhs.reshape(-1, dim, dim)
-    f_g = np.einsum("gb,ebij->egij", vals, f_nodes[enodes])
-    fmag = np.sqrt(np.einsum("egij,egij->eg", f_g, f_g)).ravel()
-    weights = np.broadcast_to(wv[None, :],
-                              (len(enodes), len(wv))).ravel()
     if dim >= 3:
         q = dim * p / (dim + p - 2.0)
         return float(np.sum(weights * fmag ** q) ** (1.0 / q))
@@ -464,8 +454,7 @@ def _load_norm(prob: FemProblem, order: int = 4) -> float:
     return float(np.sum(weights * fmag ** 2))
 
 
-def regularity_ratio(sol: FemSolution, prob: FemProblem | None = None,
-                     ) -> float:
+def regularity_ratio(sol: FemSolution) -> float:
     """LHS / RHS of the weighted energy estimate for this solve.
 
     LHS = int |grad u|^2 |u|^{p-2};  RHS = (int |F|^{Np/(N+p-2)})^{(N+p-2)/N}
@@ -473,11 +462,9 @@ def regularity_ratio(sol: FemSolution, prob: FemProblem | None = None,
     scale like c^p under F -> cF, so the ratio is a scale free health
     number; it is 0 for F = 0 and finite whenever F is nontrivial.
     """
-    prob = prob or sol.problem
-    lhs = sol.weighted_energies.get(float("inf"))
-    if lhs is None:
-        lhs = weighted_energy(sol, prob.p, [])[float("inf")]
-    norm = sol.sobolev_norm_F or _load_norm(prob)
+    prob = sol.problem
+    lhs = sol.weighted_energies[float("inf")]
+    norm = sol.sobolev_norm_F
     if norm == 0.0:
         return 0.0
     dim = prob.dim
@@ -502,8 +489,7 @@ class HolderSplitReport:
     split_slack: float
 
 
-def holder_split_check(sol: FemSolution, prob: FemProblem | None = None,
-                       k: float = 3.0) -> HolderSplitReport:
+def holder_split_check(sol: FemSolution, k: float = 3.0) -> HolderSplitReport:
     """Certify the exponent bookkeeping behind the weighted estimate.
 
     With alpha = Np/((N-2)(p-2)) and alpha' = Np/(2(N+p)-4) the pair is
@@ -512,7 +498,7 @@ def holder_split_check(sol: FemSolution, prob: FemProblem | None = None,
     and int |F|^2 phi_k(|u|) splits by Holder against those exponents.
     Needs N >= 3; the planar case runs on the Orlicz route instead.
     """
-    prob = prob or sol.problem
+    prob = sol.problem
     if prob.dim < 3:
         raise ValueError("the Holder split needs N >= 3")
     p = prob.p
@@ -527,7 +513,7 @@ def holder_split_check(sol: FemSolution, prob: FemProblem | None = None,
         alpha = (n * pf) / ((n - 2) * (pf - 2))
         conj = (1 / alpha + 1 / alpha_prime) == 1
 
-    umag, _, fmag, weights = _solution_samples(sol)
+    umag, _, fmag, weights = _gauss_samples(prob, sol.u)
     spec = truncated_power(p, float(k))
     phik = spec.phi(umag)
     vmag_sq = phik * umag * umag

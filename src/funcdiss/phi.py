@@ -466,8 +466,9 @@ def _check_targets(t: np.ndarray) -> None:
 class LambdaProfile:
     """Derived calculus for one weight: zeta, Theta, Lambda, and the tail.
 
-    Power weights have Lambda = -(p-2)/p, truncated powers Lambda_inf = 0
-    and sup Lambda^2 = ((p-2)/p)^2.  zeta(t) inverts s*sqrt(phi(s)), which
+    Power weights have Lambda = -(p-2)/p and zeta(t) = t^(2/p) in closed
+    form, truncated powers Lambda_inf = 0 and sup Lambda^2 = ((p-2)/p)^2.
+    For the other families zeta(t) inverts s*sqrt(phi(s)), which
     is strictly increasing whenever condition (ii) holds, because
     (s^2*phi)' = s*(s*phi)' + s*phi > 0.  The forward map is tabulated on
     the first lookup, as (log s, log t(s)) on a log-s grid
@@ -529,14 +530,21 @@ class LambdaProfile:
                 x = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
         return s, r
 
+    def _zeta(self, t: np.ndarray) -> np.ndarray:
+        """zeta on an array; power weights take t^(2/p) with no table."""
+        if self.spec.family == POWER:
+            _check_targets(t)
+            return t ** (2.0 / self.spec.p)
+        return self._solve(t)[0]
+
     def zeta(self, t):
         t_arr = np.asarray(t, dtype=float)
-        out = self._solve(t_arr)[0]
+        out = self._zeta(t_arr)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def theta(self, t):
         t_arr = np.asarray(t, dtype=float)
-        out = self._solve(t_arr)[0] / t_arr
+        out = self._zeta(t_arr) / t_arr
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def lambda_of(self, t):

@@ -312,6 +312,16 @@ def test_constant_threshold_cases():
         constant_threshold(-3.0, 1.0)
 
 
+def test_nonfinite_constant_pair_is_rejected():
+    # A NaN must not slip through the comparisons to a strict verdict.
+    for lam, mu in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                    (1.0, math.inf)):
+        with pytest.raises(EllipticityViolation, match="not finite"):
+            constant_threshold(lam, mu)
+        with pytest.raises(EllipticityViolation):
+            lameNd_sufficient(power_phi(4.0), lam, mu)
+
+
 def test_poisson_threshold_agrees_with_lame_form():
     for lam, mu in [(1.0, 1.0), (2.0, 0.5), (-1.5, 1.0)]:
         nu = lam / (2.0 * (lam + mu))

@@ -1,14 +1,17 @@
 """Solver correctness, weighted energies, regularity ratios, exponent splits."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from funcdiss import NotStrict, lame2d_verdict, perturbation_budget, power_phi
 from funcdiss.coefficients import CoefficientField, ramp_field
+from funcdiss import fem
 from funcdiss.errors import EllipticityViolation
 from funcdiss.fem import (
     FemProblem,
@@ -90,6 +93,73 @@ def test_constant_field_path_matches_constant_pair():
     assert np.max(np.abs(a.u - b.u)) < 1e-12
 
 
+def _reduced_form_matrix(prob, order=2):
+    """Global matrix of the classical reduced form
+    mu <grad u, grad v> + (lam + mu) (div u)(div v) for a constant pair."""
+    lam, mu = prob.coeffs
+    dim = prob.dim
+    w, _, grads = fem._reference(dim, order)
+    h = np.asarray(prob.spacings)
+    phys = grads / h
+    wv = w * np.prod(h)
+    div = np.einsum("g,gai,gbj->aibj", wv, phys, phys)
+    gg = np.einsum("g,gad,gbd->ab", wv, phys, phys)
+    lap = np.einsum("ab,ij->aibj", gg, np.eye(dim))
+    nloc = 2 ** dim * dim
+    local = (mu * lap + (lam + mu) * div).reshape(nloc, nloc)
+    enodes = fem._element_nodes(prob.cells, prob.node_shape)
+    gdof = (enodes[:, :, None] * dim + np.arange(dim)).reshape(-1, nloc)
+    rows = np.repeat(gdof, nloc, axis=1).ravel()
+    cols = np.tile(gdof, (1, nloc)).ravel()
+    ndof = int(np.prod(prob.node_shape)) * dim
+    return sparse.coo_array((np.tile(local.ravel(), len(gdof)),
+                             (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_assembly_matches_reduced_form_on_free_dofs(dim):
+    # The non reduced form differs from the reduced one by the null
+    # Lagrangian (div u)(div v) - sum d_k u_j d_j v_k, which vanishes on
+    # H^1_0: the free block agrees, the boundary rows do not.
+    domain = (0.0, 1.0, 0.0, 2.0, 0.0, 0.5)[:2 * dim]
+    prob = FemProblem(domain=domain, cells=(8, 10, 9)[:dim],
+                      coeffs=(2.0, 0.7),
+                      rhs=np.zeros((9, 11, 10)[:dim] + (dim, dim)))
+    mat, _ = fem._assemble(prob)
+    ref = _reduced_form_matrix(prob)
+    scale = float(np.max(np.abs(mat.data)))
+    free = np.flatnonzero(~np.repeat(fem._boundary_mask(prob.node_shape),
+                                     dim))
+    gap = (mat[free][:, free] - ref[free][:, free]).toarray()
+    assert np.max(np.abs(gap)) <= 1e-13 * scale
+    assert np.max(np.abs((mat - ref).toarray())) > 1e-3 * scale
+
+
+def test_solution_sampled_once_per_solve(monkeypatch):
+    calls = []
+    sampler = fem._gauss_samples
+
+    def counted(*args, **kwargs):
+        calls.append(id(args[0]))
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "_gauss_samples", counted)
+    for prob in (smooth_problem(12, p=4.0), smooth_problem(8, dim=3),
+                 FemProblem(domain=(0.0, 1.0, 0.0, 1.0), cells=(8, 8),
+                            coeffs=(1.0, 1.0), rhs=np.zeros((9, 9, 2, 2)),
+                            p=4.0)):
+        calls.clear()
+        sol = assemble_and_solve(prob)
+        regularity_ratio(sol)
+        assert calls == [id(prob)]
+    # the post-processing entry points read the same sampler, once each
+    sol3 = assemble_and_solve(smooth_problem(8, dim=3))
+    calls.clear()
+    weighted_energy(sol, 4.0, [2.0])
+    holder_split_check(sol3)
+    assert calls == [id(sol.problem), id(sol3.problem)]
+
+
 def test_variable_coefficients_solve():
     grid = ramp_field(1.0, 1.0, 0.25)
     sol = assemble_and_solve(smooth_problem(16, coeffs=grid))
@@ -114,6 +184,21 @@ def test_inadmissible_exponent_rejected():
 def test_bad_coefficients_rejected():
     with pytest.raises(EllipticityViolation):
         assemble_and_solve(smooth_problem(8, coeffs=(1.0, -0.5)))
+
+
+def test_problem_rejects_nonfinite_or_nonelliptic_input():
+    # Checked when the problem is built, before any assembly or CG run.
+    with pytest.raises(EllipticityViolation):
+        smooth_problem(8, dim=3, coeffs=(math.nan, 1.0))
+    with pytest.raises(EllipticityViolation):
+        smooth_problem(8, coeffs=(1.0, math.inf))
+    with pytest.raises(EllipticityViolation):
+        smooth_problem(8, dim=3, coeffs=(-3.0, 1.0))
+    rhs = np.zeros((9, 9, 2, 2))
+    for domain in ((0.0, math.inf, 0.0, 1.0), (0.0, 1.0, math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            FemProblem(domain=domain, cells=(8, 8), coeffs=(1.0, 1.0),
+                       rhs=rhs)
 
 
 def test_problem_validation():

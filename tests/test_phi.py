@@ -128,6 +128,27 @@ def test_zeta_theta_power_closed_form():
     assert prof.theta(16.0) == pytest.approx(0.25, rel=1e-12)
 
 
+def test_zeta_steep_power_needs_no_table(monkeypatch):
+    # For p = 7e4, s*sqrt(phi(s)) = s^35000 is finite and positive at
+    # fewer than two table nodes; the closed form never evaluates it.
+    def refuse(self, s):
+        raise AssertionError("s_sqrt_phi evaluated")
+
+    monkeypatch.setattr(PhiSpec, "s_sqrt_phi", refuse)
+    prof = LambdaProfile(power_phi(7e4))
+    assert prof.zeta(1.0) == 1.0
+    assert prof.theta(1.0) == 1.0
+
+
+def test_zeta_power_closed_form_matches_table_route():
+    prof = LambdaProfile(power_phi(4.0))
+    t = np.geomspace(1e-20, 1e20, 401)
+    table = prof._solve(t)[0]
+    np.testing.assert_allclose(prof.zeta(t), table, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(prof.theta(t), table / t, rtol=1e-14,
+                               atol=0)
+
+
 def test_lambda_power_is_constant():
     for p in (2.0, 3.0, 7.5, 24.0):
         prof = LambdaProfile(power_phi(p))
