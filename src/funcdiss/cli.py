@@ -677,7 +677,7 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
     })
 
     profile = spec.profile
-    limit = profile.lambda_infinity()
+    limit = profile.limit
     writer.record("limit_summary", {
         "command": "report",
         "phi": dict(cfg.phi),

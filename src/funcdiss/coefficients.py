@@ -178,6 +178,10 @@ def bmo_seminorm(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or min(values.shape) < 2:
         raise ValueError("need a 2-d node grid with at least 2 nodes per side")
+    # A non-finite node would compare false everywhere and read as zero
+    # oscillation, the value that certifies smallness.
+    if not np.all(np.isfinite(values)):
+        raise ValueError("node grid holds non-finite values")
     # Shift invariance, used here for conditioning: constants come out as
     # an exact zero instead of rounding residue.
     values = values - values.flat[0]

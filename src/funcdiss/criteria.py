@@ -32,14 +32,14 @@ delta / (2 (1 - Lambda_inf^2)) * min(ess inf mu, ess inf (lambda + 2 mu)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .coefficients import CoefficientField, GeneralSystem, ess_bounds
 from .errors import BudgetExhausted, EllipticityViolation, NotStrict
-from .phi import LambdaLimit, PhiSpec
+from .phi import EXP_SQUARE, POWER, LambdaLimit, PhiSpec
 
 __all__ = [
     "STRICT_DISSIPATIVE",
@@ -59,6 +59,17 @@ __all__ = [
     "constant_threshold",
     "poisson_threshold",
 ]
+
+# algebraic_margin: lattice points per search angle, and the relative
+# change, against the coefficient scale, that the polish may still make.
+_PROBE_GRID = 32
+_POLISH_TOL = 1e-8
+# Limit ratios within 1e-10 of a bound, relative, sit on it.
+_BOUNDARY_TOL = 1e-10
+# Families whose ratio s*phi'/phi is monotone by construction (condition
+# (vi)): only for them does the sampled sup of Lambda^2 bound Lambda_inf^2
+# from below, so only they may refute from an unconverged tail.
+_RATIO_MONOTONE = (POWER, EXP_SQUARE)
 
 STRICT_DISSIPATIVE = "StrictDissipative"
 DISSIPATIVE_BOUNDARY = "DissipativeBoundary"
@@ -151,23 +162,22 @@ def algebraic_form(system: GeneralSystem, lam_inf: float, xi, eta, omega) -> flo
 
 
 def algebraic_margin(system: GeneralSystem, lam_inf: float, *,
-                     grid: int = 32, polish: bool = True,
-                     stabilize_tol: float = 1e-8) -> MarginResult:
+                     polish: bool = True) -> MarginResult:
     """Minimize the algebraic form over |xi| = |eta| = |omega| = 1.
 
-    Coarse search on a grid x grid x grid lattice of (xi angle, omega polar
+    Coarse search on a 32 x 32 x 32 lattice of (xi angle, omega polar
     angle, omega relative phase), with eta handled exactly by the eigenvalue
     reduction; then simplex polish from the best lattice point.  Raises
     BudgetExhausted when two successive polish rounds still move the value
-    by more than stabilize_tol relative to the coefficient scale.
+    by more than 1e-8 relative to the coefficient scale.
     """
     if system.dim != 2 or system.components != 2:
         raise ValueError("probe search implemented for N = 2, m = 2 systems")
 
     scale = float(np.max(np.abs(system.tensor))) or 1.0
-    a_grid = np.linspace(0.0, np.pi, grid, endpoint=False)
-    e_grid = np.linspace(0.0, np.pi / 2.0, grid)
-    f_grid = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    a_grid = np.linspace(0.0, np.pi, _PROBE_GRID, endpoint=False)
+    e_grid = np.linspace(0.0, np.pi / 2.0, _PROBE_GRID)
+    f_grid = np.linspace(0.0, 2.0 * np.pi, _PROBE_GRID, endpoint=False)
     ee, ff = np.meshgrid(e_grid, f_grid, indexing="ij")
     omegas = np.stack([np.cos(ee).ravel() + 0j,
                        np.sin(ee).ravel() * np.exp(1j * ff.ravel())], axis=1)
@@ -216,7 +226,7 @@ def algebraic_margin(system: GeneralSystem, lam_inf: float, *,
             params = res.x
             improvement = prev - float(res.fun)
             prev = float(res.fun)
-        if abs(improvement) > stabilize_tol * scale:
+        if abs(improvement) > _POLISH_TOL * scale:
             raise BudgetExhausted(
                 f"probe polish still moving by {improvement:.3g} "
                 f"after the refinement budget")
@@ -252,42 +262,40 @@ def kappa_policy(gap: float, lambda_inf_sq: float, mu_min: float,
     return 0.9 * sup_kappa
 
 
-def lame2d_verdict(phi_spec: PhiSpec | None, coeffs: CoefficientField,
-                   c0: float = 1.0, kappa_hint: float | None = None,
-                   *, boundary_tol: float = 1e-10,
-                   limit: LambdaLimit | None = None) -> Verdict:
+def lame2d_verdict(phi_spec: PhiSpec, coeffs: CoefficientField,
+                   c0: float = 1.0, kappa_hint: float | None = None) -> Verdict:
     """Decide functional dissipativity for the planar variable Lame operator.
 
-    The necessity direction compares the limit ratio against
+    The necessity direction compares the limit ratio of the weight's tail,
+    phi_spec.profile.limit, against
     rhs = 1 - ess sup ((lambda+mu)/(lambda+3mu))^2; the sufficiency
     direction additionally needs the BMO seminorm of mu^2/(lambda+3mu)
-    below kappa (1 - sup Lambda^2) / (2 c0).  Weights with a monotone
-    squared ratio may certify NotDissipative from the grid tail even when
-    the tail has not converged; only a closed-form sup Lambda^2 certifies
-    the strict side, and the notes name the basis.
+    below kappa (1 - sup Lambda^2) / (2 c0).  An unconverged tail refutes
+    through its sampled sup of Lambda^2 only for the families whose ratio
+    s*phi'/phi is monotone by construction (power and exp_square); any
+    other weight with an unconverged tail ends Inconclusive.  Only a
+    closed-form sup Lambda^2 certifies the strict side, and the notes name
+    the basis.
 
     kappa_hint overrides the automatic margin choice; it must sit strictly
     inside (0, delta/(2(1-L^2)) * min(ess inf mu, ess inf(lambda+2mu))).
     """
-    if limit is None:
-        if phi_spec is None:
-            raise ValueError("need a weight spec or a precomputed limit")
-        limit = phi_spec.profile.lambda_infinity()
-    vi_holds = not (phi_spec is not None and phi_spec.vi_exempt)
-
+    limit = phi_spec.profile.limit
     eb = ess_bounds(coeffs)
     rhs = 1.0 - eb.sup_ratio_sq
     lam2 = limit.lambda_inf_sq
     margin = rhs - lam2
     notes: list[str] = []
 
-    # Lower bound for the limit: grid sup when the ratio is monotone.
+    # Certified lower bound for the limit: the limit of a converged tail,
+    # else the grid sup where the ratio is monotone, else none.
     lam2_lower = lam2 if limit.converged else (
-        limit.sup_lambda_sq if vi_holds else lam2)
+        limit.sup_lambda_sq if phi_spec.family in _RATIO_MONOTONE
+        else -math.inf)
     # Upper bound for sup_t Lambda^2, the quantity sufficiency needs.
     lam2_suff = limit.sup_bound
 
-    tol = boundary_tol * max(1.0, abs(rhs))
+    tol = _BOUNDARY_TOL * max(1.0, abs(rhs))
     if limit.converged and abs(lam2 - rhs) <= tol:
         notes.append("limit ratio sits on the necessary bound")
         return Verdict(DISSIPATIVE_BOUNDARY, lam2, rhs, margin, notes=tuple(notes))
@@ -374,21 +382,17 @@ def poisson_threshold(nu: float) -> float:
                      "for an elliptic constant pair")
 
 
-def lameNd_sufficient(phi_spec: PhiSpec | None, lam: float, mu: float,
-                      *, limit: LambdaLimit | None = None,
-                      boundary_tol: float = 1e-10) -> Verdict:
+def lameNd_sufficient(phi_spec: PhiSpec, lam: float, mu: float) -> Verdict:
     """Sufficient criterion for the constant coefficient operator in any
-    dimension.  Returns StrictDissipative below the threshold and
-    Inconclusive otherwise (this direction proves nothing beyond it)."""
-    if limit is None:
-        if phi_spec is None:
-            raise ValueError("need a weight spec or a precomputed limit")
-        limit = phi_spec.profile.lambda_infinity()
+    dimension, read off the weight's tail phi_spec.profile.limit.  Returns
+    StrictDissipative when sup Lambda^2 is certified below the threshold
+    and Inconclusive otherwise (this direction proves nothing beyond it)."""
+    limit = phi_spec.profile.limit
     threshold = constant_threshold(lam, mu)
     lam2 = limit.lambda_inf_sq
     margin = threshold - lam2
     basis = _sup_basis(limit)
-    tol = boundary_tol * max(1.0, threshold)
+    tol = _BOUNDARY_TOL * max(1.0, threshold)
     if limit.sup_bound < threshold - tol:
         return Verdict(STRICT_DISSIPATIVE, lam2, threshold, margin,
                        notes=(basis,
@@ -397,34 +401,31 @@ def lameNd_sufficient(phi_spec: PhiSpec | None, lam: float, mu: float,
                    notes=(basis, "sufficient bound not met; no conclusion"))
 
 
-def comparison_constant(limit: LambdaLimit, dim: int = 2) -> float:
+def comparison_constant(phi_spec: PhiSpec, dim: int = 2) -> float:
     """Coefficient-wise bound C on the perturbation form: the terms
     sigma |grad v|^2, eps (div v)^2, sigma sum d_k v_j d_j v_k and the
     Lambda^2 weighted gradient terms give
-    C = max(2 + 2 S, dim + S) with S = LambdaLimit.sup_bound."""
-    lam2 = limit.sup_bound
+    C = max(2 + 2 S, dim + S) with S = phi_spec.profile.limit.sup_bound."""
+    lam2 = phi_spec.profile.limit.sup_bound
     return max(2.0 + 2.0 * lam2, dim + lam2)
 
 
-def perturbation_budget(phi_spec: PhiSpec | None, lam0: float, mu0: float,
-                        kappa0: float, *, limit: LambdaLimit | None = None,
-                        dim: int = 2) -> float:
+def perturbation_budget(phi_spec: PhiSpec, lam0: float, mu0: float,
+                        kappa0: float, *, dim: int = 2) -> float:
     """Sup norm budget for coefficient perturbations that keeps half the
     strict margin.
 
     For the constant pair (lam0, mu0) strictly dissipative with margin
     kappa0, any perturbation (eps, sigma) with |||eps| + |sigma|||_inf at
     most kappa0/(2C) leaves the operator strictly dissipative with margin
-    kappa0/2.  The budget is linear in kappa0; a zero margin buys nothing.
+    kappa0/2, with C from the weight's tail phi_spec.profile.limit.  The
+    budget is linear in kappa0; a zero margin buys nothing, and a negative
+    or non-finite one raises NotStrict.
     """
-    if kappa0 < 0.0:
-        raise NotStrict(f"kappa0 must be nonnegative, got {kappa0:.6g}")
+    if not (math.isfinite(kappa0) and kappa0 >= 0.0):
+        raise NotStrict(f"kappa0 must be finite and nonnegative, got {kappa0:.6g}")
     if kappa0 == 0.0:
         return 0.0
-    if limit is None:
-        if phi_spec is None:
-            raise ValueError("need a weight spec or a precomputed limit")
-        limit = phi_spec.profile.lambda_infinity()
     # The base pair must actually be elliptic for the bound to mean anything.
     constant_threshold(lam0, mu0)
-    return kappa0 / (2.0 * comparison_constant(limit, dim))
+    return kappa0 / (2.0 * comparison_constant(phi_spec, dim))

@@ -22,10 +22,6 @@ class BracketFailure(ToolkitError):
     """Monotone inversion could not bracket the target value within the search range."""
 
 
-class NonConvergent(ToolkitError):
-    """A tail limit estimate did not settle within the requested tolerance."""
-
-
 class BadTruncation(ToolkitError):
     """Truncated power weight requested with an unusable truncation level."""
 

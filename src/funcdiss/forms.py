@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 ZERO_SET_REL = 1e-14
+# Amplitude of the slowly varying carrier of the oscillatory counterexample.
+_BACKGROUND_AMP = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,8 @@ def _generic_integrand(system: GeneralSystem, phi_spec: PhiSpec,
 
 def _lame_integrand(lam_at, mu_at, phi_spec: PhiSpec, v: TestField,
                     kappa: float = 0.0):
-    """Scalar coefficient route for the Lame tensor.
+    """Scalar coefficient route for the Lame tensor, shifted by -kappa
+    Laplacian (kappa = 0 is the plain form).
 
     Valid for complex fields: the first order term vanishes because the
     tensor is formally self adjoint, and the weighted term reduces to
@@ -542,8 +545,9 @@ def xy_decompose(v: TestField, pts):
 class FormBreakdown:
     """Term by term split of the strict Lame form.
 
-    total is the direct quadrature of the kappa shifted form; the seven
-    parts re-express it in the X/Y frame with the cross weights moved to
+    total is the direct quadrature of the kappa shifted form, on the
+    integrand of dissipativity_form; the seven parts re-express it in the
+    X/Y frame with the cross weights moved to
     gamma = mu (lambda + mu)/(lambda + 3 mu), the choice that balances the
     two discriminants.  commutator_term collects what that shift displaces,
     2 (gamma - mu)(X1 Y1 + X2 Y2), an integrand equal pointwise to
@@ -588,7 +592,8 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
     if not v.is_real:
         raise ValueError("the frame breakdown needs a real valued field")
     lam_at, mu_at = _coeff_samplers(field)
-    lam_sup_sq = phi_spec.profile.lambda_infinity().sup_bound
+    lam_sup_sq = phi_spec.profile.limit.sup_bound
+    form = _lame_integrand(lam_at, mu_at, phi_spec, v, kappa)
 
     def fn(pts):
         lam = np.broadcast_to(np.asarray(lam_at(pts), dtype=float),
@@ -602,15 +607,8 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
         lv = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
         lam2 = np.where(mask, lv * lv, 0.0)
         x1, x2, y1, y2 = xy_decompose(v, pts)
-        jac = v.jacobian(pts).real
-        grad2 = np.einsum("nih,nih->n", jac, jac)
-        div = jac[:, 0, 0] + jac[:, 1, 1]
-        swap = np.einsum("njk,nkj->n", jac, jac)
-        dsq = np.where(mask, x1 * x1 + x2 * x2, 0.0)  # |grad |v||^2
-        total = ((mu - kappa) * grad2 + lam * div * div + mu * swap
-                 - lam2 * ((mu - kappa) * dsq + (lam + mu) * x1 * x1))
         cols = [
-            total,
+            form(pts)[:, 0],
             (lam + 2.0 * mu - kappa) * (1.0 - lam2) * x1 * x1,
             (mu - kappa) * (1.0 - lam2) * x2 * x2,
             (lam + 2.0 * mu - kappa) * y1 * y1,
@@ -759,13 +757,12 @@ def _symbol_minimum(lam: float, mu: float, lam_sup_sq: float):
 
 
 def oscillatory_counterexample(lam: float, mu: float, phi_spec: PhiSpec, *,
-                               octaves: int = 10, background_amp: float = 2.0,
-                               stop_at_flip: bool = True,
+                               octaves: int = 10, stop_at_flip: bool = True,
                                **quad) -> CounterexampleReport:
     """Drive the form negative with a modulated plane wave when the symbol
     minimum is negative.
 
-    The probe is v = background_amp * omega * g(x) + eta * chi(x)
+    The probe is v = 2 omega g(x) + eta chi(x)
     cos(rho <xi, x>) where (xi, omega, eta) realize the algebraic minimum
     at L^2 = LambdaLimit.sup_bound and g, chi are nested plateau bumps; as
     rho grows the form scales like the symbol minimum times rho^2, so a
@@ -773,7 +770,7 @@ def oscillatory_counterexample(lam: float, mu: float, phi_spec: PhiSpec, *,
     dyadic rho with a negative form value (flip_rho is None when the sweep
     stays non negative, which is the expected outcome below the threshold).
     """
-    lam_sup_sq = phi_spec.profile.lambda_infinity().sup_bound
+    lam_sup_sq = phi_spec.profile.limit.sup_bound
     alg_min, xi, omega, eta = _symbol_minimum(lam, mu, lam_sup_sq)
     rows = []
     flip: float | None = None
@@ -781,7 +778,7 @@ def oscillatory_counterexample(lam: float, mu: float, phi_spec: PhiSpec, *,
         rho = float(2 ** j)
         v = oscillatory_field((0.0, 0.0), xi, rho, eta,
                               chi_r0=-0.10, chi_r1=0.30,
-                              background=(omega, background_amp, 0.35, 0.75),
+                              background=(omega, _BACKGROUND_AMP, 0.35, 0.75),
                               label=f"counterexample-2^{j}")
         form, grad2 = _form_and_energy((lam, mu), phi_spec, v, **quad)
         rows.append((rho, form, grad2))

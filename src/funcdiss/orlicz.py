@@ -23,7 +23,7 @@ everything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,10 +76,6 @@ class SampledField:
         w = np.full(v.shape, measure / v.size)
         return cls(values=v, weights=w)
 
-    @property
-    def measure(self) -> float:
-        return float(np.sum(self.weights))
-
     def scaled(self, alpha: float) -> "SampledField":
         return SampledField(values=alpha * self.values, weights=self.weights)
 
@@ -91,7 +87,6 @@ class YoungFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray] | None = None
-    params: dict = field(default_factory=dict)
     degenerate_tail: bool = False   # True when M(t)/t does not diverge
 
     def __call__(self, t):
@@ -109,19 +104,15 @@ class YoungFunction:
         return (self(t + h) - self(np.maximum(t - h, 0.0))) / (
             h + np.minimum(t, h))
 
-    def inverse(self, y):
-        """Solve M(s) = y for s > 0 by bracketed bisection."""
-        return _invert_monotone(self.__call__, y, f"inverse of {self.name}")
 
-
-def validate_young(M: YoungFunction, lo: float = 1e-6, hi: float = 1e5,
-                   nodes: int = 400) -> None:
-    """Raise OrliczNormFailure unless M looks like a Young function:
-    M(0) = 0, nondecreasing, midpoint convex, and superlinear at the tail
-    (the last check is skipped for degenerate tags)."""
+def validate_young(M: YoungFunction) -> None:
+    """Raise OrliczNormFailure unless M looks like a Young function on 400
+    log-spaced nodes of [1e-6, 1e5]: M(0) = 0, nondecreasing, midpoint
+    convex, and superlinear at the tail (the last check is skipped for
+    degenerate tags)."""
     if abs(float(M(0.0))) > 1e-14:
         raise OrliczNormFailure(f"{M.name}: M(0) must vanish")
-    grid = np.geomspace(lo, hi, nodes)
+    grid = np.geomspace(1e-6, 1e5, 400)
     vals = M(grid)
     if np.any(~np.isfinite(vals)):
         fin = np.isfinite(vals)
@@ -155,7 +146,6 @@ def power_young(p: float, normalized: bool = False) -> YoungFunction:
         name=f"power(p={p:g}{', normalized' if normalized else ''})",
         fn=lambda t: c * np.asarray(t, dtype=float) ** p,
         dfn=lambda t: c * p * np.asarray(t, dtype=float) ** (p - 1.0),
-        params={"p": p, "normalized": normalized},
     )
 
 
@@ -166,7 +156,6 @@ def exp_young(scale: float = MOSER_SCALE) -> YoungFunction:
         name=f"exp(scale={scale:g})",
         fn=lambda t: np.expm1(scale * np.asarray(t, dtype=float)),
         dfn=lambda t: scale * np.exp(scale * np.asarray(t, dtype=float)),
-        params={"scale": scale},
     )
 
 
@@ -184,7 +173,7 @@ def exp_conjugate(scale: float = MOSER_SCALE) -> YoungFunction:
         return np.log(u) / scale
 
     return YoungFunction(name=f"exp_conjugate(scale={scale:g})",
-                         fn=fn, dfn=dfn, params={"scale": scale})
+                         fn=fn, dfn=dfn)
 
 
 def exp_power_young(p: float, scale: float = MOSER_SCALE) -> YoungFunction:
@@ -203,8 +192,7 @@ def exp_power_young(p: float, scale: float = MOSER_SCALE) -> YoungFunction:
             return scale * q * t ** (q - 1.0) * np.exp(scale * t ** q)
 
     return YoungFunction(name=f"exp_power(p={p:g}, scale={scale:g})",
-                         fn=fn, dfn=dfn, params={"p": p, "q": q,
-                                                 "scale": scale})
+                         fn=fn, dfn=dfn)
 
 
 def log_young(p: float):
@@ -230,7 +218,6 @@ def log_young(p: float):
         return L ** a + t * a * L ** (a - 1.0) / (t + math.e)
 
     n_tilde = YoungFunction(name=f"log_type(p={p:g})", fn=fn, dfn=dfn,
-                            params={"p": p, "exponent": a},
                             degenerate_tail=True)
     validate_young(n_tilde)
 
@@ -258,8 +245,7 @@ def legendre_conjugate(M: YoungFunction) -> YoungFunction:
             out[live] = s * t_arr[live] - M(s)
         return out.reshape(np.shape(t))
 
-    return YoungFunction(name=f"conjugate({M.name})", fn=fn,
-                         params=dict(M.params))
+    return YoungFunction(name=f"conjugate({M.name})", fn=fn)
 
 
 def conjugate_ratio(p: float, t, scale: float = MOSER_SCALE):
@@ -284,13 +270,12 @@ def _integral_of(M: YoungFunction, f: SampledField, scale_inv: float) -> float:
     return float(np.sum(f.weights * vals))
 
 
-def luxemburg_norm(f: SampledField, M: YoungFunction, *,
-                   rel_tol: float = 1e-9) -> float:
+def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
     """Luxemburg gauge by geometric bisection of lambda -> int M(|f|/lambda).
 
     The map is nonincreasing in lambda; the bracket is grown geometrically
     from max|f| and then halved in log space until the relative width drops
-    below rel_tol.
+    below 1e-9.
     """
     if not np.all(np.isfinite(f.values)):
         raise NotIntegrable("field contains non-finite samples")
@@ -324,7 +309,7 @@ def luxemburg_norm(f: SampledField, M: YoungFunction, *,
             return 0.0
 
     for _ in range(200):
-        if hi / lo <= 1.0 + rel_tol:
+        if hi / lo <= 1.0 + 1e-9:
             break
         mid = math.sqrt(lo * hi)
         if _integral_of(M, f, 1.0 / mid) > 1.0:

@@ -18,19 +18,20 @@ and the limit ratio
     Lambda(t) = t * Theta'(t) / Theta(t)
               = - s*phi'(s) / (s*phi'(s) + 2*phi(s))   at s = zeta(t),
 
-whose limit Lambda_inf (and sup of Lambda^2) drives every dissipativity
-criterion downstream; the power families have both in closed form.
-Otherwise zeta is read off a forward table of (log s, log s*sqrt(phi(s)))
-and polished by a few bracketed Newton steps.  The dual weight psi is
-defined by inverting s*phi(s): t*psi(t) is the inverse function, and
-sqrt(psi(|w|))*w equals sqrt(phi(|u|))*u for w = phi(|u|)*u, with
-Lambda_dual = -Lambda.
+whose limit Lambda_inf and sup of Lambda^2, together the tail, drive
+every dissipativity criterion downstream.  Each weight computes its tail
+once, as LambdaProfile.limit: the power families in closed form, every
+other weight from Lambda sampled on a fixed t grid.  zeta is read off a
+forward table of (log s, log s*sqrt(phi(s))) and polished by a few
+bracketed Newton steps.  The dual weight psi is defined by inverting
+s*phi(s): t*psi(t) is the inverse function, and sqrt(psi(|w|))*w equals
+sqrt(phi(|u|))*u for w = phi(|u|)*u, with Lambda_dual = -Lambda.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -40,7 +41,6 @@ from scipy.integrate import quad
 from .errors import (
     BadTruncation,
     BracketFailure,
-    NonConvergent,
     NonPositivePhi,
     NotIncreasing,
     QuadratureFailure,
@@ -80,6 +80,10 @@ _NEWTON_EVALS = 4
 # Targets this close to a bracket or table edge, relative, are solved at
 # the edge.
 _EDGE_TIE = 1e-9
+# Sampled tails: Lambda on t in [1e-6, 1e8], 10 nodes per decade; the tail
+# has converged when its last three nodes vary by less than 1e-6 relative.
+_TAIL_T = np.geomspace(1e-6, 1e8, 140)
+_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,10 @@ def _trunc_dphi(t, p, k):
     return out.reshape(np.shape(t))
 
 
-def _central_dphi(fn, s, rel=1e-6):
-    # 4th order central stencil; step scales with s but never below 1e-6.
+def _central_dphi(fn, s):
+    # 4th order central stencil; step 1e-6 relative to s, never below 1e-6.
     s = np.asarray(s, dtype=float)
-    h = np.maximum(1e-6, rel * np.abs(s))
+    h = np.maximum(1e-6, 1e-6 * np.abs(s))
     f1 = np.asarray(fn(s + h), dtype=float)
     f_1 = np.asarray(fn(s - h), dtype=float)
     f2 = np.asarray(fn(s + 2 * h), dtype=float)
@@ -265,7 +269,6 @@ class ConditionCheck:
 class PhiValidation:
     spec: PhiSpec
     checks: tuple[ConditionCheck, ...]
-    grid: np.ndarray = field(repr=False, default=None)
 
     @property
     def ok(self) -> bool:
@@ -282,8 +285,9 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def validate_phi(spec: PhiSpec, nodes: int = 1200) -> PhiValidation:
-    """Check conditions (i) through (vi) on a log grid [s0/10, 10*s1].
+def validate_phi(spec: PhiSpec) -> PhiValidation:
+    """Check conditions (i) through (vi) on a log grid [s0/10, 10*s1] of
+    1200 nodes.
 
     Hard failures raise: NonPositivePhi when phi <= 0 somewhere,
     NotIncreasing when (s*phi)' <= 0 somewhere.  Everything else is
@@ -292,8 +296,7 @@ def validate_phi(spec: PhiSpec, nodes: int = 1200) -> PhiValidation:
     because the results that need them rely on sup Lambda^2, which stays
     bounded, rather than on monotonicity of the ratio.
     """
-    nodes = max(int(nodes), 1000)
-    grid = _log_grid(spec.s0 / 10.0, 10.0 * spec.s1, nodes)
+    grid = _log_grid(spec.s0 / 10.0, 10.0 * spec.s1, 1200)
     phi = spec.phi(grid)
     dphi = spec.dphi(grid)
 
@@ -376,7 +379,7 @@ def validate_phi(spec: PhiSpec, nodes: int = 1200) -> PhiValidation:
     else:
         checks.append(ConditionCheck("vi:ratio-monotone", "fails", m6))
 
-    return PhiValidation(spec=spec, checks=tuple(checks), grid=grid)
+    return PhiValidation(spec=spec, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +438,15 @@ def inverse_s_phi(spec: PhiSpec, t):
 
 @dataclass(frozen=True)
 class LambdaLimit:
-    """Tail summary of Lambda^2.
+    """The tail of Lambda for one weight: Lambda_inf and sup Lambda^2.
 
     sup_bounded: lambda_inf and sup_lambda_sq are closed forms, the latter
-    the exact sup of Lambda^2 (< 1).  Otherwise both are sampled and
-    sup_lambda_sq is only a lower bound, which may refute but never
-    certify; sup_bound is then 1, from |Lambda| < 1 under condition (ii).
+    the exact sup of Lambda^2 (< 1).  Otherwise both come from Lambda
+    sampled on t in [1e-6, 1e8], and sup_lambda_sq is only a lower bound of
+    the sup, which may refute but never certify; sup_bound is then 1, from
+    |Lambda| < 1 under condition (ii).  converged tells whether the sampled
+    tail has settled; tail_variation is its relative spread over the last
+    three nodes.
     """
 
     lambda_inf: float
@@ -449,8 +455,6 @@ class LambdaLimit:
     sup_bounded: bool
     converged: bool
     tail_variation: float
-    horizon: float
-    note: str = ""
 
     @property
     def sup_bound(self) -> float:
@@ -477,7 +481,9 @@ class LambdaProfile:
     and polished by Newton steps on f(u) = u + log(phi(e^u))/2 - log t,
     f'(u) = 1 + s*phi'/(2*phi), each kept inside the table interval by a
     bisection fallback.  Lambda comes from the s*phi'/phi of the final
-    iterate.
+    iterate.  Both the table and the tail, limit, are computed on first
+    use and kept; PhiSpec.profile keeps one profile per weight, so every
+    verdict on that weight reads the same tail.
     """
 
     def __init__(self, spec: PhiSpec):
@@ -563,16 +569,17 @@ class LambdaProfile:
             out = -r / (r + 2.0)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
-    def lambda_infinity(self, *, t_min: float = 1e-6, t_max: float = 1e8,
-                        per_decade: int = 10, tol: float = 1e-6,
-                        require_convergence: bool = False) -> LambdaLimit:
-        """Lambda_inf in closed form (horizon inf) or on a geometric t grid.
+    @cached_property
+    def limit(self) -> LambdaLimit:
+        """The tail of this weight, computed once.
 
-        The tail is extrapolated linearly in 1/log(t) (Richardson style, one
+        The power families take it in closed form.  Every other weight
+        samples Lambda at 10 nodes per decade on t in [1e-6, 1e8] and
+        extrapolates linearly in 1/log(t) (Richardson style, one
         elimination), which removes the leading logarithmic drift of slowly
-        saturating profiles.  Convergence is declared when the last three
-        raw nodes vary by less than tol relative to scale; an unconverged
-        tail is reported as such.
+        saturating profiles.  The tail has converged when its last three
+        nodes vary by less than 1e-6 relative to scale, and then Lambda_inf
+        is the last node.
         """
         if self.spec.family in (POWER, TRUNCATED_POWER):
             lam = -(self.spec.p - 2.0) / self.spec.p
@@ -581,48 +588,28 @@ class LambdaProfile:
             return LambdaLimit(
                 lambda_inf=lam_inf, lambda_inf_sq=lam_inf * lam_inf,
                 sup_lambda_sq=lam * lam, sup_bounded=lam * lam < 1.0,
-                converged=True, tail_variation=0.0, horizon=math.inf,
-                note="closed form")
+                converged=True, tail_variation=0.0)
 
-        n = max(2, int(round(per_decade * math.log10(t_max / t_min))))
-        grid = np.geomspace(t_min, t_max, n)
-        lam = self.lambda_of(grid)
-        lam_sq = lam * lam
-
+        lam = self.lambda_of(_TAIL_T)
         scale = max(float(np.max(np.abs(lam))), 1e-30)
         tail = lam[-3:]
         tail_var = float((np.max(tail) - np.min(tail)) / scale)
-        converged = tail_var < tol
-
-        x = 1.0 / np.log(grid[-2:])
-        dx = x[0] - x[1]
-        if abs(dx) > 0.0:
-            lam_inf = float(lam[-1] + (lam[-1] - lam[-2]) * x[1] / dx)
-        else:
-            lam_inf = float(lam[-1])
+        converged = tail_var < _TAIL_TOL
         if converged:
             lam_inf = float(lam[-1])
+        else:
+            x = 1.0 / np.log(_TAIL_T[-2:])
+            lam_inf = float(lam[-1]
+                            + (lam[-1] - lam[-2]) * x[1] / (x[0] - x[1]))
         # The extrapolation must not overshoot the admissible range.
         lam_inf = float(np.clip(lam_inf, -1.0, 1.0))
-
         # sup over the raw grid only: every node is a genuine Lambda(t)^2,
         # so this is a certified lower bound for sup over all t and never
         # borrows from the extrapolation.
-        sup_sq = float(np.max(lam_sq))
-        note = ""
-        if not converged:
-            note = (f"tail still moving (variation {tail_var:.3g}); "
-                    f"extrapolated Lambda_inf {lam_inf:.6g}")
-            if require_convergence:
-                raise NonConvergent(
-                    f"Lambda tail variation {tail_var:.3g} exceeds {tol:.3g} "
-                    f"at horizon {t_max:.3g}")
-
         return LambdaLimit(
             lambda_inf=lam_inf, lambda_inf_sq=lam_inf * lam_inf,
-            sup_lambda_sq=sup_sq, sup_bounded=False,
-            converged=converged, tail_variation=tail_var,
-            horizon=t_max, note=note)
+            sup_lambda_sq=float(np.max(lam * lam)), sup_bounded=False,
+            converged=converged, tail_variation=tail_var)
 
 
 # ---------------------------------------------------------------------------

@@ -222,16 +222,15 @@ def test_criterion_05_threshold_consistency():
             if simple > planar + 1e-12:
                 violations += 1
     # the same implication through the verdict layer for one weight
-    limit = LambdaProfile(power_phi(4.0)).lambda_infinity()
+    spec = power_phi(4.0)
     verdict_clashes = 0
     for lam in lams[::7]:
         for mu in mus[::7]:
-            nd = lameNd_sufficient(None, float(lam), float(mu), limit=limit)
+            nd = lameNd_sufficient(spec, float(lam), float(mu))
             if nd.status != STRICT_DISSIPATIVE:
                 continue
-            planar = lame2d_verdict(None, constant_field(float(lam),
-                                                         float(mu)),
-                                    limit=limit)
+            planar = lame2d_verdict(spec, constant_field(float(lam),
+                                                         float(mu)))
             if planar.status == NOT_DISSIPATIVE:
                 verdict_clashes += 1
     ok = violations == 0 and verdict_clashes == 0

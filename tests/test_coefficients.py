@@ -133,6 +133,18 @@ def test_bmo_constant_is_zero():
     assert bmo_seminorm(np.full((16, 16), 3.7)) == 0.0
 
 
+def test_bmo_rejects_nonfinite_nodes():
+    # A NaN compares false against every block mean and would read as zero
+    # oscillation, the value that certifies smallness.
+    with pytest.raises(ValueError, match="non-finite"):
+        bmo_seminorm(np.full((8, 8), np.nan))
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.zeros((8, 8))
+        vals[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            bmo_seminorm(vals)
+
+
 def test_bmo_checkerboard_exact():
     f = checkerboard_field(1.0, 1.0, 0.4, block=1, shape=(16, 16))
     assert bmo_seminorm(f.mu) == pytest.approx(0.2, rel=1e-14)

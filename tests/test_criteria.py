@@ -37,6 +37,7 @@ from funcdiss import (
     power_phi,
     ramp_field,
     truncated_power,
+    validate_phi,
 )
 from funcdiss import coefficients
 from funcdiss.criteria import _probe_matrix
@@ -187,6 +188,40 @@ def test_verdict_exp_square_refuted_by_grid_bound():
     assert any("unconverged" in n for n in v.notes)
 
 
+def _bump_ratio_phi():
+    """exp(20 g(s)) log(e + s) with g = 1/(1 + (10/s)^4): the ratio
+    s*phi'/phi = 80 g (1 - g) + s/((e + s) log(e + s)) peaks near 20 at
+    s = 10 and decays to 0, so condition (vi) fails and Lambda_inf = 0."""
+    def g(s):
+        return 1.0 / (1.0 + (10.0 / s) ** 4)
+
+    def phi(s):
+        s = np.asarray(s, dtype=float)
+        return np.exp(20.0 * g(s)) * np.log(math.e + s)
+
+    def dphi(s):
+        s = np.asarray(s, dtype=float)
+        gs = g(s)
+        r = 80.0 * gs * (1.0 - gs) + s / ((math.e + s) * np.log(math.e + s))
+        return phi(s) * r / s
+
+    return custom_phi(phi, dphi, label="bump-ratio")
+
+
+def test_verdict_unconverged_custom_tail_is_inconclusive():
+    # Only a ratio monotone by construction lets the sampled sup bound
+    # Lambda_inf^2 from below; exp_square still refutes (test above).
+    spec = _bump_ratio_phi()
+    assert validate_phi(spec).check("vi:ratio-monotone").status == "fails"
+    limit = spec.profile.limit
+    assert not limit.converged
+    # The sampled sup sees the bump of the ratio, not the limit.
+    assert limit.sup_lambda_sq > 0.8 and limit.lambda_inf_sq < 0.01
+    v = lame2d_verdict(spec, constant_field(1.0, 1.0))
+    assert v.status == INCONCLUSIVE
+    assert not any("refutation" in n for n in v.notes)
+
+
 def test_verdict_truncated_power_blocked_sup():
     # Limit ratio 0 passes the necessary bound, but sup Lambda^2 = 0.766
     # blocks the sufficiency argument: honest Inconclusive.
@@ -247,7 +282,7 @@ def test_verdict_sampled_sup_never_certifies_strict():
     s = np.geomspace(9.0, 11.0, 200_001)
     r = s * spec.dphi(s) / spec.phi(s)
     assert np.max((r / (r + 2.0)) ** 2) > 0.86     # above rhs = 0.75
-    limit = spec.profile.lambda_infinity()
+    limit = spec.profile.limit
     assert limit.sup_lambda_sq < 0.12              # the samples miss the step
     assert not limit.sup_bounded and limit.sup_bound == 1.0
     v = lame2d_verdict(spec, constant_field(1.0, 1.0))
@@ -345,18 +380,16 @@ def test_sufficient_never_contradicts_planar_necessary():
     lams = np.linspace(-1.8, 3.0, 12)
     mus = np.linspace(0.2, 3.0, 10)
     specs = [power_phi(p) for p in (2.0, 3.0, 6.0, 12.0)]
-    from funcdiss import LambdaProfile
-    limits = [LambdaProfile(s).lambda_infinity() for s in specs]
     for lam in lams:
         for mu in mus:
             if mu <= 0 or lam + 2 * mu <= 0:
                 continue
             cf = constant_field(float(lam), float(mu), shape=(5, 5))
-            for spec, lim in zip(specs, limits):
-                nd = lameNd_sufficient(None, float(lam), float(mu), limit=lim)
+            for spec in specs:
+                nd = lameNd_sufficient(spec, float(lam), float(mu))
                 if nd.status != STRICT_DISSIPATIVE:
                     continue
-                planar = lame2d_verdict(spec, cf, limit=lim)
+                planar = lame2d_verdict(spec, cf)
                 assert planar.status != NOT_DISSIPATIVE, (lam, mu, spec.label)
 
 
@@ -384,8 +417,9 @@ def test_perturbation_budget_is_linear_in_kappa0():
 
 
 def test_perturbation_budget_rejects_negative_margin():
-    with pytest.raises(NotStrict):
-        perturbation_budget(power_phi(2.0), 1.0, 1.0, -0.1)
+    for kappa0 in (-0.1, math.nan, math.inf):
+        with pytest.raises(NotStrict):
+            perturbation_budget(power_phi(2.0), 1.0, 1.0, kappa0)
 
 
 def test_kappa_hint_is_respected_and_validated():

@@ -17,15 +17,21 @@ from funcdiss import (
     BadTruncation,
     BracketFailure,
     LambdaProfile,
-    NonConvergent,
     NonPositivePhi,
     NotIncreasing,
     PhiSpec,
+    bump_field,
+    constant_field,
     custom_phi,
+    dissipativity_form,
     dual_phi,
     elasticity_breakdown,
     exp_square_phi,
     inverse_s_phi,
+    lame2d_verdict,
+    lameNd_sufficient,
+    oscillatory_counterexample,
+    perturbation_budget,
     power_phi,
     standard_ensemble,
     strict_margin,
@@ -33,7 +39,7 @@ from funcdiss import (
     validate_phi,
     young_pair,
 )
-from funcdiss.phi import _BRACKET_LO, _invert_monotone
+from funcdiss.phi import _BRACKET_LO, _TAIL_T, _invert_monotone
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +292,8 @@ def test_lambda_infinity_unchanged_by_forward_route(spec):
         def lambda_of(self, t):
             return _bisection_lambda(self.spec, np.asarray(t, dtype=float))
 
-    new = LambdaProfile(spec).lambda_infinity()
-    ref = Bisected(spec).lambda_infinity()
+    new = LambdaProfile(spec).limit
+    ref = Bisected(spec).limit
     assert new.converged == ref.converged
     assert new.sup_bounded == ref.sup_bounded
     for name in ("lambda_inf", "lambda_inf_sq", "sup_lambda_sq",
@@ -320,8 +326,34 @@ def test_forms_build_one_table_per_weight_and_call(monkeypatch):
 # Tail limits
 
 
+def test_one_tail_per_weight(monkeypatch):
+    samplings = []
+    original = LambdaProfile.lambda_of
+
+    def counting(self, t):
+        if t is _TAIL_T:
+            samplings.append(self.spec.label)
+        return original(self, t)
+
+    monkeypatch.setattr(LambdaProfile, "lambda_of", counting)
+    spec = exp_square_phi()
+    pair = (1.0, 1.0)
+    v = bump_field((0.1, -0.05), 0.15, 0.45, (1.0, 0.5),
+                   [[0.3, -0.2], [0.1, 0.4]])
+    assert lame2d_verdict(spec, constant_field(*pair)).status == \
+        "NotDissipative"
+    lameNd_sufficient(spec, *pair)
+    assert perturbation_budget(spec, *pair, 0.1) > 0.0
+    breakdown = elasticity_breakdown(pair, spec, v)
+    oscillatory_counterexample(*pair, spec, octaves=0)
+    assert samplings == ["exp_square"]
+    # The breakdown's total is the integrand of dissipativity_form.
+    assert breakdown.total == pytest.approx(dissipativity_form(pair, spec, v),
+                                            rel=1e-13)
+
+
 def test_limit_power_converges_exactly():
-    lim = LambdaProfile(power_phi(6.0)).lambda_infinity()
+    lim = LambdaProfile(power_phi(6.0)).limit
     expect = ((6.0 - 2.0) / 6.0) ** 2
     assert lim.converged
     assert lim.lambda_inf_sq == pytest.approx(expect, rel=1e-12)
@@ -331,7 +363,7 @@ def test_limit_power_converges_exactly():
 
 
 def test_limit_exp_square_tail_is_honest():
-    lim = LambdaProfile(exp_square_phi()).lambda_infinity()
+    lim = LambdaProfile(exp_square_phi()).limit
     assert not lim.converged
     assert not lim.sup_bounded
     assert abs(lim.lambda_inf_sq - 1.0) < 0.01
@@ -340,16 +372,10 @@ def test_limit_exp_square_tail_is_honest():
     assert lim.tail_variation > 1e-6
 
 
-def test_limit_exp_square_raises_when_convergence_required():
-    prof = LambdaProfile(exp_square_phi())
-    with pytest.raises(NonConvergent):
-        prof.lambda_infinity(require_convergence=True)
-
-
 def test_limit_truncated_power_vanishes():
     # The plateau kills phi', so Lambda -> 0 while the sup remembers the
     # power region near t -> 0.
-    lim = LambdaProfile(truncated_power(16.0, 3.0)).lambda_infinity()
+    lim = LambdaProfile(truncated_power(16.0, 3.0)).limit
     assert lim.converged
     assert lim.lambda_inf_sq == pytest.approx(0.0, abs=1e-12)
     assert lim.sup_lambda_sq == pytest.approx((1.0 - 2.0 / 16.0) ** 2,
