@@ -574,8 +574,9 @@ def _solve_payload(cfg: RunConfig, sol) -> dict[str, Any]:
                               for k, v in sol.weighted_energies.items()},
         "load_norm": sol.sobolev_norm_F,
         "load": dict(cfg.load),
-        "basis": "conforming multilinear elements, conjugate gradients with "
-                 "a diagonal preconditioner, Dirichlet walls",
+        "basis": "conforming multilinear elements, conjugate gradients "
+                 "preconditioned by a geometric multigrid V-cycle, Dirichlet "
+                 "walls",
     }
 
 

@@ -15,6 +15,12 @@ For a constant pair this is the classical reduced form
 mu <grad u, grad v> + (lambda + mu) (div u)(div v) on the constrained
 space, because the two differ by a null Lagrangian on H^1_0.
 
+The free block is solved by conjugate gradients preconditioned with one
+symmetric geometric multigrid V-cycle: linear interpolation between grids
+halved per axis, Galerkin coarse operators P^T A P, damped Jacobi
+smoothing and a direct solve on a small coarsest grid.  Its iteration
+count does not grow with the grid at a fixed lambda/mu.
+
 The solver exists to probe the weighted energy estimate
 
     int |grad u|^2 |u|^{p-2} dx <= C ( int |F|^{Np/(N+p-2)} )^{(N+p-2)/N}
@@ -29,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Mapping
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .coefficients import CoefficientField, constant_field
 from .criteria import (
@@ -335,15 +341,102 @@ def _assemble(prob: FemProblem, order: int = 2):
     return mat, rvec
 
 
+# ---------------------------------------------------------------------------
+# geometric multigrid preconditioner
+
+# The coarsest level is factorised by splu when it has at most this many
+# unknowns; a larger one, on a grid that cannot be halved, is only smoothed.
+_COARSE_DIRECT = 4000
+# Damped Jacobi sweeps before and after each coarse correction.
+_SWEEPS = 2
+# The Jacobi damping is _DAMPING / G, with G the Gershgorin bound on the
+# spectral radius of D^-1 A; any value below 2 keeps the smoother convergent.
+_DAMPING = 1.3
+
+
+def _interpolant_1d(cells: int):
+    """Linear interpolation from the cells/2 - 1 interior nodes of the
+    halved axis to the cells - 1 interior nodes of the fine one (stencil
+    1/2, 1, 1/2); the boundary nodes carry no free unknowns."""
+    coarse = cells // 2 - 1
+    j = np.arange(coarse)
+    rows = np.concatenate([2 * j, 2 * j + 1, 2 * j + 2])
+    vals = np.repeat([0.5, 1.0, 0.5], coarse)
+    return sparse.csr_array((vals, (rows, np.tile(j, 3))),
+                            shape=(cells - 1, coarse))
+
+
+def _jacobi_scale(a):
+    """omega / a_ii per row, with omega = _DAMPING / G."""
+    diag = a.diagonal()
+    gershgorin = float(np.max(abs(a).sum(axis=1) / diag))
+    return (_DAMPING / gershgorin) / diag
+
+
+def _hierarchy(kff, cells):
+    """Galerkin levels of the free block: [(A, scale, P)] from fine to
+    coarse, then the coarsest (A, scale, splu factor or None).
+
+    Each axis is halved while every cell count is even with a half of at
+    least 4; P is the Kronecker product of the 1-D interpolants times the
+    identity on the node-major displacement components, and the coarse
+    operator is P^T A P, so no level is re-assembled.
+    """
+    dim = len(cells)
+    levels = []
+    a = kff
+    while all(c % 2 == 0 and c // 2 >= 4 for c in cells):
+        p = reduce(sparse.kron, [_interpolant_1d(c) for c in cells]
+                   + [sparse.eye_array(dim)]).tocsr()
+        levels.append((a, _jacobi_scale(a), p))
+        a = (p.T @ a @ p).tocsr()
+        cells = tuple(c // 2 for c in cells)
+    lu = splu(a.tocsc()) if a.shape[0] <= _COARSE_DIRECT else None
+    return levels, (a, _jacobi_scale(a), lu)
+
+
+def _smooth(a, scale, b, x, sweeps: int):
+    for _ in range(sweeps):
+        x = x + scale * (b - a @ x)
+    return x
+
+
+def _vcycle(levels, coarsest, r):
+    """One symmetric V-cycle from a zero guess: the preconditioner M r.
+
+    A loop over the levels rather than a self-calling closure, so that no
+    reference cycle keeps the hierarchy alive after the solve.
+    """
+    rhs, iterates = [], []
+    for a, scale, p in levels:
+        x = _smooth(a, scale, r, scale * r, _SWEEPS - 1)
+        rhs.append(r)
+        iterates.append(x)
+        r = p.T @ (r - a @ x)
+    a, scale, lu = coarsest
+    x = lu.solve(r) if lu is not None \
+        else _smooth(a, scale, r, scale * r, 2 * _SWEEPS - 1)
+    for (a, scale, p), b, x0 in zip(reversed(levels), reversed(rhs),
+                                    reversed(iterates)):
+        x = _smooth(a, scale, b, x0 + p @ x, _SWEEPS)
+    return x
+
+
+def _preconditioner(kff, cells) -> LinearOperator:
+    levels, coarsest = _hierarchy(kff, cells)
+    return LinearOperator(kff.shape, dtype=kff.dtype,
+                          matvec=partial(_vcycle, levels, coarsest))
+
+
 def assemble_and_solve(prob: FemProblem) -> FemSolution:
     """Assemble the Q1 system, solve it and attach the energy bookkeeping.
 
-    Jacobi preconditioned CG runs to a fixed 1e-10 relative residual, with
-    at most 20000 iterations.  The solved field is then sampled once at
-    order-4 Gauss points, and those samples give both the weighted
-    energies, at the levels 2, 4, 8 and max(2, 2 u_max + 1) (u_max the
-    largest nodal |u|) plus the untruncated value under inf, and the load
-    norm.
+    CG preconditioned by one geometric multigrid V-cycle runs to a fixed
+    1e-10 relative residual, with at most 20000 iterations.  The solved
+    field is then sampled once at order-4 Gauss points, and those samples
+    give both the weighted energies, at the levels 2, 4, 8 and
+    max(2, 2 u_max + 1) (u_max the largest nodal |u|) plus the untruncated
+    value under inf, and the load norm.
 
     Raises NotStrict when the declared p fails the admissibility test for
     the coefficients and SolverDiverged if CG does not reach the residual;
@@ -359,16 +452,12 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     x = np.zeros_like(rvec)
     iterations = 0
     if np.any(bf != 0.0):
-        diag = kff.diagonal()
-        precond = sparse.dia_array((1.0 / diag[None, :], [0]),
-                                   shape=kff.shape)
-
         def tick(_):
             nonlocal iterations
             iterations += 1
 
         xf, info = cg(kff, bf, rtol=1e-10, atol=0.0, maxiter=20000,
-                      M=precond, callback=tick)
+                      M=_preconditioner(kff, prob.cells), callback=tick)
         if info != 0:
             raise SolverDiverged(f"conjugate gradients stopped with "
                                  f"info = {info}")

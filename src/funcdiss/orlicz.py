@@ -270,53 +270,82 @@ def _integral_of(M: YoungFunction, f: SampledField, scale_inv: float) -> float:
     return float(np.sum(f.weights * vals))
 
 
-def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
-    """Luxemburg gauge by geometric bisection of lambda -> int M(|f|/lambda).
+def _gauge_terms(M: YoungFunction, a: np.ndarray, weights: np.ndarray,
+                 lam: float):
+    """G = sum w M(a/lam) (overflow -> inf) and J = sum w M'(a/lam) a/lam,
+    so that d log G / d log lam = -J / G."""
+    t = a / lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = M(t)
+        slope = M.derivative(t) * t
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    return float(np.sum(weights * vals)), float(np.sum(weights * slope))
 
-    The map is nonincreasing in lambda; the bracket is grown geometrically
-    from max|f| and then halved in log space until the relative width drops
-    below 1e-9.
+
+# Relative width of the final Luxemburg bracket, and how many doublings
+# away from max|f| the bracket search may reach.
+_LUX_RTOL = 1e-9
+_LUX_OCTAVES = 200
+
+
+def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
+    """Luxemburg gauge by safeguarded Newton steps on log lambda.
+
+    G(lambda) = int M(|f|/lambda) is nonincreasing.  The search keeps a
+    bracket lo < hi in log lambda with G(lo) > 1 >= G(hi), starting from
+    lambda = max|f|.  Each step is Newton's on log G against log lambda,
+    with G'(lambda) = -int M'(|f|/lambda) |f|/lambda^2 from M.derivative,
+    moved a quarter of the tolerance past its target so that the bracket
+    closes from both sides.  A step that leaves the bracket, has no finite
+    slope or fails to halve the step before last is replaced by doubling
+    or halving lambda while one side is still open, and by geometric
+    bisection once both are known.  The search stops when hi/lo drops
+    below 1 + 1e-9 and returns sqrt(lo hi).  The bracket may reach 2^200
+    max|f| either way: above that NotIntegrable, below it the gauge is 0.
     """
     if not np.all(np.isfinite(f.values)):
         raise NotIntegrable("field contains non-finite samples")
-    amax = float(np.max(np.abs(f.values)))
+    a = np.abs(f.values)
+    amax = float(np.max(a))
     if amax == 0.0:
         return 0.0
 
-    lam = amax
-    g = _integral_of(M, f, 1.0 / lam)
-    if g > 1.0:
-        lo = lam
-        hi = 2.0 * lam
-        for _ in range(200):
-            if _integral_of(M, f, 1.0 / hi) <= 1.0:
-                break
-            lo = hi
-            hi *= 2.0
+    tol = math.log1p(_LUX_RTOL)
+    octave = math.log(2.0)
+    s_min = math.log(amax) - _LUX_OCTAVES * octave
+    s_max = math.log(amax) + _LUX_OCTAVES * octave
+    lo, hi = -math.inf, math.inf
+    s = math.log(amax)
+    last = before_last = math.inf
+    while True:
+        g, j = _gauge_terms(M, a, f.weights, math.exp(s))
+        if g > 1.0:
+            if s >= s_max:
+                raise NotIntegrable(
+                    f"int M(|f|/lambda) stays above 1 out to lambda = "
+                    f"{math.exp(s):.3g}")
+            lo = s
         else:
-            raise NotIntegrable(
-                f"int M(|f|/lambda) stays above 1 out to lambda = {hi:.3g}")
-    else:
-        hi = lam
-        lo = lam
-        for _ in range(200):
-            lo *= 0.5
-            if _integral_of(M, f, 1.0 / lo) > 1.0:
-                break
-        else:
-            # Even tiny lambda keeps the integral at or below 1; the gauge
-            # is the infimum of an interval reaching 0.
-            return 0.0
-
-    for _ in range(200):
-        if hi / lo <= 1.0 + 1e-9:
-            break
-        mid = math.sqrt(lo * hi)
-        if _integral_of(M, f, 1.0 / mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+            if s <= s_min:
+                # Even tiny lambda keeps the integral at or below 1; the
+                # gauge is the infimum of an interval reaching 0.
+                return 0.0
+            hi = s
+        if hi - lo <= tol:
+            return math.exp(0.5 * (lo + hi))
+        step = math.log(g) * g / j if 0.0 < g < math.inf and j > 0.0 \
+            else math.nan
+        nxt = s + step + math.copysign(0.25 * tol, step)
+        if not (lo < nxt < hi and abs(step) <= 0.5 * abs(before_last)):
+            if hi == math.inf:
+                nxt = lo + octave
+            elif lo == -math.inf:
+                nxt = hi - octave
+            else:
+                nxt = 0.5 * (lo + hi)
+        nxt = min(max(nxt, s_min), s_max)
+        before_last, last = last, nxt - s
+        s = nxt
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,6 +1,8 @@
 """Solver correctness, weighted energies, regularity ratios, exponent splits."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from funcdiss import NotStrict, lame2d_verdict, perturbation_budget, power_phi
 from funcdiss.coefficients import CoefficientField, ramp_field
@@ -29,9 +32,11 @@ INF = float("inf")
 
 
 def smooth_problem(cells, dim=2, amp=1.0, p=4.0, coeffs=(1.0, 1.0)):
-    nodes = cells + 1
-    xs = np.linspace(0.0, 1.0, nodes)
-    grids = np.meshgrid(*([xs] * dim), indexing="ij")
+    """Smooth load on [0, 1]^dim; cells is a count per side or a tuple."""
+    cells = (cells,) * dim if isinstance(cells, int) else tuple(cells)
+    dim = len(cells)
+    grids = np.meshgrid(*[np.linspace(0.0, 1.0, c + 1) for c in cells],
+                        indexing="ij")
     s = np.ones_like(grids[0])
     for g in grids:
         s = s * np.sin(np.pi * g)
@@ -39,8 +44,7 @@ def smooth_problem(cells, dim=2, amp=1.0, p=4.0, coeffs=(1.0, 1.0)):
     coef[0, 1] = -coef[0, 1]
     f = np.einsum("ij,...->...ij", coef, amp * s)
     domain = (0.0, 1.0) * dim
-    return FemProblem(domain=domain, cells=(cells,) * dim, coeffs=coeffs,
-                      rhs=f, p=p)
+    return FemProblem(domain=domain, cells=cells, coeffs=coeffs, rhs=f, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,85 @@ def test_solver_is_deterministic():
     b = assemble_and_solve(smooth_problem(16))
     assert np.array_equal(a.u, b.u)
     assert a.weighted_energies == b.weighted_energies
+
+
+# ---------------------------------------------------------------------------
+# multigrid preconditioned CG
+
+
+def free_system(prob):
+    mat, rvec = fem._assemble(prob)
+    free = np.flatnonzero(~np.repeat(fem._boundary_mask(prob.node_shape),
+                                     prob.dim))
+    return mat[free][:, free].tocsr(), rvec[free], free
+
+
+def test_cg_iterations_flat_under_refinement():
+    iters = [assemble_and_solve(manufactured_problem(n)).iterations
+             for n in (32, 64, 128, 256)]
+    assert max(iters) <= 20, iters
+    assert all(b <= 1.2 * a for a, b in zip(iters, iters[1:])), iters
+    # Jacobi preconditioned CG took 198 iterations at 64^2
+    assert iters[1] <= 198 // 4, iters
+
+
+@pytest.mark.parametrize("ratio, prob, bound", [
+    (10.0, lambda c: manufactured_problem(64, lam=c), 35),
+    (100.0, lambda c: manufactured_problem(64, lam=c), 90),
+    (10.0, lambda c: smooth_problem(16, dim=3, coeffs=(c, 1.0), p=2.0), 40),
+    (100.0, lambda c: smooth_problem(16, dim=3, coeffs=(c, 1.0), p=2.0),
+     110),
+])
+def test_cg_iterations_under_lame_contrast(ratio, prob, bound):
+    # Jacobi smoothing weakens as lambda/mu grows; these pin how far.
+    assert assemble_and_solve(prob(ratio)).iterations <= bound
+
+
+@pytest.mark.parametrize("prob", [
+    smooth_problem((8, 8)),
+    smooth_problem((12, 20)),
+    smooth_problem((9, 10)),          # odd: a single level, solved directly
+    fiber_problem(32),
+    smooth_problem((8, 8, 8)),
+    smooth_problem((16, 24), coeffs=ramp_field(1.0, 1.0, 0.25)),
+], ids=["8x8", "12x20", "9x10", "fiber", "8x8x8", "ramp"])
+def test_solution_matches_direct_solve(prob):
+    kff, bf, free = free_system(prob)
+    direct = spsolve(kff.tocsc(), bf)
+    x = assemble_and_solve(prob).u.ravel()[free]
+    assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("cells", [(32, 64), (8, 8, 8), (64, 65)],
+                         ids=["2d-levels", "3d-levels", "smoothing-only"])
+def test_vcycle_is_symmetric_positive(cells):
+    kff, _, _ = free_system(smooth_problem(cells))
+    if cells == (64, 65):
+        assert kff.shape[0] > fem._COARSE_DIRECT
+    precond = fem._preconditioner(kff, cells)
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((2, kff.shape[0]))
+    xmy, ymx = x @ precond.matvec(y), y @ precond.matvec(x)
+    scale = np.linalg.norm(x) * np.linalg.norm(precond.matvec(y))
+    assert abs(xmy - ymx) <= 1e-12 * scale
+    assert x @ precond.matvec(x) > 0.0
+
+
+def test_solve_leaves_no_hierarchy_behind():
+    # A self-calling V-cycle closure would form a reference cycle that
+    # holds every level until the cyclic collector runs.
+    prob = manufactured_problem(128)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        current = []
+        for _ in range(5):
+            assemble_and_solve(prob)
+            current.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert max(current) - min(current) <= 2 * 2 ** 20, current
 
 
 def test_inadmissible_exponent_rejected():

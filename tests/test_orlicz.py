@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from funcdiss import fem
 from funcdiss.errors import NotIntegrable, OrliczNormFailure
 from funcdiss.orlicz import (
     HolderReport,
@@ -89,6 +90,67 @@ def test_luxemburg_rejects_nonfinite_samples():
     f = SampledField.uniform(vals)
     with pytest.raises(NotIntegrable):
         luxemburg_norm(f, power_young(2.0))
+
+
+def bisection_gauge(f, M):
+    """Reference Luxemburg gauge: grow a bracket by doubling or halving
+    lambda from max|f|, then bisect log lambda to a relative width 1e-9."""
+    a = np.abs(f.values)
+
+    def above(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = M(a / lam)
+        return float(np.sum(f.weights * np.where(np.isnan(vals), np.inf,
+                                                 vals))) > 1.0
+
+    lo = hi = float(np.max(a))
+    if above(lo):
+        while above(hi):
+            lo, hi = hi, 2.0 * hi
+    else:
+        while not above(lo):
+            lo *= 0.5
+    while hi / lo > 1.0 + 1e-9:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return math.sqrt(lo * hi)
+
+
+def counted_young(M):
+    """M with a list that records each evaluation (pass over the samples)."""
+    calls = []
+
+    def fn(t):
+        calls.append(np.size(t))
+        return M.fn(t)
+
+    return YoungFunction(name=M.name, fn=fn, dfn=M.dfn,
+                         degenerate_tail=M.degenerate_tail), calls
+
+
+def test_luxemburg_newton_matches_bisection():
+    # the fields and pairs of acceptance criterion 08
+    youngs = [power_young(2.0, normalized=True), power_young(3.0),
+              power_young(1.5), exp_young(), exp_conjugate()]
+    for seed in range(50):
+        f = rng_field(seed, hi=1.5)
+        for M in youngs:
+            assert luxemburg_norm(f, M) == pytest.approx(
+                bisection_gauge(f, M), rel=1e-9), (seed, M.name)
+
+
+def test_luxemburg_newton_on_load_sample():
+    # |F|^2 of the 256^2 manufactured load at order-4 Gauss points, the
+    # sample the planar regularity study hands to the log type gauge
+    prob = fem.manufactured_problem(256, p=4.0)
+    _, _, fmag, weights = fem._gauss_samples(prob, np.zeros(
+        prob.node_shape + (2,)))
+    f = SampledField(values=fmag ** 2, weights=weights)
+    M = log_young(4.0)[0]
+    counted, calls = counted_young(M)
+    assert luxemburg_norm(f, counted) == pytest.approx(bisection_gauge(f, M),
+                                                       rel=1e-9)
+    assert 1 <= len(calls) <= 10, len(calls)
 
 
 # ---------------------------------------------------------------------------
