@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .coefficients import CoefficientField, GeneralSystem, ess_bounds
 from .errors import BudgetExhausted, EllipticityViolation, NotStrict
@@ -218,6 +217,8 @@ def algebraic_margin(system: GeneralSystem, lam_inf: float, *,
     f_star = float(np.angle(best[2][1])) if abs(best[2][1]) > 0 else 0.0
     params = np.array([a_star, e_star, f_star])
     if polish:
+        from scipy.optimize import minimize
+
         prev = min_val
         for _ in range(2):
             res = minimize(objective, params, method="Nelder-Mead",

@@ -36,11 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .coefficients import CoefficientField, constant_field
 from .criteria import (
@@ -52,6 +50,9 @@ from .criteria import (
 from .errors import NotStrict, SolverDiverged
 from .orlicz import SampledField, log_young, luxemburg_norm
 from .phi import power_phi, truncated_power
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "FemProblem",
@@ -308,6 +309,8 @@ def _check_admissible(prob: FemProblem):
 
 
 def _assemble(prob: FemProblem, order: int = 2):
+    from scipy import sparse
+
     dim = prob.dim
     node_shape = prob.node_shape
     nnodes = int(np.prod(node_shape))
@@ -316,8 +319,10 @@ def _assemble(prob: FemProblem, order: int = 2):
     ndof_loc = nbasis * dim
     div_blk, grad_blk = _local_blocks(dim, order, prob.spacings)
     lam, mu = _coefficient_samples(prob, order)
-    local = (np.einsum("eg,gaibj->eaibj", lam, div_blk)
-             + np.einsum("eg,gaibj->eaibj", mu, grad_blk))
+    ngauss = lam.shape[1]
+    # one product over all cells: (nel or 1, G) times (G, ndof_loc^2)
+    local = (lam @ div_blk.reshape(ngauss, -1)
+             + mu @ grad_blk.reshape(ngauss, -1))
     data = np.broadcast_to(local.reshape(-1, ndof_loc, ndof_loc),
                            (nel, ndof_loc, ndof_loc))
 
@@ -326,18 +331,20 @@ def _assemble(prob: FemProblem, order: int = 2):
             + np.arange(dim)[None, None, :]).reshape(nel, ndof_loc)
     rows = np.repeat(gdof, ndof_loc, axis=1).ravel()
     cols = np.tile(gdof, (1, ndof_loc)).ravel()
-    mat = sparse.coo_array(
-        (data.ravel(), (rows.astype(np.int64), cols.astype(np.int64))),
-        shape=(nnodes * dim, nnodes * dim)).tocsr()
+    mat = sparse.coo_array((data.ravel(), (rows, cols)),
+                           shape=(nnodes * dim, nnodes * dim)).tocsr()
 
-    # rhs: r[(a,J)] = int Fhat_{iJ} d_i phi_a, with Fhat the Q1 interpolant
+    # rhs: r[(a,J)] = int Fhat_{iJ} d_i phi_a, with Fhat the Q1 interpolant,
+    # is T[a, (i,b)] = sum_g w_g d_i phi_a(g) phi_b(g) times the corner
+    # values of F gathered as rows (i, b) and columns (cell, J)
     wv, vals, phys = _physical(dim, order, prob.spacings)
-    f_nodes = prob.rhs.reshape(nnodes, dim, dim)
-    f_corners = f_nodes[enodes]                       # (nel, nbasis, N, N)
-    f_gauss = np.einsum("gb,ebij->egij", vals, f_corners)
-    r_loc = np.einsum("g,egij,gai->eaj", wv, f_gauss, phys)
+    load_op = np.einsum("g,gai,gb->aib", wv, phys, vals).reshape(nbasis, -1)
+    f_corners = prob.rhs.reshape(nnodes, dim, dim).transpose(1, 0, 2)[
+        :, enodes.T].reshape(dim * nbasis, nel * dim)
+    r_loc = load_op @ f_corners
+    rdof = enodes.T[:, :, None] * dim + np.arange(dim)
     rvec = np.zeros(nnodes * dim)
-    np.add.at(rvec, gdof.ravel(), r_loc.reshape(nel, ndof_loc).ravel())
+    np.add.at(rvec, rdof.ravel(), r_loc.ravel())
     return mat, rvec
 
 
@@ -358,6 +365,8 @@ def _interpolant_1d(cells: int):
     """Linear interpolation from the cells/2 - 1 interior nodes of the
     halved axis to the cells - 1 interior nodes of the fine one (stencil
     1/2, 1, 1/2); the boundary nodes carry no free unknowns."""
+    from scipy import sparse
+
     coarse = cells // 2 - 1
     j = np.arange(coarse)
     rows = np.concatenate([2 * j, 2 * j + 1, 2 * j + 2])
@@ -382,6 +391,9 @@ def _hierarchy(kff, cells):
     identity on the node-major displacement components, and the coarse
     operator is P^T A P, so no level is re-assembled.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     dim = len(cells)
     levels = []
     a = kff
@@ -423,6 +435,8 @@ def _vcycle(levels, coarsest, r):
 
 
 def _preconditioner(kff, cells) -> LinearOperator:
+    from scipy.sparse.linalg import LinearOperator
+
     levels, coarsest = _hierarchy(kff, cells)
     return LinearOperator(kff.shape, dtype=kff.dtype,
                           matvec=partial(_vcycle, levels, coarsest))
@@ -442,6 +456,8 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     the coefficients and SolverDiverged if CG does not reach the residual;
     a bad coefficient pair is already rejected by FemProblem.
     """
+    from scipy.sparse.linalg import cg
+
     _check_admissible(prob)
     mat, rvec = _assemble(prob)
     dim = prob.dim
@@ -480,19 +496,28 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
 
 def _gauss_samples(prob: FemProblem, u: np.ndarray, order: int = 4):
     """|u|, |grad u|^2 and |F| at order-4 Gauss points with their weights,
-    each flat over (cell, Gauss point)."""
+    each flat over (cell, Gauss point).
+
+    The corner values of u and F are gathered once with the corner index
+    first, so each interpolation is one (G, 2^dim) matrix product over all
+    cells; the norms are then reductions over the component axes.
+    """
     dim = prob.dim
     wv, vals, phys = _physical(dim, order, prob.spacings)
     enodes = _element_nodes(prob.cells, prob.node_shape)
-    u_corners = u.reshape(-1, dim)[enodes]         # (nel, nbasis, N)
-    u_g = np.einsum("gb,ebj->egj", vals, u_corners)
-    grad_g = np.einsum("gbi,ebj->egji", phys, u_corners)
-    f_nodes = prob.rhs.reshape(-1, dim, dim)
-    f_g = np.einsum("gb,ebij->egij", vals, f_nodes[enodes])
-    umag = np.linalg.norm(u_g, axis=2).ravel()
-    grad_sq = np.einsum("egji,egji->eg", grad_g, grad_g).ravel()
-    fmag = np.sqrt(np.einsum("egij,egij->eg", f_g, f_g)).ravel()
-    weights = np.broadcast_to(wv[None, :], (len(enodes), len(wv))).ravel()
+    nel, nbasis = enodes.shape
+    ngauss = len(wv)
+    u_corners = u.reshape(-1, dim)[enodes.T].reshape(nbasis, -1)
+    f_corners = prob.rhs.reshape(-1, dim * dim)[enodes.T].reshape(nbasis, -1)
+    u_g = (vals @ u_corners).reshape(ngauss, nel, dim)
+    # rows (g, i) of d_i phi_b, columns (cell, j): grad_g[g, i, e, j] = d_i u_j
+    grad_g = (phys.transpose(0, 2, 1).reshape(-1, nbasis)
+              @ u_corners).reshape(ngauss, dim, nel, dim)
+    f_g = (vals @ f_corners).reshape(ngauss, nel, dim * dim)
+    umag = np.sqrt(np.einsum("gej,gej->eg", u_g, u_g)).ravel()
+    grad_sq = np.einsum("giej,giej->eg", grad_g, grad_g).ravel()
+    fmag = np.sqrt(np.einsum("gek,gek->eg", f_g, f_g)).ravel()
+    weights = np.broadcast_to(wv[None, :], (nel, ngauss)).ravel()
     return umag, grad_sq, fmag, weights
 
 

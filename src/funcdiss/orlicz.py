@@ -215,7 +215,8 @@ def log_young(p: float):
     def dfn(t):
         t = np.asarray(t, dtype=float)
         L = np.log(t + math.e)
-        return L ** a + t * a * L ** (a - 1.0) / (t + math.e)
+        # L^a + a t L^(a-1) / (t + e), factored to take a single power
+        return L ** a * (1.0 + a * t / (L * (t + math.e)))
 
     n_tilde = YoungFunction(name=f"log_type(p={p:g})", fn=fn, dfn=dfn,
                             degenerate_tail=True)

@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     BadTruncation,
@@ -669,6 +668,8 @@ class YoungPair:
 
 
 def _young_integral(spec: PhiSpec, upper: float) -> float:
+    from scipy.integrate import quad
+
     if upper == 0.0:
         return 0.0
     if upper < 0.0:

@@ -4,8 +4,11 @@ five commands, exit codes and byte-identical reruns."""
 import csv
 import hashlib
 import json
+import os
 import shutil
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -582,6 +585,26 @@ def test_main_roundtrip_through_yaml(tmp_path):
     for rec in keep_a + keep_b:
         rec.pop("out", None)
     assert keep_a == keep_b
+
+
+def test_check_loads_no_scipy(tmp_path):
+    # scipy is imported only inside the fem solver, the Young integral and
+    # the algebraic-margin polish, so the verdict path never pays for it.
+    doc = tmp_path / "run.yaml"
+    doc.write_text(f"command: check\nout: {tmp_path / 'report'}\n",
+                   encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import funcdiss.cli as cli\n"
+        f"code = cli.main([{str(doc)!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(code, loaded)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{EXIT_OK} []\n", proc.stdout
 
 
 def test_main_missing_config_is_exit_3(tmp_path, capsys):

@@ -139,6 +139,77 @@ def test_assembly_matches_reduced_form_on_free_dofs(dim):
     assert np.max(np.abs((mat - ref).toarray())) > 1e-3 * scale
 
 
+def _einsum_assembly(prob, order=2):
+    """Matrix and load vector by per-cell einsum contractions, the form
+    _assemble replaced with matrix products over all cells."""
+    dim = prob.dim
+    nnodes = int(np.prod(prob.node_shape))
+    enodes = fem._element_nodes(prob.cells, prob.node_shape)
+    nel, nbasis = enodes.shape
+    nloc = nbasis * dim
+    div_blk, grad_blk = fem._local_blocks(dim, order, prob.spacings)
+    lam, mu = fem._coefficient_samples(prob, order)
+    local = (np.einsum("eg,gaibj->eaibj", lam, div_blk)
+             + np.einsum("eg,gaibj->eaibj", mu, grad_blk))
+    data = np.broadcast_to(local.reshape(-1, nloc, nloc), (nel, nloc, nloc))
+    gdof = (enodes[:, :, None] * dim + np.arange(dim)).reshape(nel, nloc)
+    rows = np.repeat(gdof, nloc, axis=1).ravel()
+    cols = np.tile(gdof, (1, nloc)).ravel()
+    mat = sparse.coo_array((data.ravel(), (rows, cols)),
+                           shape=(nnodes * dim, nnodes * dim)).tocsr()
+    wv, vals, phys = fem._physical(dim, order, prob.spacings)
+    f_corners = prob.rhs.reshape(nnodes, dim, dim)[enodes]
+    f_gauss = np.einsum("gb,ebij->egij", vals, f_corners)
+    r_loc = np.einsum("g,egij,gai->eaj", wv, f_gauss, phys)
+    rvec = np.zeros(nnodes * dim)
+    np.add.at(rvec, gdof.ravel(), r_loc.reshape(nel, nloc).ravel())
+    return mat, rvec
+
+
+def _einsum_samples(prob, u, order=4):
+    """|u|, |grad u|^2, |F| and weights by per-cell einsum contractions."""
+    dim = prob.dim
+    wv, vals, phys = fem._physical(dim, order, prob.spacings)
+    enodes = fem._element_nodes(prob.cells, prob.node_shape)
+    u_corners = u.reshape(-1, dim)[enodes]
+    u_g = np.einsum("gb,ebj->egj", vals, u_corners)
+    grad_g = np.einsum("gbi,ebj->egji", phys, u_corners)
+    f_g = np.einsum("gb,ebij->egij", vals,
+                    prob.rhs.reshape(-1, dim, dim)[enodes])
+    return (np.linalg.norm(u_g, axis=2).ravel(),
+            np.einsum("egji,egji->eg", grad_g, grad_g).ravel(),
+            np.sqrt(np.einsum("egij,egij->eg", f_g, f_g)).ravel(),
+            np.broadcast_to(wv, (len(enodes), len(wv))).ravel())
+
+
+# FemProblem needs at least 8 cells per side, so the 3-D case is the
+# smallest anisotropic box it admits.
+_CONTRACTION_CASES = pytest.mark.parametrize("prob", [
+    smooth_problem((12, 20)),
+    smooth_problem((12, 20), coeffs=ramp_field(1.0, 1.0, 0.25)),
+    smooth_problem((8, 9, 10)),
+], ids=["12x20", "ramp", "8x9x10"])
+
+
+@_CONTRACTION_CASES
+def test_assembly_matches_einsum_reference(prob):
+    mat, rvec = fem._assemble(prob)
+    ref_mat, ref_rvec = _einsum_assembly(prob)
+    scale = float(np.max(np.abs(ref_mat.data)))
+    assert np.max(np.abs((mat - ref_mat).toarray())) <= 1e-13 * scale
+    assert np.max(np.abs(rvec - ref_rvec)) <= 1e-13 * np.max(np.abs(ref_rvec))
+
+
+@_CONTRACTION_CASES
+def test_gauss_samples_match_einsum_reference(prob):
+    u = np.random.default_rng(5).standard_normal(prob.node_shape
+                                                 + (prob.dim,))
+    for got, ref in zip(fem._gauss_samples(prob, u),
+                        _einsum_samples(prob, u)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_solution_sampled_once_per_solve(monkeypatch):
     calls = []
     sampler = fem._gauss_samples

@@ -300,6 +300,18 @@ def test_log_young_derivative_consistency():
     assert np.allclose(n4.derivative(t), numeric, rtol=1e-6)
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 8.0])
+def test_log_young_derivative_matches_two_power_form(p):
+    # The slope is evaluated as L^a (1 + a t / (L (t + e))); the reference
+    # is the term-by-term derivative L^a + a t L^(a-1) / (t + e).
+    a = (p - 2.0) / p
+    t = np.geomspace(1e-12, 1e12, 2001)
+    L = np.log(t + math.e)
+    ref = L ** a + t * a * L ** (a - 1.0) / (t + math.e)
+    n_tilde, _ = log_young(p)
+    assert np.max(np.abs(n_tilde.derivative(t) - ref) / ref) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Legendre conjugation
 
