@@ -15,6 +15,12 @@ For a constant pair this is the classical reduced form
 mu <grad u, grad v> + (lambda + mu) (div u)(div v) on the constrained
 space, because the two differ by a null Lagrangian on H^1_0.
 
+Only the free block, the interior nodes where u is not fixed, is ever
+assembled.  Each interior node couples to its 3^N neighbours; the stencil
+of each neighbour offset sums slices of the per-cell matrices over the
+corner pairs at that offset and is written straight into the rows of a
+canonical CSR matrix, with no triplet list and no full matrix.
+
 The free block is solved by conjugate gradients preconditioned with one
 symmetric geometric multigrid V-cycle: linear interpolation between grids
 halved per axis, Galerkin coarse operators P^T A P, damped Jacobi
@@ -27,8 +33,9 @@ The solver exists to probe the weighted energy estimate
 
 through truncated weights, Holder exponent splits and refinement studies,
 not to be a general purpose elasticity code.  Each solve samples |u|,
-|grad u|^2 and |F| once at order-4 Gauss points, and both sides of the
-estimate are read from those samples.
+|grad u|^2 and |F| once at order-4 Gauss points, in fixed blocks of cells
+so that only the samples themselves scale with the grid, and both sides of
+the estimate are read from those samples.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import product
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -228,17 +236,6 @@ def _element_nodes(cells, node_shape):
     return base[:, None] + offs[None, :]
 
 
-def _boundary_mask(node_shape):
-    mask = np.zeros(node_shape, dtype=bool)
-    for d in range(len(node_shape)):
-        sl = [slice(None)] * len(node_shape)
-        sl[d] = 0
-        mask[tuple(sl)] = True
-        sl[d] = -1
-        mask[tuple(sl)] = True
-    return mask.ravel()
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -308,44 +305,100 @@ def _check_admissible(prob: FemProblem):
                 f"(verdict {verdict.status})")
 
 
+def _stencil_offsets(dim: int):
+    """The 3^dim node offsets o in {-1, 0, 1}^dim, lexicographic, each with
+    the corner pairs (a, b) of a cell whose bits(b) - bits(a) = o."""
+    out = []
+    for off in product((-1, 0, 1), repeat=dim):
+        pairs = []
+        for a in range(2 ** dim):
+            hi = [((a >> d) & 1) + o for d, o in enumerate(off)]
+            if all(0 <= t <= 1 for t in hi):
+                pairs.append((a, sum(t << d for d, t in enumerate(hi))))
+        out.append((off, pairs))
+    return out
+
+
 def _assemble(prob: FemProblem, order: int = 2):
+    """Free block kff (canonical CSR, sorted and without duplicates) and
+    free load vector bf of the Q1 system.
+
+    The free unknowns are the interior nodes, row major, times the N
+    displacement components.  An interior node p couples to the nodes p + o,
+    o in {-1, 0, 1}^N.  The stencil plane of one offset o is the sum, over
+    the corner pairs (a, b) with bits(b) - bits(a) = o, of local[a, :, b, :]
+    of the cell that has p at corner a; each pair is one slice of the cells.
+    Each plane is written straight into the CSR rows, dropping the
+    neighbours on the boundary, where u is fixed at zero.  The load vector
+    is summed the same way, one corner slice at a time.
+    """
     from scipy import sparse
 
     dim = prob.dim
-    node_shape = prob.node_shape
-    nnodes = int(np.prod(node_shape))
-    enodes = _element_nodes(prob.cells, node_shape)
-    nel, nbasis = enodes.shape
-    ndof_loc = nbasis * dim
+    cells = prob.cells
+    inner = tuple(c - 1 for c in cells)
+    nbasis = 2 ** dim
     div_blk, grad_blk = _local_blocks(dim, order, prob.spacings)
     lam, mu = _coefficient_samples(prob, order)
     ngauss = lam.shape[1]
-    # one product over all cells: (nel or 1, G) times (G, ndof_loc^2)
+    # one product over all cells: (nel or 1, G) times (G, (2^N N)^2), seen
+    # as local[cell..., a, i, b, j], or local[a, i, b, j] for every cell
     local = (lam @ div_blk.reshape(ngauss, -1)
              + mu @ grad_blk.reshape(ngauss, -1))
-    data = np.broadcast_to(local.reshape(-1, ndof_loc, ndof_loc),
-                           (nel, ndof_loc, ndof_loc))
+    varying = len(local) > 1
+    local = local.reshape((cells if varying else ())
+                          + (nbasis, dim, nbasis, dim))
 
-    # global dof = node * dim + component
-    gdof = (enodes[:, :, None] * dim
-            + np.arange(dim)[None, None, :]).reshape(nel, ndof_loc)
-    rows = np.repeat(gdof, ndof_loc, axis=1).ravel()
-    cols = np.tile(gdof, (1, ndof_loc)).ravel()
-    mat = sparse.coo_array((data.ravel(), (rows, cols)),
-                           shape=(nnodes * dim, nnodes * dim)).tocsr()
+    def around(rows, a):
+        # the cells that hold the interior nodes rows at their corner a
+        return tuple(slice(r.start + 1 - ((a >> d) & 1),
+                           r.stop + 1 - ((a >> d) & 1))
+                     for d, r in enumerate(rows))
+
+    # valid[p, o]: p + o is an interior node, a product over the axes.
+    # A row of node p holds count[p] entries, its valid offsets in order,
+    # each with the N components; those of offset o start at rank[p, o].
+    valid = np.ones(inner + (3,) * dim, dtype=bool)
+    for d, n in enumerate(inner):
+        q = np.arange(n)[:, None] + np.arange(-1, 2)
+        shape = [1] * (2 * dim)
+        shape[d], shape[dim + d] = n, 3
+        valid &= ((q >= 0) & (q < n)).reshape(shape)
+    rank = np.cumsum(valid.reshape(inner + (-1,)), axis=-1, dtype=np.int32)
+    count = rank[..., -1] * dim
+    rank = (rank - 1) * dim
+    nnz = int(count.sum()) * dim
+    itype = np.int32 if nnz < 2 ** 31 else np.int64
+    indptr = np.zeros(count.size * dim + 1, dtype=itype)
+    np.cumsum(np.repeat(count.ravel(), dim), out=indptr[1:])
+    first = indptr[:-1].reshape(inner + (dim, 1))  # where row (p, i) starts
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=itype)
+    nodes = np.arange(count.size, dtype=itype).reshape(inner + (1, 1)) * dim
+    comp = np.arange(dim, dtype=itype)
+    for s, (off, pairs) in enumerate(_stencil_offsets(dim)):
+        rows = tuple(slice(max(0, -o), n - max(0, o))
+                     for o, n in zip(off, inner))
+        cols = tuple(slice(r.start + o, r.stop + o) for r, o in zip(rows, off))
+        pos = first[rows] + rank[rows + (s, None, None)] + comp
+        data[pos] = sum(local[(around(rows, a) if varying else ())
+                              + (a, slice(None), b)] for a, b in pairs)
+        indices[pos] = nodes[cols] + comp
+    kff = sparse.csr_array((data, indices, indptr),
+                           shape=(indptr.size - 1,) * 2)
 
     # rhs: r[(a,J)] = int Fhat_{iJ} d_i phi_a, with Fhat the Q1 interpolant,
     # is T[a, (i,b)] = sum_g w_g d_i phi_a(g) phi_b(g) times the corner
     # values of F gathered as rows (i, b) and columns (cell, J)
     wv, vals, phys = _physical(dim, order, prob.spacings)
     load_op = np.einsum("g,gai,gb->aib", wv, phys, vals).reshape(nbasis, -1)
-    f_corners = prob.rhs.reshape(nnodes, dim, dim).transpose(1, 0, 2)[
-        :, enodes.T].reshape(dim * nbasis, nel * dim)
-    r_loc = load_op @ f_corners
-    rdof = enodes.T[:, :, None] * dim + np.arange(dim)
-    rvec = np.zeros(nnodes * dim)
-    np.add.at(rvec, rdof.ravel(), r_loc.ravel())
-    return mat, rvec
+    enodes = _element_nodes(cells, prob.node_shape)
+    f_corners = prob.rhs.reshape(-1, dim, dim).transpose(1, 0, 2)[
+        :, enodes.T].reshape(dim * nbasis, -1)
+    r_loc = (load_op @ f_corners).reshape((nbasis,) + cells + (dim,))
+    interior = tuple(slice(0, n) for n in inner)
+    bf = sum(r_loc[(a,) + around(interior, a)] for a in range(nbasis))
+    return kff, bf.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +431,8 @@ def _interpolant_1d(cells: int):
 def _jacobi_scale(a):
     """omega / a_ii per row, with omega = _DAMPING / G."""
     diag = a.diagonal()
-    gershgorin = float(np.max(abs(a).sum(axis=1) / diag))
+    rowsum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
+    gershgorin = float(np.max(rowsum / diag))
     return (_DAMPING / gershgorin) / diag
 
 
@@ -401,7 +455,8 @@ def _hierarchy(kff, cells):
         p = reduce(sparse.kron, [_interpolant_1d(c) for c in cells]
                    + [sparse.eye_array(dim)]).tocsr()
         levels.append((a, _jacobi_scale(a), p))
-        a = (p.T @ a @ p).tocsr()
+        # P^T as CSR: a CSC left factor would make scipy copy A to CSC
+        a = p.T.tocsr() @ a @ p
         cells = tuple(c // 2 for c in cells)
     lu = splu(a.tocsc()) if a.shape[0] <= _COARSE_DIRECT else None
     return levels, (a, _jacobi_scale(a), lu)
@@ -459,13 +514,9 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     from scipy.sparse.linalg import cg
 
     _check_admissible(prob)
-    mat, rvec = _assemble(prob)
+    kff, bf = _assemble(prob)
     dim = prob.dim
-    fixed = np.repeat(_boundary_mask(prob.node_shape), dim)
-    idx = np.flatnonzero(~fixed)
-    kff = mat[idx][:, idx]
-    bf = rvec[idx]
-    x = np.zeros_like(rvec)
+    xf = np.zeros_like(bf)
     iterations = 0
     if np.any(bf != 0.0):
         def tick(_):
@@ -477,10 +528,13 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
         if info != 0:
             raise SolverDiverged(f"conjugate gradients stopped with "
                                  f"info = {info}")
-        x[idx] = xf
-    energy = 0.5 * float(x @ (mat @ x))
-    work = float(rvec @ x)
-    u = x.reshape(prob.node_shape + (dim,))
+    # u is zero on the boundary, so the free block carries both sums
+    energy = 0.5 * float(xf @ (kff @ xf))
+    work = float(bf @ xf)
+    del kff, bf  # not held while the Gauss samples are taken
+    u = np.zeros(prob.node_shape + (dim,))
+    u[(slice(1, -1),) * dim] = xf.reshape(tuple(c - 1 for c in prob.cells)
+                                          + (dim,))
     samples = _gauss_samples(prob, u)
     umax = float(np.max(np.linalg.norm(u.reshape(-1, dim), axis=1)))
     levels = [2.0, 4.0, 8.0, max(2.0, 2.0 * umax + 1.0)]
@@ -493,32 +547,48 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
 # ---------------------------------------------------------------------------
 # quadrature over the solved field
 
+# Gauss points per block of cells in _gauss_samples; a block's transients
+# take about 180 bytes per point in 3-D, 12 MB in all.
+_SAMPLE_BLOCK = 2 ** 16
+
 
 def _gauss_samples(prob: FemProblem, u: np.ndarray, order: int = 4):
     """|u|, |grad u|^2 and |F| at order-4 Gauss points with their weights,
     each flat over (cell, Gauss point).
 
-    The corner values of u and F are gathered once with the corner index
-    first, so each interpolation is one (G, 2^dim) matrix product over all
-    cells; the norms are then reductions over the component axes.
+    The cells run in blocks of about _SAMPLE_BLOCK Gauss points, so the
+    transients are bounded by the block, not the grid.  In each block the
+    corner values of u and F are gathered with the corner index first, so
+    each interpolation is one (G, 2^dim) matrix product over the block's
+    cells; the norms are reductions over the component axes, written into
+    the preallocated outputs.
     """
     dim = prob.dim
     wv, vals, phys = _physical(dim, order, prob.spacings)
     enodes = _element_nodes(prob.cells, prob.node_shape)
     nel, nbasis = enodes.shape
     ngauss = len(wv)
-    u_corners = u.reshape(-1, dim)[enodes.T].reshape(nbasis, -1)
-    f_corners = prob.rhs.reshape(-1, dim * dim)[enodes.T].reshape(nbasis, -1)
-    u_g = (vals @ u_corners).reshape(ngauss, nel, dim)
-    # rows (g, i) of d_i phi_b, columns (cell, j): grad_g[g, i, e, j] = d_i u_j
-    grad_g = (phys.transpose(0, 2, 1).reshape(-1, nbasis)
-              @ u_corners).reshape(ngauss, dim, nel, dim)
-    f_g = (vals @ f_corners).reshape(ngauss, nel, dim * dim)
-    umag = np.sqrt(np.einsum("gej,gej->eg", u_g, u_g)).ravel()
-    grad_sq = np.einsum("giej,giej->eg", grad_g, grad_g).ravel()
-    fmag = np.sqrt(np.einsum("gek,gek->eg", f_g, f_g)).ravel()
+    # rows (g, i) of d_i phi_b, so grad_g[g, i, e, j] = d_i u_j
+    dphi = phys.transpose(0, 2, 1).reshape(-1, nbasis)
+    u_nodes = u.reshape(-1, dim)
+    f_nodes = prob.rhs.reshape(-1, dim * dim)
+    umag, grad_sq, fmag = (np.empty((nel, ngauss)) for _ in range(3))
+    step = _SAMPLE_BLOCK // ngauss
+    for lo in range(0, nel, step):
+        corners = enodes[lo:lo + step].T
+        nb = corners.shape[1]
+        rows = slice(lo, lo + nb)
+        u_corners = u_nodes[corners].reshape(nbasis, -1)
+        u_g = (vals @ u_corners).reshape(ngauss, nb, dim)
+        np.einsum("gej,gej->eg", u_g, u_g, out=umag[rows])
+        grad_g = (dphi @ u_corners).reshape(ngauss, dim, nb, dim)
+        np.einsum("giej,giej->eg", grad_g, grad_g, out=grad_sq[rows])
+        f_g = (vals @ f_nodes[corners].reshape(nbasis, -1)).reshape(
+            ngauss, nb, dim * dim)
+        np.einsum("gek,gek->eg", f_g, f_g, out=fmag[rows])
     weights = np.broadcast_to(wv[None, :], (nel, ngauss)).ravel()
-    return umag, grad_sq, fmag, weights
+    return (np.sqrt(umag, out=umag).ravel(), grad_sq.ravel(),
+            np.sqrt(fmag, out=fmag).ravel(), weights)
 
 
 def _weighted_energies(samples, p: float, k_list) -> dict:

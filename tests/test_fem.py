@@ -2,8 +2,12 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,51 +101,76 @@ def test_constant_field_path_matches_constant_pair():
     assert np.max(np.abs(a.u - b.u)) < 1e-12
 
 
+def _free_dofs(prob):
+    """Indices of the interior-node unknowns in the node-major numbering of
+    all nodes, in the order of the free block."""
+    node = np.arange(int(np.prod(prob.node_shape))).reshape(prob.node_shape)
+    inner = node[(slice(1, -1),) * prob.dim].ravel()
+    return (inner[:, None] * prob.dim + np.arange(prob.dim)).ravel()
+
+
 def _reduced_form_matrix(prob, order=2):
     """Global matrix of the classical reduced form
-    mu <grad u, grad v> + (lam + mu) (div u)(div v) for a constant pair."""
-    lam, mu = prob.coeffs
+    mu <grad u, grad v> + (lam + mu) (div u)(div v), with (lam, mu) sampled
+    at the Gauss points of each cell as the assembler samples them."""
     dim = prob.dim
     w, _, grads = fem._reference(dim, order)
     h = np.asarray(prob.spacings)
     phys = grads / h
     wv = w * np.prod(h)
-    div = np.einsum("g,gai,gbj->aibj", wv, phys, phys)
-    gg = np.einsum("g,gad,gbd->ab", wv, phys, phys)
-    lap = np.einsum("ab,ij->aibj", gg, np.eye(dim))
+    div = np.einsum("g,gai,gbj->gaibj", wv, phys, phys)
+    gg = np.einsum("g,gad,gbd->gab", wv, phys, phys)
+    lap = np.einsum("gab,ij->gaibj", gg, np.eye(dim))
+    lam, mu = fem._coefficient_samples(prob, order)
     nloc = 2 ** dim * dim
-    local = (mu * lap + (lam + mu) * div).reshape(nloc, nloc)
+    local = (np.einsum("eg,gaibj->eaibj", mu, lap)
+             + np.einsum("eg,gaibj->eaibj", lam + mu, div))
     enodes = fem._element_nodes(prob.cells, prob.node_shape)
+    data = np.broadcast_to(local.reshape(-1, nloc, nloc),
+                           (len(enodes), nloc, nloc))
     gdof = (enodes[:, :, None] * dim + np.arange(dim)).reshape(-1, nloc)
     rows = np.repeat(gdof, nloc, axis=1).ravel()
     cols = np.tile(gdof, (1, nloc)).ravel()
     ndof = int(np.prod(prob.node_shape)) * dim
-    return sparse.coo_array((np.tile(local.ravel(), len(gdof)),
-                             (rows, cols)), shape=(ndof, ndof)).tocsr()
+    return sparse.coo_array((data.ravel(), (rows, cols)),
+                            shape=(ndof, ndof)).tocsr()
+
+
+def _gap_to_reduced_form(prob):
+    """max |kff - reduced form| on the free unknowns, and max |kff|."""
+    kff, _ = fem._assemble(prob)
+    free = _free_dofs(prob)
+    ref = _reduced_form_matrix(prob)[free][:, free]
+    return (float(np.max(np.abs((kff - ref).toarray()))),
+            float(np.max(np.abs(kff.data))))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_assembly_matches_reduced_form_on_free_dofs(dim):
     # The non reduced form differs from the reduced one by the null
     # Lagrangian (div u)(div v) - sum d_k u_j d_j v_k, which vanishes on
-    # H^1_0: the free block agrees, the boundary rows do not.
+    # H^1_0 for a constant pair: the free blocks agree.
     domain = (0.0, 1.0, 0.0, 2.0, 0.0, 0.5)[:2 * dim]
     prob = FemProblem(domain=domain, cells=(8, 10, 9)[:dim],
                       coeffs=(2.0, 0.7),
                       rhs=np.zeros((9, 11, 10)[:dim] + (dim, dim)))
-    mat, _ = fem._assemble(prob)
-    ref = _reduced_form_matrix(prob)
-    scale = float(np.max(np.abs(mat.data)))
-    free = np.flatnonzero(~np.repeat(fem._boundary_mask(prob.node_shape),
-                                     dim))
-    gap = (mat[free][:, free] - ref[free][:, free]).toarray()
-    assert np.max(np.abs(gap)) <= 1e-13 * scale
-    assert np.max(np.abs((mat - ref).toarray())) > 1e-3 * scale
+    gap, scale = _gap_to_reduced_form(prob)
+    assert gap <= 1e-13 * scale
+
+
+def test_assembly_is_not_reduced_form_for_varying_mu():
+    # With mu varying, mu times the null Lagrangian no longer integrates to
+    # zero, so the free block tells the two forms apart; the gap is of the
+    # order h |grad mu| / mu, here about 5e-3 of the largest entry.
+    prob = smooth_problem((8, 8), coeffs=ramp_field(1.0, 1.0, 1.0))
+    gap, scale = _gap_to_reduced_form(prob)
+    assert gap > 1e-3 * scale
 
 
 def _einsum_assembly(prob, order=2):
-    """Matrix and load vector by per-cell einsum contractions, the form
-    _assemble replaced with matrix products over all cells."""
+    """Full matrix and load vector over all nodes by per-cell einsum
+    contractions and COO summation, the reference for _assemble's free
+    block."""
     dim = prob.dim
     nnodes = int(np.prod(prob.node_shape))
     enodes = fem._element_nodes(prob.cells, prob.node_shape)
@@ -193,11 +222,15 @@ _CONTRACTION_CASES = pytest.mark.parametrize("prob", [
 
 @_CONTRACTION_CASES
 def test_assembly_matches_einsum_reference(prob):
-    mat, rvec = fem._assemble(prob)
+    kff, bf = fem._assemble(prob)
     ref_mat, ref_rvec = _einsum_assembly(prob)
-    scale = float(np.max(np.abs(ref_mat.data)))
-    assert np.max(np.abs((mat - ref_mat).toarray())) <= 1e-13 * scale
-    assert np.max(np.abs(rvec - ref_rvec)) <= 1e-13 * np.max(np.abs(ref_rvec))
+    free = _free_dofs(prob)
+    ref_kff, ref_bf = ref_mat[free][:, free], ref_rvec[free]
+    assert kff.has_canonical_format
+    assert kff.shape == ref_kff.shape
+    scale = float(np.max(np.abs(ref_kff.data)))
+    assert np.max(np.abs((kff - ref_kff).toarray())) <= 1e-13 * scale
+    assert np.max(np.abs(bf - ref_bf)) <= 1e-13 * np.max(np.abs(ref_bf))
 
 
 @_CONTRACTION_CASES
@@ -208,6 +241,58 @@ def test_gauss_samples_match_einsum_reference(prob):
                         _einsum_samples(prob, u)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cells", [(70, 60), (11, 10, 10)],
+                         ids=["70x60", "11x10x10"])
+def test_blocked_samples_match_einsum_reference(cells):
+    prob = smooth_problem(cells)
+    step = fem._SAMPLE_BLOCK // 4 ** prob.dim
+    nel = math.prod(cells)
+    assert step < nel and nel % step != 0  # several blocks, the last ragged
+    u = np.random.default_rng(7).standard_normal(prob.node_shape
+                                                 + (prob.dim,))
+    for got, ref in zip(fem._gauss_samples(prob, u),
+                        _einsum_samples(prob, u)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+_RSS_PROBE = """
+import resource
+import numpy as np
+from funcdiss.fem import FemProblem, assemble_and_solve
+n = 24
+x = np.sin(np.pi * np.linspace(0.0, 1.0, n + 1))
+coef = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
+coef[0, 1] = -coef[0, 1]
+rhs = np.einsum("ij,a,b,c->abcij", coef, x, x, x)
+sol = assemble_and_solve(FemProblem(domain=(0.0, 1.0) * 3, cells=(n,) * 3,
+                                    coeffs=(1.0, 1.0), rhs=rhs, p=3.0))
+print(sol.iterations, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_3d_solve_peak_rss():
+    # Neither the assembly nor the Gauss sampling may hold per-cell
+    # transients of the whole grid: a smooth 24^3 solve, about 41k free
+    # unknowns, peaked at 439 MB with COO assembly and unblocked sampling.
+    # One BLAS thread, so that no per-thread buffer enters the figure.  A
+    # process starts with the RSS high-water mark of the one that forked
+    # it, so the probe runs as the child of a small interpreter, not of
+    # this test process.
+    src = str(Path(fem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    hop = ("import subprocess, sys\n"
+           "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]])"
+           ".returncode)\n")
+    proc = subprocess.run([sys.executable, "-c", hop, _RSS_PROBE],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    iterations, maxrss_kb = map(int, proc.stdout.split())
+    assert iterations > 0
+    assert maxrss_kb <= 300 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
 
 
 def test_solution_sampled_once_per_solve(monkeypatch):
@@ -254,10 +339,8 @@ def test_solver_is_deterministic():
 
 
 def free_system(prob):
-    mat, rvec = fem._assemble(prob)
-    free = np.flatnonzero(~np.repeat(fem._boundary_mask(prob.node_shape),
-                                     prob.dim))
-    return mat[free][:, free].tocsr(), rvec[free], free
+    kff, bf = fem._assemble(prob)
+    return kff, bf, _free_dofs(prob)
 
 
 def test_cg_iterations_flat_under_refinement():
