@@ -38,7 +38,7 @@ import numpy as np
 
 from .coefficients import CoefficientField, GeneralSystem, ess_bounds
 from .errors import BudgetExhausted, EllipticityViolation, NotStrict
-from .phi import EXP_SQUARE, POWER, LambdaLimit, PhiSpec
+from .phi import LambdaLimit, PhiSpec
 
 __all__ = [
     "STRICT_DISSIPATIVE",
@@ -65,10 +65,6 @@ _PROBE_GRID = 32
 _POLISH_TOL = 1e-8
 # Limit ratios within 1e-10 of a bound, relative, sit on it.
 _BOUNDARY_TOL = 1e-10
-# Families whose ratio s*phi'/phi is monotone by construction (condition
-# (vi)): only for them does the sampled sup of Lambda^2 bound Lambda_inf^2
-# from below, so only they may refute from an unconverged tail.
-_RATIO_MONOTONE = (POWER, EXP_SQUARE)
 
 STRICT_DISSIPATIVE = "StrictDissipative"
 DISSIPATIVE_BOUNDARY = "DissipativeBoundary"
@@ -271,12 +267,10 @@ def lame2d_verdict(phi_spec: PhiSpec, coeffs: CoefficientField,
     phi_spec.profile.limit, against
     rhs = 1 - ess sup ((lambda+mu)/(lambda+3mu))^2; the sufficiency
     direction additionally needs the BMO seminorm of mu^2/(lambda+3mu)
-    below kappa (1 - sup Lambda^2) / (2 c0).  An unconverged tail refutes
-    through its sampled sup of Lambda^2 only for the families whose ratio
-    s*phi'/phi is monotone by construction (power and exp_square); any
-    other weight with an unconverged tail ends Inconclusive.  Only a
-    closed-form sup Lambda^2 certifies the strict side, and the notes name
-    the basis.
+    below kappa (1 - sup Lambda^2) / (2 c0).  Refutation reads the tail's
+    certified lower bound limit.lambda_inf_sq_lower, so an unconverged tail
+    without one ends Inconclusive.  Only a closed-form sup Lambda^2
+    certifies the strict side, and the notes name the basis.
 
     kappa_hint overrides the automatic margin choice; it must sit strictly
     inside (0, delta/(2(1-L^2)) * min(ess inf mu, ess inf(lambda+2mu))).
@@ -288,11 +282,7 @@ def lame2d_verdict(phi_spec: PhiSpec, coeffs: CoefficientField,
     margin = rhs - lam2
     notes: list[str] = []
 
-    # Certified lower bound for the limit: the limit of a converged tail,
-    # else the grid sup where the ratio is monotone, else none.
-    lam2_lower = lam2 if limit.converged else (
-        limit.sup_lambda_sq if phi_spec.family in _RATIO_MONOTONE
-        else -math.inf)
+    lam2_lower = limit.lambda_inf_sq_lower
     # Upper bound for sup_t Lambda^2, the quantity sufficiency needs.
     lam2_suff = limit.sup_bound
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotIntegrable, OrliczNormFailure
-from .phi import _invert_monotone
+from .phi import _forward_table, _table_inverse
 
 __all__ = [
     "SampledField",
@@ -232,17 +232,25 @@ def log_young(p: float):
 def legendre_conjugate(M: YoungFunction) -> YoungFunction:
     """Numeric conjugate N(t) = sup_s (st - M(s)).
 
-    The supremum is attained where M'(s) = t, found by bracketed monotone
-    inversion of the derivative; below M'(0+) the conjugate vanishes.
+    The supremum is attained where M'(s) = t, found by the table solver of
+    phi; below M'(0+) the conjugate vanishes.
     """
+    what = f"d({M.name})"
+    table = _forward_table(M.derivative, what)
+
+    def step(x):
+        # The log-slope by central differences, 1e-5 either way in log s.
+        u = x + np.array([[-1e-5], [0.0], [1e-5]])
+        lg = np.log(M.derivative(np.exp(u)))
+        return lg[1], (lg[2] - lg[0]) / 2e-5
+
     def fn(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros_like(t_arr)
         floor = float(M.derivative(1e-12))
         live = t_arr > floor * (1.0 + 1e-9)
         if np.any(live):
-            s = _invert_monotone(M.derivative, t_arr[live],
-                                 f"inverse of d({M.name})")
+            s = np.exp(_table_inverse(table, step, t_arr[live], what))
             out[live] = s * t_arr[live] - M(s)
         return out.reshape(np.shape(t))
 

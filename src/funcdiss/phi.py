@@ -21,17 +21,17 @@ and the limit ratio
 whose limit Lambda_inf and sup of Lambda^2, together the tail, drive
 every dissipativity criterion downstream.  Each weight computes its tail
 once, as LambdaProfile.limit: the power families in closed form, every
-other weight from Lambda sampled on a fixed t grid.  zeta is read off a
-forward table of (log s, log s*sqrt(phi(s))) and polished by a few
-bracketed Newton steps.  The dual weight psi is defined by inverting
-s*phi(s): t*psi(t) is the inverse function, and sqrt(psi(|w|))*w equals
-sqrt(phi(|u|))*u for w = phi(|u|)*u, with Lambda_dual = -Lambda.
+other weight from Lambda sampled on a fixed t grid.  One table solver
+inverts s*sqrt(phi(s)) for zeta, s*phi(s), and M' for the conjugates of
+orlicz.  The dual weight psi, with t*psi(t) the inverse of s*phi(s), keeps
+its base: sqrt(psi(|w|))*w = sqrt(phi(|u|))*u for w = phi(|u|)*u, so its
+profile reads zeta_psi(t) = t^2/zeta(t) and Lambda_psi = -Lambda off it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -66,18 +66,16 @@ POWER = "power"
 EXP_SQUARE = "exp_square"
 TRUNCATED_POWER = "truncated_power"
 CUSTOM = "custom"
+DUAL = "dual"
 
-# Search range for monotone inversion, in decades.
-_BRACKET_LO = 1e-12
-_BRACKET_HI = 1e12
-_BISECT_ITERS = 60
-# Forward table of s*sqrt(phi(s)) over the same range, 100 nodes per decade.
+# Search range of monotone inversion, tabulated at 100 nodes per decade.
 # Linear interpolation in log-log starts Newton within about 1e-4 in log s,
 # so three quadratic updates reach rounding level.
+_BRACKET_HI = 1e12
+_BRACKET_LO = 1.0 / _BRACKET_HI
 _TABLE_NODES = 2401
 _NEWTON_EVALS = 4
-# Targets this close to a bracket or table edge, relative, are solved at
-# the edge.
+# Targets this close to a table edge, relative, are solved at the edge.
 _EDGE_TIE = 1e-9
 # Sampled tails: Lambda on t in [1e-6, 1e8], 10 nodes per decade; the tail
 # has converged when its last three nodes vary by less than 1e-6 relative.
@@ -106,6 +104,7 @@ class PhiSpec:
     dphi_fn: Callable[[np.ndarray], np.ndarray] | None = None
     vi_exempt: bool = False
     label: str = ""
+    base: PhiSpec | None = None     # the weight a dual was made from
 
     def phi(self, s):
         """Evaluate phi(s) elementwise; accepts scalars or arrays."""
@@ -280,10 +279,6 @@ class PhiValidation:
         raise KeyError(name)
 
 
-def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
-
-
 def validate_phi(spec: PhiSpec) -> PhiValidation:
     """Check conditions (i) through (vi) on a log grid [s0/10, 10*s1] of
     1200 nodes.
@@ -295,7 +290,7 @@ def validate_phi(spec: PhiSpec) -> PhiValidation:
     because the results that need them rely on sup Lambda^2, which stays
     bounded, rather than on monotonicity of the ratio.
     """
-    grid = _log_grid(spec.s0 / 10.0, 10.0 * spec.s1, 1200)
+    grid = np.geomspace(spec.s0 / 10.0, 10.0 * spec.s1, 1200)
     phi = spec.phi(grid)
     dphi = spec.dphi(grid)
 
@@ -385,49 +380,62 @@ def validate_phi(spec: PhiSpec) -> PhiValidation:
 # Monotone inversion
 
 
-def _invert_monotone(g: Callable[[np.ndarray], np.ndarray], t,
-                     what: str) -> np.ndarray:
-    """Solve g(s) = t for increasing g by bracketed bisection.
+def _check_targets(t: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise BracketFailure(
+            f"inverse of {what}: target must be finite positive")
 
-    The bracket is grown over decades [1e-12, 1e12]; bisection is geometric
-    (uniform in log s) and only ever compares g(mid) against t, so overflow
-    to inf on the high side is harmless.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
-        raise BracketFailure(f"{what}: target must be finite positive")
 
-    decades = np.geomspace(_BRACKET_LO, _BRACKET_HI, 25)
+def _forward_table(g: Callable[[np.ndarray], np.ndarray], what: str):
+    """(log s, log g(s)) for increasing g on the log-s grid of the search
+    range, keeping the nodes where g is finite and positive."""
+    s = np.geomspace(_BRACKET_LO, _BRACKET_HI, _TABLE_NODES)
     with np.errstate(over="ignore", invalid="ignore"):
-        gd = np.asarray(g(decades), dtype=float)
-    gd = np.where(np.isnan(gd), np.inf, gd)
-    # Targets tying the left edge are taken as solved at the edge; composed
-    # inversions probe exactly there.
-    edge = gd[0] * (1.0 - _EDGE_TIE) if gd[0] > 0 else gd[0]
-    bad = (t < edge) | (t > np.max(gd))
+        v = np.asarray(g(s), dtype=float)
+    keep = np.isfinite(v) & (v > 0.0)
+    if np.count_nonzero(keep) < 2:
+        raise BracketFailure(
+            f"{what} is finite and positive at fewer than two table nodes")
+    return np.log(s[keep]), np.log(v[keep])
+
+
+def _table_inverse(table, step, t: np.ndarray, what: str, *,
+                   clamp_low: bool = False):
+    """x = log s with g(s) = t, on the table of g: linear interpolation
+    starts Newton steps on log g(e^x) = log t, each kept in its table
+    interval by a bisection fallback; step(x) returns log g and its
+    log-slope from one evaluation of g at e^x.  Targets outside the table
+    raise BracketFailure; with clamp_low, those below it take its edge."""
+    _check_targets(t, what)
+    us, vs = table
+    y = np.log(t)
+    bad = y > vs[-1] + _EDGE_TIE
+    if not clamp_low:
+        bad |= y < vs[0] - _EDGE_TIE
     if np.any(bad):
         raise BracketFailure(
-            f"{what}: target {t[bad].flat[0]:.6g} outside the searchable range")
-
-    tt = np.maximum(t, gd[0])
-    idx = np.clip(np.searchsorted(gd, tt, side="right"), 1, len(decades) - 1)
-    lo = decades[idx - 1]
-    hi = decades[idx]
-    for _ in range(_BISECT_ITERS):
-        mid = np.sqrt(lo * hi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gm = np.asarray(g(mid), dtype=float)
-        gm = np.where(np.isnan(gm), np.inf, gm)
-        take_hi = gm >= t
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return np.sqrt(lo * hi)
+            f"inverse of {what}: target {t[bad].flat[0]:.6g} "
+            f"outside the tabulated range [{math.exp(vs[0]):.6g}, "
+            f"{math.exp(vs[-1]):.6g}]")
+    y = np.clip(y, vs[0], vs[-1])
+    i = np.clip(np.searchsorted(vs, y), 1, len(vs) - 1)
+    lo, hi = us[i - 1], us[i]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = lo + (hi - lo) * (y - vs[i - 1]) / (vs[i] - vs[i - 1])
+        for _ in range(_NEWTON_EVALS - 1):
+            f, slope = step(x)
+            f -= y
+            lo = np.where(f < 0.0, x, lo)
+            hi = np.where(f > 0.0, x, hi)
+            nxt = x - f / slope
+            x = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+    return x
 
 
 def inverse_s_phi(spec: PhiSpec, t):
     """Invert s*phi(s) = t.  Returns a scalar for scalar input."""
     t_arr = np.asarray(t, dtype=float)
-    out = _invert_monotone(spec.s_phi, t_arr, "inverse of s*phi")
+    out = spec.profile._preimage(t_arr, 1.0)[0]
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -445,11 +453,12 @@ class LambdaLimit:
     the sup, which may refute but never certify; sup_bound is then 1, from
     |Lambda| < 1 under condition (ii).  converged tells whether the sampled
     tail has settled; tail_variation is its relative spread over the last
-    three nodes.
+    three nodes.  lambda_inf_sq_lower certifies Lambda_inf^2 from below.
     """
 
     lambda_inf: float
     lambda_inf_sq: float
+    lambda_inf_sq_lower: float
     sup_lambda_sq: float
     sup_bounded: bool
     converged: bool
@@ -460,87 +469,65 @@ class LambdaLimit:
         return self.sup_lambda_sq if self.sup_bounded else 1.0
 
 
-def _check_targets(t: np.ndarray) -> None:
-    if not np.all(np.isfinite(t) & (t > 0.0)):
-        raise BracketFailure(
-            "inverse of s*sqrt(phi): target must be finite positive")
-
-
 class LambdaProfile:
     """Derived calculus for one weight: zeta, Theta, Lambda, and the tail.
 
     Power weights have Lambda = -(p-2)/p and zeta(t) = t^(2/p) in closed
-    form, truncated powers Lambda_inf = 0 and sup Lambda^2 = ((p-2)/p)^2.
-    For the other families zeta(t) inverts s*sqrt(phi(s)), which
-    is strictly increasing whenever condition (ii) holds, because
-    (s^2*phi)' = s*(s*phi)' + s*phi > 0.  The forward map is tabulated on
-    the first lookup, as (log s, log t(s)) on a log-s grid
-    over [1e-12, 1e12], keeping the nodes where t is finite and positive.
-    A target is located in the table, interpolated linearly for a start,
-    and polished by Newton steps on f(u) = u + log(phi(e^u))/2 - log t,
-    f'(u) = 1 + s*phi'/(2*phi), each kept inside the table interval by a
-    bisection fallback.  Lambda comes from the s*phi'/phi of the final
-    iterate.  Both the table and the tail, limit, are computed on first
-    use and kept; PhiSpec.profile keeps one profile per weight, so every
-    verdict on that weight reads the same tail.
+    form, truncated powers Lambda_inf = 0 and sup Lambda^2 = ((p-2)/p)^2,
+    and a dual weight reads everything off its base's profile.  Otherwise
+    zeta(t) inverts s*sqrt(phi(s)), increasing under condition (ii) since
+    (s^2*phi)' = s*(s*phi)' + s*phi > 0, by _table_inverse, and Lambda
+    comes from the s*phi'/phi of its final iterate.  The table and the
+    tail, limit, are computed on first use and kept, and PhiSpec.profile
+    keeps one profile per weight: all verdicts on a weight read one tail.
     """
 
     def __init__(self, spec: PhiSpec):
         self.spec = spec
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        s = np.geomspace(_BRACKET_LO, _BRACKET_HI, _TABLE_NODES)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = np.asarray(self.spec.s_sqrt_phi(s), dtype=float)
-        keep = np.isfinite(t) & (t > 0.0)
-        if np.count_nonzero(keep) < 2:
-            raise BracketFailure(
-                f"{self.spec.label or self.spec.family}: s*sqrt(phi(s)) is "
-                "finite and positive at fewer than two table nodes")
-        return np.log(s[keep]), np.log(t[keep])
+    def _table(self):
+        label = self.spec.label or self.spec.family
+        return _forward_table(self.spec.s_sqrt_phi, f"{label}: s*sqrt(phi)")
 
-    def _solve(self, t: np.ndarray, *, clamp_low: bool = False):
-        """s = zeta(t) and r = s*phi'(s)/phi(s) there.
+    def _solve(self, t: np.ndarray, *, a: float = 0.5,
+               clamp_low: bool = False):
+        """s with s*phi(s)^a = t, and r = s*phi'(s)/phi(s) there: zeta for
+        a = 1/2, the inverse of s*phi(s) for a = 1.  Both read the one
+        table, as log(s*phi^a) = (1-2a)*log(s) + 2a*log(s*sqrt(phi))."""
+        spec = self.spec
 
-        Targets outside the table raise BracketFailure; with clamp_low,
-        positive targets below it are solved at the lower edge instead.
-        """
-        _check_targets(t)
+        def step(x):
+            s = np.exp(x)
+            phi = spec.phi(s)
+            r = s * spec.dphi(s) / phi
+            return x + a * np.log(phi), 1.0 + a * r
+
         us, vs = self._table
-        y = np.log(t)
-        bad = y > vs[-1] + _EDGE_TIE
-        if not clamp_low:
-            bad |= y < vs[0] - _EDGE_TIE
-        if np.any(bad):
-            raise BracketFailure(
-                f"inverse of s*sqrt(phi): target {t[bad].flat[0]:.6g} "
-                f"outside the tabulated range [{math.exp(vs[0]):.6g}, "
-                f"{math.exp(vs[-1]):.6g}]")
-        y = np.clip(y, vs[0], vs[-1])
-        i = np.clip(np.searchsorted(vs, y), 1, len(vs) - 1)
-        lo, hi = us[i - 1], us[i]
+        table = (us, (1.0 - 2.0 * a) * us + 2.0 * a * vs)
+        what = "s*sqrt(phi)" if a == 0.5 else "s*phi"
+        s = np.exp(_table_inverse(table, step, t, what, clamp_low=clamp_low))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x = lo + (hi - lo) * (y - vs[i - 1]) / (vs[i] - vs[i - 1])
-            for step in range(_NEWTON_EVALS):
-                s = np.exp(x)
-                phi = self.spec.phi(s)
-                r = s * self.spec.dphi(s) / phi
-                if step == _NEWTON_EVALS - 1:
-                    break
-                f = x + 0.5 * np.log(phi) - y
-                lo = np.where(f < 0.0, x, lo)
-                hi = np.where(f > 0.0, x, hi)
-                nxt = x - f / (1.0 + 0.5 * r)
-                x = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        return s, r
+            return s, s * spec.dphi(s) / spec.phi(s)
+
+    def _preimage(self, t: np.ndarray, a: float):
+        """_solve, with power weights in closed form, s = t^(1/(1+a*(p-2))),
+        answering the same targets: those with s in the search range."""
+        if self.spec.family != POWER:
+            return self._solve(t, a=a)
+        what = "s*sqrt(phi)" if a == 0.5 else "s*phi"
+        _check_targets(t, what)
+        s = t ** (1.0 / (1.0 + a * self.spec.r))
+        if np.any(np.abs(np.log(s)) > math.log(_BRACKET_HI) + _EDGE_TIE):
+            raise BracketFailure(f"inverse of {what}: a target has its "
+                                 "preimage outside the search range")
+        return s, self.spec.r
 
     def _zeta(self, t: np.ndarray) -> np.ndarray:
-        """zeta on an array; power weights take t^(2/p) with no table."""
-        if self.spec.family == POWER:
-            _check_targets(t)
-            return t ** (2.0 / self.spec.p)
-        return self._solve(t)[0]
+        """zeta on an array; power weights take their closed form."""
+        if self.spec.family == DUAL:
+            return t * t / self.spec.base.profile._zeta(t)
+        return self._preimage(t, 0.5)[0]
 
     def zeta(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -560,8 +547,10 @@ class LambdaProfile:
         families the two differ by less than 1e-20.
         """
         t_arr = np.asarray(t, dtype=float)
-        if self.spec.family == POWER:
-            _check_targets(t_arr)
+        if self.spec.family == DUAL:
+            out = -self.spec.base.profile.lambda_of(t_arr)
+        elif self.spec.family == POWER:
+            _check_targets(t_arr, "s*sqrt(phi)")
             out = np.full_like(t_arr, -(self.spec.p - 2.0) / self.spec.p)
         else:
             r = self._solve(t_arr, clamp_low=True)[1]
@@ -572,24 +561,34 @@ class LambdaProfile:
     def limit(self) -> LambdaLimit:
         """The tail of this weight, computed once.
 
-        The power families take it in closed form.  Every other weight
-        samples Lambda at 10 nodes per decade on t in [1e-6, 1e8] and
-        extrapolates linearly in 1/log(t) (Richardson style, one
-        elimination), which removes the leading logarithmic drift of slowly
-        saturating profiles.  The tail has converged when its last three
-        nodes vary by less than 1e-6 relative to scale, and then Lambda_inf
-        is the last node.
+        The power families take it in closed form, a dual weight its base's
+        with Lambda_inf negated.  Every other weight samples Lambda at the
+        nodes of _TAIL_T inside its table's range and extrapolates linearly
+        in 1/log(t) (Richardson style, one elimination), which removes the
+        leading logarithmic drift of slowly saturating profiles.  The tail
+        has converged when its last three nodes vary by less than 1e-6
+        relative to scale, and then Lambda_inf is the last node.
         """
-        if self.spec.family in (POWER, TRUNCATED_POWER):
-            lam = -(self.spec.p - 2.0) / self.spec.p
+        spec = self.spec
+        if spec.family == DUAL:
+            base = spec.base.profile.limit
+            return replace(base, lambda_inf=-base.lambda_inf)
+        if spec.family in (POWER, TRUNCATED_POWER):
+            lam = -(spec.p - 2.0) / spec.p
             # On the plateau r = s*phi'/phi = 0, and -r/(r+2) is -0.0.
-            lam_inf = lam if self.spec.family == POWER else -0.0
+            lam_inf = lam if spec.family == POWER else -0.0
             return LambdaLimit(
                 lambda_inf=lam_inf, lambda_inf_sq=lam_inf * lam_inf,
+                lambda_inf_sq_lower=lam_inf * lam_inf,
                 sup_lambda_sq=lam * lam, sup_bounded=lam * lam < 1.0,
                 converged=True, tail_variation=0.0)
 
-        lam = self.lambda_of(_TAIL_T)
+        _, vs = self._table
+        t = _TAIL_T[(np.log(_TAIL_T) >= vs[0]) & (np.log(_TAIL_T) <= vs[-1])]
+        if t.size < 3:
+            raise BracketFailure(f"{spec.label or spec.family}: fewer than "
+                                 "three tail nodes inside the table")
+        lam = self.lambda_of(t)
         scale = max(float(np.max(np.abs(lam))), 1e-30)
         tail = lam[-3:]
         tail_var = float((np.max(tail) - np.min(tail)) / scale)
@@ -597,18 +596,22 @@ class LambdaProfile:
         if converged:
             lam_inf = float(lam[-1])
         else:
-            x = 1.0 / np.log(_TAIL_T[-2:])
+            x = 1.0 / np.log(t[-2:])
             lam_inf = float(lam[-1]
                             + (lam[-1] - lam[-2]) * x[1] / (x[0] - x[1]))
         # The extrapolation must not overshoot the admissible range.
         lam_inf = float(np.clip(lam_inf, -1.0, 1.0))
         # sup over the raw grid only: every node is a genuine Lambda(t)^2,
         # so this is a certified lower bound for sup over all t and never
-        # borrows from the extrapolation.
+        # borrows from the extrapolation.  Where the ratio s*phi'/phi is
+        # monotone so is Lambda^2, and the sup bounds Lambda_inf^2 from below.
+        sup_sq = float(np.max(lam * lam))
+        lower = lam_inf * lam_inf if converged else (
+            sup_sq if spec.family == EXP_SQUARE else -math.inf)
         return LambdaLimit(
             lambda_inf=lam_inf, lambda_inf_sq=lam_inf * lam_inf,
-            sup_lambda_sq=float(np.max(lam * lam)), sup_bounded=False,
-            converged=converged, tail_variation=tail_var)
+            lambda_inf_sq_lower=lower, sup_lambda_sq=sup_sq,
+            sup_bounded=False, converged=converged, tail_variation=tail_var)
 
 
 # ---------------------------------------------------------------------------
@@ -618,34 +621,33 @@ class LambdaProfile:
 def dual_phi(spec: PhiSpec) -> PhiSpec:
     """The dual weight psi with t*psi(t) the inverse function of s*phi(s).
 
-    psi(t) = S(t)/t where S inverts s*phi(s); the derivative follows from
-    implicit differentiation, S'(t) = 1/(phi(S) + S*phi'(S)), so no finite
-    differences are needed.  Near-zero exponent maps to r_dual = -r/(r+1)
-    and the envelope constants are measured on the dual validation window.
+    psi(t) = S(t)/t where S inverts s*phi(s), and implicit differentiation
+    gives psi'(t) = -psi(t)*r/((1+r)*t), r = s*phi'(s)/phi(s) at s = S(t).
+    The dual holds spec as base and reads its profile off the base's; the
+    dual of a dual is the base.  r_dual = -r/(r+1), the envelope constants
+    are measured on the dual validation window, and vi_exempt carries
+    over: |r_dual| = |r|/(1+r) is monotone exactly where |r| is.
     """
+    if spec.family == DUAL:
+        return spec.base
+
     def psi(t):
-        t = np.asarray(t, dtype=float)
-        s = _invert_monotone(spec.s_phi, t, "inverse of s*phi")
-        return s / t
+        return spec.profile._preimage(t, 1.0)[0] / t
 
     def dpsi(t):
-        t = np.asarray(t, dtype=float)
-        s = _invert_monotone(spec.s_phi, t, "inverse of s*phi")
-        ds = 1.0 / (spec.phi(s) + s * spec.dphi(s))
-        return (ds * t - s) / (t * t)
+        s, r = spec.profile._preimage(t, 1.0)
+        return -s * r / ((1.0 + r) * t * t)
 
     r_dual = -spec.r / (spec.r + 1.0)
     s0_dual = float(spec.s_phi(spec.s0))
     s1_dual = float(spec.s_phi(spec.s1))
-    probe = _log_grid(s0_dual / 10.0, 10.0 * s1_dual, 64)
+    probe = np.geomspace(s0_dual / 10.0, 10.0 * s1_dual, 64)
     ratio = (psi(probe) + probe * dpsi(probe)) / probe ** r_dual
-    c1_dual = 0.5 * float(np.min(ratio))
-    c2_dual = 2.0 * float(np.max(ratio))
     return PhiSpec(
-        family=CUSTOM, r=r_dual, s0=s0_dual, s1=s1_dual,
-        c1=c1_dual, c2=c2_dual, phi_fn=psi, dphi_fn=dpsi,
-        label=f"dual({spec.label or spec.family})",
-    )
+        family=DUAL, r=r_dual, s0=s0_dual, s1=s1_dual,
+        c1=0.5 * float(np.min(ratio)), c2=2.0 * float(np.max(ratio)),
+        phi_fn=psi, dphi_fn=dpsi, vi_exempt=spec.vi_exempt,
+        label=f"dual({spec.label or spec.family})", base=spec)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from funcdiss import (
     INCONCLUSIVE,
     NOT_DISSIPATIVE,
     STRICT_DISSIPATIVE,
+    BracketFailure,
     EllipticityViolation,
     NotStrict,
     PhiSpec,
@@ -27,6 +28,7 @@ from funcdiss import (
     constant_field,
     constant_threshold,
     custom_phi,
+    dual_phi,
     exp_square_phi,
     kappa_policy,
     lame2d_verdict,
@@ -35,6 +37,7 @@ from funcdiss import (
     perturbation_budget,
     poisson_threshold,
     power_phi,
+    radial_field,
     ramp_field,
     truncated_power,
     validate_phi,
@@ -291,6 +294,42 @@ def test_verdict_sampled_sup_never_certifies_strict():
     nd = lameNd_sufficient(spec, 1.0, 1.0)
     assert nd.status == INCONCLUSIVE
     assert any("sampled, not certified" in n for n in nd.notes)
+
+
+@pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 8.0])
+def test_verdict_dual_power_is_conjugate_power(p):
+    # The dual of power p reads its tail off the base, in closed form, and
+    # decides like power p' = p/(p-1).
+    for coeffs in (constant_field(1.0, 1.0), radial_field(1.0, 1.0, 0.1)):
+        dual = lame2d_verdict(dual_phi(power_phi(p)), coeffs)
+        conj = lame2d_verdict(power_phi(p / (p - 1.0)), coeffs)
+        assert dual.status == conj.status == STRICT_DISSIPATIVE
+        assert dual.margin == pytest.approx(conj.margin, rel=1e-14, abs=0)
+
+
+def test_verdict_dual_exp_square_refuted_like_its_base():
+    coeffs = constant_field(1.0, 1.0)
+    assert lame2d_verdict(dual_phi(exp_square_phi()), coeffs).status == \
+        lame2d_verdict(exp_square_phi(), coeffs).status == NOT_DISSIPATIVE
+
+
+def test_verdict_custom_weight_with_short_table():
+    # The power weight p = 1.1 written out: s*sqrt(phi(s)) = s^0.55 ends at
+    # 3.98e6 on the table, so the tail samples only the nodes below it.
+    spec = custom_phi(lambda s: np.asarray(s) ** -0.9,
+                      lambda s: -0.9 * np.asarray(s) ** -1.9,
+                      r=-0.9, c1=0.1, c2=0.1)
+    assert validate_phi(spec).ok
+    limit = spec.profile.limit
+    assert limit.converged
+    assert limit.lambda_inf == pytest.approx(0.9 / 1.1, rel=1e-12)
+    v = lame2d_verdict(spec, constant_field(1.0, 1.0))
+    assert v.status == INCONCLUSIVE
+    assert any("sampled, not certified" in n for n in v.notes)
+    # s*sqrt(phi(s)) = 1e-30 s stays below the whole tail grid.
+    tiny = custom_phi(lambda s: np.full(np.shape(s), 1e-60))
+    with pytest.raises(BracketFailure, match="fewer than three tail nodes"):
+        tiny.profile.limit
 
 
 def test_verdict_gentle_ramp_is_strict():

@@ -39,7 +39,48 @@ from funcdiss import (
     validate_phi,
     young_pair,
 )
-from funcdiss.phi import _BRACKET_LO, _TAIL_T, _invert_monotone
+from funcdiss.orlicz import (
+    exp_power_young,
+    exp_young,
+    legendre_conjugate,
+    power_young,
+)
+from funcdiss.phi import _BRACKET_HI, _BRACKET_LO, _TAIL_T
+
+
+def _invert_monotone(g, t, what):
+    """Reference inversion: solve g(s) = t for increasing g by bisection.
+
+    The bracket is grown over decades [1e-12, 1e12]; 60 bisection steps are
+    geometric (uniform in log s) and only ever compare g(mid) against t, so
+    overflow to inf on the high side is harmless.  Targets tying the left
+    edge are taken as solved at the edge.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
+        raise BracketFailure(f"{what}: target must be finite positive")
+    decades = np.geomspace(_BRACKET_LO, _BRACKET_HI, 25)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gd = np.asarray(g(decades), dtype=float)
+    gd = np.where(np.isnan(gd), np.inf, gd)
+    edge = gd[0] * (1.0 - 1e-9) if gd[0] > 0 else gd[0]
+    bad = (t < edge) | (t > np.max(gd))
+    if np.any(bad):
+        raise BracketFailure(
+            f"{what}: target {t[bad].flat[0]:.6g} outside the searchable range")
+    tt = np.maximum(t, gd[0])
+    idx = np.clip(np.searchsorted(gd, tt, side="right"), 1, len(decades) - 1)
+    lo = decades[idx - 1]
+    hi = decades[idx]
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gm = np.asarray(g(mid), dtype=float)
+        gm = np.where(np.isnan(gm), np.inf, gm)
+        take_hi = gm >= t
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+    return np.sqrt(lo * hi)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +297,18 @@ def test_forward_route_matches_bisection(spec, junctions, lam_atol):
                                atol=0)
 
 
+@pytest.mark.parametrize("M, lo", [(exp_power_young(4.0), 1e2),
+                                   (exp_young(), 20.0),
+                                   (power_young(3.0, normalized=True), 1e-6)],
+                         ids=["exp_power(4)", "exp", "power(3)"])
+def test_legendre_conjugate_matches_bisection(M, lo):
+    # N(t) = s*t - M(s) at M'(s) = t, with s from the reference bisection.
+    t = np.geomspace(lo, 1e30 if lo > 1.0 else 1e6, 1000)
+    s = _invert_monotone(M.derivative, t, "reference")
+    np.testing.assert_allclose(legendre_conjugate(M)(t), s * t - M(s),
+                               rtol=1e-12, atol=0)
+
+
 def test_lambda_below_table_takes_edge_value():
     for spec in (exp_square_phi(), truncated_power(6.0, 2.0)):
         prof = LambdaProfile(spec)
@@ -331,7 +384,8 @@ def test_one_tail_per_weight(monkeypatch):
     original = LambdaProfile.lambda_of
 
     def counting(self, t):
-        if t is _TAIL_T:
+        # The tail grid, as the nodes of _TAIL_T inside the table's range.
+        if np.shape(t) == _TAIL_T.shape and np.array_equal(t, _TAIL_T):
             samplings.append(self.spec.label)
         return original(self, t)
 
@@ -461,9 +515,39 @@ def test_dual_theta_reciprocal():
 
 def test_dual_is_involutive():
     spec = power_phi(3.0)
-    back = dual_phi(dual_phi(spec))
-    t = np.geomspace(0.2, 20.0, 15)
-    assert np.allclose(back.phi(t), spec.phi(t), rtol=1e-9)
+    assert dual_phi(dual_phi(spec)) is spec
+
+
+@pytest.mark.parametrize("spec", [power_phi(3.0), truncated_power(4.0, 2.0),
+                                  custom_phi(lambda s: 1.0 + s * s)],
+                         ids=lambda s: s.label)
+def test_dual_profile_reads_base(spec):
+    # Lambda_psi = -Lambda and zeta_psi * zeta = t^2 at the same t: exactly
+    # on the dual's profile, which reads its base, and to rounding on the
+    # table route of psi itself, wrapped as a plain custom weight.  Without
+    # dphi_fn the central-difference phi' limits Lambda to about 1e-11.
+    psi = dual_phi(spec)
+    base = LambdaProfile(spec)
+    own = LambdaProfile(custom_phi(psi.phi, psi.dphi))
+    t = np.geomspace(1e-3, 1e3, 61)
+    assert np.array_equal(psi.profile.lambda_of(t), -base.lambda_of(t))
+    np.testing.assert_allclose(own.lambda_of(t), -base.lambda_of(t),
+                               rtol=0, atol=1e-10)
+    for prof in (psi.profile, own):
+        np.testing.assert_allclose(prof.zeta(t) * base.zeta(t), t * t,
+                                   rtol=1e-13, atol=0)
+    lim, dual = base.limit, psi.profile.limit
+    assert dual.lambda_inf == -lim.lambda_inf
+    assert dual.lambda_inf_sq_lower == lim.lambda_inf_sq_lower
+    assert dual.sup_lambda_sq == lim.sup_lambda_sq
+    assert dual.sup_bounded == lim.sup_bounded
+
+
+def test_dual_inherits_vi_exemption():
+    # |r_psi| = r/(1+r) decreases exactly where the base's ratio does.
+    val = validate_phi(dual_phi(truncated_power(4.0, 2.0)))
+    assert val.ok
+    assert val.check("vi:ratio-monotone").status == "not-required"
 
 
 def test_weighted_image_identity():
