@@ -335,11 +335,13 @@ def _jsonable(value: Any) -> Any:
 class ReportWriter:
     """Line-delimited JSON records plus named CSV side files.
 
-    Keys are sorted and nothing time dependent is written, so two runs of
-    the same config produce identical bytes.
+    Every record names the command of the run (None when the document
+    named none).  Keys are sorted and nothing time dependent is written,
+    so two runs of the same config produce identical bytes.
     """
 
-    def __init__(self, prefix: str | Path):
+    def __init__(self, prefix: str | Path, command: str | None):
+        self.command = command
         self.prefix = Path(prefix)
         self.prefix.parent.mkdir(parents=True, exist_ok=True)
         self.report_path = self.prefix.with_suffix(".jsonl")
@@ -347,8 +349,7 @@ class ReportWriter:
         self.csv_paths: list[Path] = []
 
     def record(self, kind: str, payload: Mapping[str, Any]) -> None:
-        body = {"record": kind}
-        body.update(payload)
+        body = {"record": kind, "command": self.command, **payload}
         line = json.dumps(_jsonable(body), sort_keys=True)
         self._fh.write(line + "\n")
 
@@ -407,7 +408,7 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
                          verdict.kappa if verdict.kappa is not None else "",
                          verdict.status])
             writer.record("verdict", {
-                **dataclasses.asdict(verdict), "command": "check",
+                **dataclasses.asdict(verdict),
                 "p": float(p), "coefficients": _coeff_summary(coeffs),
                 "basis": _PLANAR_BASIS})
             if verdict.status == NOT_DISSIPATIVE:
@@ -415,14 +416,13 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
         path = writer.csv("p_sweep",
                           ["p", "lambda_inf_sq", "rhs", "margin", "kappa",
                            "status"], rows)
-        writer.record("artifact", {"command": "check", "kind": "p_sweep_csv",
-                                   "path": path.name})
+        writer.record("artifact", {"kind": "p_sweep_csv", "path": path.name})
         return worst
 
     spec = phi_from_mapping(cfg.phi)
     verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
     writer.record("verdict", {
-        **dataclasses.asdict(verdict), "command": "check",
+        **dataclasses.asdict(verdict),
         "phi": dict(cfg.phi), "coefficients": _coeff_summary(coeffs),
         "basis": _PLANAR_BASIS})
 
@@ -430,7 +430,7 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
     if pair is not None:
         nd = lameNd_sufficient(spec, pair[0], pair[1])
         writer.record("sufficient_any_dim", {
-            **dataclasses.asdict(nd), "command": "check",
+            **dataclasses.asdict(nd),
             "phi": dict(cfg.phi), "lam": pair[0], "mu": pair[1],
             "basis": _ND_BASIS})
 
@@ -442,7 +442,7 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
     spec = phi_from_mapping(cfg.phi)
     verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
     writer.record("verdict", {
-        **dataclasses.asdict(verdict), "command": "verify-forms",
+        **dataclasses.asdict(verdict),
         "phi": dict(cfg.phi), "coefficients": _coeff_summary(coeffs),
         "basis": _PLANAR_BASIS})
 
@@ -460,7 +460,6 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
     scale = max(max(abs(r.form_value), r.gradient_sq) for r in margin.rows)
     residual_ok = margin.min_residual >= -1e-9 * max(1.0, scale)
     writer.record("form_evidence", {
-        "command": "verify-forms",
         "seed": cfg.seed,
         "fields": len(margin.rows),
         "kappa": kappa,
@@ -483,7 +482,6 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
             cpath = writer.csv("counterexample",
                                ["rho", "form_value", "gradient_sq"], crows)
             writer.record("counterexample", {
-                "command": "verify-forms",
                 "algebraic_min": report.algebraic_min,
                 "flip_rho": report.flip_rho,
                 "xi": list(report.xi),
@@ -497,7 +495,6 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
             })
         else:
             writer.record("counterexample", {
-                "command": "verify-forms",
                 "witness_found": False,
                 "basis": "skipped: the failure is asymptotic in the field "
                          "amplitude and bounded probe fields cannot reach it "
@@ -562,7 +559,6 @@ def _load_rhs(cfg: RunConfig, cells: tuple[int, ...],
 def _solve_payload(cfg: RunConfig, sol) -> dict[str, Any]:
     u_max = float(np.max(np.abs(sol.u))) if sol.u.size else 0.0
     return {
-        "command": "solve",
         "cells": list(sol.problem.cells),
         "p": sol.problem.p,
         "energy": sol.energy,
@@ -593,8 +589,7 @@ def _cmd_solve(cfg: RunConfig, writer: ReportWriter) -> int:
                 for i in range(flat.shape[0])]
         header = ["node"] + [f"u{d + 1}" for d in range(sol.problem.dim)]
         path = writer.csv("solution", header, rows)
-        writer.record("artifact", {"command": "solve", "kind": "solution_csv",
-                                   "path": path.name})
+        writer.record("artifact", {"kind": "solution_csv", "path": path.name})
     return EXIT_OK
 
 
@@ -620,7 +615,6 @@ def _cmd_regularity(cfg: RunConfig, writer: ReportWriter) -> int:
     positive = [r for r in ratios if r > 0.0]
     bounded = bool(positive) and max(positive) <= 2.0 * min(positive)
     writer.record("refinement_study", {
-        "command": "regularity",
         "p": cfg.p,
         "ratios": ratios,
         "bounded_within_factor_2": bounded,
@@ -632,8 +626,7 @@ def _cmd_regularity(cfg: RunConfig, writer: ReportWriter) -> int:
     scale_ratios: list[float] = []
     for c in cfg.scale_factors:
         prob = _load_rhs(cfg, cfg.grid, pair)
-        prob = FemProblem(domain=prob.domain, cells=prob.cells,
-                          coeffs=prob.coeffs, rhs=c * prob.rhs, p=prob.p)
+        prob = dataclasses.replace(prob, rhs=c * prob.rhs)
         scale_ratios.append(regularity_ratio(assemble_and_solve(prob)))
     # Drift is measured against the first row.  A zero, subnormal or
     # non-finite ratio leaves it undefined, so such a study is never
@@ -648,7 +641,6 @@ def _cmd_regularity(cfg: RunConfig, writer: ReportWriter) -> int:
     spath = writer.csv("scaling", ["scale", "ratio", "rel_drift"],
                        list(zip(cfg.scale_factors, scale_ratios, drifts)))
     scaling = {
-        "command": "regularity",
         "p": cfg.p,
         "scale_factors": list(cfg.scale_factors),
         "max_rel_drift": max_rel,
@@ -669,7 +661,6 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
     spec = phi_from_mapping(cfg.phi)
     validation = validate_phi(spec)
     writer.record("weight_validation", {
-        "command": "report",
         "phi": dict(cfg.phi),
         "ok": validation.ok,
         "checks": {c.name: c.status for c in validation.checks},
@@ -680,7 +671,6 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
     profile = spec.profile
     limit = profile.limit
     writer.record("limit_summary", {
-        "command": "report",
         "phi": dict(cfg.phi),
         "lambda_inf": limit.lambda_inf,
         "lambda_inf_sq": limit.lambda_inf_sq,
@@ -696,7 +686,7 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
     rows = [[float(t), float(l), float(l * l)]
             for t, l in zip(t_nodes, lam_vals)]
     ppath = writer.csv("lambda_profile", ["t", "lambda", "lambda_sq"], rows)
-    writer.record("artifact", {"command": "report", "kind": "lambda_profile_csv",
+    writer.record("artifact", {"kind": "lambda_profile_csv",
                                "path": ppath.name})
 
     if cfg.p_sweep is not None:
@@ -710,7 +700,7 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
         spath = writer.csv("p_margins",
                            ["p", "lambda_inf_sq", "rhs", "margin", "status"],
                            srows)
-        writer.record("artifact", {"command": "report", "kind": "p_margins_csv",
+        writer.record("artifact", {"kind": "p_margins_csv",
                                    "path": spath.name})
 
     return EXIT_OK if validation.ok else EXIT_NEGATIVE
@@ -725,26 +715,25 @@ _DISPATCH: dict[str, Callable[[RunConfig, ReportWriter], int]] = {
 }
 
 
-def _end_report(writer: ReportWriter, command: str | None, code: int,
+def _end_report(writer: ReportWriter, code: int,
                 exc: Exception | None = None) -> int:
     """Close a report: an error record when exc is given, then the summary."""
     if exc is not None:
-        writer.record("error", {"command": command, "error": type(exc).__name__,
+        writer.record("error", {"error": type(exc).__name__,
                                 "message": str(exc)})
-    writer.record("summary", {"command": command, "exit_status": code,
+    writer.record("summary", {"exit_status": code,
                               "csv_files": [p.name for p in writer.csv_paths]})
     return code
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one run and write its artifacts.  Returns the exit status."""
-    with contextlib.closing(ReportWriter(cfg.out)) as writer:
+    with contextlib.closing(ReportWriter(cfg.out, cfg.command)) as writer:
         try:
             writer.record("config", dataclasses.asdict(cfg))
-            return _end_report(writer, cfg.command,
-                               _DISPATCH[cfg.command](cfg, writer))
+            return _end_report(writer, _DISPATCH[cfg.command](cfg, writer))
         except Exception as exc:  # any failure of a run is reported, exit 3
-            return _end_report(writer, cfg.command, EXIT_ERROR, exc)
+            return _end_report(writer, EXIT_ERROR, exc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -771,8 +760,8 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(out, str) and out:
             command = doc.get("command") if doc.get("command") in COMMANDS else None
             with contextlib.suppress(OSError, ValueError), \
-                    contextlib.closing(ReportWriter(out)) as writer:
-                _end_report(writer, command, EXIT_ERROR, exc)
+                    contextlib.closing(ReportWriter(out, command)) as writer:
+                _end_report(writer, EXIT_ERROR, exc)
         return EXIT_ERROR
 
 

@@ -8,10 +8,13 @@ and the duality norm, computed here through the Amemiya representation
 
     ||f|| = inf_{k>0} (1 + int M(k|f|) dx) / k,
 
-which equals the duality definition by standard Orlicz theory.  They
-satisfy the sandwich |||f||| <= ||f|| <= 2 |||f|||, and the Holder
-inequality int |uv| <= 2 |||u|||_M |||v|||_N holds for a complementary
-pair (M, N).
+which equals the duality definition by standard Orlicz theory.  Its
+minimizing 1/k is the Luxemburg gauge of P(t) = t M'(t) - M(t), the
+Young function N(M'(t)) (Krasnosel'skii and Rutickii, Convex Functions
+and Orlicz Spaces, 1961), so one gauge search serves both norms: the
+Amemiya norm is the functional read at the gauge of P.  The norms satisfy
+the sandwich |||f||| <= ||f|| <= 2 |||f|||, and the Holder inequality
+int |uv| <= 2 |||u|||_M |||v|||_N holds for a complementary pair (M, N).
 
 The inventory: power functions t^p (plain and /p normalized), the
 exponential M0(t) = e^{at} - 1 with closed form conjugate, the
@@ -271,14 +274,6 @@ def conjugate_ratio(p: float, t, scale: float = MOSER_SCALE):
 # Norms
 
 
-def _integral_of(M: YoungFunction, f: SampledField, scale_inv: float) -> float:
-    """sum w * M(|f| / lambda) with lambda = 1/scale_inv, overflow -> inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = M(np.abs(f.values) * scale_inv)
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    return float(np.sum(f.weights * vals))
-
-
 def _gauge_terms(M: YoungFunction, a: np.ndarray, weights: np.ndarray,
                  lam: float):
     """G = sum w M(a/lam) (overflow -> inf) and J = sum w M'(a/lam) a/lam,
@@ -357,40 +352,33 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
         s = nxt
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def orlicz_norm(f: SampledField, pair) -> float:
-    """Duality norm via Amemiya: inf_k (1 + int M(k|f|))/k, golden section
-    on log k.  pair is the complementary (M, N); only M enters the
-    minimization, N documents which dual ball the supremum runs over."""
+    """Duality norm via Amemiya: inf_k (1 + int M(k|f|))/k.
+
+    Setting the k-derivative to zero gives int P(k|f|) = 1 with
+    P(t) = t M'(t) - M(t), which is N(M'(t)) by Young's equality and rises
+    from 0 (P' = t M'' >= 0, by central differences of P).  So the
+    minimizing 1/k is the Luxemburg gauge lambda of P, and the value is
+    the functional there, lambda (1 + int M(|f|/lambda)): never below the
+    infimum, and accurate to second order in the error of lambda.  When int P stays below 1 the
+    infimum is approached as k grows and is read at the top of the gauge
+    search's range, k = 2^200 / max|f|.  pair is the complementary (M, N);
+    only M enters the minimization, N documents which dual ball the
+    supremum runs over."""
     M = pair[0] if isinstance(pair, (tuple, list)) else pair
-    lux = luxemburg_norm(f, M)
-    if lux == 0.0:
-        return 0.0
-
-    def amemiya(logk: float) -> float:
-        k = math.exp(logk)
-        return (1.0 + _integral_of(M, f, k)) / k
-
-    lo = math.log(1e-6 / lux)
-    hi = math.log(1e6 / lux)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = amemiya(x1), amemiya(x2)
-    for _ in range(120):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = amemiya(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = amemiya(x2)
-    out = min(f1, f2)
+    P = YoungFunction(name=f"tM'-M of {M.name}",
+                      fn=lambda t: t * M.derivative(t) - M(t))
+    lam = luxemburg_norm(f, P)
+    a = np.abs(f.values)
+    if lam == 0.0:
+        lam = float(np.max(a)) * 2.0 ** -_LUX_OCTAVES
+        if lam == 0.0:
+            return 0.0
+    g, _ = _gauge_terms(M, a, f.weights, lam)
+    out = lam * (1.0 + g)
     if not math.isfinite(out):
-        raise NotIntegrable("Amemiya functional is infinite on the whole "
-                            "search range")
+        raise NotIntegrable("Amemiya functional is infinite at the "
+                            "minimizing scale")
     return out
 
 

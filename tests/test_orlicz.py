@@ -202,6 +202,92 @@ def test_orlicz_zero_field():
     assert orlicz_norm(f, (power_young(2.0), power_young(2.0))) == 0.0
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_amemiya(f, M):
+    """Reference Amemiya norm: 120 golden-section steps on log k over
+    [1e-6, 1e6] / |||f|||_M, minimizing (1 + int M(k|f|)) / k."""
+    lux = luxemburg_norm(f, M)
+    a = np.abs(f.values)
+
+    def amemiya(logk):
+        k = math.exp(logk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = M(a * k)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        return (1.0 + float(np.sum(f.weights * vals))) / k
+
+    lo, hi = math.log(1e-6 / lux), math.log(1e6 / lux)
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = amemiya(x1), amemiya(x2)
+    for _ in range(120):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = amemiya(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = amemiya(x2)
+    return min(f1, f2)
+
+
+def spread_field(seed, n=257):
+    """Samples log-uniform over [1e-3, 1e3] on unit measure."""
+    rng = np.random.default_rng(seed)
+    return SampledField.uniform(10.0 ** rng.uniform(-3.0, 3.0, n))
+
+
+def amemiya_youngs():
+    return [power_young(2.0, normalized=True), power_young(3.0),
+            power_young(1.5), exp_young(), log_young(4.0)[0],
+            exp_power_young(4.0)]
+
+
+def test_orlicz_norm_matches_golden_section():
+    for seed in range(20):
+        f = spread_field(seed)
+        for M in amemiya_youngs():
+            assert orlicz_norm(f, M) == pytest.approx(
+                golden_amemiya(f, M), rel=1e-12), (seed, M.name)
+
+
+def test_orlicz_norm_matches_golden_section_without_derivative():
+    # no dfn: P' = t M'' is a finite difference of a finite difference
+    youngs = [legendre_conjugate(exp_power_young(4.0)),
+              legendre_conjugate(power_young(3.0)), exp_conjugate()]
+    for seed in range(10):
+        f = spread_field(seed)
+        for M in youngs:
+            assert orlicz_norm(f, M) == pytest.approx(
+                golden_amemiya(f, M), rel=1e-12), (seed, M.name)
+
+
+def test_orlicz_norm_passes_over_samples():
+    # each pass of the gauge search evaluates P = tM' - M and its central
+    # difference, three passes of M; the golden section took 125 to 130
+    for seed in range(5):
+        f = spread_field(seed)
+        for M in amemiya_youngs():
+            counted, calls = counted_young(M)
+            orlicz_norm(f, counted)
+            assert 1 <= len(calls) <= 40, (seed, M.name, len(calls))
+
+
+def test_orlicz_norm_unattained_infimum():
+    # M = sqrt(1 + t^2) - 1 grows linearly, tM' - M = 1 - 1/sqrt(1 + t^2)
+    # stays below 1, and the infimum over k is int |f|, approached as k
+    # grows without bound
+    M = YoungFunction(name="sqrt(1+t^2)-1",
+                      fn=lambda t: np.sqrt(1.0 + t * t) - 1.0,
+                      dfn=lambda t: t / np.sqrt(1.0 + t * t),
+                      degenerate_tail=True)
+    f = SampledField.uniform(np.linspace(0.1, 1.0, 100), measure=0.5)
+    l1 = float(np.sum(f.weights * np.abs(f.values)))
+    assert orlicz_norm(f, M) == pytest.approx(l1, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Holder
 
