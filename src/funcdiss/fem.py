@@ -454,6 +454,11 @@ def _hierarchy(kff, cells):
     while all(c % 2 == 0 and c // 2 >= 4 for c in cells):
         p = reduce(sparse.kron, [_interpolant_1d(c) for c in cells]
                    + [sparse.eye_array(dim)]).tocsr()
+        # kron carries int64 indices; int32 ones, as the free block has,
+        # keep the Galerkin products and the coarse levels int32 too
+        itype = np.int32 if p.nnz < 2 ** 31 else np.int64
+        p = sparse.csr_array((p.data, p.indices.astype(itype),
+                              p.indptr.astype(itype)), shape=p.shape)
         levels.append((a, _jacobi_scale(a), p))
         # P^T as CSR: a CSC left factor would make scipy copy A to CSC
         a = p.T.tocsr() @ a @ p

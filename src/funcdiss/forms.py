@@ -144,8 +144,9 @@ def bump_field(center, r0: float, r1: float, offset, matrix,
     def jacobian(pts):
         dx, r, unit = _radial_parts(pts, c)
         poly = a[None, :] + dx @ m.T
-        jac = np.einsum("n,ni,nh->nih", _bump_deriv(r, r0, r1), poly, unit)
-        jac += _bump(r, r0, r1)[:, None, None] * m[None, :, :]
+        slope = _bump_deriv(r, r0, r1)[:, None] * poly
+        jac = slope[:, :, None] * unit[:, None, :]
+        jac += _bump(r, r0, r1)[:, None, None] * m
         return jac
 
     scale = float(np.abs(a).max(initial=0.0) + np.abs(m).sum() * r1)
@@ -219,13 +220,12 @@ def oscillatory_field(center, xi, rho: float, eta, *,
             mod = np.cos(theta)
             dmod = -np.sin(theta)
         # d_h v_i = eta_i (chi' u_h mod + chi mod' rho xi_h)
-        radial = np.einsum("n,nh->nh", dchi * mod, unit)
-        wave = np.einsum("n,h->nh", chi * dmod * rho, xi)
-        jac = np.einsum("i,nh->nih", eta, radial + wave)
+        grad = (dchi * mod)[:, None] * unit + (chi * dmod * rho)[:, None] * xi
+        jac = eta[:, None] * grad[:, None, :]
         if bg is not None:
             omega, amp, g0, g1 = bg
-            jac = jac + np.einsum("i,n,nh->nih", amp * omega,
-                                  _bump_deriv(r, g0, g1), unit)
+            carrier = _bump_deriv(r, g0, g1)[:, None] * unit
+            jac += (amp * omega)[:, None] * carrier[:, None, :]
         return jac
 
     is_real = not (complex_phase or np.iscomplexobj(eta))
@@ -311,16 +311,21 @@ def _axis_cells(extent: float, wavelength: float | None,
 def _integrate(fn, v: TestField, *, order: int = 8,
                cells_per_wavelength: float = 10.0, min_cells: int = 12,
                max_axis_points: int = 60000,
-               max_chunk: int = 250_000) -> np.ndarray:
+               max_chunk: int = 65_536) -> np.ndarray:
     """Integrate fn(pts) -> (n,) or (n, q) over the support of v.
 
     The tensor rule runs on the axes (u, w) of the field's frame: the
     support box itself for a field without a frame, and the box rotated
     onto (xi, xi-perp) about its centre for a plane wave, which oscillates
     along u only.  The wavelength rule refines u, and w as well when there
-    is no frame.  The evaluation is chunked along u so oscillatory probes
-    never materialize more than about max_chunk nodes at once.  Returns a
-    length q vector (q = 1 for scalar integrands).
+    is no frame.  The evaluation is chunked along u, whole rows of w nodes
+    at a time, so that no chunk holds more than max_chunk nodes (one row
+    when a row alone is longer).  Every temporary of a chunk is a node
+    array, so the chunk bounds the memory: the Lame integrand with a
+    built-in field, value and Jacobian included, peaks at about 240 bytes
+    a node for a real field and 320 for a complex one, some 15 and 20 MB
+    at the default 65,536 nodes.  Returns a length q vector (q = 1 for
+    scalar integrands).
     """
     x0, x1, y0, y1 = v.support
     if v.frame is None:
@@ -345,10 +350,8 @@ def _integrate(fn, v: TestField, *, order: int = 8,
     rows = max(1, max_chunk // len(ws))
     total: np.ndarray | None = None
     for i0 in range(0, len(us), rows):
-        uv = us[i0:i0 + rows]
-        pu = np.repeat(uv, len(ws))
-        pw = np.tile(ws, len(uv))
-        pts = origin + pu[:, None] * axes[0] + pw[:, None] * axes[1]
+        uv = us[i0:i0 + rows, None, None]
+        pts = (origin + uv * axes[0] + ws[:, None] * axes[1]).reshape(-1, 2)
         w = np.multiply.outer(wu[i0:i0 + rows], ww).ravel()
         vals = np.asarray(fn(pts))
         if vals.ndim == 1:
@@ -401,6 +404,13 @@ def _generic_integrand(system: GeneralSystem, phi_spec: PhiSpec,
     return fn
 
 
+def _re_dot(x, y):
+    """Re(conj(x) y) per node, in real arithmetic only."""
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        return x.real * y.real + x.imag * y.imag
+    return x * y
+
+
 def _lame_integrand(lam_at, mu_at, phi_spec: PhiSpec, v: TestField,
                     kappa: float = 0.0):
     """Scalar coefficient route for the Lame tensor, shifted by -kappa
@@ -408,22 +418,35 @@ def _lame_integrand(lam_at, mu_at, phi_spec: PhiSpec, v: TestField,
 
     Valid for complex fields: the first order term vanishes because the
     tensor is formally self adjoint, and the weighted term reduces to
-    (lam + mu) |sum_k v_k d_k|v||^2 / |v|^2 + mu |grad |v||^2.
+    (lam + mu) |q|^2 + mu |d|^2, with d_k = Re<v, d_k v>/|v| = d_k|v| and
+    q = <v/|v|, d>.  The quantities |grad v|^2, (div v)^2,
+    sum_kj d_k v_j d_j v_k, |v|^2, d, |q|^2 and |d|^2 are formed in one
+    pass over the two value and four Jacobian columns, as products of
+    real and imaginary parts; a real field never touches a complex array.
     """
 
     def fn(pts):
         lam = lam_at(pts)
         mu = mu_at(pts)
-        vals, jac, nv, mask, unit, d = _field_data(v, pts)
-        lv = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
-        grad2 = np.einsum("nih,nih->n", jac, np.conj(jac)).real
-        div = jac[:, 0, 0] + jac[:, 1, 1]
-        divsq = (div * np.conj(div)).real
-        swap = np.einsum("njk,nkj->n", jac, np.conj(jac)).real
-        base = (mu - kappa) * grad2 + lam * divsq + mu * swap
-        q = np.einsum("nk,nk->n", unit, d)
-        corr = (lv * lv) * ((lam + mu) * np.abs(q) ** 2
-                            + (mu - kappa) * np.einsum("nk,nk->n", d, d))
+        vals = v.value(pts)
+        jac = v.jacobian(pts)
+        v1, v2 = vals[:, 0], vals[:, 1]
+        j11, j12 = jac[:, 0, 0], jac[:, 0, 1]
+        j21, j22 = jac[:, 1, 0], jac[:, 1, 1]
+        diag = _re_dot(j11, j11) + _re_dot(j22, j22)
+        grad2 = diag + _re_dot(j12, j12) + _re_dot(j21, j21)
+        div = j11 + j22
+        swap = diag + 2.0 * _re_dot(j12, j21)
+        base = (mu - kappa) * grad2 + lam * _re_dot(div, div) + mu * swap
+        nv = np.sqrt(_re_dot(v1, v1) + _re_dot(v2, v2))
+        mask = nv > ZERO_SET_REL * v.scale
+        safe = np.where(mask, nv, 1.0)
+        lv = phi_spec.profile.lambda_of(safe)
+        d1 = (_re_dot(v1, j11) + _re_dot(v2, j21)) / safe
+        d2 = (_re_dot(v1, j12) + _re_dot(v2, j22)) / safe
+        qv = v1 * d1 + v2 * d2  # |v| q
+        corr = (lv * lv) * ((lam + mu) * _re_dot(qv, qv) / (safe * safe)
+                            + (mu - kappa) * (d1 * d1 + d2 * d2))
         form = base - np.where(mask, corr, 0.0)
         return np.column_stack([form, grad2])
 

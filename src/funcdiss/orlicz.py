@@ -301,8 +301,9 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
     with G'(lambda) = -int M'(|f|/lambda) |f|/lambda^2 from M.derivative,
     moved a quarter of the tolerance past its target so that the bracket
     closes from both sides.  A step that leaves the bracket, has no finite
-    slope or fails to halve the step before last is replaced by doubling
-    or halving lambda while one side is still open, and by geometric
+    slope or fails to halve the step before last is replaced by a move
+    of one octave toward the open side while one side is still open,
+    doubled on each such move that follows another, and by geometric
     bisection once both are known.  The search stops when hi/lo drops
     below 1 + 1e-9 and returns sqrt(lo hi).  The bracket may reach 2^200
     max|f| either way: above that NotIntegrable, below it the gauge is 0.
@@ -321,6 +322,7 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
     lo, hi = -math.inf, math.inf
     s = math.log(amax)
     last = before_last = math.inf
+    reach = octave
     while True:
         g, j = _gauge_terms(M, a, f.weights, math.exp(s))
         if g > 1.0:
@@ -340,13 +342,16 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
         step = math.log(g) * g / j if 0.0 < g < math.inf and j > 0.0 \
             else math.nan
         nxt = s + step + math.copysign(0.25 * tol, step)
-        if not (lo < nxt < hi and abs(step) <= 0.5 * abs(before_last)):
-            if hi == math.inf:
-                nxt = lo + octave
-            elif lo == -math.inf:
-                nxt = hi - octave
-            else:
-                nxt = 0.5 * (lo + hi)
+        if lo < nxt < hi and abs(step) <= 0.5 * abs(before_last):
+            reach = octave
+        elif hi == math.inf:
+            nxt = lo + reach
+            reach *= 2.0
+        elif lo == -math.inf:
+            nxt = hi - reach
+            reach *= 2.0
+        else:
+            nxt = 0.5 * (lo + hi)
         nxt = min(max(nxt, s_min), s_max)
         before_last, last = last, nxt - s
         s = nxt

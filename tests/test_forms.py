@@ -16,8 +16,11 @@ from funcdiss import (
     power_phi,
     truncated_power,
 )
-from funcdiss.coefficients import constant_field, ramp_field
+from funcdiss.coefficients import constant_field, radial_field, ramp_field
 from funcdiss.forms import (
+    ZERO_SET_REL,
+    _coeff_samplers,
+    _lame_integrand,
     _symbol_minimum,
     bump_field,
     commutator_ibp,
@@ -230,6 +233,101 @@ def test_wave_quadrature_chunks_bound_memory():
                        _counted_wave(256.0, seen))
     assert len(seen) > 1 and max(seen) <= 250_000
     assert sum(seen) == 612 * 8 * 96
+
+
+def test_wave_quadrature_chunks_default_size():
+    seen = []
+    dissipativity_form((1.0, 1.0), power_phi(4.0),
+                       _counted_wave(256.0, seen))
+    assert len(seen) > 1 and max(seen) <= 65_536
+    assert sum(seen) == 612 * 8 * 96
+
+
+def _einsum_lame_integrand(lam_at, mu_at, phi_spec, v, kappa=0.0):
+    # the tensor-contraction form of the scalar Lame integrand, kept as a
+    # reference for the component arithmetic of _lame_integrand
+    def fn(pts):
+        lam = lam_at(pts)
+        mu = mu_at(pts)
+        vals = v.value(pts)
+        jac = v.jacobian(pts)
+        nv = np.linalg.norm(vals, axis=1)
+        mask = nv > ZERO_SET_REL * v.scale
+        safe = np.where(mask, nv, 1.0)
+        unit = vals / safe[:, None]
+        d = np.einsum("ni,nik->nk", np.conj(vals), jac).real / safe[:, None]
+        lv = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
+        grad2 = np.einsum("nih,nih->n", jac, np.conj(jac)).real
+        div = jac[:, 0, 0] + jac[:, 1, 1]
+        divsq = (div * np.conj(div)).real
+        swap = np.einsum("njk,nkj->n", jac, np.conj(jac)).real
+        base = (mu - kappa) * grad2 + lam * divsq + mu * swap
+        q = np.einsum("nk,nk->n", unit, d)
+        corr = (lv * lv) * ((lam + mu) * np.abs(q) ** 2
+                            + (mu - kappa) * np.einsum("nk,nk->n", d, d))
+        form = base - np.where(mask, corr, 0.0)
+        return np.column_stack([form, grad2])
+
+    return fn
+
+
+def _reference_probes():
+    probe = oscillatory_counterexample(1.0, 1.0, power_phi(32.0),
+                                       octaves=0)
+    return five_real_fields() + [
+        oscillatory_field((0.05, -0.1), (0.3, 1.0), 8.0,
+                          (0.6 + 0.2j, -0.5 + 0.4j), chi_r0=-0.12,
+                          chi_r1=0.4, complex_phase=True, label="complex"),
+        oscillatory_field((0.0, 0.0), (1.0, 0.0), 16.0, (0.6, 0.8),
+                          chi_r0=-0.1, chi_r1=0.3, complex_phase=True,
+                          label="complex-phase"),
+        oscillatory_field((0.0, 0.0), (1.0, 0.0), 64.0, probe.eta,
+                          chi_r0=-0.10, chi_r1=0.30,
+                          background=(probe.omega, 2.0, 0.35, 0.75),
+                          label="counterexample"),
+    ]
+
+
+def _reference_points(field, seed):
+    # random support points plus nodes on the zero set: the centre of a
+    # rotation or gradient core, and points past the support radius
+    x0, x1, y0, y1 = field.support
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([rng.uniform(x0, x1, 4000),
+                           rng.uniform(y0, y1, 4000)])
+    centre = [0.5 * (x0 + x1), 0.5 * (y0 + y1)]
+    return np.vstack([pts, [centre, [x0, y0], [x1, y1], [x0, centre[1]]]])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+@pytest.mark.parametrize("spec", [power_phi(4.0), exp_square_phi()],
+                         ids=["power", "exp_square"])
+def test_lame_integrand_matches_einsum_reference_per_node(spec, kappa):
+    targets = [(1.2, 0.8),
+               radial_field(1.0, 0.7, 0.4, domain=(-1.0, 1.0, -1.0, 1.0))]
+    for t, target in enumerate(targets):
+        lam_at, mu_at = _coeff_samplers(target)
+        for i, field in enumerate(_reference_probes()):
+            pts = _reference_points(field, seed=10 * i + t)
+            nv = np.linalg.norm(field.value(pts), axis=1)
+            assert np.any(nv <= ZERO_SET_REL * field.scale)
+            got = _lame_integrand(lam_at, mu_at, spec, field, kappa)(pts)
+            ref = _einsum_lame_integrand(lam_at, mu_at, spec, field,
+                                         kappa)(pts)
+            scale = np.max(np.abs(ref), axis=0)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), field.label
+
+
+def test_field_jacobians_match_central_differences():
+    # random points only: a wave's carrier chi has a cone tip at its centre
+    h = 1e-6
+    for i, field in enumerate(_reference_probes()):
+        pts = _reference_points(field, seed=i)[:-4]
+        jac = field.jacobian(pts)
+        for k, step in enumerate(np.eye(2) * h):
+            fd = (field.value(pts + step) - field.value(pts - step)) / (2 * h)
+            err = np.abs(jac[:, :, k] - fd)
+            assert err.max() <= 1e-5 * np.abs(jac).max(), field.label
 
 
 def test_exp_square_margin_below_inversion_bracket():

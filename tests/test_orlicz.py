@@ -288,6 +288,20 @@ def test_orlicz_norm_unattained_infimum():
     assert orlicz_norm(f, M) == pytest.approx(l1, rel=1e-9)
 
 
+def test_orlicz_norm_unattained_infimum_passes():
+    # the gauge of tM' - M is 0: the search walks down to the bracket floor
+    # 2^-200 max|f| in fallback moves that double, not one octave a step
+    M = YoungFunction(name="sqrt(1+t^2)-1",
+                      fn=lambda t: np.sqrt(1.0 + t * t) - 1.0,
+                      dfn=lambda t: t / np.sqrt(1.0 + t * t),
+                      degenerate_tail=True)
+    f = SampledField.uniform(np.linspace(0.1, 1.0, 100), measure=0.5)
+    l1 = float(np.sum(f.weights * np.abs(f.values)))
+    counted, calls = counted_young(M)
+    assert orlicz_norm(f, counted) == pytest.approx(l1, rel=1e-9)
+    assert 1 <= len(calls) <= 100, len(calls)
+
+
 # ---------------------------------------------------------------------------
 # Holder
 
