@@ -56,7 +56,14 @@ from .criteria import (
     lameNd_sufficient,
 )
 from .errors import NotStrict, SolverDiverged
-from .orlicz import SampledField, log_young, luxemburg_norm
+from .orlicz import (
+    _SAMPLE_BLOCK,
+    SampledField,
+    _block_sum,
+    _blocks,
+    log_young,
+    luxemburg_norm,
+)
 from .phi import power_phi, truncated_power
 
 if TYPE_CHECKING:
@@ -552,21 +559,18 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
 # ---------------------------------------------------------------------------
 # quadrature over the solved field
 
-# Gauss points per block of cells in _gauss_samples; a block's transients
-# take about 180 bytes per point in 3-D, 12 MB in all.
-_SAMPLE_BLOCK = 2 ** 16
-
 
 def _gauss_samples(prob: FemProblem, u: np.ndarray, order: int = 4):
     """|u|, |grad u|^2 and |F| at order-4 Gauss points with their weights,
     each flat over (cell, Gauss point).
 
     The cells run in blocks of about _SAMPLE_BLOCK Gauss points, so the
-    transients are bounded by the block, not the grid.  In each block the
-    corner values of u and F are gathered with the corner index first, so
-    each interpolation is one (G, 2^dim) matrix product over the block's
-    cells; the norms are reductions over the component axes, written into
-    the preallocated outputs.
+    transients are bounded by the block, not the grid: about 180 bytes per
+    point in 3-D, 12 MB in all.  In each block the corner values of u and
+    F are gathered with the corner index first, so each interpolation is
+    one (G, 2^dim) matrix product over the block's cells; the norms are
+    reductions over the component axes, written into the preallocated
+    outputs.
     """
     dim = prob.dim
     wv, vals, phys = _physical(dim, order, prob.spacings)
@@ -597,18 +601,26 @@ def _gauss_samples(prob: FemProblem, u: np.ndarray, order: int = 4):
 
 
 def _weighted_energies(samples, p: float, k_list) -> dict:
+    """Map each level k to int |grad u|^2 phi_k(|u|) over the samples, and
+    inf to the untruncated int |grad u|^2 |u|^{p-2}.
+
+    One pass over blocks of _SAMPLE_BLOCK samples adds each block's share
+    of every level and of the untruncated value, so the temporaries are
+    bounded by the block, not the grid.  A level listed twice is summed
+    once.
+    """
     umag, grad_sq, _, weights = samples
-    out: dict = {}
-    for k in k_list:
-        spec = truncated_power(p, float(k))
-        out[float(k)] = float(np.sum(weights * grad_sq * spec.phi(umag)))
-    if p > 2.0:
-        untruncated = float(np.sum(weights * grad_sq
-                                   * np.where(umag > 0.0, umag, 1.0)
-                                   ** (p - 2.0) * (umag > 0.0)))
-    else:
-        untruncated = float(np.sum(weights * grad_sq))
-    out[float("inf")] = untruncated
+    specs = {float(k): truncated_power(p, float(k)) for k in k_list}
+    out = dict.fromkeys([*specs, float("inf")], 0.0)
+    for b in _blocks(umag.size):
+        u = umag[b]
+        wg = weights[b] * grad_sq[b]
+        for k, spec in specs.items():
+            out[k] += float(np.sum(wg * spec.phi(u)))
+        if p > 2.0:
+            live = u > 0.0
+            wg = wg * np.where(live, u, 1.0) ** (p - 2.0) * live
+        out[float("inf")] += float(np.sum(wg))
     return out
 
 
@@ -629,18 +641,22 @@ def _load_norm(prob: FemProblem, samples) -> float:
     N = 2: Luxemburg norm of |F|^2 for log_young(p), the degenerate tail
     Young function t (log(t + e))^{(p-2)/p}; for p = 2 it collapses to the
     L^1 norm of |F|^2.
+
+    The integrals run over blocks of _SAMPLE_BLOCK samples; the Luxemburg
+    gauge holds one |F|^2 array beside the samples and otherwise works in
+    blocks too.
     """
     _, _, fmag, weights = samples
     dim = prob.dim
     p = prob.p
     if dim >= 3:
         q = dim * p / (dim + p - 2.0)
-        return float(np.sum(weights * fmag ** q) ** (1.0 / q))
+        return _block_sum(lambda w, f: w * f ** q, weights, fmag) ** (1.0 / q)
     if p > 2.0:
         n_tilde, _ = log_young(p)
         sample = SampledField(values=fmag ** 2, weights=weights)
         return luxemburg_norm(sample, n_tilde)
-    return float(np.sum(weights * fmag ** 2))
+    return _block_sum(lambda w, f: w * f ** 2, weights, fmag)
 
 
 def regularity_ratio(sol: FemSolution) -> float:

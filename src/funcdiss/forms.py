@@ -428,29 +428,38 @@ def _lame_integrand(lam_at, mu_at, phi_spec: PhiSpec, v: TestField,
     def fn(pts):
         lam = lam_at(pts)
         mu = mu_at(pts)
-        vals = v.value(pts)
-        jac = v.jacobian(pts)
-        v1, v2 = vals[:, 0], vals[:, 1]
-        j11, j12 = jac[:, 0, 0], jac[:, 0, 1]
-        j21, j22 = jac[:, 1, 0], jac[:, 1, 1]
-        diag = _re_dot(j11, j11) + _re_dot(j22, j22)
-        grad2 = diag + _re_dot(j12, j12) + _re_dot(j21, j21)
-        div = j11 + j22
-        swap = diag + 2.0 * _re_dot(j12, j21)
-        base = (mu - kappa) * grad2 + lam * _re_dot(div, div) + mu * swap
-        nv = np.sqrt(_re_dot(v1, v1) + _re_dot(v2, v2))
-        mask = nv > ZERO_SET_REL * v.scale
-        safe = np.where(mask, nv, 1.0)
-        lv = phi_spec.profile.lambda_of(safe)
-        d1 = (_re_dot(v1, j11) + _re_dot(v2, j21)) / safe
-        d2 = (_re_dot(v1, j12) + _re_dot(v2, j22)) / safe
-        qv = v1 * d1 + v2 * d2  # |v| q
-        corr = (lv * lv) * ((lam + mu) * _re_dot(qv, qv) / (safe * safe)
-                            + (mu - kappa) * (d1 * d1 + d2 * d2))
-        form = base - np.where(mask, corr, 0.0)
-        return np.column_stack([form, grad2])
+        return _lame_columns(lam, mu, phi_spec, v.scale, v.value(pts),
+                             v.jacobian(pts), kappa)
 
     return fn
+
+
+def _lame_columns(lam, mu, phi_spec: PhiSpec, scale: float, vals, jac,
+                  kappa: float):
+    """The (n, 2) form and |grad v|^2 columns of _lame_integrand from the
+    field's values and Jacobian at the nodes."""
+    v1, v2 = vals[:, 0], vals[:, 1]
+    j11, j12 = jac[:, 0, 0], jac[:, 0, 1]
+    j21, j22 = jac[:, 1, 0], jac[:, 1, 1]
+    diag = _re_dot(j11, j11) + _re_dot(j22, j22)
+    grad2 = diag + _re_dot(j12, j12) + _re_dot(j21, j21)
+    div = j11 + j22
+    swap = diag + 2.0 * _re_dot(j12, j21)
+    base = (mu - kappa) * grad2 + lam * _re_dot(div, div) + mu * swap
+    nv = np.sqrt(_re_dot(v1, v1) + _re_dot(v2, v2))
+    mask = nv > ZERO_SET_REL * scale
+    safe = np.where(mask, nv, 1.0)
+    lv = phi_spec.profile.lambda_of(safe)
+    d1 = (_re_dot(v1, j11) + _re_dot(v2, j21)) / safe
+    d2 = (_re_dot(v1, j12) + _re_dot(v2, j22)) / safe
+    qv = v1 * d1 + v2 * d2  # |v| q
+    corr = (lv * lv) * ((lam + mu) * _re_dot(qv, qv) / (safe * safe)
+                        + (mu - kappa) * (d1 * d1 + d2 * d2))
+    form = base - np.where(mask, corr, 0.0)
+    # stacked while the temporaries above are still held, so that freeing
+    # them leaves no free block at the top of the heap for malloc to trim
+    # and fault back in on the next chunk
+    return np.column_stack([form, grad2])
 
 
 def _coeff_samplers(target):
@@ -540,14 +549,17 @@ def xy_decompose(v: TestField, pts):
     on the zero set of v.
     """
     pts = np.asarray(pts, dtype=float)
-    vals = v.value(pts)
-    jac = v.jacobian(pts)
+    return _xy_parts(v.value(pts), v.jacobian(pts), v.scale)
+
+
+def _xy_parts(vals, jac, scale: float):
+    """xy_decompose from the field's values and Jacobian at the nodes."""
     if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) > 0.0:
         raise ValueError("frame decomposition needs a real valued field")
     vals = vals.real
     jac = jac.real
     nv = np.hypot(vals[:, 0], vals[:, 1])
-    mask = nv > ZERO_SET_REL * v.scale
+    mask = nv > ZERO_SET_REL * scale
     safe = np.where(mask, nv, 1.0)
     # d_k|v| = (v1 d_k v1 + v2 d_k v2)/|v|
     d1 = (vals[:, 0] * jac[:, 0, 0] + vals[:, 1] * jac[:, 1, 0]) / safe
@@ -616,7 +628,6 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
         raise ValueError("the frame breakdown needs a real valued field")
     lam_at, mu_at = _coeff_samplers(field)
     lam_sup_sq = phi_spec.profile.limit.sup_bound
-    form = _lame_integrand(lam_at, mu_at, phi_spec, v, kappa)
 
     def fn(pts):
         lam = np.broadcast_to(np.asarray(lam_at(pts), dtype=float),
@@ -624,14 +635,19 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
         mu = np.broadcast_to(np.asarray(mu_at(pts), dtype=float),
                              (len(pts),))
         gam = mu * (lam + mu) / (lam + 3.0 * mu)
-        vals = v.value(pts).real
+        # one evaluation of the probe per chunk serves every column
+        vals = v.value(pts)
+        jac = v.jacobian(pts)
+        total = _lame_columns(lam, mu, phi_spec, v.scale, vals, jac,
+                              kappa)[:, 0]
+        x1, x2, y1, y2 = _xy_parts(vals, jac, v.scale)
+        vals = vals.real
         nv = np.hypot(vals[:, 0], vals[:, 1])
         mask = nv > ZERO_SET_REL * v.scale
         lv = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
         lam2 = np.where(mask, lv * lv, 0.0)
-        x1, x2, y1, y2 = xy_decompose(v, pts)
         cols = [
-            form(pts)[:, 0],
+            total,
             (lam + 2.0 * mu - kappa) * (1.0 - lam2) * x1 * x1,
             (mu - kappa) * (1.0 - lam2) * x2 * x2,
             (lam + 2.0 * mu - kappa) * y1 * y1,

@@ -274,16 +274,47 @@ def conjugate_ratio(p: float, t, scale: float = MOSER_SCALE):
 # Norms
 
 
-def _gauge_terms(M: YoungFunction, a: np.ndarray, weights: np.ndarray,
+# Samples per block of every reduction over a field: the temporaries of a
+# block take 0.5 MB apiece, however many samples the field has.
+_SAMPLE_BLOCK = 2 ** 16
+
+
+def _blocks(n: int):
+    """Consecutive slices of _SAMPLE_BLOCK samples that cover range(n)."""
+    return (slice(lo, lo + _SAMPLE_BLOCK)
+            for lo in range(0, n, _SAMPLE_BLOCK))
+
+
+def _block_sum(fn, *arrays) -> float:
+    """sum(fn(*arrays)), taken block by block over the aligned arrays."""
+    return sum(float(np.sum(fn(*(a[b] for a in arrays))))
+               for b in _blocks(len(arrays[0])))
+
+
+def _abs_max(values: np.ndarray) -> float:
+    """max |values| without an |values| copy; NaN if any sample is NaN."""
+    return max(float(np.max(values)), -float(np.min(values)))
+
+
+def _gauge_terms(M: YoungFunction, values: np.ndarray, weights: np.ndarray,
                  lam: float):
-    """G = sum w M(a/lam) (overflow -> inf) and J = sum w M'(a/lam) a/lam,
-    so that d log G / d log lam = -J / G."""
-    t = a / lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = M(t)
-        slope = M.derivative(t) * t
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    return float(np.sum(weights * vals)), float(np.sum(weights * slope))
+    """G = sum w M(|f|/lam) (overflow -> inf) and
+    J = sum w M'(|f|/lam) |f|/lam, so that d log G / d log lam = -J / G.
+
+    Both sums run over blocks of _SAMPLE_BLOCK samples, |f| taken per block,
+    so the temporaries of M and M' are bounded by the block, not the field.
+    """
+    g = j = 0.0
+    for b in _blocks(values.size):
+        t = np.abs(values[b])
+        t /= lam
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = M(t)
+            slope = M.derivative(t) * t
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        g += float(np.sum(weights[b] * vals))
+        j += float(np.sum(weights[b] * slope))
+    return g, j
 
 
 # Relative width of the final Luxemburg bracket, and how many doublings
@@ -307,11 +338,13 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
     bisection once both are known.  The search stops when hi/lo drops
     below 1 + 1e-9 and returns sqrt(lo hi).  The bracket may reach 2^200
     max|f| either way: above that NotIntegrable, below it the gauge is 0.
+
+    Each step is one pass over the samples in blocks of _SAMPLE_BLOCK, so
+    the search holds no array of the field's size beyond the field itself.
     """
-    if not np.all(np.isfinite(f.values)):
+    amax = _abs_max(f.values)
+    if not math.isfinite(amax):
         raise NotIntegrable("field contains non-finite samples")
-    a = np.abs(f.values)
-    amax = float(np.max(a))
     if amax == 0.0:
         return 0.0
 
@@ -324,7 +357,7 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
     last = before_last = math.inf
     reach = octave
     while True:
-        g, j = _gauge_terms(M, a, f.weights, math.exp(s))
+        g, j = _gauge_terms(M, f.values, f.weights, math.exp(s))
         if g > 1.0:
             if s >= s_max:
                 raise NotIntegrable(
@@ -374,12 +407,11 @@ def orlicz_norm(f: SampledField, pair) -> float:
     P = YoungFunction(name=f"tM'-M of {M.name}",
                       fn=lambda t: t * M.derivative(t) - M(t))
     lam = luxemburg_norm(f, P)
-    a = np.abs(f.values)
     if lam == 0.0:
-        lam = float(np.max(a)) * 2.0 ** -_LUX_OCTAVES
+        lam = _abs_max(f.values) * 2.0 ** -_LUX_OCTAVES
         if lam == 0.0:
             return 0.0
-    g, _ = _gauge_terms(M, a, f.weights, lam)
+    g, _ = _gauge_terms(M, f.values, f.weights, lam)
     out = lam * (1.0 + g)
     if not math.isfinite(out):
         raise NotIntegrable("Amemiya functional is infinite at the "
@@ -398,10 +430,12 @@ def holder_orlicz(u: SampledField, v: SampledField, pair) -> HolderReport:
     """int |uv| against 2 |||u|||_M |||v|||_N; slack must be nonnegative
     up to 1e-8 relative."""
     M, N = pair[0], pair[1]
-    if u.values.shape != v.values.shape or not np.allclose(
-            u.weights, v.weights, rtol=1e-12, atol=0.0):
+    if u.values.shape != v.values.shape or not all(
+            np.allclose(u.weights[b], v.weights[b], rtol=1e-12, atol=0.0)
+            for b in _blocks(u.weights.size)):
         raise ValueError("fields must share one quadrature grid")
-    lhs = float(np.sum(u.weights * np.abs(u.values * v.values)))
+    lhs = _block_sum(lambda w, x, y: w * np.abs(x * y),
+                     u.weights, u.values, v.values)
     rhs = 2.0 * luxemburg_norm(u, M) * luxemburg_norm(v, N)
     slack = rhs - lhs
     if slack < -1e-8 * max(rhs, 1e-300):

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from funcdiss import NotStrict, lame2d_verdict, perturbation_budget, power_phi
+from funcdiss import (
+    NotStrict,
+    lame2d_verdict,
+    perturbation_budget,
+    power_phi,
+    truncated_power,
+)
 from funcdiss.coefficients import CoefficientField, ramp_field
 from funcdiss import fem
 from funcdiss.errors import EllipticityViolation
@@ -487,6 +493,74 @@ def test_default_weight_levels_attached():
     assert finite
     vals = [sol.weighted_energies[k] for k in finite]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def _unblocked_energies(samples, p, k_list):
+    # the weighted energies as sums over the whole sample, kept as a
+    # reference for the blocked pass of _weighted_energies
+    umag, grad_sq, _, weights = samples
+    out = {}
+    for k in k_list:
+        phik = truncated_power(p, float(k)).phi(umag)
+        out[float(k)] = float(np.sum(weights * grad_sq * phik))
+    if p > 2.0:
+        live = umag > 0.0
+        out[INF] = float(np.sum(weights * grad_sq * np.where(
+            live, umag, 1.0) ** (p - 2.0) * live))
+    else:
+        out[INF] = float(np.sum(weights * grad_sq))
+    return out
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_blocked_weighted_energies_match_whole_sums(p):
+    n = 3 * fem._SAMPLE_BLOCK + 1234  # several blocks, the last ragged
+    rng = np.random.default_rng(11)
+    umag = rng.uniform(0.0, 9.0, n)
+    umag[::97] = 0.0
+    samples = (umag, rng.uniform(0.0, 2.0, n), None,
+               rng.uniform(0.5, 1.5, n))
+    levels = [2.0, 4.0, 8.0, 2.0]  # a level listed twice is summed once
+    got = fem._weighted_energies(samples, p, levels)
+    ref = _unblocked_energies(samples, p, levels)
+    assert list(got) == list(ref) == [2.0, 4.0, 8.0, INF]
+    for k, val in ref.items():
+        assert got[k] == pytest.approx(val, rel=1e-13, abs=0.0), k
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_default_levels_repeat_for_small_solutions(dim):
+    # u_max <= 0.5 makes the level max(2, 2 u_max + 1) equal to 2
+    sol = assemble_and_solve(smooth_problem(8, dim=dim))
+    umax = np.max(np.linalg.norm(sol.u.reshape(-1, dim), axis=1))
+    assert umax <= 0.5
+    ref = weighted_energy(sol, 4.0, [2.0, 4.0, 8.0])
+    assert list(sol.weighted_energies) == [2.0, 4.0, 8.0, INF]
+    for k, val in ref.items():
+        assert sol.weighted_energies[k] == pytest.approx(val, rel=1e-13,
+                                                         abs=0.0), k
+
+
+def test_post_solve_reductions_bounded_by_blocks():
+    # the load norm's Luxemburg gauge and the weighted energies of a 256^2
+    # solve work in blocks of samples: they held 64 and 35 MB above the
+    # samples with whole-sample temporaries
+    prob = manufactured_problem(256, p=4.0)
+    sol = assemble_and_solve(prob)
+    samples = fem._gauss_samples(prob, sol.u)
+    levels = list(sol.weighted_energies)[:-1]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        energies = fem._weighted_energies(samples, prob.p, levels)
+        load = fem._load_norm(prob, samples)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert energies == pytest.approx(sol.weighted_energies, rel=1e-13,
+                                     abs=0.0)
+    assert load == pytest.approx(sol.sobolev_norm_F, rel=1e-13, abs=0.0)
+    assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from funcdiss.coefficients import constant_field, radial_field, ramp_field
 from funcdiss.forms import (
     ZERO_SET_REL,
     _coeff_samplers,
+    _integrate,
     _lame_integrand,
     _symbol_minimum,
     bump_field,
@@ -403,6 +404,75 @@ def test_commutator_matches_integration_by_parts_on_ramp():
 
     ibp = commutator_ibp(field, grad_f, min_cells=24)
     assert bd.commutator_term == pytest.approx(ibp, abs=5e-6)
+
+
+def _unshared_breakdown(target, spec, v, kappa, **quad):
+    # the eight columns of elasticity_breakdown with the probe evaluated
+    # apart for the total, the weight mask and the frame split, kept as a
+    # reference for the shared evaluation
+    lam_at, mu_at = _coeff_samplers(target)
+    form = _lame_integrand(lam_at, mu_at, spec, v, kappa)
+
+    def fn(pts):
+        lam = np.broadcast_to(np.asarray(lam_at(pts), dtype=float),
+                              (len(pts),))
+        mu = np.broadcast_to(np.asarray(mu_at(pts), dtype=float),
+                             (len(pts),))
+        gam = mu * (lam + mu) / (lam + 3.0 * mu)
+        vals = v.value(pts).real
+        nv = np.hypot(vals[:, 0], vals[:, 1])
+        mask = nv > ZERO_SET_REL * v.scale
+        lv = spec.profile.lambda_of(np.where(mask, nv, 1.0))
+        lam2 = np.where(mask, lv * lv, 0.0)
+        x1, x2, y1, y2 = xy_decompose(v, pts)
+        return np.column_stack([
+            form(pts)[:, 0],
+            (lam + 2.0 * mu - kappa) * (1.0 - lam2) * x1 * x1,
+            (mu - kappa) * (1.0 - lam2) * x2 * x2,
+            (lam + 2.0 * mu - kappa) * y1 * y1,
+            (mu - kappa) * y2 * y2,
+            2.0 * (lam + mu - gam) * x1 * y1,
+            -2.0 * gam * x2 * y2,
+            2.0 * (gam - mu) * (x1 * y1 + x2 * y2),
+        ])
+
+    return _integrate(fn, v, **quad)
+
+
+def _counted_probe(field, seen):
+    def value(pts):
+        seen.append("value")
+        return field.value(pts)
+
+    def jacobian(pts):
+        seen.append("jacobian")
+        return field.jacobian(pts)
+
+    return dataclasses.replace(field, value=value, jacobian=jacobian)
+
+
+def test_breakdown_evaluates_probe_once_per_chunk():
+    spec = power_phi(4.0)
+    grid = ramp_field(1.0, 1.0, 0.3, shape=(65, 65),
+                      domain=(-1.0, 1.0, -1.0, 1.0))
+    quad = {"max_chunk": 4096}
+    for target in ((1.2, 0.8), grid):
+        for field in five_real_fields():
+            chunks = []
+            gradient_energy(_counted_probe(field, chunks), **quad)
+            seen = []
+            bd = elasticity_breakdown(target, spec,
+                                      _counted_probe(field, seen),
+                                      kappa=0.1, **quad)
+            assert len(chunks) > 1
+            assert seen.count("value") == len(chunks), field.label
+            assert seen.count("jacobian") == len(chunks), field.label
+            ref = _unshared_breakdown(target, spec, field, 0.1, **quad)
+            got = [bd.total, bd.x1_sq, bd.x2_sq, bd.y1_sq, bd.y2_sq,
+                   bd.cross_x1y1, bd.cross_x2y2, bd.commutator_term]
+            np.testing.assert_allclose(
+                got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)),
+                err_msg=field.label)
 
 
 # ---------------------------------------------------------------------------

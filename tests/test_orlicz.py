@@ -9,11 +9,12 @@ numeric Legendre transform.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from funcdiss import fem
+from funcdiss import fem, orlicz
 from funcdiss.errors import NotIntegrable, OrliczNormFailure
 from funcdiss.orlicz import (
     HolderReport,
@@ -117,7 +118,9 @@ def bisection_gauge(f, M):
 
 
 def counted_young(M):
-    """M with a list that records each evaluation (pass over the samples)."""
+    """M with a list that records the sample count of each evaluation; the
+    gauge evaluates M block by block, so passes over the samples are read
+    with passes(calls, f)."""
     calls = []
 
     def fn(t):
@@ -126,6 +129,11 @@ def counted_young(M):
 
     return YoungFunction(name=M.name, fn=fn, dfn=M.dfn,
                          degenerate_tail=M.degenerate_tail), calls
+
+
+def passes(calls, f):
+    """Evaluated samples over the field's size: passes of M over f."""
+    return sum(calls) / f.values.size
 
 
 def test_luxemburg_newton_matches_bisection():
@@ -150,7 +158,51 @@ def test_luxemburg_newton_on_load_sample():
     counted, calls = counted_young(M)
     assert luxemburg_norm(f, counted) == pytest.approx(bisection_gauge(f, M),
                                                        rel=1e-9)
-    assert 1 <= len(calls) <= 10, len(calls)
+    assert 1 <= passes(calls, f) <= 10, passes(calls, f)
+
+
+def signed_spread_field(seed, n):
+    """Samples of either sign, log-uniform in size over [1e-3, 1e3], with
+    weights of uneven size."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return SampledField(values=values, weights=rng.uniform(0.5, 1.5, n) / n)
+
+
+def test_blocked_norms_match_whole_field_sums(monkeypatch):
+    # three blocks and a ragged one; with the block as large as the field
+    # every sum of the gauge search runs over the whole sample at once
+    n = 3 * orlicz._SAMPLE_BLOCK + 4321
+    fields = [signed_spread_field(seed, n) for seed in (3, 4)]
+    youngs = [log_young(4.0)[0], power_young(3.0), exp_young(),
+              exp_power_young(4.0)]
+    blocked = [(luxemburg_norm(f, M), orlicz_norm(f, M))
+               for f in fields for M in youngs]
+    monkeypatch.setattr(orlicz, "_SAMPLE_BLOCK", n)
+    whole = [(luxemburg_norm(f, M), orlicz_norm(f, M))
+             for f in fields for M in youngs]
+    for got, ref in zip(blocked, whole):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # and the blocked gauge reads |f| of signed samples, as the bisection
+    for f, (lux, _) in zip(fields, blocked[::len(youngs)]):
+        assert lux == pytest.approx(bisection_gauge(f, youngs[0]), rel=1e-9)
+
+
+def test_luxemburg_memory_bounded_by_blocks():
+    # 2^22 samples, 64 MB of input: the whole-field gauge held 224 MB of
+    # temporaries above it at every Newton step
+    rng = np.random.default_rng(9)
+    f = SampledField.uniform(rng.uniform(0.0, 3.0, 2 ** 22))
+    M = log_young(4.0)[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lux = luxemburg_norm(f, M)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert lux > 0.0
+    assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +324,8 @@ def test_orlicz_norm_passes_over_samples():
         for M in amemiya_youngs():
             counted, calls = counted_young(M)
             orlicz_norm(f, counted)
-            assert 1 <= len(calls) <= 40, (seed, M.name, len(calls))
+            assert 1 <= passes(calls, f) <= 40, (seed, M.name,
+                                                 passes(calls, f))
 
 
 def test_orlicz_norm_unattained_infimum():
@@ -299,7 +352,7 @@ def test_orlicz_norm_unattained_infimum_passes():
     l1 = float(np.sum(f.weights * np.abs(f.values)))
     counted, calls = counted_young(M)
     assert orlicz_norm(f, counted) == pytest.approx(l1, rel=1e-9)
-    assert 1 <= len(calls) <= 100, len(calls)
+    assert 1 <= passes(calls, f) <= 100, passes(calls, f)
 
 
 # ---------------------------------------------------------------------------
