@@ -15,17 +15,22 @@ For a constant pair this is the classical reduced form
 mu <grad u, grad v> + (lambda + mu) (div u)(div v) on the constrained
 space, because the two differ by a null Lagrangian on H^1_0.
 
-Only the free block, the interior nodes where u is not fixed, is ever
-assembled.  Each interior node couples to its 3^N neighbours; the stencil
-of each neighbour offset sums slices of the per-cell matrices over the
-corner pairs at that offset and is written straight into the rows of a
+The operator is the free block, the interior nodes where u is not fixed.
+Each interior node couples to its 3^N neighbours, and the stencil of each
+neighbour offset sums slices of the per-cell matrices over the corner pairs
+at that offset.  For a constant pair that stencil is one (N, N) block per
+offset on every row, applied by slice products and never stored.  A planar
+CoefficientField writes its per-node stencils straight into the rows of a
 canonical CSR matrix, with no triplet list and no full matrix.
 
 The free block is solved by conjugate gradients preconditioned with one
-symmetric geometric multigrid V-cycle: linear interpolation between grids
-halved per axis, Galerkin coarse operators P^T A P, damped Jacobi
-smoothing and a direct solve on a small coarsest grid.  Its iteration
-count does not grow with the grid at a fixed lambda/mu.
+symmetric geometric multigrid V-cycle: linear interpolation P between grids
+halved per axis, damped Jacobi smoothing and a direct solve on a small
+coarsest grid.  A CoefficientField takes the Galerkin coarse operators
+P^T A P.  A constant pair re-derives its stencil at the doubled spacings of
+each coarse grid, which equals P^T A P, and writes only the coarsest level
+as CSR for the direct solve.  The iteration count does not grow with the
+grid at a fixed lambda/mu.
 
 The solver exists to probe the weighted energy estimate
 
@@ -33,13 +38,15 @@ The solver exists to probe the weighted energy estimate
 
 through truncated weights, Holder exponent splits and refinement studies,
 not to be a general purpose elasticity code.  Each solve samples |u|,
-|grad u|^2 and |F| once at order-4 Gauss points, in fixed blocks of cells
-so that only the samples themselves scale with the grid, and both sides of
-the estimate are read from those samples.
+|grad u|^2 and |F| in one pass at order-4 Gauss points, in fixed blocks of
+cells, and each block adds its share to both sides of the estimate, so no
+sample array scales with the grid but the planar |F|^2 that the Orlicz
+gauge re-reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
@@ -56,14 +63,7 @@ from .criteria import (
     lameNd_sufficient,
 )
 from .errors import NotStrict, SolverDiverged
-from .orlicz import (
-    _SAMPLE_BLOCK,
-    SampledField,
-    _block_sum,
-    _blocks,
-    log_young,
-    luxemburg_norm,
-)
+from .orlicz import _SAMPLE_BLOCK, _abs_max, _gauge, _gauge_terms, log_young
 from .phi import power_phi, truncated_power
 
 if TYPE_CHECKING:
@@ -231,15 +231,13 @@ def _corner_offsets(node_shape):
     return strides, offs
 
 
-def _element_nodes(cells, node_shape):
-    """(nel, 2^dim) global node ids of every cell, row major in the cells."""
-    dim = len(cells)
+def _element_nodes(cells, node_shape, rows=slice(None)):
+    """(nel, 2^dim) global node ids of the cells, row major, or of the
+    cells in the range rows of that order."""
     strides, offs = _corner_offsets(node_shape)
-    axes = [np.arange(c) for c in cells]
-    grids = np.meshgrid(*axes, indexing="ij")
-    base = np.zeros(grids[0].size, dtype=np.int64)
-    for d in range(dim):
-        base += grids[d].ravel() * strides[d]
+    ids = np.arange(*rows.indices(math.prod(cells)))
+    index = np.unravel_index(ids, cells)
+    base = sum(i * s for i, s in zip(index, strides))
     return base[:, None] + offs[None, :]
 
 
@@ -326,9 +324,30 @@ def _stencil_offsets(dim: int):
     return out
 
 
-def _assemble(prob: FemProblem, order: int = 2):
-    """Free block kff (canonical CSR, sorted and without duplicates) and
-    free load vector bf of the Q1 system.
+def _cell_matrices(prob: FemProblem, level: int = 0, order: int = 2):
+    """The Q1 cell matrices local[..., a, i, b, j] of the bilinear form.
+
+    One product over all cells: (nel or 1, G) coefficient samples times
+    (G, (2^N N)^2) Gauss blocks, seen as local[cell..., a, i, b, j] for a
+    CoefficientField and as one local[a, i, b, j] shared by every cell for
+    a constant pair.  level > 0, for a constant pair only, gives the cells
+    of the grid halved level times per axis.
+    """
+    dim = prob.dim
+    nbasis = 2 ** dim
+    spacings = tuple(h * 2 ** level for h in prob.spacings)
+    div_blk, grad_blk = _local_blocks(dim, order, spacings)
+    lam, mu = _coefficient_samples(prob, order)
+    ngauss = lam.shape[1]
+    local = (lam @ div_blk.reshape(ngauss, -1)
+             + mu @ grad_blk.reshape(ngauss, -1))
+    return local.reshape((prob.cells if len(local) > 1 else ())
+                         + (nbasis, dim, nbasis, dim))
+
+
+def _free_block(local, cells):
+    """The free block (canonical CSR, sorted and without duplicates) of the
+    cell matrices local, as _cell_matrices gives them, on a grid of cells.
 
     The free unknowns are the interior nodes, row major, times the N
     displacement components.  An interior node p couples to the nodes p + o,
@@ -336,25 +355,13 @@ def _assemble(prob: FemProblem, order: int = 2):
     the corner pairs (a, b) with bits(b) - bits(a) = o, of local[a, :, b, :]
     of the cell that has p at corner a; each pair is one slice of the cells.
     Each plane is written straight into the CSR rows, dropping the
-    neighbours on the boundary, where u is fixed at zero.  The load vector
-    is summed the same way, one corner slice at a time.
+    neighbours on the boundary, where u is fixed at zero.
     """
     from scipy import sparse
 
-    dim = prob.dim
-    cells = prob.cells
+    dim = len(cells)
     inner = tuple(c - 1 for c in cells)
-    nbasis = 2 ** dim
-    div_blk, grad_blk = _local_blocks(dim, order, prob.spacings)
-    lam, mu = _coefficient_samples(prob, order)
-    ngauss = lam.shape[1]
-    # one product over all cells: (nel or 1, G) times (G, (2^N N)^2), seen
-    # as local[cell..., a, i, b, j], or local[a, i, b, j] for every cell
-    local = (lam @ div_blk.reshape(ngauss, -1)
-             + mu @ grad_blk.reshape(ngauss, -1))
-    varying = len(local) > 1
-    local = local.reshape((cells if varying else ())
-                          + (nbasis, dim, nbasis, dim))
+    varying = local.ndim > 4
 
     def around(rows, a):
         # the cells that hold the interior nodes rows at their corner a
@@ -391,21 +398,115 @@ def _assemble(prob: FemProblem, order: int = 2):
         data[pos] = sum(local[(around(rows, a) if varying else ())
                               + (a, slice(None), b)] for a, b in pairs)
         indices[pos] = nodes[cols] + comp
-    kff = sparse.csr_array((data, indices, indptr),
-                           shape=(indptr.size - 1,) * 2)
+    return sparse.csr_array((data, indices, indptr),
+                            shape=(indptr.size - 1,) * 2)
 
-    # rhs: r[(a,J)] = int Fhat_{iJ} d_i phi_a, with Fhat the Q1 interpolant,
-    # is T[a, (i,b)] = sum_g w_g d_i phi_a(g) phi_b(g) times the corner
-    # values of F gathered as rows (i, b) and columns (cell, J)
+
+def _load_vector(prob: FemProblem, order: int = 2):
+    """Free load vector bf, as a stencil over the nodal load.
+
+    r[(a,J)] = int Fhat_{iJ} d_i phi_a, with Fhat the Q1 interpolant, is
+    T[a, i, b] = sum_g w_g d_i phi_a(g) phi_b(g) times the corner values
+    F[b]_{iJ} of the cell.  Summed over the cells around an interior node
+    p, the corner pairs (a, b) of one offset o = bits(b) - bits(a) all read
+    F at p + o, so bf[p] = sum_o W_o F[p + o] with W_o[i] the sum of
+    T[a, i, b] over those pairs: one slice product per offset, no array
+    per cell.
+    """
+    dim = prob.dim
+    inner = tuple(c - 1 for c in prob.cells)
     wv, vals, phys = _physical(dim, order, prob.spacings)
-    load_op = np.einsum("g,gai,gb->aib", wv, phys, vals).reshape(nbasis, -1)
-    enodes = _element_nodes(cells, prob.node_shape)
-    f_corners = prob.rhs.reshape(-1, dim, dim).transpose(1, 0, 2)[
-        :, enodes.T].reshape(dim * nbasis, -1)
-    r_loc = (load_op @ f_corners).reshape((nbasis,) + cells + (dim,))
-    interior = tuple(slice(0, n) for n in inner)
-    bf = sum(r_loc[(a,) + around(interior, a)] for a in range(nbasis))
-    return kff, bf.ravel()
+    load_op = np.einsum("g,gai,gb->aib", wv, phys, vals)
+    bf = np.zeros(inner + (dim,))
+    for off, pairs in _stencil_offsets(dim):
+        weight = sum(load_op[a, :, b] for a, b in pairs)
+        bf += weight @ prob.rhs[tuple(slice(1 + o, 1 + o + m)
+                                      for o, m in zip(off, inner))]
+    return bf.ravel()
+
+
+def _assemble(prob: FemProblem, order: int = 2):
+    """Free block kff (canonical CSR) and free load vector bf of the Q1
+    system, the stored form of the operator that a CoefficientField
+    solves with.  A constant pair solves with _Stencil instead, which
+    applies the same block without storing it."""
+    return (_free_block(_cell_matrices(prob, order=order), prob.cells),
+            _load_vector(prob, order))
+
+
+class _Stencil:
+    """The free block of a constant pair as one 3^N stencil of (N, N)
+    blocks, the same on every interior row, applied without storing it.
+
+    The blocks are the stencil planes _free_block writes into the CSR rows,
+    local summed over the corner pairs of each offset.  An apply copies the
+    node-major vector, components first, into a zero-padded buffer, whose
+    rim stands for the boundary where u is zero.  On the flattened buffer a
+    neighbour offset is one shift, so each block entry is a product of two
+    contiguous ranges; a range spans the interior nodes and the rim entries
+    between them, which are computed and dropped.  The entries of one
+    output component that share a magnitude are summed before their one
+    product: 10 products for the 26 nonzero entries in 2-D, and 24 for 153
+    in 3-D, at equal spacings.
+    """
+
+    def __init__(self, local, cells):
+        dim = len(cells)
+        self.local = local
+        self.cells = tuple(cells)
+        self.inner = tuple(c - 1 for c in cells)
+        self.padded = tuple(c + 1 for c in cells)
+        n = math.prod(self.inner) * dim
+        self.shape = (n, n)
+        self.dtype = np.dtype(float)
+        strides = [math.prod(self.padded[d + 1:]) for d in range(dim)]
+        # flat indices of the first interior node and of the range that
+        # runs from it to the last one
+        self.first = sum(strides)
+        self.span = math.prod(self.padded) - 2 * self.first
+        planes = [(off, sum(local[a, :, b] for a, b in pairs))
+                  for off, pairs in _stencil_offsets(dim)]
+        # entries that vanish by symmetry sum to rounding noise near 1e-17
+        # of the largest; every other entry is within a few orders of it
+        floor = 1e-15 * max(float(np.max(np.abs(b))) for _, b in planes)
+        # groups[i][|c|] = [c, ranges added, ranges subtracted] of the
+        # output component i, a range being (component j, start)
+        self.groups = [{} for _ in range(dim)]
+        self.rowsum = np.zeros(dim)
+        for off, block in planes:
+            if not any(off):
+                self.diag = np.diagonal(block).copy()
+            self.rowsum += np.abs(block).sum(axis=1)
+            start = self.first + sum(o * s for o, s in zip(off, strides))
+            for i, j in zip(*np.nonzero(np.abs(block) > floor)):
+                c = float(block[i, j])
+                group = self.groups[i].setdefault(abs(c), [c, [], []])
+                group[1 if c == group[0] else 2].append((j, start))
+
+    def matvec(self, x):
+        dim = len(self.inner)
+        interior = (slice(None),) + (slice(1, -1),) * dim
+        pad = np.zeros((dim,) + self.padded)
+        pad[interior] = np.moveaxis(x.reshape(self.inner + (dim,)), -1, 0)
+        pad = pad.reshape(dim, -1)
+        y = np.empty_like(pad)
+        tmp = np.empty(self.span)
+        lo, hi = self.first, self.first + self.span
+        for acc, groups in zip(y[:, lo:hi], self.groups):
+            acc[...] = 0.0
+            for c, plus, minus in groups.values():
+                (j, s), *more = plus
+                np.copyto(tmp, pad[j, s:s + self.span])
+                for j, s in more:
+                    tmp += pad[j, s:s + self.span]
+                for j, s in minus:
+                    tmp -= pad[j, s:s + self.span]
+                tmp *= c
+                acc += tmp
+        return np.moveaxis(y.reshape((dim,) + self.padded)[interior],
+                           0, -1).ravel()
+
+    __matmul__ = matvec
 
 
 # ---------------------------------------------------------------------------
@@ -435,42 +536,66 @@ def _interpolant_1d(cells: int):
                             shape=(cells - 1, coarse))
 
 
+def _prolongation(cells):
+    """P: the Kronecker product of the 1-D interpolants times the identity
+    on the node-major displacement components."""
+    from scipy import sparse
+
+    p = reduce(sparse.kron, [_interpolant_1d(c) for c in cells]
+               + [sparse.eye_array(len(cells))]).tocsr()
+    # kron carries int64 indices; int32 ones, as the free block has, keep
+    # the Galerkin products and the coarse levels int32 too
+    itype = np.int32 if p.nnz < 2 ** 31 else np.int64
+    return sparse.csr_array((p.data, p.indices.astype(itype),
+                             p.indptr.astype(itype)), shape=p.shape)
+
+
 def _jacobi_scale(a):
-    """omega / a_ii per row, with omega = _DAMPING / G."""
-    diag = a.diagonal()
-    rowsum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
-    gershgorin = float(np.max(rowsum / diag))
-    return (_DAMPING / gershgorin) / diag
+    """omega / a_ii per row, with omega = _DAMPING / G.
+
+    G is the largest absolute row sum over the diagonal.  A stencil has one
+    diagonal entry per component, and its interior rows bound G: a row by
+    the boundary only drops entries.
+    """
+    if isinstance(a, _Stencil):
+        diag, rowsum = a.diag, a.rowsum
+    else:
+        diag = a.diagonal()
+        rowsum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
+    scale = (_DAMPING / float(np.max(rowsum / diag))) / diag
+    return np.tile(scale, a.shape[0] // scale.size)
 
 
-def _hierarchy(kff, cells):
-    """Galerkin levels of the free block: [(A, scale, P)] from fine to
+def _hierarchy(prob: FemProblem):
+    """Multigrid levels of the free block: [(A, scale, P)] from fine to
     coarse, then the coarsest (A, scale, splu factor or None).
 
     Each axis is halved while every cell count is even with a half of at
-    least 4; P is the Kronecker product of the 1-D interpolants times the
-    identity on the node-major displacement components, and the coarse
-    operator is P^T A P, so no level is re-assembled.
+    least 4, and P is _prolongation.  A CoefficientField starts from the
+    stored free block, and each coarse operator is the Galerkin product
+    P^T A P.  A constant pair starts from its _Stencil, and each coarse
+    operator is the stencil re-derived on the halved grid, at doubled
+    spacings: the coarse space is nested in the fine one and the 2-point
+    Gauss rule is exact for a constant pair, so that stencil equals P^T A P.
+    Only a coarsest level small enough for splu is then written as CSR.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    dim = len(cells)
+    cells = prob.cells
+    constant = not isinstance(prob.coeffs, CoefficientField)
+    local = _cell_matrices(prob)
+    a = _Stencil(local, cells) if constant else _free_block(local, cells)
     levels = []
-    a = kff
     while all(c % 2 == 0 and c // 2 >= 4 for c in cells):
-        p = reduce(sparse.kron, [_interpolant_1d(c) for c in cells]
-                   + [sparse.eye_array(dim)]).tocsr()
-        # kron carries int64 indices; int32 ones, as the free block has,
-        # keep the Galerkin products and the coarse levels int32 too
-        itype = np.int32 if p.nnz < 2 ** 31 else np.int64
-        p = sparse.csr_array((p.data, p.indices.astype(itype),
-                              p.indptr.astype(itype)), shape=p.shape)
+        p = _prolongation(cells)
         levels.append((a, _jacobi_scale(a), p))
-        # P^T as CSR: a CSC left factor would make scipy copy A to CSC
-        a = p.T.tocsr() @ a @ p
         cells = tuple(c // 2 for c in cells)
-    lu = splu(a.tocsc()) if a.shape[0] <= _COARSE_DIRECT else None
+        # P^T as CSR: a CSC left factor would make scipy copy A to CSC
+        a = _Stencil(_cell_matrices(prob, len(levels)), cells) if constant \
+            else p.T.tocsr() @ a @ p
+    lu = None
+    if a.shape[0] <= _COARSE_DIRECT:
+        lu = splu((_free_block(a.local, cells) if constant else a).tocsc())
     return levels, (a, _jacobi_scale(a), lu)
 
 
@@ -501,12 +626,33 @@ def _vcycle(levels, coarsest, r):
     return x
 
 
-def _preconditioner(kff, cells) -> LinearOperator:
+def _preconditioner(levels, coarsest) -> LinearOperator:
     from scipy.sparse.linalg import LinearOperator
 
-    levels, coarsest = _hierarchy(kff, cells)
-    return LinearOperator(kff.shape, dtype=kff.dtype,
+    shape = (levels[0] if levels else coarsest)[0].shape
+    return LinearOperator(shape, dtype=float,
                           matvec=partial(_vcycle, levels, coarsest))
+
+
+def _solve(prob: FemProblem, bf):
+    """Free solution xf, energy xf.A xf / 2 and CG iteration count."""
+    from scipy.sparse.linalg import cg
+
+    levels, coarsest = _hierarchy(prob)
+    a = (levels[0] if levels else coarsest)[0]
+    iterations = 0
+
+    def tick(_):
+        nonlocal iterations
+        iterations += 1
+
+    xf, info = cg(a, bf, rtol=1e-10, atol=0.0, maxiter=20000,
+                  M=_preconditioner(levels, coarsest), callback=tick)
+    if info != 0:
+        raise SolverDiverged(f"conjugate gradients stopped with "
+                             f"info = {info}")
+    # u is zero on the boundary, so the free block carries the energy
+    return xf, 0.5 * float(xf @ (a @ xf)), iterations
 
 
 def assemble_and_solve(prob: FemProblem) -> FemSolution:
@@ -514,8 +660,8 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
 
     CG preconditioned by one geometric multigrid V-cycle runs to a fixed
     1e-10 relative residual, with at most 20000 iterations.  The solved
-    field is then sampled once at order-4 Gauss points, and those samples
-    give both the weighted energies, at the levels 2, 4, 8 and
+    field is then sampled in one pass at order-4 Gauss points, which adds
+    up both the weighted energies, at the levels 2, 4, 8 and
     max(2, 2 u_max + 1) (u_max the largest nodal |u|) plus the untruncated
     value under inf, and the load norm.
 
@@ -523,105 +669,95 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     the coefficients and SolverDiverged if CG does not reach the residual;
     a bad coefficient pair is already rejected by FemProblem.
     """
-    from scipy.sparse.linalg import cg
-
     _check_admissible(prob)
-    kff, bf = _assemble(prob)
+    bf = _load_vector(prob)
     dim = prob.dim
-    xf = np.zeros_like(bf)
-    iterations = 0
+    xf, energy, iterations = np.zeros_like(bf), 0.0, 0
     if np.any(bf != 0.0):
-        def tick(_):
-            nonlocal iterations
-            iterations += 1
-
-        xf, info = cg(kff, bf, rtol=1e-10, atol=0.0, maxiter=20000,
-                      M=_preconditioner(kff, prob.cells), callback=tick)
-        if info != 0:
-            raise SolverDiverged(f"conjugate gradients stopped with "
-                                 f"info = {info}")
-    # u is zero on the boundary, so the free block carries both sums
-    energy = 0.5 * float(xf @ (kff @ xf))
+        xf, energy, iterations = _solve(prob, bf)
     work = float(bf @ xf)
-    del kff, bf  # not held while the Gauss samples are taken
     u = np.zeros(prob.node_shape + (dim,))
     u[(slice(1, -1),) * dim] = xf.reshape(tuple(c - 1 for c in prob.cells)
                                           + (dim,))
-    samples = _gauss_samples(prob, u)
+    del bf, xf
     umax = float(np.max(np.linalg.norm(u.reshape(-1, dim), axis=1)))
-    levels = [2.0, 4.0, 8.0, max(2.0, 2.0 * umax + 1.0)]
+    add_energies, energies = _weighted_energies(
+        prob.p, [2.0, 4.0, 8.0, max(2.0, 2.0 * umax + 1.0)])
+    add_load, load_norm = _load_norm(prob)
+    _gauss_samples(prob, u, add_energies, add_load)
     return FemSolution(
         problem=prob, u=u, energy=energy, rhs_work=work,
-        weighted_energies=_weighted_energies(samples, prob.p, levels),
-        sobolev_norm_F=_load_norm(prob, samples), iterations=iterations)
+        weighted_energies=energies, sobolev_norm_F=load_norm(),
+        iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
 # quadrature over the solved field
 
 
-def _gauss_samples(prob: FemProblem, u: np.ndarray, order: int = 4):
-    """|u|, |grad u|^2 and |F| at order-4 Gauss points with their weights,
-    each flat over (cell, Gauss point).
+def _gauss_samples(prob: FemProblem, u: np.ndarray, *visitors,
+                   order: int = 4):
+    """One pass over |u|, |grad u|^2 and |F| at order-4 Gauss points.
 
-    The cells run in blocks of about _SAMPLE_BLOCK Gauss points, so the
-    transients are bounded by the block, not the grid: about 180 bytes per
-    point in 3-D, 12 MB in all.  In each block the corner values of u and
-    F are gathered with the corner index first, so each interpolation is
-    one (G, 2^dim) matrix product over the block's cells; the norms are
-    reductions over the component axes, written into the preallocated
-    outputs.
+    The cells run in blocks of _SAMPLE_BLOCK Gauss points, and each block
+    hands its samples, flat over (cell, Gauss point), with their weights to
+    every visitor(umag, grad_sq, fmag, weights) in turn, so the transients
+    are bounded by the block, not the grid: about 180 bytes per point in
+    3-D, 12 MB in all.  The weights of every block are views of one array.
+    In each block the corner values of u and F are gathered with the corner
+    index first, so each interpolation is one (G, 2^dim) matrix product over
+    the block's cells; the norms are reductions over the component axes.
     """
     dim = prob.dim
     wv, vals, phys = _physical(dim, order, prob.spacings)
-    enodes = _element_nodes(prob.cells, prob.node_shape)
-    nel, nbasis = enodes.shape
+    nbasis = 2 ** dim
     ngauss = len(wv)
+    nel = math.prod(prob.cells)
     # rows (g, i) of d_i phi_b, so grad_g[g, i, e, j] = d_i u_j
     dphi = phys.transpose(0, 2, 1).reshape(-1, nbasis)
     u_nodes = u.reshape(-1, dim)
     f_nodes = prob.rhs.reshape(-1, dim * dim)
-    umag, grad_sq, fmag = (np.empty((nel, ngauss)) for _ in range(3))
     step = _SAMPLE_BLOCK // ngauss
+    weights = np.tile(wv, step)
     for lo in range(0, nel, step):
-        corners = enodes[lo:lo + step].T
+        corners = _element_nodes(prob.cells, prob.node_shape,
+                                 slice(lo, lo + step)).T
         nb = corners.shape[1]
-        rows = slice(lo, lo + nb)
         u_corners = u_nodes[corners].reshape(nbasis, -1)
         u_g = (vals @ u_corners).reshape(ngauss, nb, dim)
-        np.einsum("gej,gej->eg", u_g, u_g, out=umag[rows])
+        umag = np.sqrt(np.einsum("gej,gej->eg", u_g, u_g))
         grad_g = (dphi @ u_corners).reshape(ngauss, dim, nb, dim)
-        np.einsum("giej,giej->eg", grad_g, grad_g, out=grad_sq[rows])
+        grad_sq = np.einsum("giej,giej->eg", grad_g, grad_g)
         f_g = (vals @ f_nodes[corners].reshape(nbasis, -1)).reshape(
             ngauss, nb, dim * dim)
-        np.einsum("gek,gek->eg", f_g, f_g, out=fmag[rows])
-    weights = np.broadcast_to(wv[None, :], (nel, ngauss)).ravel()
-    return (np.sqrt(umag, out=umag).ravel(), grad_sq.ravel(),
-            np.sqrt(fmag, out=fmag).ravel(), weights)
+        fmag = np.sqrt(np.einsum("gek,gek->eg", f_g, f_g))
+        del u_corners, u_g, grad_g, f_g  # freed before the visitors run
+        for visit in visitors:
+            visit(umag.ravel(), grad_sq.ravel(), fmag.ravel(),
+                  weights[:umag.size])
 
 
-def _weighted_energies(samples, p: float, k_list) -> dict:
-    """Map each level k to int |grad u|^2 phi_k(|u|) over the samples, and
-    inf to the untruncated int |grad u|^2 |u|^{p-2}.
+def _weighted_energies(p: float, k_list):
+    """A visitor of _gauss_samples and the dict it fills: each level k maps
+    to int |grad u|^2 phi_k(|u|) over the samples, and inf to the
+    untruncated int |grad u|^2 |u|^{p-2}.
 
-    One pass over blocks of _SAMPLE_BLOCK samples adds each block's share
-    of every level and of the untruncated value, so the temporaries are
-    bounded by the block, not the grid.  A level listed twice is summed
-    once.
+    Each block adds its share of every level and of the untruncated value.
+    A level listed twice is summed once.
     """
-    umag, grad_sq, _, weights = samples
     specs = {float(k): truncated_power(p, float(k)) for k in k_list}
     out = dict.fromkeys([*specs, float("inf")], 0.0)
-    for b in _blocks(umag.size):
-        u = umag[b]
-        wg = weights[b] * grad_sq[b]
+
+    def add(umag, grad_sq, _, weights):
+        wg = weights * grad_sq
         for k, spec in specs.items():
-            out[k] += float(np.sum(wg * spec.phi(u)))
+            out[k] += float(np.sum(wg * spec.phi(umag)))
         if p > 2.0:
-            live = u > 0.0
-            wg = wg * np.where(live, u, 1.0) ** (p - 2.0) * live
+            live = umag > 0.0
+            wg = wg * np.where(live, umag, 1.0) ** (p - 2.0) * live
         out[float("inf")] += float(np.sum(wg))
-    return out
+
+    return add, out
 
 
 def weighted_energy(sol: FemSolution, p: float, k_list) -> dict:
@@ -631,32 +767,49 @@ def weighted_energy(sol: FemSolution, p: float, k_list) -> dict:
     the truncation never engages and the value equals
     int |grad u|^2 |u|^{p-2} dx exactly, reported under the key inf.
     """
-    return _weighted_energies(_gauss_samples(sol.problem, sol.u), p, k_list)
+    add, out = _weighted_energies(p, k_list)
+    _gauss_samples(sol.problem, sol.u, add)
+    return out
 
 
-def _load_norm(prob: FemProblem, samples) -> float:
-    """The F-side norm of the energy estimate, from the solve's samples.
+def _load_norm(prob: FemProblem):
+    """A visitor of _gauss_samples and the function that reads the F-side
+    norm of the energy estimate once the pass is done.
 
     N >= 3: Lebesgue norm ||F||_{Np/(N+p-2)} as a plain integral power.
     N = 2: Luxemburg norm of |F|^2 for log_young(p), the degenerate tail
     Young function t (log(t + e))^{(p-2)/p}; for p = 2 it collapses to the
     L^1 norm of |F|^2.
 
-    The integrals run over blocks of _SAMPLE_BLOCK samples; the Luxemburg
-    gauge holds one |F|^2 array beside the samples and otherwise works in
-    blocks too.
+    The integrals are added block by block in the pass.  The Luxemburg
+    gauge re-reads |F|^2 at every step, so the pass writes it once, block
+    by block, and the gauge walks those blocks.
     """
-    _, _, fmag, weights = samples
     dim = prob.dim
     p = prob.p
-    if dim >= 3:
-        q = dim * p / (dim + p - 2.0)
-        return _block_sum(lambda w, f: w * f ** q, weights, fmag) ** (1.0 / q)
-    if p > 2.0:
+    q = dim * p / (dim + p - 2.0) if dim >= 3 else 2.0
+    total = 0.0
+    blocks = []
+
+    def add(_, __, fmag, weights):
+        nonlocal total
+        if dim == 2 and p > 2.0:
+            blocks.append((fmag ** 2, weights))
+        else:
+            total += float(np.sum(weights * fmag ** q))
+
+    def norm() -> float:
+        if not blocks:
+            return total ** (1.0 / q) if dim >= 3 else total
         n_tilde, _ = log_young(p)
-        sample = SampledField(values=fmag ** 2, weights=weights)
-        return luxemburg_norm(sample, n_tilde)
-    return _block_sum(lambda w, f: w * f ** 2, weights, fmag)
+
+        def terms(lam):
+            g, j = zip(*(_gauge_terms(n_tilde, f, w, lam) for f, w in blocks))
+            return sum(g), sum(j)
+
+        return _gauge(terms, max(_abs_max(f) for f, _ in blocks))
+
+    return add, norm
 
 
 def regularity_ratio(sol: FemSolution) -> float:
@@ -718,23 +871,27 @@ def holder_split_check(sol: FemSolution, k: float = 3.0) -> HolderSplitReport:
         alpha = (n * pf) / ((n - 2) * (pf - 2))
         conj = (1 / alpha + 1 / alpha_prime) == 1
 
-    umag, _, fmag, weights = _gauss_samples(prob, sol.u)
     spec = truncated_power(p, float(k))
-    phik = spec.phi(umag)
-    vmag_sq = phik * umag * umag
-    chain_rhs = vmag_sq ** ((p - 2.0) / p) if p > 2.0 \
-        else np.ones_like(phik)
-    chain_slack = float(np.min(chain_rhs - phik))
-
-    lhs = float(np.sum(weights * fmag ** 2 * phik))
     ap = float(alpha_prime)
-    if alpha is None:
-        rhs = (float(np.max(phik, initial=0.0))
-               * float(np.sum(weights * fmag ** (2.0 * ap))) ** (1.0 / ap))
-    else:
-        a = float(alpha)
-        rhs = (float(np.sum(weights * phik ** a)) ** (1.0 / a)
-               * float(np.sum(weights * fmag ** (2.0 * ap))) ** (1.0 / ap))
+    a = 0.0 if alpha is None else float(alpha)
+    lhs = phik_max = phik_sum = fmag_sum = 0.0
+    chain_slack = math.inf
+
+    def add(umag, _, fmag, weights):
+        nonlocal chain_slack, lhs, phik_max, phik_sum, fmag_sum
+        phik = spec.phi(umag)
+        vmag_sq = phik * umag * umag
+        chain_rhs = vmag_sq ** ((p - 2.0) / p) if p > 2.0 else 1.0
+        chain_slack = min(chain_slack, float(np.min(chain_rhs - phik)))
+        lhs += float(np.sum(weights * fmag ** 2 * phik))
+        phik_max = max(phik_max, float(np.max(phik)))
+        if alpha is not None:
+            phik_sum += float(np.sum(weights * phik ** a))
+        fmag_sum += float(np.sum(weights * fmag ** (2.0 * ap)))
+
+    _gauss_samples(prob, sol.u, add)
+    phik_norm = phik_max if alpha is None else phik_sum ** (1.0 / a)
+    rhs = phik_norm * fmag_sum ** (1.0 / ap)
     return HolderSplitReport(alpha=alpha, alpha_prime=alpha_prime,
                              conjugate_ok=bool(conj), k=float(k),
                              chain_worst_slack=chain_slack,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -297,9 +298,10 @@ def _abs_max(values: np.ndarray) -> float:
 
 
 def _gauge_terms(M: YoungFunction, values: np.ndarray, weights: np.ndarray,
-                 lam: float):
+                 lam: float, slope: bool = True):
     """G = sum w M(|f|/lam) (overflow -> inf) and
-    J = sum w M'(|f|/lam) |f|/lam, so that d log G / d log lam = -J / G.
+    J = sum w M'(|f|/lam) |f|/lam, so that d log G / d log lam = -J / G;
+    J is left at 0 without slope.
 
     Both sums run over blocks of _SAMPLE_BLOCK samples, |f| taken per block,
     so the temporaries of M and M' are bounded by the block, not the field.
@@ -310,10 +312,10 @@ def _gauge_terms(M: YoungFunction, values: np.ndarray, weights: np.ndarray,
         t /= lam
         with np.errstate(over="ignore", invalid="ignore"):
             vals = M(t)
-            slope = M.derivative(t) * t
+            if slope:
+                j += float(np.sum(weights[b] * (M.derivative(t) * t)))
         vals = np.where(np.isnan(vals), np.inf, vals)
         g += float(np.sum(weights[b] * vals))
-        j += float(np.sum(weights[b] * slope))
     return g, j
 
 
@@ -342,7 +344,14 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
     Each step is one pass over the samples in blocks of _SAMPLE_BLOCK, so
     the search holds no array of the field's size beyond the field itself.
     """
-    amax = _abs_max(f.values)
+    return _gauge(partial(_gauge_terms, M, f.values, f.weights),
+                  _abs_max(f.values))
+
+
+def _gauge(terms, amax: float) -> float:
+    """The search of luxemburg_norm on terms(lambda) = (G, J), the integral
+    and its log slope as _gauge_terms gives them, for a field with
+    max|f| = amax; the caller chooses how the samples are walked."""
     if not math.isfinite(amax):
         raise NotIntegrable("field contains non-finite samples")
     if amax == 0.0:
@@ -357,7 +366,7 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
     last = before_last = math.inf
     reach = octave
     while True:
-        g, j = _gauge_terms(M, f.values, f.weights, math.exp(s))
+        g, j = terms(math.exp(s))
         if g > 1.0:
             if s >= s_max:
                 raise NotIntegrable(
@@ -395,7 +404,7 @@ def orlicz_norm(f: SampledField, pair) -> float:
 
     Setting the k-derivative to zero gives int P(k|f|) = 1 with
     P(t) = t M'(t) - M(t), which is N(M'(t)) by Young's equality and rises
-    from 0 (P' = t M'' >= 0, by central differences of P).  So the
+    from 0 (P' = t M'' >= 0, M'' by central differences of M').  So the
     minimizing 1/k is the Luxemburg gauge lambda of P, and the value is
     the functional there, lambda (1 + int M(|f|/lambda)): never below the
     infimum, and accurate to second order in the error of lambda.  When int P stays below 1 the
@@ -404,14 +413,21 @@ def orlicz_norm(f: SampledField, pair) -> float:
     only M enters the minimization, N documents which dual ball the
     supremum runs over."""
     M = pair[0] if isinstance(pair, (tuple, list)) else pair
+
+    def slope(t):
+        # P'(t) = t M''(t), M'' by central differences of M' alone
+        hi = t + np.maximum(1e-7, 1e-7 * t)
+        lo = np.maximum(2.0 * t - hi, 0.0)
+        return t * (M.derivative(hi) - M.derivative(lo)) / (hi - lo)
+
     P = YoungFunction(name=f"tM'-M of {M.name}",
-                      fn=lambda t: t * M.derivative(t) - M(t))
+                      fn=lambda t: t * M.derivative(t) - M(t), dfn=slope)
     lam = luxemburg_norm(f, P)
     if lam == 0.0:
         lam = _abs_max(f.values) * 2.0 ** -_LUX_OCTAVES
         if lam == 0.0:
             return 0.0
-    g, _ = _gauge_terms(M, f.values, f.weights, lam)
+    g, _ = _gauge_terms(M, f.values, f.weights, lam, slope=False)
     out = lam * (1.0 + g)
     if not math.isfinite(out):
         raise NotIntegrable("Amemiya functional is infinite at the "

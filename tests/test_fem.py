@@ -164,6 +164,49 @@ def test_assembly_matches_reduced_form_on_free_dofs(dim):
     assert gap <= 1e-13 * scale
 
 
+def _anisotropic_box(dim, cells=(8, 10, 9), coeffs=(2.0, 0.7)):
+    domain = (0.0, 1.0, 0.0, 2.0, 0.0, 0.5)[:2 * dim]
+    cells = cells[:dim]
+    return FemProblem(domain=domain, cells=cells, coeffs=coeffs,
+                      rhs=np.zeros(tuple(c + 1 for c in cells) + (dim, dim)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stencil_apply_matches_csr_matvec(dim):
+    prob = _anisotropic_box(dim)
+    kff, _ = fem._assemble(prob)
+    stencil = fem._Stencil(fem._cell_matrices(prob), prob.cells)
+    assert stencil.shape == kff.shape
+    x = np.random.default_rng(dim).standard_normal((3, kff.shape[0]))
+    for v in x:
+        ref = kff @ v
+        assert np.max(np.abs(stencil @ v - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cells", [(32, 16), (16, 16, 32)],
+                         ids=["32x16", "16x16x32"])
+def test_stencil_levels_equal_galerkin_products(cells):
+    # the re-derived stencil of each level against P^T A P of the level
+    # above, the stored Galerkin route, starting from the assembled block
+    prob = _anisotropic_box(len(cells), cells=cells, coeffs=(1.3, 0.7))
+    levels, coarsest = fem._hierarchy(prob)
+    ops = [a for a, _, _ in levels] + [coarsest[0]]
+    assert len(ops) == 3
+    galerkin, _ = fem._assemble(prob)
+    scale = float(np.max(np.abs(galerkin.data)))
+    for level, a in enumerate(ops):
+        assert isinstance(a, fem._Stencil)
+        if level:
+            p = fem._prolongation(ops[level - 1].cells)
+            galerkin = p.T.tocsr() @ galerkin @ p
+        gap = (fem._free_block(a.local, a.cells) - galerkin).toarray()
+        assert np.max(np.abs(gap)) <= 1e-13 * scale, level
+        # and the scales read off one row match the stored rows' scales
+        assert np.allclose(fem._jacobi_scale(a), fem._jacobi_scale(galerkin),
+                           rtol=1e-13, atol=0.0)
+    assert coarsest[2] is not None  # the coarsest level is factorised
+
+
 def test_assembly_is_not_reduced_form_for_varying_mu():
     # With mu varying, mu times the null Lagrangian no longer integrates to
     # zero, so the free block tells the two forms apart; the gap is of the
@@ -239,11 +282,19 @@ def test_assembly_matches_einsum_reference(prob):
     assert np.max(np.abs(bf - ref_bf)) <= 1e-13 * np.max(np.abs(ref_bf))
 
 
+def _pass_samples(prob, u):
+    """|u|, |grad u|^2, |F| and weights of the sample pass, its blocks
+    joined in order."""
+    blocks = []
+    fem._gauss_samples(prob, u, lambda *block: blocks.append(block))
+    return tuple(np.concatenate(b) for b in zip(*blocks))
+
+
 @_CONTRACTION_CASES
 def test_gauss_samples_match_einsum_reference(prob):
     u = np.random.default_rng(5).standard_normal(prob.node_shape
                                                  + (prob.dim,))
-    for got, ref in zip(fem._gauss_samples(prob, u),
+    for got, ref in zip(_pass_samples(prob, u),
                         _einsum_samples(prob, u)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -258,7 +309,7 @@ def test_blocked_samples_match_einsum_reference(cells):
     assert step < nel and nel % step != 0  # several blocks, the last ragged
     u = np.random.default_rng(7).standard_normal(prob.node_shape
                                                  + (prob.dim,))
-    for got, ref in zip(fem._gauss_samples(prob, u),
+    for got, ref in zip(_pass_samples(prob, u),
                         _einsum_samples(prob, u)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -266,9 +317,10 @@ def test_blocked_samples_match_einsum_reference(cells):
 
 _RSS_PROBE = """
 import resource
+import sys
 import numpy as np
 from funcdiss.fem import FemProblem, assemble_and_solve
-n = 24
+n = int(sys.argv[1])
 x = np.sin(np.pi * np.linspace(0.0, 1.0, n + 1))
 coef = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
 coef[0, 1] = -coef[0, 1]
@@ -279,26 +331,42 @@ print(sol.iterations, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_3d_solve_peak_rss():
-    # Neither the assembly nor the Gauss sampling may hold per-cell
-    # transients of the whole grid: a smooth 24^3 solve, about 41k free
-    # unknowns, peaked at 439 MB with COO assembly and unblocked sampling.
-    # One BLAS thread, so that no per-thread buffer enters the figure.  A
-    # process starts with the RSS high-water mark of the one that forked
-    # it, so the probe runs as the child of a small interpreter, not of
-    # this test process.
+def _probe_peak_rss(cells):
+    """CG iterations and peak RSS in MB of a fresh smooth cells^3 solve.
+
+    One BLAS thread, so that no per-thread buffer enters the figure.  A
+    process starts with the RSS high-water mark of the one that forked it,
+    so the probe runs as the child of a small interpreter, not of this test
+    process.
+    """
     src = str(Path(fem.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     hop = ("import subprocess, sys\n"
-           "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]])"
+           "sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]])"
            ".returncode)\n")
-    proc = subprocess.run([sys.executable, "-c", hop, _RSS_PROBE],
+    proc = subprocess.run([sys.executable, "-c", hop, _RSS_PROBE, str(cells)],
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     iterations, maxrss_kb = map(int, proc.stdout.split())
+    return iterations, maxrss_kb / 1024
+
+
+def test_3d_solve_peak_rss():
+    # Neither the assembly nor the Gauss sampling may hold per-cell
+    # transients of the whole grid: a smooth 24^3 solve, about 41k free
+    # unknowns, peaked at 439 MB with COO assembly and unblocked sampling.
+    iterations, peak = _probe_peak_rss(24)
     assert iterations > 0
-    assert maxrss_kb <= 300 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
+    assert peak <= 300, f"peak RSS {peak:.0f} MB"
+
+
+def test_48_cubed_solve_peak_rss():
+    # A stored free block (277 MB) and whole-grid Gauss samples (226 MB)
+    # took a smooth 48^3 solve to 594 MB.
+    iterations, peak = _probe_peak_rss(48)
+    assert iterations > 0
+    assert peak <= 400, f"peak RSS {peak:.0f} MB"
 
 
 def test_solution_sampled_once_per_solve(monkeypatch):
@@ -388,12 +456,15 @@ def test_solution_matches_direct_solve(prob):
 @pytest.mark.parametrize("cells", [(32, 64), (8, 8, 8), (64, 65)],
                          ids=["2d-levels", "3d-levels", "smoothing-only"])
 def test_vcycle_is_symmetric_positive(cells):
-    kff, _, _ = free_system(smooth_problem(cells))
+    prob = smooth_problem(cells)
+    levels, coarsest = fem._hierarchy(prob)
+    fine = (levels[0] if levels else coarsest)[0]
+    assert isinstance(fine, fem._Stencil)  # a constant pair's route
     if cells == (64, 65):
-        assert kff.shape[0] > fem._COARSE_DIRECT
-    precond = fem._preconditioner(kff, cells)
+        assert fine.shape[0] > fem._COARSE_DIRECT
+    precond = fem._preconditioner(levels, coarsest)
     rng = np.random.default_rng(3)
-    x, y = rng.standard_normal((2, kff.shape[0]))
+    x, y = rng.standard_normal((2, fine.shape[0]))
     xmy, ymx = x @ precond.matvec(y), y @ precond.matvec(x)
     scale = np.linalg.norm(x) * np.linalg.norm(precond.matvec(y))
     assert abs(xmy - ymx) <= 1e-12 * scale
@@ -521,7 +592,10 @@ def test_blocked_weighted_energies_match_whole_sums(p):
     samples = (umag, rng.uniform(0.0, 2.0, n), None,
                rng.uniform(0.5, 1.5, n))
     levels = [2.0, 4.0, 8.0, 2.0]  # a level listed twice is summed once
-    got = fem._weighted_energies(samples, p, levels)
+    add, got = fem._weighted_energies(p, levels)
+    for lo in range(0, n, fem._SAMPLE_BLOCK):
+        add(*(a[lo:lo + fem._SAMPLE_BLOCK] if a is not None else None
+              for a in samples))
     ref = _unblocked_energies(samples, p, levels)
     assert list(got) == list(ref) == [2.0, 4.0, 8.0, INF]
     for k, val in ref.items():
@@ -544,16 +618,18 @@ def test_default_levels_repeat_for_small_solutions(dim):
 def test_post_solve_reductions_bounded_by_blocks():
     # the load norm's Luxemburg gauge and the weighted energies of a 256^2
     # solve work in blocks of samples: they held 64 and 35 MB above the
-    # samples with whole-sample temporaries
+    # samples with whole-sample temporaries, which the sample pass no
+    # longer holds either
     prob = manufactured_problem(256, p=4.0)
     sol = assemble_and_solve(prob)
-    samples = fem._gauss_samples(prob, sol.u)
     levels = list(sol.weighted_energies)[:-1]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        energies = fem._weighted_energies(samples, prob.p, levels)
-        load = fem._load_norm(prob, samples)
+        add_energies, energies = fem._weighted_energies(prob.p, levels)
+        add_load, load_norm = fem._load_norm(prob)
+        fem._gauss_samples(prob, sol.u, add_energies, add_load)
+        load = load_norm()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -650,6 +726,52 @@ def test_holder_split_p2_endpoint():
     # phi_k == 1 == |v_k|^0: the truncation chain collapses to equality
     assert rep.chain_worst_slack == 0.0
     assert rep.split_slack == pytest.approx(0.0, abs=1e-12)
+
+
+def _unblocked_holder(sol, k):
+    # the split's sums and extremes over the whole sample at once, kept
+    # as a reference for the blocked pass of holder_split_check
+    umag, _, fmag, weights = _pass_samples(sol.problem, sol.u)
+    p = sol.problem.p
+    n = sol.problem.dim
+    phik = truncated_power(p, k).phi(umag)
+    chain_rhs = (phik * umag * umag) ** ((p - 2.0) / p) if p > 2.0 \
+        else np.ones_like(phik)
+    ap = n * p / (2.0 * (n + p) - 4.0)
+    f_norm = float(np.sum(weights * fmag ** (2.0 * ap))) ** (1.0 / ap)
+    if p == 2.0:
+        phik_norm = float(np.max(phik))
+    else:
+        a = n * p / ((n - 2.0) * (p - 2.0))
+        phik_norm = float(np.sum(weights * phik ** a)) ** (1.0 / a)
+    return (float(np.min(chain_rhs - phik)),
+            float(np.sum(weights * fmag ** 2 * phik)), phik_norm * f_norm)
+
+
+@pytest.mark.parametrize("cells, p, k", [
+    (8, 3.0, 3.0), (8, 2.0, 3.0), (24, 3.0, 1.5), ((11, 10, 10), 4.0, 50.0),
+], ids=["8^3", "8^3-p2", "24^3", "11x10x10"])
+def test_holder_split_matches_whole_sample_sums(cells, p, k):
+    sol = assemble_and_solve(smooth_problem(cells, dim=3, p=p))
+    rep = holder_split_check(sol, k=k)
+    slack, lhs, rhs = _unblocked_holder(sol, k)
+    assert rep.chain_worst_slack == slack
+    assert rep.split_lhs == pytest.approx(lhs, rel=1e-13, abs=0.0)
+    assert rep.split_rhs == pytest.approx(rhs, rel=1e-13, abs=0.0)
+
+
+def test_holder_split_bounded_by_blocks():
+    # phi_k, |v_k|^2, the chain bound and |F|^2 were each as large as the
+    # whole sample: 7 MB apiece at 24^3
+    sol = assemble_and_solve(smooth_problem(24, dim=3, p=3.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        holder_split_check(sol, k=3.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_holder_split_planar_rejected():

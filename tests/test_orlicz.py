@@ -151,8 +151,10 @@ def test_luxemburg_newton_on_load_sample():
     # |F|^2 of the 256^2 manufactured load at order-4 Gauss points, the
     # sample the planar regularity study hands to the log type gauge
     prob = fem.manufactured_problem(256, p=4.0)
-    _, _, fmag, weights = fem._gauss_samples(prob, np.zeros(
-        prob.node_shape + (2,)))
+    blocks = []
+    fem._gauss_samples(prob, np.zeros(prob.node_shape + (2,)),
+                       lambda _, __, fmag, w: blocks.append((fmag, w)))
+    fmag, weights = (np.concatenate(b) for b in zip(*blocks))
     f = SampledField(values=fmag ** 2, weights=weights)
     M = log_young(4.0)[0]
     counted, calls = counted_young(M)
@@ -326,6 +328,33 @@ def test_orlicz_norm_passes_over_samples():
             orlicz_norm(f, counted)
             assert 1 <= passes(calls, f) <= 40, (seed, M.name,
                                                  passes(calls, f))
+
+
+def test_orlicz_norm_reads_m_once_per_gauge_step():
+    # P' = t M'' from central differences of M' alone, and the final
+    # functional without M': each gauge step passes once over M and three
+    # times over M'.  With P' taken by differencing P, and M' evaluated for
+    # the final functional, log_young(4) on 1000 samples took 19 passes of
+    # M and 19 of M'.
+    M = log_young(4.0)[0]
+    m_calls, dm_calls = [], []
+
+    def fn(t):
+        m_calls.append(np.size(t))
+        return M.fn(t)
+
+    def dfn(t):
+        dm_calls.append(np.size(t))
+        return M.dfn(t)
+
+    counted = YoungFunction(name=M.name, fn=fn, dfn=dfn,
+                            degenerate_tail=True)
+    f = SampledField.uniform(np.random.default_rng(4).uniform(0.0, 3.0, 1000))
+    assert orlicz_norm(f, counted) == pytest.approx(
+        golden_amemiya(f, M), rel=1e-12)
+    steps = passes(m_calls, f) - 1
+    assert 1 <= steps <= 7, passes(m_calls, f)
+    assert passes(dm_calls, f) == 3 * steps
 
 
 def test_orlicz_norm_unattained_infimum():
