@@ -93,7 +93,7 @@ COMMANDS = ("check", "verify-forms", "solve", "regularity", "report")
 # Size caps, so that no document can start a run that never ends.
 MAX_SWEEP_COUNT = 1000      # exponents in a p_sweep
 MAX_OCTAVES = 14            # frequency doublings of the counterexample sweep
-MAX_CELLS = 256 ** 2        # cells of the finest grid (regularity: refined)
+MAX_CELLS = 512 ** 2        # cells of the finest grid (regularity: refined)
 MAX_SHAPE = 1025            # coefficient grid nodes per axis
 
 

@@ -26,11 +26,14 @@ canonical CSR matrix, with no triplet list and no full matrix.
 The free block is solved by conjugate gradients preconditioned with one
 symmetric geometric multigrid V-cycle: linear interpolation P between grids
 halved per axis, damped Jacobi smoothing and a direct solve on a small
-coarsest grid.  A CoefficientField takes the Galerkin coarse operators
-P^T A P.  A constant pair re-derives its stencil at the doubled spacings of
-each coarse grid, which equals P^T A P, and writes only the coarsest level
-as CSR for the direct solve.  The iteration count does not grow with the
-grid at a fixed lambda/mu.
+coarsest grid.  A CoefficientField stores P and takes the Galerkin coarse
+operators P^T A P.  A constant pair keeps every vector of its solve on the
+node grid, components first, with a zero rim where u is fixed: the load,
+the CG iterates and the V-cycle's residuals and corrections.  It re-derives
+its stencil at the doubled spacings of each coarse grid, which equals
+P^T A P, applies P and P^T as slice passes along each axis, and writes
+only the coarsest level as CSR for the direct solve.  The iteration count
+does not grow with the grid at a fixed lambda/mu.
 
 The solver exists to probe the weighted energy estimate
 
@@ -402,26 +405,59 @@ def _free_block(local, cells):
                             shape=(indptr.size - 1,) * 2)
 
 
+def _interior(dim: int):
+    """The interior nodes of a grid-layout array (N,) + node_shape."""
+    return (slice(None),) + (slice(1, -1),) * dim
+
+
+def _grid_to_free(v, cells):
+    """The free unknowns of a grid-layout vector: the interior nodes, row
+    major, times the N components, the order of _free_block's rows."""
+    dim = len(cells)
+    v = v.reshape((dim,) + tuple(c + 1 for c in cells))
+    return np.moveaxis(v[_interior(dim)], 0, -1).ravel()
+
+
+def _free_to_grid(x, cells):
+    """The grid-layout vector, zero on the rim, of the free unknowns x."""
+    dim = len(cells)
+    v = np.zeros((dim,) + tuple(c + 1 for c in cells))
+    v[_interior(dim)] = np.moveaxis(
+        x.reshape(tuple(c - 1 for c in cells) + (dim,)), -1, 0)
+    return v.ravel()
+
+
 def _load_vector(prob: FemProblem, order: int = 2):
-    """Free load vector bf, as a stencil over the nodal load.
+    """Load vector bf in grid layout, as a stencil over the nodal load.
 
     r[(a,J)] = int Fhat_{iJ} d_i phi_a, with Fhat the Q1 interpolant, is
     T[a, i, b] = sum_g w_g d_i phi_a(g) phi_b(g) times the corner values
     F[b]_{iJ} of the cell.  Summed over the cells around an interior node
     p, the corner pairs (a, b) of one offset o = bits(b) - bits(a) all read
-    F at p + o, so bf[p] = sum_o W_o F[p + o] with W_o[i] the sum of
-    T[a, i, b] over those pairs: one slice product per offset, no array
-    per cell.
+    F at p + o, so bf[J, p] = sum_o sum_i W_o[i] F_{iJ}[p + o] with W_o[i]
+    the sum of T[a, i, b] over those pairs: N scalar-times-slice products
+    per offset, no array per cell.  The rim, where u is fixed, stays zero.
+    As in _Stencil, weights that vanish by symmetry, rounding noise near
+    1e-17 of the largest, are skipped.
     """
     dim = prob.dim
     inner = tuple(c - 1 for c in prob.cells)
     wv, vals, phys = _physical(dim, order, prob.spacings)
     load_op = np.einsum("g,gai,gb->aib", wv, phys, vals)
-    bf = np.zeros(inner + (dim,))
-    for off, pairs in _stencil_offsets(dim):
-        weight = sum(load_op[a, :, b] for a, b in pairs)
-        bf += weight @ prob.rhs[tuple(slice(1 + o, 1 + o + m)
-                                      for o, m in zip(off, inner))]
+    planes = [(off, sum(load_op[a, :, b] for a, b in pairs))
+              for off, pairs in _stencil_offsets(dim)]
+    floor = 1e-15 * max(float(np.max(np.abs(w))) for _, w in planes)
+    # F_{iJ} first, contiguous, so each product reads whole node slices
+    rhs = np.ascontiguousarray(np.moveaxis(prob.rhs, (-2, -1), (0, 1)))
+    bf = np.zeros((dim,) + prob.node_shape)
+    acc = bf[_interior(dim)]
+    tmp = np.empty(acc.shape)
+    for off, weight in planes:
+        src = rhs[(slice(None),) * 2 + tuple(slice(1 + o, 1 + o + m)
+                                             for o, m in zip(off, inner))]
+        for w, f in zip(weight, src):
+            if abs(w) > floor:
+                acc += np.multiply(f, w, out=tmp)
     return bf.ravel()
 
 
@@ -429,41 +465,44 @@ def _assemble(prob: FemProblem, order: int = 2):
     """Free block kff (canonical CSR) and free load vector bf of the Q1
     system, the stored form of the operator that a CoefficientField
     solves with.  A constant pair solves with _Stencil instead, which
-    applies the same block without storing it."""
+    applies the same block on the node grid without storing it."""
     return (_free_block(_cell_matrices(prob, order=order), prob.cells),
-            _load_vector(prob, order))
+            _grid_to_free(_load_vector(prob, order), prob.cells))
 
 
 class _Stencil:
     """The free block of a constant pair as one 3^N stencil of (N, N)
     blocks, the same on every interior row, applied without storing it.
 
-    The blocks are the stencil planes _free_block writes into the CSR rows,
-    local summed over the corner pairs of each offset.  An apply copies the
-    node-major vector, components first, into a zero-padded buffer, whose
-    rim stands for the boundary where u is zero.  On the flattened buffer a
-    neighbour offset is one shift, so each block entry is a product of two
-    contiguous ranges; a range spans the interior nodes and the rim entries
-    between them, which are computed and dropped.  The entries of one
-    output component that share a magnitude are summed before their one
-    product: 10 products for the 26 nonzero entries in 2-D, and 24 for 153
-    in 3-D, at equal spacings.
+    It acts on grid-layout vectors: the node grid, components first, shape
+    (N,) + node_shape flattened, whose rim stands for the boundary where u
+    is zero and must be zero on input.  The blocks are the stencil planes
+    _free_block writes into the CSR rows, local summed over the corner
+    pairs of each offset.  On the flattened grid a neighbour offset is one
+    shift, so each block entry is a product of two contiguous ranges; a
+    range spans the interior nodes and the rim entries between them, which
+    are computed and then zeroed, one strided slice write per axis.  The
+    entries of one output component that share a magnitude are summed
+    before their one product: 10 products for the 26 nonzero entries in
+    2-D, and 24 for 153 in 3-D, at equal spacings.
     """
 
     def __init__(self, local, cells):
         dim = len(cells)
         self.local = local
         self.cells = tuple(cells)
-        self.inner = tuple(c - 1 for c in cells)
-        self.padded = tuple(c + 1 for c in cells)
-        n = math.prod(self.inner) * dim
+        self.nodes = tuple(c + 1 for c in cells)
+        n = math.prod(self.nodes) * dim
         self.shape = (n, n)
         self.dtype = np.dtype(float)
-        strides = [math.prod(self.padded[d + 1:]) for d in range(dim)]
+        strides = [math.prod(self.nodes[d + 1:]) for d in range(dim)]
         # flat indices of the first interior node and of the range that
         # runs from it to the last one
         self.first = sum(strides)
-        self.span = math.prod(self.padded) - 2 * self.first
+        self.span = math.prod(self.nodes) - 2 * self.first
+        # nodes 0 and c of each axis, the rim
+        self.rim = [_along(d, slice(None, None, c))
+                    for d, c in enumerate(cells)]
         planes = [(off, sum(local[a, :, b] for a, b in pairs))
                   for off, pairs in _stencil_offsets(dim)]
         # entries that vanish by symmetry sum to rounding noise near 1e-17
@@ -471,7 +510,7 @@ class _Stencil:
         floor = 1e-15 * max(float(np.max(np.abs(b))) for _, b in planes)
         # groups[i][|c|] = [c, ranges added, ranges subtracted] of the
         # output component i, a range being (component j, start)
-        self.groups = [{} for _ in range(dim)]
+        groups = [{} for _ in range(dim)]
         self.rowsum = np.zeros(dim)
         for off, block in planes:
             if not any(off):
@@ -480,31 +519,34 @@ class _Stencil:
             start = self.first + sum(o * s for o, s in zip(off, strides))
             for i, j in zip(*np.nonzero(np.abs(block) > floor)):
                 c = float(block[i, j])
-                group = self.groups[i].setdefault(abs(c), [c, [], []])
+                group = groups[i].setdefault(abs(c), [c, [], []])
                 group[1 if c == group[0] else 2].append((j, start))
+        # terms[i] = [(c, first range, [(ufunc, range), ...])]: the first
+        # range of a group, then the others added or subtracted in turn
+        self.terms = [[(c, plus[0], [(np.add, r) for r in plus[1:]]
+                        + [(np.subtract, r) for r in minus])
+                       for c, plus, minus in g.values()] for g in groups]
 
     def matvec(self, x):
-        dim = len(self.inner)
-        interior = (slice(None),) + (slice(1, -1),) * dim
-        pad = np.zeros((dim,) + self.padded)
-        pad[interior] = np.moveaxis(x.reshape(self.inner + (dim,)), -1, 0)
-        pad = pad.reshape(dim, -1)
-        y = np.empty_like(pad)
+        dim = len(self.cells)
+        x = x.reshape(dim, -1)
+        y = np.empty_like(x)
         tmp = np.empty(self.span)
         lo, hi = self.first, self.first + self.span
-        for acc, groups in zip(y[:, lo:hi], self.groups):
-            acc[...] = 0.0
-            for c, plus, minus in groups.values():
-                (j, s), *more = plus
-                np.copyto(tmp, pad[j, s:s + self.span])
-                for j, s in more:
-                    tmp += pad[j, s:s + self.span]
-                for j, s in minus:
-                    tmp -= pad[j, s:s + self.span]
-                tmp *= c
-                acc += tmp
-        return np.moveaxis(y.reshape((dim,) + self.padded)[interior],
-                           0, -1).ravel()
+        for acc, terms in zip(y[:, lo:hi], self.terms):
+            for k, (c, (j, s), more) in enumerate(terms):
+                src = x[j, s:s + self.span]
+                for op, (j, s) in more:
+                    src = op(src, x[j, s:s + self.span], out=tmp)
+                if k:
+                    acc += np.multiply(src, c, out=tmp)
+                else:
+                    np.multiply(src, c, out=acc)
+        # every node outside [lo, hi) is on the rim
+        grid = y.reshape((dim,) + self.nodes)
+        for rim in self.rim:
+            grid[rim] = 0.0
+        return y.reshape(-1)
 
     __matmul__ = matvec
 
@@ -538,7 +580,8 @@ def _interpolant_1d(cells: int):
 
 def _prolongation(cells):
     """P: the Kronecker product of the 1-D interpolants times the identity
-    on the node-major displacement components."""
+    on the node-major displacement components, the stored transfer of the
+    CoefficientField levels."""
     from scipy import sparse
 
     p = reduce(sparse.kron, [_interpolant_1d(c) for c in cells]
@@ -550,12 +593,75 @@ def _prolongation(cells):
                              p.indptr.astype(itype)), shape=p.shape)
 
 
+def _along(d: int, s: slice):
+    """Index of the slice s of grid axis d in a grid-layout array."""
+    return (slice(None),) * (d + 1) + (s,)
+
+
+def _restrict(r, cells):
+    """P^T r on the node grid, one slice pass per axis: the coarse node k
+    takes f[2k] + (f[2k-1] + f[2k+1]) / 2 of the fine nodes along it, and
+    the coarse rim stays zero.  The last axis, whose reads are strided,
+    goes last, when the array is smallest."""
+    dim = len(cells)
+    v = r.reshape((dim,) + tuple(c + 1 for c in cells))
+    for d, c in enumerate(cells):
+        shape = list(v.shape)
+        shape[d + 1] = c // 2 + 1
+        out = np.empty(shape)
+        inner = out[_along(d, slice(1, -1))]
+        np.add(v[_along(d, slice(1, c - 2, 2))],
+               v[_along(d, slice(3, c, 2))], out=inner)
+        inner *= 0.5
+        inner += v[_along(d, slice(2, c - 1, 2))]
+        out[_along(d, slice(None, None, c // 2))] = 0.0
+        v = out
+    return v.reshape(-1)
+
+
+def _prolong(x, cells):
+    """P x on the node grid, one slice pass per axis: the fine node 2k takes
+    the coarse node k, and 2k + 1 the mean of k and k + 1.  The last axis,
+    whose writes are strided, goes first, while the array is smallest."""
+    dim = len(cells)
+    v = x.reshape((dim,) + tuple(c // 2 + 1 for c in cells))
+    for d, c in reversed(list(enumerate(cells))):
+        shape = list(v.shape)
+        shape[d + 1] = c + 1
+        out = np.empty(shape)
+        out[_along(d, slice(0, None, 2))] = v
+        odd = out[_along(d, slice(1, None, 2))]
+        np.add(v[_along(d, slice(None, -1))], v[_along(d, slice(1, None))],
+               out=odd)
+        odd *= 0.5
+        v = out
+    return v.reshape(-1)
+
+
+class _Transfer:
+    """The grid transfer of a constant pair's level, where a stored P sits
+    on a CoefficientField's: t @ x interpolates a coarse grid-layout vector
+    to the grid of cells, and t.T @ r restricts a fine one."""
+
+    def __init__(self, cells, transpose: bool = False):
+        self.cells = tuple(cells)
+        self.transpose = transpose
+
+    @property
+    def T(self):
+        return _Transfer(self.cells, not self.transpose)
+
+    def __matmul__(self, v):
+        return (_restrict if self.transpose else _prolong)(v, self.cells)
+
+
 def _jacobi_scale(a):
-    """omega / a_ii per row, with omega = _DAMPING / G.
+    """omega / a_ii per unknown, with omega = _DAMPING / G.
 
     G is the largest absolute row sum over the diagonal.  A stencil has one
     diagonal entry per component, and its interior rows bound G: a row by
-    the boundary only drops entries.
+    the boundary only drops entries.  A stencil's scale is in grid layout,
+    zero on the rim, so smoothing keeps the rim at zero.
     """
     if isinstance(a, _Stencil):
         diag, rowsum = a.diag, a.rowsum
@@ -563,21 +669,27 @@ def _jacobi_scale(a):
         diag = a.diagonal()
         rowsum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
     scale = (_DAMPING / float(np.max(rowsum / diag))) / diag
+    if isinstance(a, _Stencil):
+        return _free_to_grid(
+            np.tile(scale, math.prod(c - 1 for c in a.cells)), a.cells)
     return np.tile(scale, a.shape[0] // scale.size)
 
 
 def _hierarchy(prob: FemProblem):
-    """Multigrid levels of the free block: [(A, scale, P)] from fine to
-    coarse, then the coarsest (A, scale, splu factor or None).
+    """Multigrid levels of the free block: [(A, scale, transfer)] from fine
+    to coarse, then the coarsest (A, scale, direct solve or None).
 
     Each axis is halved while every cell count is even with a half of at
-    least 4, and P is _prolongation.  A CoefficientField starts from the
-    stored free block, and each coarse operator is the Galerkin product
-    P^T A P.  A constant pair starts from its _Stencil, and each coarse
-    operator is the stencil re-derived on the halved grid, at doubled
-    spacings: the coarse space is nested in the fine one and the 2-point
-    Gauss rule is exact for a constant pair, so that stencil equals P^T A P.
-    Only a coarsest level small enough for splu is then written as CSR.
+    least 4.  A CoefficientField starts from the stored free block, its
+    transfer is the stored P of _prolongation and each coarse operator is
+    the Galerkin product P^T A P.  A constant pair starts from its
+    _Stencil, and all its vectors live in grid layout: its transfer is a
+    _Transfer, slice passes that equal P and P^T, and each coarse operator
+    is the stencil re-derived on the halved grid, at doubled spacings: the
+    coarse space is nested in the fine one and the 2-point Gauss rule is
+    exact for a constant pair, so that stencil equals P^T A P.  A coarsest
+    level small enough for splu is factorised; for a constant pair it is
+    written as CSR for that, and its solve takes and gives grid layout.
     """
     from scipy.sparse.linalg import splu
 
@@ -587,29 +699,42 @@ def _hierarchy(prob: FemProblem):
     a = _Stencil(local, cells) if constant else _free_block(local, cells)
     levels = []
     while all(c % 2 == 0 and c // 2 >= 4 for c in cells):
-        p = _prolongation(cells)
+        p = _Transfer(cells) if constant else _prolongation(cells)
         levels.append((a, _jacobi_scale(a), p))
         cells = tuple(c // 2 for c in cells)
         # P^T as CSR: a CSC left factor would make scipy copy A to CSC
         a = _Stencil(_cell_matrices(prob, len(levels)), cells) if constant \
             else p.T.tocsr() @ a @ p
-    lu = None
-    if a.shape[0] <= _COARSE_DIRECT:
-        lu = splu((_free_block(a.local, cells) if constant else a).tocsc())
-    return levels, (a, _jacobi_scale(a), lu)
+    solve = None
+    if math.prod(c - 1 for c in cells) * len(cells) <= _COARSE_DIRECT:
+        solve = partial(_grid_solve, splu(_free_block(a.local, cells).tocsc()),
+                        cells) if constant else splu(a.tocsc()).solve
+    return levels, (a, _jacobi_scale(a), solve)
+
+
+def _grid_solve(lu, cells, r):
+    """The direct solve of a constant pair's coarsest level on grid-layout
+    vectors."""
+    return _free_to_grid(lu.solve(_grid_to_free(r, cells)), cells)
 
 
 def _smooth(a, scale, b, x, sweeps: int):
+    """sweeps damped Jacobi steps on a x = b, updating x in place."""
     for _ in range(sweeps):
-        x = x + scale * (b - a @ x)
+        r = a @ x
+        np.subtract(b, r, out=r)
+        r *= scale
+        x += r
     return x
 
 
 def _vcycle(levels, coarsest, r):
     """One symmetric V-cycle from a zero guess: the preconditioner M r.
 
-    A loop over the levels rather than a self-calling closure, so that no
-    reference cycle keeps the hierarchy alive after the solve.
+    One loop serves both level kinds: a transfer is a stored P or a
+    _Transfer, and either runs as p @ x and p.T @ r.  A loop over the
+    levels rather than a self-calling closure, so that no reference cycle
+    keeps the hierarchy alive after the solve.
     """
     rhs, iterates = [], []
     for a, scale, p in levels:
@@ -617,8 +742,8 @@ def _vcycle(levels, coarsest, r):
         rhs.append(r)
         iterates.append(x)
         r = p.T @ (r - a @ x)
-    a, scale, lu = coarsest
-    x = lu.solve(r) if lu is not None \
+    a, scale, solve = coarsest
+    x = solve(r) if solve is not None \
         else _smooth(a, scale, r, scale * r, 2 * _SWEEPS - 1)
     for (a, scale, p), b, x0 in zip(reversed(levels), reversed(rhs),
                                     reversed(iterates)):
@@ -635,11 +760,19 @@ def _preconditioner(levels, coarsest) -> LinearOperator:
 
 
 def _solve(prob: FemProblem, bf):
-    """Free solution xf, energy xf.A xf / 2 and CG iteration count."""
+    """Free solution, energy xf.A xf / 2 and CG iteration count, for the
+    load bf in grid layout; the solution comes back in grid layout too.
+
+    A constant pair's CG runs on grid-layout vectors; a CoefficientField's
+    runs on the free unknowns of its stored block, converted at both ends.
+    """
     from scipy.sparse.linalg import cg
 
     levels, coarsest = _hierarchy(prob)
     a = (levels[0] if levels else coarsest)[0]
+    stored = not isinstance(a, _Stencil)
+    if stored:
+        bf = _grid_to_free(bf, prob.cells)
     iterations = 0
 
     def tick(_):
@@ -652,7 +785,10 @@ def _solve(prob: FemProblem, bf):
         raise SolverDiverged(f"conjugate gradients stopped with "
                              f"info = {info}")
     # u is zero on the boundary, so the free block carries the energy
-    return xf, 0.5 * float(xf @ (a @ xf)), iterations
+    energy = 0.5 * float(xf @ (a @ xf))
+    if stored:
+        xf = _free_to_grid(xf, prob.cells)
+    return xf, energy, iterations
 
 
 def assemble_and_solve(prob: FemProblem) -> FemSolution:
@@ -676,9 +812,9 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     if np.any(bf != 0.0):
         xf, energy, iterations = _solve(prob, bf)
     work = float(bf @ xf)
-    u = np.zeros(prob.node_shape + (dim,))
-    u[(slice(1, -1),) * dim] = xf.reshape(tuple(c - 1 for c in prob.cells)
-                                          + (dim,))
+    # grid layout, components first, to the nodal field, components last
+    u = np.ascontiguousarray(
+        np.moveaxis(xf.reshape((dim,) + prob.node_shape), 0, -1))
     del bf, xf
     umax = float(np.max(np.linalg.norm(u.reshape(-1, dim), axis=1)))
     add_energies, energies = _weighted_energies(
@@ -702,39 +838,45 @@ def _gauss_samples(prob: FemProblem, u: np.ndarray, *visitors,
     The cells run in blocks of _SAMPLE_BLOCK Gauss points, and each block
     hands its samples, flat over (cell, Gauss point), with their weights to
     every visitor(umag, grad_sq, fmag, weights) in turn, so the transients
-    are bounded by the block, not the grid: about 180 bytes per point in
-    3-D, 12 MB in all.  The weights of every block are views of one array.
-    In each block the corner values of u and F are gathered with the corner
-    index first, so each interpolation is one (G, 2^dim) matrix product over
-    the block's cells; the norms are reductions over the component axes.
+    are bounded by the block, not the grid: about 130 bytes per point in
+    3-D, 8 MB in all.  The weights of every block are views of one array.
+    In each block the corner values of u and F are gathered component
+    first, so each interpolation is one matrix product over the block's
+    cells whose result is component-major, rows (component, cell, Gauss
+    point); each norm then sums the squares of contiguous rows.
     """
     dim = prob.dim
     wv, vals, phys = _physical(dim, order, prob.spacings)
     nbasis = 2 ** dim
     ngauss = len(wv)
     nel = math.prod(prob.cells)
-    # rows (g, i) of d_i phi_b, so grad_g[g, i, e, j] = d_i u_j
-    dphi = phys.transpose(0, 2, 1).reshape(-1, nbasis)
-    u_nodes = u.reshape(-1, dim)
-    f_nodes = prob.rhs.reshape(-1, dim * dim)
+    # right factors (corner, Gauss point): phi_b, and d_i phi_b per axis i
+    vals_t = vals.T
+    dphi_t = [np.ascontiguousarray(phys[:, :, i].T) for i in range(dim)]
+    u_flat, f_flat = u.reshape(-1), prob.rhs.reshape(-1)
+    u_comp = np.arange(dim)[:, None]
+    f_comp = np.arange(dim * dim)[:, None]
     step = _SAMPLE_BLOCK // ngauss
     weights = np.tile(wv, step)
     for lo in range(0, nel, step):
         corners = _element_nodes(prob.cells, prob.node_shape,
-                                 slice(lo, lo + step)).T
-        nb = corners.shape[1]
-        u_corners = u_nodes[corners].reshape(nbasis, -1)
-        u_g = (vals @ u_corners).reshape(ngauss, nb, dim)
-        umag = np.sqrt(np.einsum("gej,gej->eg", u_g, u_g))
-        grad_g = (dphi @ u_corners).reshape(ngauss, dim, nb, dim)
-        grad_sq = np.einsum("giej,giej->eg", grad_g, grad_g)
-        f_g = (vals @ f_nodes[corners].reshape(nbasis, -1)).reshape(
-            ngauss, nb, dim * dim)
-        fmag = np.sqrt(np.einsum("gek,gek->eg", f_g, f_g))
-        del u_corners, u_g, grad_g, f_g  # freed before the visitors run
+                                 slice(lo, lo + step)).T[:, None, :]
+        # rows (component, cell) by columns corner
+        u_c = u_flat[corners * dim + u_comp].reshape(nbasis, -1).T
+        umag = np.sqrt(_sum_squares(u_c @ vals_t, dim))
+        grad_sq = sum(_sum_squares(u_c @ d, dim) for d in dphi_t)
+        f_c = f_flat[corners * (dim * dim) + f_comp].reshape(nbasis, -1).T
+        fmag = np.sqrt(_sum_squares(f_c @ vals_t, dim * dim))
+        del u_c, f_c  # freed before the visitors run
         for visit in visitors:
-            visit(umag.ravel(), grad_sq.ravel(), fmag.ravel(),
-                  weights[:umag.size])
+            visit(umag, grad_sq, fmag, weights[:umag.size])
+
+
+def _sum_squares(rows, count: int):
+    """The sum of the squares of the count equal parts of a fresh product,
+    flat; the product is squared in place."""
+    np.square(rows, out=rows)
+    return rows.reshape(count, -1).sum(axis=0)
 
 
 def _weighted_energies(p: float, k_list):

@@ -145,8 +145,8 @@ def _main_doc(tmp_path, text):
     ("command: check\np_sweep: {lo: 2, hi: 8, count: 100000000}",
      "p_sweep.count must be >= 2 and <= 1000"),
     ("command: verify-forms\noctaves: 15", "octaves must be >= 0 and <= 14"),
-    ("command: regularity\ngrid: [32, 32]\nrefinements: 5",
-     "exceeds 65536 cells"),
+    ("command: regularity\ngrid: [32, 32]\nrefinements: 6",
+     "exceeds 262144 cells"),
     ("command: check\ncoefficients: {kind: radial, shape: [1026, 33]}",
      "coefficients.shape entries must be >= 2 and <= 1025"),
 ], ids=["seed-null", "p-list", "phi-p-null", "shape-scalar", "c0-inf",

@@ -176,11 +176,18 @@ def test_stencil_apply_matches_csr_matvec(dim):
     prob = _anisotropic_box(dim)
     kff, _ = fem._assemble(prob)
     stencil = fem._Stencil(fem._cell_matrices(prob), prob.cells)
-    assert stencil.shape == kff.shape
+    grid = (dim,) + prob.node_shape
+    assert stencil.shape == (math.prod(grid),) * 2
     x = np.random.default_rng(dim).standard_normal((3, kff.shape[0]))
     for v in x:
         ref = kff @ v
-        assert np.max(np.abs(stencil @ v - ref)) <= 1e-13 * np.max(np.abs(ref))
+        got = stencil @ fem._free_to_grid(v, prob.cells)
+        assert np.max(np.abs(fem._grid_to_free(got, prob.cells) - ref)) \
+            <= 1e-13 * np.max(np.abs(ref))
+        # the rim, where u is fixed, comes out zero
+        rim = np.ones(grid, dtype=bool)
+        rim[fem._interior(dim)] = False
+        assert not np.any(got.reshape(grid)[rim])
 
 
 @pytest.mark.parametrize("cells", [(32, 16), (16, 16, 32)],
@@ -202,9 +209,30 @@ def test_stencil_levels_equal_galerkin_products(cells):
         gap = (fem._free_block(a.local, a.cells) - galerkin).toarray()
         assert np.max(np.abs(gap)) <= 1e-13 * scale, level
         # and the scales read off one row match the stored rows' scales
-        assert np.allclose(fem._jacobi_scale(a), fem._jacobi_scale(galerkin),
+        jacobi = fem._grid_to_free(fem._jacobi_scale(a), a.cells)
+        assert np.allclose(jacobi, fem._jacobi_scale(galerkin),
                            rtol=1e-13, atol=0.0)
     assert coarsest[2] is not None  # the coarsest level is factorised
+
+
+@pytest.mark.parametrize("cells", [(32, 16), (16, 16, 32), (64, 64)],
+                         ids=["32x16", "16x16x32", "64x64"])
+def test_slice_transfers_equal_prolongation(cells):
+    # _Transfer on grid-layout vectors against the stored P and P^T on the
+    # free unknowns, one level
+    p = fem._prolongation(cells)
+    coarse = tuple(c // 2 for c in cells)
+    transfer = fem._Transfer(cells)
+    rng = np.random.default_rng(len(cells))
+    for _ in range(3):
+        r, x = rng.standard_normal(p.shape[0]), rng.standard_normal(p.shape[1])
+        ref = p.T @ r
+        got = fem._grid_to_free(transfer.T @ fem._free_to_grid(r, cells),
+                                coarse)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        ref = p @ x
+        got = fem._grid_to_free(transfer @ fem._free_to_grid(x, coarse), cells)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_assembly_is_not_reduced_form_for_varying_mu():
@@ -424,6 +452,11 @@ def test_cg_iterations_flat_under_refinement():
     assert all(b <= 1.2 * a for a, b in zip(iters, iters[1:])), iters
     # Jacobi preconditioned CG took 198 iterations at 64^2
     assert iters[1] <= 198 // 4, iters
+    # pinned: the grid-layout route only reorders sums, so the counts of
+    # the stored-P solver stay
+    assert iters == [12, 13, 13, 14]
+    assert assemble_and_solve(smooth_problem(24, dim=3, p=3.0)).iterations \
+        == 14
 
 
 @pytest.mark.parametrize("ratio, prob, bound", [
@@ -461,14 +494,34 @@ def test_vcycle_is_symmetric_positive(cells):
     fine = (levels[0] if levels else coarsest)[0]
     assert isinstance(fine, fem._Stencil)  # a constant pair's route
     if cells == (64, 65):
-        assert fine.shape[0] > fem._COARSE_DIRECT
+        assert not levels and coarsest[2] is None  # smoothed only
     precond = fem._preconditioner(levels, coarsest)
+    dim = len(cells)
+    free = dim * math.prod(c - 1 for c in cells)
     rng = np.random.default_rng(3)
-    x, y = rng.standard_normal((2, fine.shape[0]))
-    xmy, ymx = x @ precond.matvec(y), y @ precond.matvec(x)
-    scale = np.linalg.norm(x) * np.linalg.norm(precond.matvec(y))
+    # grid-layout vectors, zero on the rim, as CG hands them over
+    x, y = (fem._free_to_grid(v, cells)
+            for v in rng.standard_normal((2, free)))
+    my = precond.matvec(y)
+    assert not np.any(my.reshape((dim,) + prob.node_shape)[:, 0])
+    xmy, ymx = x @ my, y @ precond.matvec(x)
+    scale = np.linalg.norm(x) * np.linalg.norm(my)
     assert abs(xmy - ymx) <= 1e-12 * scale
     assert x @ precond.matvec(x) > 0.0
+
+
+def test_constant_hierarchy_stores_no_transfer():
+    # A stored P (sparse.kron, int64 intermediates) took _hierarchy to a
+    # 45 MB peak on a 48^3 grid; slice transfers leave the Jacobi scales.
+    prob = smooth_problem(48, dim=3, p=3.0)
+    tracemalloc.start()
+    try:
+        levels, coarsest = fem._hierarchy(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+    assert all(isinstance(p, fem._Transfer) for _, _, p in levels)
 
 
 def test_solve_leaves_no_hierarchy_behind():
