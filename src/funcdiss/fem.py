@@ -16,24 +16,24 @@ mu <grad u, grad v> + (lambda + mu) (div u)(div v) on the constrained
 space, because the two differ by a null Lagrangian on H^1_0.
 
 The operator is the free block, the interior nodes where u is not fixed.
-Each interior node couples to its 3^N neighbours, and the stencil of each
-neighbour offset sums slices of the per-cell matrices over the corner pairs
-at that offset.  For a constant pair that stencil is one (N, N) block per
-offset on every row, applied by slice products and never stored.  A planar
-CoefficientField writes its per-node stencils straight into the rows of a
-canonical CSR matrix, with no triplet list and no full matrix.
+Each interior node couples to its 3^N neighbours, and the stencil plane of
+each neighbour offset sums slices of the per-cell matrices over the corner
+pairs at that offset.  A constant pair has one (N, N) block per offset,
+the same on every row, and a planar CoefficientField one per node; either
+is applied by slice products on the node grid, never stored as a matrix.
 
 The free block is solved by conjugate gradients preconditioned with one
 symmetric geometric multigrid V-cycle: linear interpolation P between grids
 halved per axis, damped Jacobi smoothing and a direct solve on a small
-coarsest grid.  A CoefficientField stores P and takes the Galerkin coarse
-operators P^T A P.  A constant pair keeps every vector of its solve on the
-node grid, components first, with a zero rim where u is fixed: the load,
-the CG iterates and the V-cycle's residuals and corrections.  It re-derives
-its stencil at the doubled spacings of each coarse grid, which equals
-P^T A P, applies P and P^T as slice passes along each axis, and writes
-only the coarsest level as CSR for the direct solve.  The iteration count
-does not grow with the grid at a fixed lambda/mu.
+coarsest grid.  Every vector of the solve lives on the node grid,
+components first, with a zero rim where u is fixed: the load, the CG
+iterates and the V-cycle's residuals and corrections.  P and P^T are slice
+passes along each axis, and each coarse operator is the Galerkin product
+P^T A P, formed without P: a constant pair re-derives its stencil at the
+doubled spacings of the coarse grid, and a CoefficientField sums the cell
+matrices of each coarse cell's children against the coarse basis.  Only
+the coarsest level is written as CSR, for the direct solve.  The iteration
+count does not grow with the grid at a fixed lambda/mu.
 
 The solver exists to probe the weighted energy estimate
 
@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import product
 from typing import TYPE_CHECKING, Mapping
 
@@ -348,30 +348,67 @@ def _cell_matrices(prob: FemProblem, level: int = 0, order: int = 2):
                          + (nbasis, dim, nbasis, dim))
 
 
+def _coarsen(local, cells):
+    """The cell matrices of a CoefficientField on the grid halved per axis.
+
+    Coarse cell C takes sum_k R_k^T local[2C + k] R_k over its 2^N children
+    k, with R_k[a, A] the coarse Q1 basis function A at corner a of child
+    k.  The coarse space is nested in the fine one and P maps interior
+    nodes to interior nodes, so the coarse free block is P^T A P exactly.
+    The children are read as strided views of local.
+    """
+    dim = len(cells)
+    nbasis = 2 ** dim
+    shape = tuple(c // 2 for c in cells) + local.shape[dim:]
+    coarse = np.zeros(shape)
+    for k in product((0, 1), repeat=dim):
+        # corner a of child k sits at (k + bits(a)) / 2 of the coarse cell
+        at = [[(t + ((a >> d) & 1)) / 2 for d, t in enumerate(k)]
+              for a in range(nbasis)]
+        r_t = np.array([[math.prod(x if (b >> d) & 1 else 1.0 - x
+                                   for d, x in enumerate(xs)) for xs in at]
+                        for b in range(nbasis)])
+        child = local[tuple(slice(t, None, 2) for t in k)]
+        # b, then a: each product is the size of the coarse cells
+        half = (r_t @ child).reshape(shape[:dim] + (nbasis, -1))
+        coarse += (r_t @ half).reshape(shape)
+    return coarse
+
+
+def _offset_rows(off, inner):
+    """The interior nodes, as slices of the inner grid, whose neighbour at
+    the offset off is an interior node too."""
+    return tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, inner))
+
+
+def _plane(local, rows, pairs):
+    """The stencil plane of one offset at the interior nodes rows: the sum,
+    over the offset's corner pairs (a, b), of local[a, :, b] of the cell
+    that has each node at corner a.  (N, N) for a constant pair, whose one
+    cell matrix serves every node, and rows + (N, N) for a
+    CoefficientField, each pair one slice of the cells."""
+    if local.ndim == 4:
+        return sum(local[a, :, b] for a, b in pairs)
+    return sum(local[tuple(slice(r.start + 1 - ((a >> d) & 1),
+                                 r.stop + 1 - ((a >> d) & 1))
+                           for d, r in enumerate(rows))
+                     + (a, slice(None), b)] for a, b in pairs)
+
+
 def _free_block(local, cells):
     """The free block (canonical CSR, sorted and without duplicates) of the
     cell matrices local, as _cell_matrices gives them, on a grid of cells.
 
     The free unknowns are the interior nodes, row major, times the N
     displacement components.  An interior node p couples to the nodes p + o,
-    o in {-1, 0, 1}^N.  The stencil plane of one offset o is the sum, over
-    the corner pairs (a, b) with bits(b) - bits(a) = o, of local[a, :, b, :]
-    of the cell that has p at corner a; each pair is one slice of the cells.
-    Each plane is written straight into the CSR rows, dropping the
-    neighbours on the boundary, where u is fixed at zero.
+    o in {-1, 0, 1}^N.  The stencil plane of each offset (_plane) is
+    written straight into the CSR rows, dropping the neighbours on the
+    boundary, where u is fixed at zero.
     """
     from scipy import sparse
 
     dim = len(cells)
     inner = tuple(c - 1 for c in cells)
-    varying = local.ndim > 4
-
-    def around(rows, a):
-        # the cells that hold the interior nodes rows at their corner a
-        return tuple(slice(r.start + 1 - ((a >> d) & 1),
-                           r.stop + 1 - ((a >> d) & 1))
-                     for d, r in enumerate(rows))
-
     # valid[p, o]: p + o is an interior node, a product over the axes.
     # A row of node p holds count[p] entries, its valid offsets in order,
     # each with the N components; those of offset o start at rank[p, o].
@@ -394,12 +431,10 @@ def _free_block(local, cells):
     nodes = np.arange(count.size, dtype=itype).reshape(inner + (1, 1)) * dim
     comp = np.arange(dim, dtype=itype)
     for s, (off, pairs) in enumerate(_stencil_offsets(dim)):
-        rows = tuple(slice(max(0, -o), n - max(0, o))
-                     for o, n in zip(off, inner))
+        rows = _offset_rows(off, inner)
         cols = tuple(slice(r.start + o, r.stop + o) for r, o in zip(rows, off))
         pos = first[rows] + rank[rows + (s, None, None)] + comp
-        data[pos] = sum(local[(around(rows, a) if varying else ())
-                              + (a, slice(None), b)] for a, b in pairs)
+        data[pos] = _plane(local, rows, pairs)
         indices[pos] = nodes[cols] + comp
     return sparse.csr_array((data, indices, indptr),
                             shape=(indptr.size - 1,) * 2)
@@ -461,35 +496,28 @@ def _load_vector(prob: FemProblem, order: int = 2):
     return bf.ravel()
 
 
-def _assemble(prob: FemProblem, order: int = 2):
-    """Free block kff (canonical CSR) and free load vector bf of the Q1
-    system, the stored form of the operator that a CoefficientField
-    solves with.  A constant pair solves with _Stencil instead, which
-    applies the same block on the node grid without storing it."""
-    return (_free_block(_cell_matrices(prob, order=order), prob.cells),
-            _grid_to_free(_load_vector(prob, order), prob.cells))
-
-
 class _Stencil:
-    """The free block of a constant pair as one 3^N stencil of (N, N)
-    blocks, the same on every interior row, applied without storing it.
+    """The free block as 3^N stencil planes of (N, N) blocks, applied on
+    grid-layout vectors without storing it as a matrix.
 
-    It acts on grid-layout vectors: the node grid, components first, shape
-    (N,) + node_shape flattened, whose rim stands for the boundary where u
-    is zero and must be zero on input.  The blocks are the stencil planes
-    _free_block writes into the CSR rows, local summed over the corner
-    pairs of each offset.  On the flattened grid a neighbour offset is one
-    shift, so each block entry is a product of two contiguous ranges; a
+    A grid-layout vector is the node grid, components first, shape (N,) +
+    node_shape flattened, whose rim stands for the boundary where u is zero
+    and must be zero on input.  The planes are _free_block's: one block per
+    offset for a constant pair, and one per node for a CoefficientField,
+    each entry stored on the flat grid, zero on the rim and where the
+    neighbour is on the rim.  A neighbour offset is one shift of the flat
+    grid, so each block entry is a product of two contiguous ranges; a
     range spans the interior nodes and the rim entries between them, which
-    are computed and then zeroed, one strided slice write per axis.  The
-    entries of one output component that share a magnitude are summed
-    before their one product: 10 products for the 26 nonzero entries in
-    2-D, and 24 for 153 in 3-D, at equal spacings.
+    are computed and then zeroed, one strided slice write per axis.  A
+    constant pair sums the entries of one output component that share a
+    magnitude before their one product: 10 products for the 26 nonzero
+    entries in 2-D, and 24 for 153 in 3-D, at equal spacings.  diag and
+    rowsum, the diagonal and the absolute row sums of the interior rows,
+    have shape (N,) + inner, or (N,) + (1,) * N for a constant pair.
     """
 
     def __init__(self, local, cells):
         dim = len(cells)
-        self.local = local
         self.cells = tuple(cells)
         self.nodes = tuple(c + 1 for c in cells)
         n = math.prod(self.nodes) * dim
@@ -500,27 +528,47 @@ class _Stencil:
         # runs from it to the last one
         self.first = sum(strides)
         self.span = math.prod(self.nodes) - 2 * self.first
+        lo, hi = self.first, self.first + self.span
         # nodes 0 and c of each axis, the rim
         self.rim = [_along(d, slice(None, None, c))
                     for d, c in enumerate(cells)]
-        planes = [(off, sum(local[a, :, b] for a, b in pairs))
-                  for off, pairs in _stencil_offsets(dim)]
+        varying = local.ndim > 4
+        inner = tuple(c - 1 for c in cells)
+        interior = (slice(None),) * 2 + (slice(1, -1),) * dim
+        planes = []
+        for off, pairs in _stencil_offsets(dim):
+            rows = _offset_rows(off, inner)
+            block = _plane(local, rows, pairs)
+            if varying:
+                grid = np.zeros((dim, dim) + self.nodes)
+                grid[interior][(slice(None),) * 2 + rows] = np.moveaxis(
+                    block, (-2, -1), (0, 1))
+                block = grid
+            planes.append((off, block))
         # entries that vanish by symmetry sum to rounding noise near 1e-17
         # of the largest; every other entry is within a few orders of it
         floor = 1e-15 * max(float(np.max(np.abs(b))) for _, b in planes)
-        # groups[i][|c|] = [c, ranges added, ranges subtracted] of the
-        # output component i, a range being (component j, start)
+        # groups[i][key] = [c, ranges added, ranges subtracted] of the
+        # output component i, a range being (component j, start); a
+        # constant pair's key is |c|
         groups = [{} for _ in range(dim)]
-        self.rowsum = np.zeros(dim)
+        self.rowsum = 0.0
         for off, block in planes:
+            # the block at the interior nodes, the constant one broadcast
+            on_inner = block[interior] if varying \
+                else block.reshape((dim, dim) + (1,) * dim)
             if not any(off):
-                self.diag = np.diagonal(block).copy()
-            self.rowsum += np.abs(block).sum(axis=1)
+                self.diag = np.stack([on_inner[i, i] for i in range(dim)])
+            self.rowsum += np.abs(on_inner).sum(axis=1)
             start = self.first + sum(o * s for o, s in zip(off, strides))
-            for i, j in zip(*np.nonzero(np.abs(block) > floor)):
-                c = float(block[i, j])
-                group = groups[i].setdefault(abs(c), [c, [], []])
-                group[1 if c == group[0] else 2].append((j, start))
+            for i, j in np.ndindex(dim, dim):
+                if varying:
+                    groups[i][start, j] = [block[i, j].reshape(-1)[lo:hi],
+                                           [(j, start)], []]
+                elif abs(block[i, j]) > floor:
+                    c = float(block[i, j])
+                    group = groups[i].setdefault(abs(c), [c, [], []])
+                    group[1 if c == group[0] else 2].append((j, start))
         # terms[i] = [(c, first range, [(ufunc, range), ...])]: the first
         # range of a group, then the others added or subtracted in turn
         self.terms = [[(c, plus[0], [(np.add, r) for r in plus[1:]]
@@ -562,35 +610,6 @@ _SWEEPS = 2
 # The Jacobi damping is _DAMPING / G, with G the Gershgorin bound on the
 # spectral radius of D^-1 A; any value below 2 keeps the smoother convergent.
 _DAMPING = 1.3
-
-
-def _interpolant_1d(cells: int):
-    """Linear interpolation from the cells/2 - 1 interior nodes of the
-    halved axis to the cells - 1 interior nodes of the fine one (stencil
-    1/2, 1, 1/2); the boundary nodes carry no free unknowns."""
-    from scipy import sparse
-
-    coarse = cells // 2 - 1
-    j = np.arange(coarse)
-    rows = np.concatenate([2 * j, 2 * j + 1, 2 * j + 2])
-    vals = np.repeat([0.5, 1.0, 0.5], coarse)
-    return sparse.csr_array((vals, (rows, np.tile(j, 3))),
-                            shape=(cells - 1, coarse))
-
-
-def _prolongation(cells):
-    """P: the Kronecker product of the 1-D interpolants times the identity
-    on the node-major displacement components, the stored transfer of the
-    CoefficientField levels."""
-    from scipy import sparse
-
-    p = reduce(sparse.kron, [_interpolant_1d(c) for c in cells]
-               + [sparse.eye_array(len(cells))]).tocsr()
-    # kron carries int64 indices; int32 ones, as the free block has, keep
-    # the Galerkin products and the coarse levels int32 too
-    itype = np.int32 if p.nnz < 2 ** 31 else np.int64
-    return sparse.csr_array((p.data, p.indices.astype(itype),
-                             p.indptr.astype(itype)), shape=p.shape)
 
 
 def _along(d: int, s: slice):
@@ -638,83 +657,57 @@ def _prolong(x, cells):
     return v.reshape(-1)
 
 
-class _Transfer:
-    """The grid transfer of a constant pair's level, where a stored P sits
-    on a CoefficientField's: t @ x interpolates a coarse grid-layout vector
-    to the grid of cells, and t.T @ r restricts a fine one."""
-
-    def __init__(self, cells, transpose: bool = False):
-        self.cells = tuple(cells)
-        self.transpose = transpose
-
-    @property
-    def T(self):
-        return _Transfer(self.cells, not self.transpose)
-
-    def __matmul__(self, v):
-        return (_restrict if self.transpose else _prolong)(v, self.cells)
-
-
 def _jacobi_scale(a):
-    """omega / a_ii per unknown, with omega = _DAMPING / G.
-
-    G is the largest absolute row sum over the diagonal.  A stencil has one
-    diagonal entry per component, and its interior rows bound G: a row by
-    the boundary only drops entries.  A stencil's scale is in grid layout,
+    """omega / a_ii per unknown in grid layout, with omega = _DAMPING / G,
     zero on the rim, so smoothing keeps the rim at zero.
+
+    G is the largest absolute row sum over the diagonal.  A constant pair's
+    interior rows bound G: a row by the boundary only drops entries.
     """
-    if isinstance(a, _Stencil):
-        diag, rowsum = a.diag, a.rowsum
-    else:
-        diag = a.diagonal()
-        rowsum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
-    scale = (_DAMPING / float(np.max(rowsum / diag))) / diag
-    if isinstance(a, _Stencil):
-        return _free_to_grid(
-            np.tile(scale, math.prod(c - 1 for c in a.cells)), a.cells)
-    return np.tile(scale, a.shape[0] // scale.size)
+    dim = len(a.cells)
+    scale = np.zeros((dim,) + a.nodes)
+    scale[_interior(dim)] = (_DAMPING / float(np.max(a.rowsum / a.diag))) \
+        / a.diag
+    return scale.reshape(-1)
 
 
 def _hierarchy(prob: FemProblem):
-    """Multigrid levels of the free block: [(A, scale, transfer)] from fine
-    to coarse, then the coarsest (A, scale, direct solve or None).
+    """Multigrid levels of the free block: [(A, scale, cells)] from fine to
+    coarse, then the coarsest (A, scale, direct solve or None).
 
     Each axis is halved while every cell count is even with a half of at
-    least 4.  A CoefficientField starts from the stored free block, its
-    transfer is the stored P of _prolongation and each coarse operator is
-    the Galerkin product P^T A P.  A constant pair starts from its
-    _Stencil, and all its vectors live in grid layout: its transfer is a
-    _Transfer, slice passes that equal P and P^T, and each coarse operator
-    is the stencil re-derived on the halved grid, at doubled spacings: the
-    coarse space is nested in the fine one and the 2-point Gauss rule is
-    exact for a constant pair, so that stencil equals P^T A P.  A coarsest
-    level small enough for splu is factorised; for a constant pair it is
-    written as CSR for that, and its solve takes and gives grid layout.
+    least 4.  Every level is a _Stencil, and each coarse one is the
+    Galerkin product P^T A P of the level above, formed without P.  A
+    constant pair re-derives its stencil on the halved grid, at doubled
+    spacings: the coarse space is nested in the fine one and the 2-point
+    Gauss rule is exact for a constant pair, so that stencil equals
+    P^T A P.  A CoefficientField coarsens its cell matrices (_coarsen).
+    The cell matrices of a level are dropped once the next are formed.  A
+    coarsest level small enough for splu is written as CSR and factorised,
+    and its solve takes and gives grid layout.
     """
     from scipy.sparse.linalg import splu
 
     cells = prob.cells
     constant = not isinstance(prob.coeffs, CoefficientField)
     local = _cell_matrices(prob)
-    a = _Stencil(local, cells) if constant else _free_block(local, cells)
+    a = _Stencil(local, cells)
     levels = []
     while all(c % 2 == 0 and c // 2 >= 4 for c in cells):
-        p = _Transfer(cells) if constant else _prolongation(cells)
-        levels.append((a, _jacobi_scale(a), p))
+        levels.append((a, _jacobi_scale(a), cells))
+        local = _cell_matrices(prob, len(levels)) if constant \
+            else _coarsen(local, cells)
         cells = tuple(c // 2 for c in cells)
-        # P^T as CSR: a CSC left factor would make scipy copy A to CSC
-        a = _Stencil(_cell_matrices(prob, len(levels)), cells) if constant \
-            else p.T.tocsr() @ a @ p
+        a = _Stencil(local, cells)
     solve = None
     if math.prod(c - 1 for c in cells) * len(cells) <= _COARSE_DIRECT:
-        solve = partial(_grid_solve, splu(_free_block(a.local, cells).tocsc()),
-                        cells) if constant else splu(a.tocsc()).solve
+        solve = partial(_grid_solve, splu(_free_block(local, cells).tocsc()),
+                        cells)
     return levels, (a, _jacobi_scale(a), solve)
 
 
 def _grid_solve(lu, cells, r):
-    """The direct solve of a constant pair's coarsest level on grid-layout
-    vectors."""
+    """The direct solve of the coarsest level on grid-layout vectors."""
     return _free_to_grid(lu.solve(_grid_to_free(r, cells)), cells)
 
 
@@ -729,25 +722,25 @@ def _smooth(a, scale, b, x, sweeps: int):
 
 
 def _vcycle(levels, coarsest, r):
-    """One symmetric V-cycle from a zero guess: the preconditioner M r.
+    """One symmetric V-cycle from a zero guess: the preconditioner M r, on
+    grid-layout vectors.
 
-    One loop serves both level kinds: a transfer is a stored P or a
-    _Transfer, and either runs as p @ x and p.T @ r.  A loop over the
-    levels rather than a self-calling closure, so that no reference cycle
-    keeps the hierarchy alive after the solve.
+    Restriction and interpolation are the slice passes _restrict and
+    _prolong.  A loop over the levels rather than a self-calling closure,
+    so that no reference cycle keeps the hierarchy alive after the solve.
     """
     rhs, iterates = [], []
-    for a, scale, p in levels:
+    for a, scale, cells in levels:
         x = _smooth(a, scale, r, scale * r, _SWEEPS - 1)
         rhs.append(r)
         iterates.append(x)
-        r = p.T @ (r - a @ x)
+        r = _restrict(r - a @ x, cells)
     a, scale, solve = coarsest
     x = solve(r) if solve is not None \
         else _smooth(a, scale, r, scale * r, 2 * _SWEEPS - 1)
-    for (a, scale, p), b, x0 in zip(reversed(levels), reversed(rhs),
-                                    reversed(iterates)):
-        x = _smooth(a, scale, b, x0 + p @ x, _SWEEPS)
+    for (a, scale, cells), b, x0 in zip(reversed(levels), reversed(rhs),
+                                        reversed(iterates)):
+        x = _smooth(a, scale, b, x0 + _prolong(x, cells), _SWEEPS)
     return x
 
 
@@ -760,19 +753,15 @@ def _preconditioner(levels, coarsest) -> LinearOperator:
 
 
 def _solve(prob: FemProblem, bf):
-    """Free solution, energy xf.A xf / 2 and CG iteration count, for the
-    load bf in grid layout; the solution comes back in grid layout too.
+    """Solution, energy x.A x / 2 and CG iteration count for the load bf.
 
-    A constant pair's CG runs on grid-layout vectors; a CoefficientField's
-    runs on the free unknowns of its stored block, converted at both ends.
+    CG runs on grid-layout vectors, so bf and the solution are in grid
+    layout, zero on the rim.
     """
     from scipy.sparse.linalg import cg
 
     levels, coarsest = _hierarchy(prob)
     a = (levels[0] if levels else coarsest)[0]
-    stored = not isinstance(a, _Stencil)
-    if stored:
-        bf = _grid_to_free(bf, prob.cells)
     iterations = 0
 
     def tick(_):
@@ -786,8 +775,6 @@ def _solve(prob: FemProblem, bf):
                              f"info = {info}")
     # u is zero on the boundary, so the free block carries the energy
     energy = 0.5 * float(xf @ (a @ xf))
-    if stored:
-        xf = _free_to_grid(xf, prob.cells)
     return xf, energy, iterations
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,12 @@ from funcdiss import (
     power_phi,
     truncated_power,
 )
-from funcdiss.coefficients import CoefficientField, ramp_field
+from funcdiss.coefficients import (
+    CoefficientField,
+    checkerboard_field,
+    radial_field,
+    ramp_field,
+)
 from funcdiss import fem
 from funcdiss.errors import EllipticityViolation
 from funcdiss.fem import (
@@ -144,7 +150,7 @@ def _reduced_form_matrix(prob, order=2):
 
 def _gap_to_reduced_form(prob):
     """max |kff - reduced form| on the free unknowns, and max |kff|."""
-    kff, _ = fem._assemble(prob)
+    kff = fem._free_block(fem._cell_matrices(prob), prob.cells)
     free = _free_dofs(prob)
     ref = _reduced_form_matrix(prob)[free][:, free]
     return (float(np.max(np.abs((kff - ref).toarray()))),
@@ -171,11 +177,17 @@ def _anisotropic_box(dim, cells=(8, 10, 9), coeffs=(2.0, 0.7)):
                       rhs=np.zeros(tuple(c + 1 for c in cells) + (dim, dim)))
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_stencil_apply_matches_csr_matvec(dim):
-    prob = _anisotropic_box(dim)
-    kff, _ = fem._assemble(prob)
-    stencil = fem._Stencil(fem._cell_matrices(prob), prob.cells)
+@pytest.mark.parametrize("prob", [
+    _anisotropic_box(2),
+    _anisotropic_box(3),
+    _anisotropic_box(2, coeffs=ramp_field(2.0, 0.7, 0.5,
+                                          domain=(0.0, 1.0, 0.0, 2.0))),
+], ids=["2", "3", "ramp"])
+def test_stencil_apply_matches_csr_matvec(prob):
+    dim = prob.dim
+    local = fem._cell_matrices(prob)
+    kff = fem._free_block(local, prob.cells)
+    stencil = fem._Stencil(local, prob.cells)
     grid = (dim,) + prob.node_shape
     assert stencil.shape == (math.prod(grid),) * 2
     x = np.random.default_rng(dim).standard_normal((3, kff.shape[0]))
@@ -190,48 +202,93 @@ def test_stencil_apply_matches_csr_matvec(dim):
         assert not np.any(got.reshape(grid)[rim])
 
 
-@pytest.mark.parametrize("cells", [(32, 16), (16, 16, 32)],
-                         ids=["32x16", "16x16x32"])
-def test_stencil_levels_equal_galerkin_products(cells):
-    # the re-derived stencil of each level against P^T A P of the level
-    # above, the stored Galerkin route, starting from the assembled block
-    prob = _anisotropic_box(len(cells), cells=cells, coeffs=(1.3, 0.7))
+def _prolongation(cells):
+    """The stored P on the free unknowns, the reference for the slice
+    transfers and the Galerkin coarse operators: the Kronecker product of
+    the 1-D linear interpolants (stencil 1/2, 1, 1/2) from the cells/2 - 1
+    interior nodes of each halved axis to the cells - 1 of the fine one,
+    times the identity on the node-major displacement components."""
+    factors = []
+    for c in cells:
+        j = np.arange(c // 2 - 1)
+        rows = np.concatenate([2 * j, 2 * j + 1, 2 * j + 2])
+        vals = np.repeat([0.5, 1.0, 0.5], j.size)
+        factors.append(sparse.csr_array((vals, (rows, np.tile(j, 3))),
+                                        shape=(c - 1, j.size)))
+    return reduce(sparse.kron,
+                  factors + [sparse.eye_array(len(cells))]).tocsr()
+
+
+def _csr_jacobi_scale(kff):
+    """The damped Jacobi scales omega / a_ii of a stored block, omega the
+    damping over the largest absolute row sum over the diagonal."""
+    diag = kff.diagonal()
+    rowsum = np.add.reduceat(np.abs(kff.data), kff.indptr[:-1])
+    return (fem._DAMPING / float(np.max(rowsum / diag))) / diag
+
+
+@pytest.mark.parametrize("cells, coeffs", [
+    ((32, 16), (1.3, 0.7)),
+    ((16, 16, 32), (1.3, 0.7)),
+    ((32, 16), checkerboard_field(1.3, 0.7, 0.4,
+                                  domain=(0.0, 1.0, 0.0, 2.0))),
+], ids=["32x16", "16x16x32", "checkerboard-32x16"])
+def test_stencil_levels_equal_galerkin_products(cells, coeffs):
+    # each level against P^T A P of the level above, starting from the
+    # assembled block: the level's cell matrices (re-derived at doubled
+    # spacings for a constant pair, coarsened for a CoefficientField), its
+    # stencil apply and its Jacobi scales
+    prob = _anisotropic_box(len(cells), cells=cells, coeffs=coeffs)
     levels, coarsest = fem._hierarchy(prob)
     ops = [a for a, _, _ in levels] + [coarsest[0]]
     assert len(ops) == 3
-    galerkin, _ = fem._assemble(prob)
+    local = fem._cell_matrices(prob)
+    galerkin = fem._free_block(local, cells)
     scale = float(np.max(np.abs(galerkin.data)))
+    rng = np.random.default_rng(len(cells))
     for level, a in enumerate(ops):
         assert isinstance(a, fem._Stencil)
         if level:
-            p = fem._prolongation(ops[level - 1].cells)
-            galerkin = p.T.tocsr() @ galerkin @ p
-        gap = (fem._free_block(a.local, a.cells) - galerkin).toarray()
+            fine = ops[level - 1].cells
+            p = _prolongation(fine)
+            galerkin = p.T @ galerkin @ p
+            local = fem._cell_matrices(prob, level) \
+                if isinstance(coeffs, tuple) else fem._coarsen(local, fine)
+        gap = (fem._free_block(local, a.cells) - galerkin).toarray()
         assert np.max(np.abs(gap)) <= 1e-13 * scale, level
-        # and the scales read off one row match the stored rows' scales
+        v = rng.standard_normal(galerkin.shape[0])
+        ref = galerkin @ v
+        got = fem._grid_to_free(a @ fem._free_to_grid(v, a.cells), a.cells)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         jacobi = fem._grid_to_free(fem._jacobi_scale(a), a.cells)
-        assert np.allclose(jacobi, fem._jacobi_scale(galerkin),
+        assert np.allclose(jacobi, _csr_jacobi_scale(galerkin),
                            rtol=1e-13, atol=0.0)
+        if a.rowsum.size > len(cells):
+            # per-node row sums are the stored rows', rim neighbours dropped
+            rowsum = np.add.reduceat(np.abs(galerkin.data),
+                                     galerkin.indptr[:-1])
+            assert np.allclose(np.moveaxis(a.rowsum, 0, -1).ravel(), rowsum,
+                               rtol=1e-13, atol=0.0)
     assert coarsest[2] is not None  # the coarsest level is factorised
 
 
 @pytest.mark.parametrize("cells", [(32, 16), (16, 16, 32), (64, 64)],
                          ids=["32x16", "16x16x32", "64x64"])
 def test_slice_transfers_equal_prolongation(cells):
-    # _Transfer on grid-layout vectors against the stored P and P^T on the
-    # free unknowns, one level
-    p = fem._prolongation(cells)
+    # _restrict and _prolong on grid-layout vectors against the stored P
+    # and P^T on the free unknowns, one level
+    p = _prolongation(cells)
     coarse = tuple(c // 2 for c in cells)
-    transfer = fem._Transfer(cells)
     rng = np.random.default_rng(len(cells))
     for _ in range(3):
         r, x = rng.standard_normal(p.shape[0]), rng.standard_normal(p.shape[1])
         ref = p.T @ r
-        got = fem._grid_to_free(transfer.T @ fem._free_to_grid(r, cells),
-                                coarse)
+        got = fem._grid_to_free(fem._restrict(fem._free_to_grid(r, cells),
+                                              cells), coarse)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
         ref = p @ x
-        got = fem._grid_to_free(transfer @ fem._free_to_grid(x, coarse), cells)
+        got = fem._grid_to_free(fem._prolong(fem._free_to_grid(x, coarse),
+                                             cells), cells)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -246,8 +303,8 @@ def test_assembly_is_not_reduced_form_for_varying_mu():
 
 def _einsum_assembly(prob, order=2):
     """Full matrix and load vector over all nodes by per-cell einsum
-    contractions and COO summation, the reference for _assemble's free
-    block."""
+    contractions and COO summation, the reference for the free block and
+    the load vector."""
     dim = prob.dim
     nnodes = int(np.prod(prob.node_shape))
     enodes = fem._element_nodes(prob.cells, prob.node_shape)
@@ -299,9 +356,8 @@ _CONTRACTION_CASES = pytest.mark.parametrize("prob", [
 
 @_CONTRACTION_CASES
 def test_assembly_matches_einsum_reference(prob):
-    kff, bf = fem._assemble(prob)
+    kff, bf, free = free_system(prob)
     ref_mat, ref_rvec = _einsum_assembly(prob)
-    free = _free_dofs(prob)
     ref_kff, ref_bf = ref_mat[free][:, free], ref_rvec[free]
     assert kff.has_canonical_format
     assert kff.shape == ref_kff.shape
@@ -441,7 +497,10 @@ def test_solver_is_deterministic():
 
 
 def free_system(prob):
-    kff, bf = fem._assemble(prob)
+    """The stored free block, the free load vector and the free unknowns'
+    indices in the node-major numbering of all nodes."""
+    kff = fem._free_block(fem._cell_matrices(prob), prob.cells)
+    bf = fem._grid_to_free(fem._load_vector(prob), prob.cells)
     return kff, bf, _free_dofs(prob)
 
 
@@ -486,15 +545,24 @@ def test_solution_matches_direct_solve(prob):
     assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
-@pytest.mark.parametrize("cells", [(32, 64), (8, 8, 8), (64, 65)],
-                         ids=["2d-levels", "3d-levels", "smoothing-only"])
-def test_vcycle_is_symmetric_positive(cells):
-    prob = smooth_problem(cells)
+_RAMP = ramp_field(1.0, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("cells, coeffs", [
+    ((32, 64), (1.0, 1.0)),
+    ((8, 8, 8), (1.0, 1.0)),
+    ((64, 65), (1.0, 1.0)),
+    ((32, 64), _RAMP),
+    ((64, 65), _RAMP),
+], ids=["2d-levels", "3d-levels", "smoothing-only", "ramp-levels",
+        "ramp-smoothing-only"])
+def test_vcycle_is_symmetric_positive(cells, coeffs):
+    prob = smooth_problem(cells, coeffs=coeffs)
     levels, coarsest = fem._hierarchy(prob)
-    fine = (levels[0] if levels else coarsest)[0]
-    assert isinstance(fine, fem._Stencil)  # a constant pair's route
     if cells == (64, 65):
         assert not levels and coarsest[2] is None  # smoothed only
+    else:
+        assert levels and coarsest[2] is not None
     precond = fem._preconditioner(levels, coarsest)
     dim = len(cells)
     free = dim * math.prod(c - 1 for c in cells)
@@ -510,18 +578,24 @@ def test_vcycle_is_symmetric_positive(cells):
     assert x @ precond.matvec(x) > 0.0
 
 
-def test_constant_hierarchy_stores_no_transfer():
-    # A stored P (sparse.kron, int64 intermediates) took _hierarchy to a
-    # 45 MB peak on a 48^3 grid; slice transfers leave the Jacobi scales.
-    prob = smooth_problem(48, dim=3, p=3.0)
+@pytest.mark.parametrize("prob, bound_mb", [
+    (lambda: smooth_problem(48, dim=3, p=3.0), 10.0),
+    (lambda: smooth_problem(128, coeffs=radial_field(1.0, 1.0, 0.1)), 22.9),
+], ids=["pair-48x48x48", "radial-128x128"])
+def test_hierarchy_peak_memory(prob, bound_mb):
+    # A stored P (sparse.kron, int64 intermediates) took a constant pair's
+    # _hierarchy to a 45 MB peak on a 48^3 grid.  A CoefficientField's
+    # CSR levels, stored P and Galerkin products took it to 22.9 MB at
+    # 128^2, the first call's imports aside.
+    prob = prob()
+    fem._hierarchy(prob)
     tracemalloc.start()
     try:
-        levels, coarsest = fem._hierarchy(prob)
+        fem._hierarchy(prob)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
-    assert all(isinstance(p, fem._Transfer) for _, _, p in levels)
+    assert peak <= bound_mb * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
 
 def test_solve_leaves_no_hierarchy_behind():
