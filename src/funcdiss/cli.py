@@ -393,6 +393,14 @@ def _coeff_summary(field_: CoefficientField) -> dict[str, Any]:
     }
 
 
+def _record_planar_verdict(writer: ReportWriter, verdict, coeffs, **weight):
+    """The verdict record of a planar check: the verdict, the weight it
+    was taken for (p or phi), the coefficient summary and the basis."""
+    writer.record("verdict", {**dataclasses.asdict(verdict), **weight,
+                              "coefficients": _coeff_summary(coeffs),
+                              "basis": _PLANAR_BASIS})
+
+
 def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
     coeffs = coefficients_from_mapping(cfg.coefficients)
     worst = EXIT_OK
@@ -407,10 +415,7 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
                          verdict.margin,
                          verdict.kappa if verdict.kappa is not None else "",
                          verdict.status])
-            writer.record("verdict", {
-                **dataclasses.asdict(verdict),
-                "p": float(p), "coefficients": _coeff_summary(coeffs),
-                "basis": _PLANAR_BASIS})
+            _record_planar_verdict(writer, verdict, coeffs, p=float(p))
             if verdict.status == NOT_DISSIPATIVE:
                 worst = EXIT_NEGATIVE
         path = writer.csv("p_sweep",
@@ -421,10 +426,7 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
 
     spec = phi_from_mapping(cfg.phi)
     verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
-    writer.record("verdict", {
-        **dataclasses.asdict(verdict),
-        "phi": dict(cfg.phi), "coefficients": _coeff_summary(coeffs),
-        "basis": _PLANAR_BASIS})
+    _record_planar_verdict(writer, verdict, coeffs, phi=dict(cfg.phi))
 
     pair = cfg.constant_pair
     if pair is not None:
@@ -441,10 +443,7 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
     coeffs = coefficients_from_mapping(cfg.coefficients)
     spec = phi_from_mapping(cfg.phi)
     verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
-    writer.record("verdict", {
-        **dataclasses.asdict(verdict),
-        "phi": dict(cfg.phi), "coefficients": _coeff_summary(coeffs),
-        "basis": _PLANAR_BASIS})
+    _record_planar_verdict(writer, verdict, coeffs, phi=dict(cfg.phi))
 
     kappa = verdict.kappa if verdict.status == STRICT_DISSIPATIVE else 0.0
     ensemble = standard_ensemble(cfg.seed)

@@ -128,18 +128,19 @@ def _real_embedding(Q: np.ndarray):
 
 
 def _probe_matrix(Q: np.ndarray, omega: np.ndarray, lam_inf: float):
-    """Real symmetric matrix whose min eigenvalue is the eta-minimum of the
-    algebraic form at fixed (xi, omega)."""
-    m = Q.shape[0]
-    S = _real_embedding(Q)
-    a = np.concatenate([omega.real, omega.imag])
-    qoo = float(np.real(omega.conj() @ (Q @ omega)))
-    b = np.concatenate([(Q @ omega).real, (Q @ omega).imag])
-    c = np.concatenate([(Q.conj().T @ omega).real, (Q.conj().T @ omega).imag])
+    """Real symmetric (2m, 2m) matrix whose min eigenvalue is the eta-minimum
+    of the algebraic form at fixed (xi, omega), for each omega (..., m)."""
+    Qw, QHw = omega @ Q.T, omega @ Q.conj()  # Q omega and Q^* omega
+    a, b, c = (np.concatenate([v.real, v.imag], axis=-1)
+               for v in (omega, Qw, QHw))
+    qoo = np.real(np.sum(omega.conj() * Qw, axis=-1))[..., None, None]
     d = lam_inf * (b - c)
-    M = S - (lam_inf ** 2) * qoo * np.outer(a, a)
-    M += 0.5 * (np.outer(d, a) + np.outer(a, d))
-    return M
+
+    def outer(x, y):
+        return x[..., :, None] * y[..., None, :]
+
+    return (_real_embedding(Q) - (lam_inf ** 2) * qoo * outer(a, a)
+            + 0.5 * (outer(d, a) + outer(a, d)))
 
 
 def algebraic_form(system: GeneralSystem, lam_inf: float, xi, eta, omega) -> float:
@@ -180,20 +181,7 @@ def algebraic_margin(system: GeneralSystem, lam_inf: float, *,
     best = (np.inf, None, None)
     for a in a_grid:
         xi = np.array([np.cos(a), np.sin(a)])
-        Q = system.contract_xi(xi)
-        S = _real_embedding(Q)
-        Qw = omegas @ Q.T
-        QHw = omegas @ Q.conj()
-        a_vecs = np.concatenate([omegas.real, omegas.imag], axis=1)
-        b_vecs = np.concatenate([Qw.real, Qw.imag], axis=1)
-        c_vecs = np.concatenate([QHw.real, QHw.imag], axis=1)
-        qoo = np.real(np.einsum("gi,gi->g", omegas.conj(), Qw))
-        d_vecs = lam_inf * (b_vecs - c_vecs)
-        M = (S[None, :, :]
-             - (lam_inf ** 2) * qoo[:, None, None]
-             * np.einsum("gi,gj->gij", a_vecs, a_vecs)
-             + 0.5 * (np.einsum("gi,gj->gij", d_vecs, a_vecs)
-                      + np.einsum("gi,gj->gij", a_vecs, d_vecs)))
+        M = _probe_matrix(system.contract_xi(xi), omegas, lam_inf)
         eigs = np.linalg.eigvalsh(M)[:, 0]
         g = int(np.argmin(eigs))
         if eigs[g] < best[0]:

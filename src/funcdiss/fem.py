@@ -31,9 +31,11 @@ iterates and the V-cycle's residuals and corrections.  P and P^T are slice
 passes along each axis, and each coarse operator is the Galerkin product
 P^T A P, formed without P: a constant pair re-derives its stencil at the
 doubled spacings of the coarse grid, and a CoefficientField sums the cell
-matrices of each coarse cell's children against the coarse basis.  Only
-the coarsest level is written as CSR, for the direct solve.  The iteration
-count does not grow with the grid at a fixed lambda/mu.
+matrices of each coarse cell's children against the coarse basis.  The
+coarsest level is written as a sparse matrix in grid layout, identity
+rows on the rim, for the direct solve, so the stencil planes are the one
+description of the operator and grid layout the one vector layout.  The
+iteration count does not grow with the grid at a fixed lambda/mu.
 
 The solver exists to probe the weighted energy estimate
 
@@ -395,71 +397,9 @@ def _plane(local, rows, pairs):
                      + (a, slice(None), b)] for a, b in pairs)
 
 
-def _free_block(local, cells):
-    """The free block (canonical CSR, sorted and without duplicates) of the
-    cell matrices local, as _cell_matrices gives them, on a grid of cells.
-
-    The free unknowns are the interior nodes, row major, times the N
-    displacement components.  An interior node p couples to the nodes p + o,
-    o in {-1, 0, 1}^N.  The stencil plane of each offset (_plane) is
-    written straight into the CSR rows, dropping the neighbours on the
-    boundary, where u is fixed at zero.
-    """
-    from scipy import sparse
-
-    dim = len(cells)
-    inner = tuple(c - 1 for c in cells)
-    # valid[p, o]: p + o is an interior node, a product over the axes.
-    # A row of node p holds count[p] entries, its valid offsets in order,
-    # each with the N components; those of offset o start at rank[p, o].
-    valid = np.ones(inner + (3,) * dim, dtype=bool)
-    for d, n in enumerate(inner):
-        q = np.arange(n)[:, None] + np.arange(-1, 2)
-        shape = [1] * (2 * dim)
-        shape[d], shape[dim + d] = n, 3
-        valid &= ((q >= 0) & (q < n)).reshape(shape)
-    rank = np.cumsum(valid.reshape(inner + (-1,)), axis=-1, dtype=np.int32)
-    count = rank[..., -1] * dim
-    rank = (rank - 1) * dim
-    nnz = int(count.sum()) * dim
-    itype = np.int32 if nnz < 2 ** 31 else np.int64
-    indptr = np.zeros(count.size * dim + 1, dtype=itype)
-    np.cumsum(np.repeat(count.ravel(), dim), out=indptr[1:])
-    first = indptr[:-1].reshape(inner + (dim, 1))  # where row (p, i) starts
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=itype)
-    nodes = np.arange(count.size, dtype=itype).reshape(inner + (1, 1)) * dim
-    comp = np.arange(dim, dtype=itype)
-    for s, (off, pairs) in enumerate(_stencil_offsets(dim)):
-        rows = _offset_rows(off, inner)
-        cols = tuple(slice(r.start + o, r.stop + o) for r, o in zip(rows, off))
-        pos = first[rows] + rank[rows + (s, None, None)] + comp
-        data[pos] = _plane(local, rows, pairs)
-        indices[pos] = nodes[cols] + comp
-    return sparse.csr_array((data, indices, indptr),
-                            shape=(indptr.size - 1,) * 2)
-
-
 def _interior(dim: int):
     """The interior nodes of a grid-layout array (N,) + node_shape."""
     return (slice(None),) + (slice(1, -1),) * dim
-
-
-def _grid_to_free(v, cells):
-    """The free unknowns of a grid-layout vector: the interior nodes, row
-    major, times the N components, the order of _free_block's rows."""
-    dim = len(cells)
-    v = v.reshape((dim,) + tuple(c + 1 for c in cells))
-    return np.moveaxis(v[_interior(dim)], 0, -1).ravel()
-
-
-def _free_to_grid(x, cells):
-    """The grid-layout vector, zero on the rim, of the free unknowns x."""
-    dim = len(cells)
-    v = np.zeros((dim,) + tuple(c + 1 for c in cells))
-    v[_interior(dim)] = np.moveaxis(
-        x.reshape(tuple(c - 1 for c in cells) + (dim,)), -1, 0)
-    return v.ravel()
 
 
 def _load_vector(prob: FemProblem, order: int = 2):
@@ -502,7 +442,7 @@ class _Stencil:
 
     A grid-layout vector is the node grid, components first, shape (N,) +
     node_shape flattened, whose rim stands for the boundary where u is zero
-    and must be zero on input.  The planes are _free_block's: one block per
+    and must be zero on input.  The planes are _plane's: one block per
     offset for a constant pair, and one per node for a CoefficientField,
     each entry stored on the flat grid, zero on the rim and where the
     neighbour is on the rim.  A neighbour offset is one shift of the flat
@@ -683,11 +623,9 @@ def _hierarchy(prob: FemProblem):
     Gauss rule is exact for a constant pair, so that stencil equals
     P^T A P.  A CoefficientField coarsens its cell matrices (_coarsen).
     The cell matrices of a level are dropped once the next are formed.  A
-    coarsest level small enough for splu is written as CSR and factorised,
-    and its solve takes and gives grid layout.
+    coarsest level small enough for splu gets its direct solve from
+    _coarse_solve, on grid layout.
     """
-    from scipy.sparse.linalg import splu
-
     cells = prob.cells
     constant = not isinstance(prob.coeffs, CoefficientField)
     local = _cell_matrices(prob)
@@ -701,14 +639,43 @@ def _hierarchy(prob: FemProblem):
         a = _Stencil(local, cells)
     solve = None
     if math.prod(c - 1 for c in cells) * len(cells) <= _COARSE_DIRECT:
-        solve = partial(_grid_solve, splu(_free_block(local, cells).tocsc()),
-                        cells)
+        solve = _coarse_solve(local, cells)
     return levels, (a, _jacobi_scale(a), solve)
 
 
-def _grid_solve(lu, cells, r):
-    """The direct solve of the coarsest level on grid-layout vectors."""
-    return _free_to_grid(lu.solve(_grid_to_free(r, cells)), cells)
+def _coarse_solve(local, cells):
+    """The direct solve of the coarsest level, on grid-layout vectors.
+
+    The level is written as a sparse matrix over the whole grid layout.
+    Each interior row holds the stencil planes, the slices of local that
+    _Stencil applies (_plane at _offset_rows), and each rim row is the
+    identity, so a residual with a zero rim gets a correction with a zero
+    rim.  splu factorises it once.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    dim = len(cells)
+    inner = tuple(c - 1 for c in cells)
+    index = np.arange(dim * math.prod(c + 1 for c in cells)).reshape(
+        (dim,) + tuple(c + 1 for c in cells))
+    rim = np.ones(index.shape, dtype=bool)
+    rim[_interior(dim)] = False
+    rows, cols, data = [index[rim]], [index[rim]], [np.ones(rim.sum())]
+    for off, pairs in _stencil_offsets(dim):
+        at = _offset_rows(off, inner)
+        # component i of each node at, against component j of its neighbour
+        row, col = (np.moveaxis(index[(slice(None),) + tuple(
+            slice(r.start + 1 + o, r.stop + 1 + o) for r, o in zip(at, shift))],
+            0, -1) for shift in ((0,) * dim, off))
+        shape = row.shape + (dim,)
+        rows.append(np.broadcast_to(row[..., None], shape).ravel())
+        cols.append(np.broadcast_to(col[..., None, :], shape).ravel())
+        data.append(np.broadcast_to(_plane(local, at, pairs), shape).ravel())
+    a = sparse.csc_array((np.concatenate(data),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(index.size,) * 2)
+    return splu(a).solve
 
 
 def _smooth(a, scale, b, x, sweeps: int):

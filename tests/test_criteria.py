@@ -102,6 +102,15 @@ def test_probe_matrix_matches_direct_evaluation():
         x = np.concatenate([eta.real, eta.imag])
         assert x @ M @ x == pytest.approx(
             algebraic_form(sys, lam_inf, xi, eta, om), rel=1e-11, abs=1e-11)
+    # a stack of omegas, as the lattice search passes them: each slice is
+    # the single-omega matrix
+    oms = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    oms /= np.linalg.norm(oms, axis=-1, keepdims=True)
+    stacked = _probe_matrix(Q, oms, lam_inf)
+    assert stacked.shape == (3, 4, 4, 4)
+    for k in np.ndindex(3, 4):
+        assert np.allclose(stacked[k], _probe_matrix(Q, oms[k], lam_inf),
+                           rtol=1e-14, atol=1e-14)
 
 
 def test_joint_phase_invariance():

@@ -113,16 +113,52 @@ def test_constant_field_path_matches_constant_pair():
     assert np.max(np.abs(a.u - b.u)) < 1e-12
 
 
-def _free_dofs(prob):
+def _free_dofs(cells):
     """Indices of the interior-node unknowns in the node-major numbering of
-    all nodes, in the order of the free block."""
-    node = np.arange(int(np.prod(prob.node_shape))).reshape(prob.node_shape)
-    inner = node[(slice(1, -1),) * prob.dim].ravel()
-    return (inner[:, None] * prob.dim + np.arange(prob.dim)).ravel()
+    all nodes, the order of the reference free blocks."""
+    dim = len(cells)
+    nodes = tuple(c + 1 for c in cells)
+    node = np.arange(math.prod(nodes)).reshape(nodes)
+    inner = node[(slice(1, -1),) * dim].ravel()
+    return (inner[:, None] * dim + np.arange(dim)).ravel()
+
+
+def _grid_dofs(cells):
+    """The grid-layout indices (components first) of the unknowns of
+    _free_dofs, in its order."""
+    dim = len(cells)
+    grid = np.arange(dim * math.prod(c + 1 for c in cells))
+    grid = grid.reshape((dim,) + tuple(c + 1 for c in cells))
+    return np.moveaxis(grid, 0, -1).ravel()[_free_dofs(cells)]
+
+
+def _on_grid(x, cells):
+    """The grid-layout vector, zero on the rim, of the free unknowns x."""
+    v = np.zeros(len(cells) * math.prod(c + 1 for c in cells))
+    v[_grid_dofs(cells)] = x
+    return v
+
+
+def _cell_assembly(local, cells):
+    """The free block of the cell matrices local[..., a, i, b, j], one
+    shared by every cell or one per cell, by COO summation over all nodes,
+    restricted by _free_dofs."""
+    dim = len(cells)
+    enodes = fem._element_nodes(cells, tuple(c + 1 for c in cells))
+    nel, nbasis = enodes.shape
+    nloc = nbasis * dim
+    data = np.broadcast_to(local.reshape(-1, nloc, nloc), (nel, nloc, nloc))
+    gdof = (enodes[:, :, None] * dim + np.arange(dim)).reshape(nel, nloc)
+    rows = np.repeat(gdof, nloc, axis=1).ravel()
+    cols = np.tile(gdof, (1, nloc)).ravel()
+    ndof = math.prod(c + 1 for c in cells) * dim
+    free = _free_dofs(cells)
+    return sparse.coo_array((data.ravel(), (rows, cols)),
+                            shape=(ndof, ndof)).tocsr()[free][:, free]
 
 
 def _reduced_form_matrix(prob, order=2):
-    """Global matrix of the classical reduced form
+    """Free block of the classical reduced form
     mu <grad u, grad v> + (lam + mu) (div u)(div v), with (lam, mu) sampled
     at the Gauss points of each cell as the assembler samples them."""
     dim = prob.dim
@@ -134,40 +170,24 @@ def _reduced_form_matrix(prob, order=2):
     gg = np.einsum("g,gad,gbd->gab", wv, phys, phys)
     lap = np.einsum("gab,ij->gaibj", gg, np.eye(dim))
     lam, mu = fem._coefficient_samples(prob, order)
-    nloc = 2 ** dim * dim
     local = (np.einsum("eg,gaibj->eaibj", mu, lap)
              + np.einsum("eg,gaibj->eaibj", lam + mu, div))
-    enodes = fem._element_nodes(prob.cells, prob.node_shape)
-    data = np.broadcast_to(local.reshape(-1, nloc, nloc),
-                           (len(enodes), nloc, nloc))
-    gdof = (enodes[:, :, None] * dim + np.arange(dim)).reshape(-1, nloc)
-    rows = np.repeat(gdof, nloc, axis=1).ravel()
-    cols = np.tile(gdof, (1, nloc)).ravel()
-    ndof = int(np.prod(prob.node_shape)) * dim
-    return sparse.coo_array((data.ravel(), (rows, cols)),
-                            shape=(ndof, ndof)).tocsr()
+    return _cell_assembly(local, prob.cells)
 
 
-def _gap_to_reduced_form(prob):
-    """max |kff - reduced form| on the free unknowns, and max |kff|."""
-    kff = fem._free_block(fem._cell_matrices(prob), prob.cells)
-    free = _free_dofs(prob)
-    ref = _reduced_form_matrix(prob)[free][:, free]
-    return (float(np.max(np.abs((kff - ref).toarray()))),
-            float(np.max(np.abs(kff.data))))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_assembly_matches_reduced_form_on_free_dofs(dim):
-    # The non reduced form differs from the reduced one by the null
-    # Lagrangian (div u)(div v) - sum d_k u_j d_j v_k, which vanishes on
-    # H^1_0 for a constant pair: the free blocks agree.
-    domain = (0.0, 1.0, 0.0, 2.0, 0.0, 0.5)[:2 * dim]
-    prob = FemProblem(domain=domain, cells=(8, 10, 9)[:dim],
-                      coeffs=(2.0, 0.7),
-                      rhs=np.zeros((9, 11, 10)[:dim] + (dim, dim)))
-    gap, scale = _gap_to_reduced_form(prob)
-    assert gap <= 1e-13 * scale
+def _stencil_block(prob):
+    """The free block of the operator the solver applies, the _Stencil of
+    the problem's cell matrices, one free unit vector at a time, dense, in
+    the order of _free_dofs."""
+    a = fem._Stencil(fem._cell_matrices(prob), prob.cells)
+    grid = _grid_dofs(prob.cells)
+    unit = np.zeros(a.shape[0])
+    cols = []
+    for k in grid:
+        unit[k] = 1.0
+        cols.append((a @ unit)[grid])
+        unit[k] = 0.0
+    return np.array(cols).T
 
 
 def _anisotropic_box(dim, cells=(8, 10, 9), coeffs=(2.0, 0.7)):
@@ -175,6 +195,23 @@ def _anisotropic_box(dim, cells=(8, 10, 9), coeffs=(2.0, 0.7)):
     cells = cells[:dim]
     return FemProblem(domain=domain, cells=cells, coeffs=coeffs,
                       rhs=np.zeros(tuple(c + 1 for c in cells) + (dim, dim)))
+
+
+def _gap_to_reduced_form(prob):
+    """max |kff - reduced form| on the free unknowns, and max |kff|, for
+    the solver's free block kff."""
+    kff = _stencil_block(prob)
+    ref = _reduced_form_matrix(prob).toarray()
+    return float(np.max(np.abs(kff - ref))), float(np.max(np.abs(kff)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_assembly_matches_reduced_form_on_free_dofs(dim):
+    # The non reduced form differs from the reduced one by the null
+    # Lagrangian (div u)(div v) - sum d_k u_j d_j v_k, which vanishes on
+    # H^1_0 for a constant pair: the free blocks agree.
+    gap, scale = _gap_to_reduced_form(_anisotropic_box(dim))
+    assert gap <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("prob", [
@@ -185,16 +222,15 @@ def _anisotropic_box(dim, cells=(8, 10, 9), coeffs=(2.0, 0.7)):
 ], ids=["2", "3", "ramp"])
 def test_stencil_apply_matches_csr_matvec(prob):
     dim = prob.dim
-    local = fem._cell_matrices(prob)
-    kff = fem._free_block(local, prob.cells)
-    stencil = fem._Stencil(local, prob.cells)
+    kff, _ = _einsum_assembly(prob)
+    stencil = fem._Stencil(fem._cell_matrices(prob), prob.cells)
     grid = (dim,) + prob.node_shape
     assert stencil.shape == (math.prod(grid),) * 2
     x = np.random.default_rng(dim).standard_normal((3, kff.shape[0]))
     for v in x:
         ref = kff @ v
-        got = stencil @ fem._free_to_grid(v, prob.cells)
-        assert np.max(np.abs(fem._grid_to_free(got, prob.cells) - ref)) \
+        got = stencil @ _on_grid(v, prob.cells)
+        assert np.max(np.abs(got[_grid_dofs(prob.cells)] - ref)) \
             <= 1e-13 * np.max(np.abs(ref))
         # the rim, where u is fixed, comes out zero
         rim = np.ones(grid, dtype=bool)
@@ -227,12 +263,25 @@ def _csr_jacobi_scale(kff):
     return (fem._DAMPING / float(np.max(rowsum / diag))) / diag
 
 
-@pytest.mark.parametrize("cells, coeffs", [
+def _galerkin_blocks(prob, ops):
+    """The reference free block of each level ops lists, fine to coarse:
+    the assembled one of prob, then P^T A P of the level above."""
+    blocks = [_einsum_assembly(prob)[0]]
+    for fine in ops[:-1]:
+        p = _prolongation(fine.cells)
+        blocks.append(p.T @ blocks[-1] @ p)
+    return blocks
+
+
+_LEVEL_CASES = pytest.mark.parametrize("cells, coeffs", [
     ((32, 16), (1.3, 0.7)),
     ((16, 16, 32), (1.3, 0.7)),
     ((32, 16), checkerboard_field(1.3, 0.7, 0.4,
                                   domain=(0.0, 1.0, 0.0, 2.0))),
 ], ids=["32x16", "16x16x32", "checkerboard-32x16"])
+
+
+@_LEVEL_CASES
 def test_stencil_levels_equal_galerkin_products(cells, coeffs):
     # each level against P^T A P of the level above, starting from the
     # assembled block: the level's cell matrices (re-derived at doubled
@@ -243,33 +292,48 @@ def test_stencil_levels_equal_galerkin_products(cells, coeffs):
     ops = [a for a, _, _ in levels] + [coarsest[0]]
     assert len(ops) == 3
     local = fem._cell_matrices(prob)
-    galerkin = fem._free_block(local, cells)
-    scale = float(np.max(np.abs(galerkin.data)))
+    galerkin = _galerkin_blocks(prob, ops)
+    scale = float(np.max(np.abs(galerkin[0].data)))
     rng = np.random.default_rng(len(cells))
-    for level, a in enumerate(ops):
+    for level, (a, ref_a) in enumerate(zip(ops, galerkin)):
         assert isinstance(a, fem._Stencil)
         if level:
-            fine = ops[level - 1].cells
-            p = _prolongation(fine)
-            galerkin = p.T @ galerkin @ p
             local = fem._cell_matrices(prob, level) \
-                if isinstance(coeffs, tuple) else fem._coarsen(local, fine)
-        gap = (fem._free_block(local, a.cells) - galerkin).toarray()
+                if isinstance(coeffs, tuple) \
+                else fem._coarsen(local, ops[level - 1].cells)
+        # sparse: the finest 3-D block would take 3.5 GB as a dense array
+        gap = (_cell_assembly(local, a.cells) - ref_a).data
         assert np.max(np.abs(gap)) <= 1e-13 * scale, level
-        v = rng.standard_normal(galerkin.shape[0])
-        ref = galerkin @ v
-        got = fem._grid_to_free(a @ fem._free_to_grid(v, a.cells), a.cells)
+        grid = _grid_dofs(a.cells)
+        v = rng.standard_normal(ref_a.shape[0])
+        ref = ref_a @ v
+        got = (a @ _on_grid(v, a.cells))[grid]
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        jacobi = fem._grid_to_free(fem._jacobi_scale(a), a.cells)
-        assert np.allclose(jacobi, _csr_jacobi_scale(galerkin),
-                           rtol=1e-13, atol=0.0)
+        assert np.allclose(fem._jacobi_scale(a)[grid],
+                           _csr_jacobi_scale(ref_a), rtol=1e-13, atol=0.0)
         if a.rowsum.size > len(cells):
             # per-node row sums are the stored rows', rim neighbours dropped
-            rowsum = np.add.reduceat(np.abs(galerkin.data),
-                                     galerkin.indptr[:-1])
+            rowsum = np.add.reduceat(np.abs(ref_a.data), ref_a.indptr[:-1])
             assert np.allclose(np.moveaxis(a.rowsum, 0, -1).ravel(), rowsum,
                                rtol=1e-13, atol=0.0)
-    assert coarsest[2] is not None  # the coarsest level is factorised
+
+
+@_LEVEL_CASES
+def test_coarsest_solve_matches_galerkin_direct_solve(cells, coeffs):
+    # the coarsest level's direct solve on a grid-layout residual with a
+    # zero rim, against spsolve of the reference P^T A P; the correction's
+    # rim, where u is fixed, is exactly zero
+    prob = _anisotropic_box(len(cells), cells=cells, coeffs=coeffs)
+    levels, (a, _, solve) = fem._hierarchy(prob)
+    ref_a = _galerkin_blocks(prob, [op for op, _, _ in levels] + [a])[-1]
+    grid = _grid_dofs(a.cells)
+    r = np.random.default_rng(len(cells)).standard_normal(len(grid))
+    ref = spsolve(ref_a.tocsc(), r)
+    x = solve(_on_grid(r, a.cells))
+    assert np.max(np.abs(x[grid] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    rim = np.ones(x.shape, dtype=bool)
+    rim[grid] = False
+    assert np.all(x[rim] == 0.0)
 
 
 @pytest.mark.parametrize("cells", [(32, 16), (16, 16, 32), (64, 64)],
@@ -283,12 +347,10 @@ def test_slice_transfers_equal_prolongation(cells):
     for _ in range(3):
         r, x = rng.standard_normal(p.shape[0]), rng.standard_normal(p.shape[1])
         ref = p.T @ r
-        got = fem._grid_to_free(fem._restrict(fem._free_to_grid(r, cells),
-                                              cells), coarse)
+        got = fem._restrict(_on_grid(r, cells), cells)[_grid_dofs(coarse)]
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
         ref = p @ x
-        got = fem._grid_to_free(fem._prolong(fem._free_to_grid(x, coarse),
-                                             cells), cells)
+        got = fem._prolong(_on_grid(x, coarse), cells)[_grid_dofs(cells)]
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -302,31 +364,25 @@ def test_assembly_is_not_reduced_form_for_varying_mu():
 
 
 def _einsum_assembly(prob, order=2):
-    """Full matrix and load vector over all nodes by per-cell einsum
-    contractions and COO summation, the reference for the free block and
-    the load vector."""
+    """Free block and free load vector by per-cell einsum contractions and
+    COO summation over all nodes, the reference for the solver's operator
+    and load vector."""
     dim = prob.dim
     nnodes = int(np.prod(prob.node_shape))
     enodes = fem._element_nodes(prob.cells, prob.node_shape)
-    nel, nbasis = enodes.shape
-    nloc = nbasis * dim
+    nel = len(enodes)
     div_blk, grad_blk = fem._local_blocks(dim, order, prob.spacings)
     lam, mu = fem._coefficient_samples(prob, order)
     local = (np.einsum("eg,gaibj->eaibj", lam, div_blk)
              + np.einsum("eg,gaibj->eaibj", mu, grad_blk))
-    data = np.broadcast_to(local.reshape(-1, nloc, nloc), (nel, nloc, nloc))
-    gdof = (enodes[:, :, None] * dim + np.arange(dim)).reshape(nel, nloc)
-    rows = np.repeat(gdof, nloc, axis=1).ravel()
-    cols = np.tile(gdof, (1, nloc)).ravel()
-    mat = sparse.coo_array((data.ravel(), (rows, cols)),
-                           shape=(nnodes * dim, nnodes * dim)).tocsr()
+    gdof = (enodes[:, :, None] * dim + np.arange(dim)).reshape(nel, -1)
     wv, vals, phys = fem._physical(dim, order, prob.spacings)
     f_corners = prob.rhs.reshape(nnodes, dim, dim)[enodes]
     f_gauss = np.einsum("gb,ebij->egij", vals, f_corners)
     r_loc = np.einsum("g,egij,gai->eaj", wv, f_gauss, phys)
     rvec = np.zeros(nnodes * dim)
-    np.add.at(rvec, gdof.ravel(), r_loc.reshape(nel, nloc).ravel())
-    return mat, rvec
+    np.add.at(rvec, gdof.ravel(), r_loc.reshape(nel, -1).ravel())
+    return _cell_assembly(local, prob.cells), rvec[_free_dofs(prob.cells)]
 
 
 def _einsum_samples(prob, u, order=4):
@@ -356,13 +412,13 @@ _CONTRACTION_CASES = pytest.mark.parametrize("prob", [
 
 @_CONTRACTION_CASES
 def test_assembly_matches_einsum_reference(prob):
-    kff, bf, free = free_system(prob)
-    ref_mat, ref_rvec = _einsum_assembly(prob)
-    ref_kff, ref_bf = ref_mat[free][:, free], ref_rvec[free]
-    assert kff.has_canonical_format
+    # the solver's operator, read off its stencil, and its load vector
+    ref_kff, ref_bf = _einsum_assembly(prob)
+    kff = _stencil_block(prob)
     assert kff.shape == ref_kff.shape
     scale = float(np.max(np.abs(ref_kff.data)))
-    assert np.max(np.abs((kff - ref_kff).toarray())) <= 1e-13 * scale
+    assert np.max(np.abs(kff - ref_kff.toarray())) <= 1e-13 * scale
+    bf = fem._load_vector(prob)[_grid_dofs(prob.cells)]
     assert np.max(np.abs(bf - ref_bf)) <= 1e-13 * np.max(np.abs(ref_bf))
 
 
@@ -497,11 +553,9 @@ def test_solver_is_deterministic():
 
 
 def free_system(prob):
-    """The stored free block, the free load vector and the free unknowns'
-    indices in the node-major numbering of all nodes."""
-    kff = fem._free_block(fem._cell_matrices(prob), prob.cells)
-    bf = fem._grid_to_free(fem._load_vector(prob), prob.cells)
-    return kff, bf, _free_dofs(prob)
+    """The reference free block and free load vector, and the free
+    unknowns' indices in the node-major numbering of all nodes."""
+    return (*_einsum_assembly(prob), _free_dofs(prob.cells))
 
 
 def test_cg_iterations_flat_under_refinement():
@@ -568,8 +622,7 @@ def test_vcycle_is_symmetric_positive(cells, coeffs):
     free = dim * math.prod(c - 1 for c in cells)
     rng = np.random.default_rng(3)
     # grid-layout vectors, zero on the rim, as CG hands them over
-    x, y = (fem._free_to_grid(v, cells)
-            for v in rng.standard_normal((2, free)))
+    x, y = (_on_grid(v, cells) for v in rng.standard_normal((2, free)))
     my = precond.matvec(y)
     assert not np.any(my.reshape((dim,) + prob.node_shape)[:, 0])
     xmy, ymx = x @ my, y @ precond.matvec(x)
