@@ -128,10 +128,12 @@ def bilinear(values: np.ndarray, domain, x, y) -> np.ndarray:
     j = ty.astype(int)
     fx = tx - i
     fy = ty - j
-    v00 = values[i, j]
-    v10 = values[i + 1, j]
-    v01 = values[i, j + 1]
-    v11 = values[i + 1, j + 1]
+    flat = values.ravel()
+    k = i * n2 + j
+    v00 = flat.take(k)
+    v10 = flat.take(k + n2)
+    v01 = flat.take(k + 1)
+    v11 = flat.take(k + n2 + 1)
     return ((1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10
             + (1 - fx) * fy * v01 + fx * fy * v11)
 

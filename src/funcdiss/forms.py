@@ -26,7 +26,9 @@ the field's wavelength, and the symbol minimum of the counterexample is a
 the wave direction: a plane wave is integrated on its support box rotated
 into its own frame (xi, xi-perp), and only the xi axis is refined per
 wavelength, so the node count of an oscillatory probe doubles, rather than
-quadruples, per frequency octave.
+quadruples, per frequency octave.  Every probe vanishes, with its
+Jacobian, outside the disk inscribed in its support box, and the rule keeps
+only the nodes of each row inside that disk, about pi/4 of the box's.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ __all__ = [
 ]
 
 ZERO_SET_REL = 1e-14
+# Relative margin past the support radius within which quadrature nodes are
+# kept: rounding of the node coordinates is far below it, so every node
+# dropped lies where the field is exactly zero.
+_DISK_MARGIN = 1e-9
 # Amplitude of the slowly varying carrier of the oscillatory counterexample.
 _BACKGROUND_AMP = 2.0
 
@@ -77,15 +83,18 @@ class TestField:
     """Analytic planar vector field with exact point values and Jacobian.
 
     value(pts) maps (n, 2) points to (n, 2) components; jacobian(pts)
-    returns (n, 2, 2) with jac[n, i, h] = d_h v_i.  support is the box
-    (x0, x1, y0, y1) outside of which the field vanishes identically, and
-    wavelength, when set, is the shortest oscillation length the
-    quadrature rule must resolve.  frame, when set, is the unit direction
-    xi along which the field oscillates: the field then varies slowly
-    along xi-perp and vanishes outside the disk inscribed in its support
-    box, so the quadrature rotates the box into the frame (xi, xi-perp)
-    and resolves the wavelength along xi only.  scale is an amplitude hint
-    used by the zero set convention |v| <= 1e-14 * scale.
+    returns (n, 2, 2) with jac[n, i, h] = d_h v_i.  support is a square
+    box (x0, x1, y0, y1), and the field, value and Jacobian both, is
+    exactly 0 at every point at or beyond the radius of the disk inscribed
+    in it, as the built-in probes are: their radial profiles reach 0 at
+    that radius and stay there.  The quadrature relies on this and skips
+    the box's nodes outside the disk.  wavelength, when set, is the
+    shortest oscillation length the quadrature rule must resolve.  frame,
+    when set, is the unit direction xi along which the field oscillates:
+    the field then varies slowly along xi-perp, so the quadrature rotates
+    the box into the frame (xi, xi-perp) and resolves the wavelength along
+    xi only.  scale is an amplitude hint used by the zero set convention
+    |v| <= 1e-14 * scale.
     """
 
     label: str
@@ -110,14 +119,17 @@ def _bump_deriv(r, r0, r1):
     return -6.0 * s * (1.0 - s) / (r1 - r0)
 
 
-def _radial_parts(pts, center):
-    """Offsets x - c, lengths r and unit directions, shared by all bumps."""
+def _offsets(pts, center):
+    """Offsets x - c and their lengths r, shared by all bumps."""
     dx = pts - np.asarray(center, dtype=float)
-    r = np.hypot(dx[:, 0], dx[:, 1])
-    safe = np.where(r > 0.0, r, 1.0)
-    unit = dx / safe[:, None]
-    unit[r == 0.0] = 0.0
-    return dx, r, unit
+    return dx, np.hypot(dx[:, 0], dx[:, 1])
+
+
+def _radial_parts(pts, center):
+    """_offsets and the unit directions; dx is 0 exactly where r is, so
+    the direction there is 0."""
+    dx, r = _offsets(pts, center)
+    return dx, r, dx / np.where(r > 0.0, r, 1.0)[:, None]
 
 
 def _support_box(center, r1):
@@ -137,7 +149,7 @@ def bump_field(center, r0: float, r1: float, offset, matrix,
     c = (float(center[0]), float(center[1]))
 
     def value(pts):
-        dx, r, _ = _radial_parts(pts, c)
+        dx, r = _offsets(pts, c)
         poly = a[None, :] + dx @ m.T
         return _bump(r, r0, r1)[:, None] * poly
 
@@ -199,7 +211,7 @@ def oscillatory_field(center, xi, rho: float, eta, *,
         r1 = max(r1, g_r1)
 
     def value(pts):
-        dx, r, _ = _radial_parts(pts, c)
+        dx, r = _offsets(pts, c)
         chi = _bump(r, chi_r0, chi_r1)
         theta = rho * (dx @ xi)
         mod = np.exp(1j * theta) if complex_phase else np.cos(theta)
@@ -318,22 +330,32 @@ def _integrate(fn, v: TestField, *, order: int = 8,
     support box itself for a field without a frame, and the box rotated
     onto (xi, xi-perp) about its centre for a plane wave, which oscillates
     along u only.  The wavelength rule refines u, and w as well when there
-    is no frame.  The evaluation is chunked along u, whole rows of w nodes
-    at a time, so that no chunk holds more than max_chunk nodes (one row
-    when a row alone is longer).  Every temporary of a chunk is a node
-    array, so the chunk bounds the memory: the Lame integrand with a
-    built-in field, value and Jacobian included, peaks at about 240 bytes
-    a node for a real field and 320 for a complex one, some 15 and 20 MB
-    at the default 65,536 nodes.  Returns a length q vector (q = 1 for
-    scalar integrands).
+    is no frame.  The field and its Jacobian vanish outside the disk
+    inscribed in the square support box (the TestField contract), and so
+    does fn, which is local in them.  Each row of w nodes therefore keeps
+    only its run within R (1 + 1e-9) of the centre, R the half width, found
+    by two binary searches: the nodes dropped, about a fifth of the box's,
+    would add exact zeros.  The evaluation is chunked along u, whole rows
+    at a time, so that no chunk keeps more than max_chunk nodes (one row
+    when a row alone is longer).  The chunk's points are cut from its rows'
+    full box, which is freed before fn runs, so the chunk bounds the
+    memory: the Lame integrand with a built-in field, value and Jacobian
+    included, peaks at about 220 bytes a node for a real field and 300 for
+    a complex one (tracemalloc), some 14 and 19 MB at the default 65,536
+    nodes.  Returns a length q vector (q = 1 for scalar integrands).
     """
     x0, x1, y0, y1 = v.support
+    radius = 0.5 * (x1 - x0)
+    if not abs((y1 - y0) - (x1 - x0)) <= 1e-12 * (x1 - x0):
+        raise ValueError(f"support box {v.support} of {v.label!r} is not "
+                         "a square")
+    center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
     if v.frame is None:
         origin, axes = np.zeros(2), np.eye(2)
         u0, u1, w0, w1 = x0, x1, y0, y1
         w_wavelength = v.wavelength
     else:
-        origin = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+        origin = center
         xi = np.asarray(v.frame, dtype=float)
         axes = np.array([xi, [-xi[1], xi[0]]])
         u0, u1 = x0 - origin[0], x1 - origin[0]
@@ -347,17 +369,36 @@ def _integrate(fn, v: TestField, *, order: int = 8,
             f"(cap {max_axis_points}); the probe oscillates too fast")
     us, wu = _axis_rule(u0, u1, nu, order)
     ws, ww = _axis_rule(w0, w1, nw, order)
-    rows = max(1, max_chunk // len(ws))
+    # the run of each row inside the disk, by its centre (cu, cw) in axes
+    cu, cw = axes @ (center - origin)
+    reach = np.sqrt(np.maximum(
+        (radius * (1.0 + _DISK_MARGIN)) ** 2 - (us - cu) ** 2, 0.0))
+    lo = np.searchsorted(ws, cw - reach, side="left")
+    hi = np.searchsorted(ws, cw + reach, side="right")
+    keep = hi > lo
+    us, wu, lo, hi = us[keep], wu[keep], lo[keep], hi[keep]
+    ends = np.concatenate([[0], np.cumsum(hi - lo)])
+    col = np.arange(len(ws))
     total: np.ndarray | None = None
-    for i0 in range(0, len(us), rows):
-        uv = us[i0:i0 + rows, None, None]
-        pts = (origin + uv * axes[0] + ws[:, None] * axes[1]).reshape(-1, 2)
-        w = np.multiply.outer(wu[i0:i0 + rows], ww).ravel()
+    i0 = 0
+    while i0 < len(us):
+        i1 = max(i0 + 1, int(np.searchsorted(ends, ends[i0] + max_chunk,
+                                             side="right")) - 1)
+        # flat (row, col) positions of the chunk's nodes in its box rows
+        nodes = np.flatnonzero((col >= lo[i0:i1, None])
+                               & (col < hi[i0:i1, None]))
+        pts = (origin + us[i0:i1, None, None] * axes[0]
+               + ws[:, None] * axes[1]).reshape(-1, 2).take(nodes, axis=0)
+        weights = np.multiply.outer(wu[i0:i1], ww).ravel().take(nodes)
+        del nodes
         vals = np.asarray(fn(pts))
         if vals.ndim == 1:
             vals = vals[:, None]
-        part = w @ vals
+        part = weights @ vals
+        # freed before the next chunk is built, which then reuses the memory
+        del pts, weights, vals
         total = part if total is None else total + part
+        i0 = i1
     assert total is not None
     if not np.all(np.isfinite(total)):
         raise QuadratureFailure("integrand produced non finite values")

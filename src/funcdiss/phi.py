@@ -77,6 +77,9 @@ _TABLE_NODES = 2401
 _NEWTON_EVALS = 4
 # Targets this close to a table edge, relative, are solved at the edge.
 _EDGE_TIE = 1e-9
+# Relative margin by which a truncated power's closed-form Lambda bands
+# stop short of their junction targets, which Newton still solves.
+_BAND_MARGIN = 1e-9
 # Sampled tails: Lambda on t in [1e-6, 1e8], 10 nodes per decade; the tail
 # has converged when its last three nodes vary by less than 1e-6 relative.
 _TAIL_T = np.geomspace(1e-6, 1e8, 140)
@@ -133,6 +136,24 @@ class PhiSpec:
             return np.asarray(self.dphi_fn(s), dtype=float)
         return _central_dphi(self.phi_fn, s)
 
+    def _log_phi_ratio(self, s):
+        """log phi(s) and r = s*phi'(s)/phi(s) from one evaluation: in
+        closed form for exp_square (s^2 and 2 s^2, which cannot overflow)
+        and the truncated power (piecewise), through phi and phi'
+        otherwise.  Callers hold floating-point warnings off: the pieces
+        not selected may overflow."""
+        if self.family == EXP_SQUARE:
+            sq = s * s
+            return sq, 2.0 * sq
+        if self.family == TRUNCATED_POWER:
+            p, k = self.p, self.k
+            s, base, low, high = _trunc_base(s, k)
+            r = np.where(low, p - 2.0,
+                         np.where(high, 0.0, (p - 2.0) * s * (k - s) / base))
+            return (p - 2.0) * np.log(base), r
+        phi = self.phi(s)
+        return np.log(phi), s * self.dphi(s) / phi
+
     def s_phi(self, s):
         s = np.asarray(s, dtype=float)
         return s * self.phi(s)
@@ -156,28 +177,28 @@ def _trunc_rho(t, k):
     return -0.5 * (t - k + 1.0) ** 2 + t
 
 
-def _trunc_phi(t, p, k):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
+def _trunc_base(t, k):
+    """t as an array, the base b with phi_k = b^(p-2) (t below k-1,
+    rho_k(t) on [k-1, k], k-1/2 above k) and the masks of the two outer
+    pieces."""
+    arr = np.asarray(t, dtype=float)
     low = arr < k - 1.0
     high = arr > k
-    mid = ~(low | high)
-    out = np.empty_like(arr)
-    out[low] = arr[low] ** (p - 2.0)
-    out[mid] = _trunc_rho(arr[mid], k) ** (p - 2.0)
-    out[high] = (k - 0.5) ** (p - 2.0)
-    return out.reshape(np.shape(t))
+    # rho is evaluated everywhere but read on [k-1, k] only, where it is
+    # finite; outside it may overflow or meet inf - inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.where(low, arr, np.where(high, k - 0.5, _trunc_rho(arr, k)))
+    return arr, base, low, high
+
+
+def _trunc_phi(t, p, k):
+    return _trunc_base(t, k)[1] ** (p - 2.0)
 
 
 def _trunc_dphi(t, p, k):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    low = arr < k - 1.0
-    high = arr > k
-    mid = ~(low | high)
-    out = np.zeros_like(arr)
-    out[low] = (p - 2.0) * arr[low] ** (p - 3.0)
-    rho = _trunc_rho(arr[mid], k)
-    out[mid] = (p - 2.0) * rho ** (p - 3.0) * (k - arr[mid])
-    return out.reshape(np.shape(t))
+    arr, base, low, high = _trunc_base(t, k)
+    slope = np.where(low, 1.0, np.where(high, 0.0, k - arr))
+    return (p - 2.0) * base ** (p - 3.0) * slope
 
 
 def _central_dphi(fn, s):
@@ -474,7 +495,8 @@ class LambdaProfile:
 
     Power weights have Lambda = -(p-2)/p and zeta(t) = t^(2/p) in closed
     form, truncated powers Lambda_inf = 0 and sup Lambda^2 = ((p-2)/p)^2,
-    and a dual weight reads everything off its base's profile.  Otherwise
+    and Lambda itself outside their junctions, and a dual weight reads
+    everything off its base's profile.  Otherwise
     zeta(t) inverts s*sqrt(phi(s)), increasing under condition (ii) since
     (s^2*phi)' = s*(s*phi)' + s*phi > 0, by _table_inverse, and Lambda
     comes from the s*phi'/phi of its final iterate.  The table and the
@@ -498,17 +520,15 @@ class LambdaProfile:
         spec = self.spec
 
         def step(x):
-            s = np.exp(x)
-            phi = spec.phi(s)
-            r = s * spec.dphi(s) / phi
-            return x + a * np.log(phi), 1.0 + a * r
+            log_phi, r = spec._log_phi_ratio(np.exp(x))
+            return x + a * log_phi, 1.0 + a * r
 
         us, vs = self._table
         table = (us, (1.0 - 2.0 * a) * us + 2.0 * a * vs)
         what = "s*sqrt(phi)" if a == 0.5 else "s*phi"
         s = np.exp(_table_inverse(table, step, t, what, clamp_low=clamp_low))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return s, s * spec.dphi(s) / spec.phi(s)
+            return s, spec._log_phi_ratio(s)[1]
 
     def _preimage(self, t: np.ndarray, a: float):
         """_solve, with power weights in closed form, s = t^(1/(1+a*(p-2))),
@@ -544,7 +564,8 @@ class LambdaProfile:
 
         Positive targets below the table, t < zeta^-1(1e-12), take Lambda
         at its edge: Lambda is continuous at 0+, and for the built-in
-        families the two differ by less than 1e-20.
+        families the two differ by less than 1e-20.  Power weights take
+        their constant, truncated powers their two constant bands.
         """
         t_arr = np.asarray(t, dtype=float)
         if self.spec.family == DUAL:
@@ -552,10 +573,28 @@ class LambdaProfile:
         elif self.spec.family == POWER:
             _check_targets(t_arr, "s*sqrt(phi)")
             out = np.full_like(t_arr, -(self.spec.p - 2.0) / self.spec.p)
+        elif self.spec.family == TRUNCATED_POWER:
+            out = self._truncated_lambda(t_arr)
         else:
             r = self._solve(t_arr, clamp_low=True)[1]
             out = -r / (r + 2.0)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def _truncated_lambda(self, t: np.ndarray) -> np.ndarray:
+        """Lambda of a truncated power: -(p-2)/p below t_lo = (k-1)^(p/2),
+        the image of the power piece, and -0.0 (r = 0 on the plateau) above
+        t_hi = k (k-1/2)^((p-2)/2); Newton solves only the targets between
+        them, the bands' ends pulled in by _BAND_MARGIN."""
+        _check_targets(t, "s*sqrt(phi)")
+        p, k = self.spec.p, self.spec.k
+        lo = (k - 1.0) ** (0.5 * p) * (1.0 - _BAND_MARGIN)
+        hi = k * (k - 0.5) ** (0.5 * (p - 2.0)) * (1.0 + _BAND_MARGIN)
+        out = np.where(t < lo, -(p - 2.0) / p, -0.0)
+        mid = (t >= lo) & (t <= hi)
+        if np.any(mid):
+            r = self._solve(t[mid], clamp_low=True)[1]
+            out[mid] = -r / (r + 2.0)
+        return out
 
     @cached_property
     def limit(self) -> LambdaLimit:

@@ -1,6 +1,7 @@
 """Form evaluation: frame identities, quadrature routes, breakdown, probes."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from funcdiss import (
 from funcdiss.coefficients import constant_field, radial_field, ramp_field
 from funcdiss.forms import (
     ZERO_SET_REL,
+    _axis_rule,
     _coeff_samplers,
     _integrate,
     _lame_integrand,
@@ -212,20 +214,35 @@ def _counted_wave(rho, seen):
     return dataclasses.replace(wave, value=value)
 
 
+def _disk_nodes(rho):
+    """Nodes of the counted wave's rule: 10 cells per wavelength along xi
+    and 12 along xi-perp on its 1.5 wide box, each 8 x 8 Gauss nodes, kept
+    within the disk of radius 0.75 (1 + 1e-9) about the centre."""
+    r = 0.75
+    nu = math.ceil(10.0 * 2.0 * r / (2.0 * np.pi / rho))
+    us, _ = _axis_rule(-r, r, nu, 8)
+    ws, _ = _axis_rule(-r, r, 12, 8)
+    inside = us[:, None] ** 2 + ws ** 2 <= (r * (1.0 + 1e-9)) ** 2
+    return int(np.count_nonzero(inside))
+
+
 def test_wave_nodes_double_per_octave():
-    # the wavelength rule refines the xi axis only; xi-perp keeps the
-    # min_cells rule, so nodes double per octave up to the rounding of one
-    # cell of 8 x (12 x 8) nodes
+    # The wavelength rule refines the xi axis only; xi-perp keeps the
+    # min_cells rule.  Each of the 8 Gauss offsets within a cell samples
+    # the row length L(u) <= 96 on a uniform grid of spacing h, and h times
+    # such a sum is within h TV(L) <= 2 * 96 h of int L, so a rule's count
+    # is 8 int L / h up to 8 * 192.  Doubling the cells halves h, so
+    # |2 lo - hi| <= 3 * 8 * 192; when the ceiling gives 2n - 1 cells in
+    # place of 2n, one cell's worth, at most 8 * 96, goes as well.
     nodes = []
     for j in range(4, 9):
         seen = []
         dissipativity_form((1.0, 1.0), power_phi(4.0),
                            _counted_wave(2.0 ** j, seen))
         nodes.append(sum(seen))
+        assert nodes[-1] == _disk_nodes(2.0 ** j)
     for lo, hi in zip(nodes, nodes[1:]):
-        assert 0 <= 2 * lo - hi <= 8 * 96
-    # 10 cells per wavelength on a 1.5 wide box: 306 cells at rho = 128
-    assert nodes[3] == 306 * 8 * 96
+        assert -3 * 8 * 192 <= 2 * lo - hi <= 3 * 8 * 192 + 8 * 96
 
 
 def test_wave_quadrature_chunks_bound_memory():
@@ -233,7 +250,7 @@ def test_wave_quadrature_chunks_bound_memory():
     dissipativity_form((1.0, 1.0), power_phi(4.0),
                        _counted_wave(256.0, seen))
     assert len(seen) > 1 and max(seen) <= 250_000
-    assert sum(seen) == 612 * 8 * 96
+    assert sum(seen) == _disk_nodes(256.0)
 
 
 def test_wave_quadrature_chunks_default_size():
@@ -241,7 +258,90 @@ def test_wave_quadrature_chunks_default_size():
     dissipativity_form((1.0, 1.0), power_phi(4.0),
                        _counted_wave(256.0, seen))
     assert len(seen) > 1 and max(seen) <= 65_536
-    assert sum(seen) == 612 * 8 * 96
+    assert sum(seen) == _disk_nodes(256.0)
+
+
+def _box_rule(v, order=8, cells_per_wavelength=10.0, min_cells=12):
+    """Every node and weight of the tensor rule on v's whole support box,
+    in the frame and point arithmetic of _integrate, and whether each lies
+    within the support radius (1 + 1e-9) of the centre."""
+    x0, x1, y0, y1 = v.support
+    r = 0.5 * (x1 - x0)
+    center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+    if v.frame is None:
+        origin, axes = np.zeros(2), np.eye(2)
+        ranges = ((x0, x1), (y0, y1))
+        wavelengths = (v.wavelength, v.wavelength)
+    else:
+        origin = center
+        xi = np.asarray(v.frame)
+        axes = np.array([xi, [-xi[1], xi[0]]])
+        ranges = ((x0 - center[0], x1 - center[0]),
+                  (y0 - center[1], y1 - center[1]))
+        wavelengths = (v.wavelength, None)
+    rules = []
+    for (a, b), wl in zip(ranges, wavelengths):
+        n = min_cells
+        if wl is not None:
+            n = max(n, math.ceil(cells_per_wavelength * (b - a) / wl))
+        rules.append(_axis_rule(a, b, n, order))
+    (us, wu), (ws, ww) = rules
+    cu, cw = axes @ (center - origin)
+    inside = ((us[:, None] - cu) ** 2 + (ws - cw) ** 2
+              <= (r * (1.0 + 1e-9)) ** 2).ravel()
+    pts = (origin + us[:, None, None] * axes[0]
+           + ws[:, None] * axes[1]).reshape(-1, 2)
+    return pts, np.multiply.outer(wu, ww).ravel(), inside
+
+
+def _probe_families():
+    fields = list(standard_ensemble(2026, n_bump=4, n_rot=4, n_osc=4))
+    for complex_phase in (False, True):
+        fields.append(oscillatory_field(
+            (0.1, -0.05), (0.6, 0.8), 32.0, (0.6, -0.8),
+            chi_r0=-0.1, chi_r1=0.3, complex_phase=complex_phase,
+            background=((0.0, 1.0), 2.0, 0.35, 0.75)))
+    return fields
+
+
+def test_probes_vanish_at_every_dropped_node():
+    families = set()
+    for v in _probe_families():
+        pts, _, inside = _box_rule(v)
+        out = pts[~inside]
+        assert 0.15 < len(out) / len(pts) < 0.25, v.label
+        assert np.all(v.value(out) == 0.0), v.label
+        assert np.all(v.jacobian(out) == 0.0), v.label
+        families.add((v.family, v.is_real))
+    assert families == {("bump", True), ("rotation", True),
+                        ("gradient", True), ("oscillatory", True),
+                        ("oscillatory", False)}
+
+
+def test_integrate_rejects_non_square_support():
+    v = bump_field((0.0, 0.0), 0.1, 0.5, (1.0, 0.0), np.eye(2))
+    wide = dataclasses.replace(v, support=(-0.5, 0.5, -0.4, 0.4))
+    with pytest.raises(ValueError, match="not a square"):
+        gradient_energy(wide)
+
+
+@pytest.mark.parametrize("target, spec", [
+    ((1.3, 0.7), power_phi(4.0)),
+    ((1.3, 0.7), truncated_power(5.0, 2.0)),
+    (ramp_field(1.0, 1.0, 0.2, shape=(33, 33),
+                domain=(-1.0, 1.0, -1.0, 1.0)), exp_square_phi()),
+    (radial_field(1.0, 1.0, 0.1, shape=(33, 33)), truncated_power(4.0, 1.5)),
+], ids=["pair-power", "pair-truncated", "grid-exp_square",
+        "grid-truncated"])
+def test_disk_rule_matches_box_rule_on_ensemble(target, spec):
+    lam_at, mu_at = _coeff_samplers(target)
+    for v in standard_ensemble(2026):
+        fn = _lame_integrand(lam_at, mu_at, spec, v)
+        pts, weights, _ = _box_rule(v)
+        box = weights @ fn(pts)
+        form, grad2 = _integrate(fn, v)
+        assert abs(form - box[0]) <= 1e-13 * box[1], v.label
+        assert abs(grad2 - box[1]) <= 1e-13 * box[1], v.label
 
 
 def _einsum_lame_integrand(lam_at, mu_at, phi_spec, v, kappa=0.0):

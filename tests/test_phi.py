@@ -309,6 +309,30 @@ def test_legendre_conjugate_matches_bisection(M, lo):
                                rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("p, k", [(4.0, 1.5), (6.0, 2.0), (3.2, 2.7),
+                                  (16.0, 3.0)])
+def test_truncated_lambda_bands(p, k):
+    # Below t_lo = (k-1)^(p/2), the image of the power piece, Lambda is
+    # -(p-2)/p; above t_hi = k (k-1/2)^((p-2)/2), on the plateau, -0.0.
+    spec = truncated_power(p, k)
+    prof = LambdaProfile(spec)
+    t_lo = (k - 1.0) ** (0.5 * p)
+    t_hi = k * (k - 0.5) ** (0.5 * (p - 2.0))
+    low = np.geomspace(1e-300, t_lo * (1.0 - 2e-9), 400)
+    assert np.array_equal(prof.lambda_of(low), np.full(400, -(p - 2.0) / p))
+    high = np.geomspace(t_hi * (1.0 + 2e-9), 1e6 * t_hi, 400)
+    lam = prof.lambda_of(high)
+    assert np.all(lam == 0.0) and np.all(np.signbit(lam))
+    # Between the bands r = s*phi'/phi falls from p-2 to 0 with a slope of
+    # order p-2, so a last-bit change of s moves Lambda by about
+    # (p-2) * 1e-16, and either route's s carries a few.
+    edges = np.array([t_lo, t_hi])
+    t = np.concatenate([np.geomspace(0.25 * t_lo, 4.0 * t_hi, 2001),
+                        edges, edges * (1.0 - 1e-9), edges * (1.0 + 1e-9)])
+    np.testing.assert_allclose(prof.lambda_of(t), _bisection_lambda(spec, t),
+                               rtol=1e-13, atol=2.5e-15 * (p - 2.0))
+
+
 def test_lambda_below_table_takes_edge_value():
     for spec in (exp_square_phi(), truncated_power(6.0, 2.0)):
         prof = LambdaProfile(spec)
