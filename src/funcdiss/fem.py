@@ -23,19 +23,24 @@ the same on every row, and a planar CoefficientField one per node; either
 is applied by slice products on the node grid, never stored as a matrix.
 
 The free block is solved by conjugate gradients preconditioned with one
-symmetric geometric multigrid V-cycle: linear interpolation P between grids
-halved per axis, damped Jacobi smoothing and a direct solve on a small
-coarsest grid.  Every vector of the solve lives on the node grid,
-components first, with a zero rim where u is fixed: the load, the CG
-iterates and the V-cycle's residuals and corrections.  P and P^T are slice
-passes along each axis, and each coarse operator is the Galerkin product
-P^T A P, formed without P: a constant pair re-derives its stencil at the
-doubled spacings of the coarse grid, and a CoefficientField sums the cell
-matrices of each coarse cell's children against the coarse basis.  The
-coarsest level is written as a sparse matrix in grid layout, identity
-rows on the rim, for the direct solve, so the stencil planes are the one
-description of the operator and grid layout the one vector layout.  The
-iteration count does not grow with the grid at a fixed lambda/mu.
+symmetric geometric multigrid V-cycle: linear interpolation P between
+grids halved along some axes, damped Jacobi smoothing and a direct solve
+on a coarsest grid of at most 6 cells per axis.  Each level halves every
+axis of at least 7 cells whose cells are at most twice as wide as the
+narrowest of those axes (semicoarsening of the strongly coupled axes), and
+an odd count c becomes (c + 1) / 2 cells, the last of which spans one fine
+cell (vertex-centred coarsening).  Every vector of the solve lives on the
+node grid, components first, with a zero rim where u is fixed: the load,
+the CG iterates and the V-cycle's residuals and corrections.  P and P^T
+are slice passes along each halved axis.  A CoefficientField's coarse
+operator is the Galerkin product P^T A P, formed without P by summing the
+cell matrices of each coarse cell's children against the coarse basis; a
+constant pair re-derives its one stencil at the level's cell widths, which
+is P^T A P after even halvings and a rediscretization after odd ones.  The
+coarsest level's interior block is inverted as a dense matrix, built from
+the same stencil planes, so the stencil planes are the one description of
+the operator and grid layout the one vector layout.  The iteration count
+does not grow with the grid at a fixed lambda/mu.
 
 The solver exists to probe the weighted energy estimate
 
@@ -54,9 +59,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -70,9 +75,6 @@ from .criteria import (
 from .errors import NotStrict, SolverDiverged
 from .orlicz import _SAMPLE_BLOCK, _abs_max, _gauge, _gauge_terms, log_young
 from .phi import power_phi, truncated_power
-
-if TYPE_CHECKING:
-    from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "FemProblem",
@@ -329,19 +331,18 @@ def _stencil_offsets(dim: int):
     return out
 
 
-def _cell_matrices(prob: FemProblem, level: int = 0, order: int = 2):
+def _cell_matrices(prob: FemProblem, spacings=None, order: int = 2):
     """The Q1 cell matrices local[..., a, i, b, j] of the bilinear form.
 
     One product over all cells: (nel or 1, G) coefficient samples times
     (G, (2^N N)^2) Gauss blocks, seen as local[cell..., a, i, b, j] for a
     CoefficientField and as one local[a, i, b, j] shared by every cell for
-    a constant pair.  level > 0, for a constant pair only, gives the cells
-    of the grid halved level times per axis.
+    a constant pair.  spacings, for a constant pair only, gives the cell of
+    those per-axis widths instead of the problem's.
     """
     dim = prob.dim
     nbasis = 2 ** dim
-    spacings = tuple(h * 2 ** level for h in prob.spacings)
-    div_blk, grad_blk = _local_blocks(dim, order, spacings)
+    div_blk, grad_blk = _local_blocks(dim, order, spacings or prob.spacings)
     lam, mu = _coefficient_samples(prob, order)
     ngauss = lam.shape[1]
     local = (lam @ div_blk.reshape(ngauss, -1)
@@ -350,30 +351,58 @@ def _cell_matrices(prob: FemProblem, level: int = 0, order: int = 2):
                          + (nbasis, dim, nbasis, dim))
 
 
-def _coarsen(local, cells):
-    """The cell matrices of a CoefficientField on the grid halved per axis.
+def _coarse_cells(c: int, halved: bool) -> int:
+    """The cell count of an axis of c cells on the next level."""
+    return (c + 1) // 2 if halved else c
 
-    Coarse cell C takes sum_k R_k^T local[2C + k] R_k over its 2^N children
-    k, with R_k[a, A] the coarse Q1 basis function A at corner a of child
-    k.  The coarse space is nested in the fine one and P maps interior
-    nodes to interior nodes, so the coarse free block is P^T A P exactly.
-    The children are read as strided views of local.
+
+def _children(c: int, halved: bool):
+    """The coarse cells of one axis as ranges with the same children:
+    [(coarse cells, [(fine cells, r), ...])], with r[e, B] the 1-D coarse
+    basis function B (0 low, 1 high) at the child's corner e.  A halved
+    axis gives coarse cell C the low and high halves 2C and 2C + 1, and an
+    odd end its last fine cell whole; an axis kept whole gives C the child
+    C."""
+    whole = np.eye(2)
+    if not halved:
+        return [(slice(None), [(slice(None), whole)])]
+    m = c // 2
+    halves = (np.array([[1.0, 0.0], [0.5, 0.5]]),
+              np.array([[0.5, 0.5], [0.0, 1.0]]))
+    parts = [(slice(0, m), [(slice(t, 2 * m, 2), r)
+                            for t, r in enumerate(halves)])]
+    if c % 2:
+        parts.append((slice(m, m + 1), [(slice(c - 1, c), whole)]))
+    return parts
+
+
+def _coarsen(local, cells, halved):
+    """The cell matrices of a CoefficientField on the next level, halved
+    along the axes that halved flags.
+
+    Coarse cell C takes sum_k R_k^T local[k] R_k over its children k (2 per
+    halved axis but at an odd end, 1 per other axis), with R_k[a, A] the
+    coarse Q1 basis function A at corner a of child k, the product of the
+    1-D weights of _children.  The coarse space is nested in the fine one
+    and P maps interior nodes to interior nodes, so the coarse free block
+    is P^T A P exactly.  The children are read as strided views of local.
     """
     dim = len(cells)
     nbasis = 2 ** dim
-    shape = tuple(c // 2 for c in cells) + local.shape[dim:]
-    coarse = np.zeros(shape)
-    for k in product((0, 1), repeat=dim):
-        # corner a of child k sits at (k + bits(a)) / 2 of the coarse cell
-        at = [[(t + ((a >> d) & 1)) / 2 for d, t in enumerate(k)]
-              for a in range(nbasis)]
-        r_t = np.array([[math.prod(x if (b >> d) & 1 else 1.0 - x
-                                   for d, x in enumerate(xs)) for xs in at]
-                        for b in range(nbasis)])
-        child = local[tuple(slice(t, None, 2) for t in k)]
-        # b, then a: each product is the size of the coarse cells
-        half = (r_t @ child).reshape(shape[:dim] + (nbasis, -1))
-        coarse += (r_t @ half).reshape(shape)
+    coarse = np.zeros(tuple(_coarse_cells(c, h) for c, h in zip(cells, halved))
+                      + local.shape[dim:])
+    for part in product(*(_children(c, h) for c, h in zip(cells, halved))):
+        at = tuple(s for s, _ in part)
+        out = coarse[at]
+        for kids in product(*(k for _, k in part)):
+            # r_t[B, a]: coarse basis B at corner a, one factor per axis
+            r_t = np.array([[math.prod(r[(a >> d) & 1, (b >> d) & 1]
+                                       for d, (_, r) in enumerate(kids))
+                             for a in range(nbasis)] for b in range(nbasis)])
+            child = local[tuple(s for s, _ in kids)]
+            # b, then a: each product is the size of the coarse cells
+            half = (r_t @ child).reshape(out.shape[:dim] + (nbasis, -1))
+            out += (r_t @ half).reshape(out.shape)
     return coarse
 
 
@@ -460,9 +489,6 @@ class _Stencil:
         dim = len(cells)
         self.cells = tuple(cells)
         self.nodes = tuple(c + 1 for c in cells)
-        n = math.prod(self.nodes) * dim
-        self.shape = (n, n)
-        self.dtype = np.dtype(float)
         strides = [math.prod(self.nodes[d + 1:]) for d in range(dim)]
         # flat indices of the first interior node and of the range that
         # runs from it to the last one
@@ -542,9 +568,6 @@ class _Stencil:
 # ---------------------------------------------------------------------------
 # geometric multigrid preconditioner
 
-# The coarsest level is factorised by splu when it has at most this many
-# unknowns; a larger one, on a grid that cannot be halved, is only smoothed.
-_COARSE_DIRECT = 4000
 # Damped Jacobi sweeps before and after each coarse correction.
 _SWEEPS = 2
 # The Jacobi damping is _DAMPING / G, with G the Gershgorin bound on the
@@ -557,42 +580,55 @@ def _along(d: int, s: slice):
     return (slice(None),) * (d + 1) + (s,)
 
 
-def _restrict(r, cells):
-    """P^T r on the node grid, one slice pass per axis: the coarse node k
-    takes f[2k] + (f[2k-1] + f[2k+1]) / 2 of the fine nodes along it, and
-    the coarse rim stays zero.  The last axis, whose reads are strided,
-    goes last, when the array is smallest."""
+def _restrict(r, cells, halved):
+    """P^T r on the node grid, one slice pass per halved axis: the coarse
+    node k takes f[2k] + (f[2k-1] + f[2k+1]) / 2 of the fine nodes along
+    it, and the coarse rim stays zero.  At an odd end the last coarse
+    interior node sits at the fine node c - 1, and the f[c] it reads is the
+    fine rim, zero on input.  The last axis, whose reads are strided, goes
+    last, when the array is smallest."""
     dim = len(cells)
     v = r.reshape((dim,) + tuple(c + 1 for c in cells))
-    for d, c in enumerate(cells):
+    for d, (c, halve) in enumerate(zip(cells, halved)):
+        if not halve:
+            continue
+        m = (c + 1) // 2
         shape = list(v.shape)
-        shape[d + 1] = c // 2 + 1
+        shape[d + 1] = m + 1
         out = np.empty(shape)
         inner = out[_along(d, slice(1, -1))]
-        np.add(v[_along(d, slice(1, c - 2, 2))],
-               v[_along(d, slice(3, c, 2))], out=inner)
+        np.add(v[_along(d, slice(1, c - 1, 2))],
+               v[_along(d, slice(3, c + 1, 2))], out=inner)
         inner *= 0.5
-        inner += v[_along(d, slice(2, c - 1, 2))]
-        out[_along(d, slice(None, None, c // 2))] = 0.0
+        inner += v[_along(d, slice(2, c, 2))]
+        out[_along(d, slice(None, None, m))] = 0.0
         v = out
     return v.reshape(-1)
 
 
-def _prolong(x, cells):
-    """P x on the node grid, one slice pass per axis: the fine node 2k takes
-    the coarse node k, and 2k + 1 the mean of k and k + 1.  The last axis,
-    whose writes are strided, goes first, while the array is smallest."""
+def _prolong(x, cells, halved):
+    """P x on the node grid, one slice pass per halved axis: the fine node
+    2k takes the coarse node k, and 2k + 1 the mean of k and k + 1; at an
+    odd end the last coarse cell spans the one fine cell from c - 1 to c,
+    so the fine node c takes the last coarse node.  The last axis, whose
+    writes are strided, goes first, while the array is smallest."""
     dim = len(cells)
-    v = x.reshape((dim,) + tuple(c // 2 + 1 for c in cells))
+    v = x.reshape((dim,) + tuple(_coarse_cells(c, h) + 1
+                                 for c, h in zip(cells, halved)))
     for d, c in reversed(list(enumerate(cells))):
+        if not halved[d]:
+            continue
+        half = c // 2
         shape = list(v.shape)
         shape[d + 1] = c + 1
         out = np.empty(shape)
-        out[_along(d, slice(0, None, 2))] = v
-        odd = out[_along(d, slice(1, None, 2))]
-        np.add(v[_along(d, slice(None, -1))], v[_along(d, slice(1, None))],
-               out=odd)
-        odd *= 0.5
+        out[_along(d, slice(0, None, 2))] = v[_along(d, slice(0, half + 1))]
+        if c % 2:
+            out[_along(d, slice(c, None))] = v[_along(d, slice(-1, None))]
+        mid = out[_along(d, slice(1, c, 2))]
+        np.add(v[_along(d, slice(0, half))], v[_along(d, slice(1, half + 1))],
+               out=mid)
+        mid *= 0.5
         v = out
     return v.reshape(-1)
 
@@ -612,70 +648,77 @@ def _jacobi_scale(a):
 
 
 def _hierarchy(prob: FemProblem):
-    """Multigrid levels of the free block: [(A, scale, cells)] from fine to
-    coarse, then the coarsest (A, scale, direct solve or None).
+    """Multigrid levels of the free block: [(A, scale, halved)] from fine
+    to coarse, halved the axes that the next level halves, then the
+    coarsest (A, direct solve).
 
-    Each axis is halved while every cell count is even with a half of at
-    least 4.  Every level is a _Stencil, and each coarse one is the
-    Galerkin product P^T A P of the level above, formed without P.  A
-    constant pair re-derives its stencil on the halved grid, at doubled
-    spacings: the coarse space is nested in the fine one and the 2-point
-    Gauss rule is exact for a constant pair, so that stencil equals
-    P^T A P.  A CoefficientField coarsens its cell matrices (_coarsen).
-    The cell matrices of a level are dropped once the next are formed.  A
-    coarsest level small enough for splu gets its direct solve from
-    _coarse_solve, on grid layout.
+    Each level halves every axis of at least 7 cells whose cell width is at
+    most twice the smallest width among those axes, so a strongly
+    anisotropic grid first coarsens its narrow axes alone; an odd count c
+    becomes (c + 1) / 2 cells, the last spanning one fine cell.  The
+    coarsest level, once no axis has 7 cells, has at most 50 unknowns in
+    2-D and 375 in 3-D, and gets its direct solve from _coarse_solve.
+
+    Every level is a _Stencil.  A constant pair re-derives its one stencil
+    at the level's widths, the fine widths doubled along each halving: the
+    coarse space is nested in the fine one and the 2-point Gauss rule is
+    exact for a constant pair, so after even halvings that stencil equals
+    P^T A P, and below an odd end it is a rediscretization that ignores
+    the narrower last cell.  A CoefficientField coarsens its cell matrices
+    (_coarsen), P^T A P on every level.  The cell matrices of a level are
+    dropped once the next are formed.
     """
-    cells = prob.cells
+    cells, widths = prob.cells, prob.spacings
     constant = not isinstance(prob.coeffs, CoefficientField)
     local = _cell_matrices(prob)
-    a = _Stencil(local, cells)
     levels = []
-    while all(c % 2 == 0 and c // 2 >= 4 for c in cells):
-        levels.append((a, _jacobi_scale(a), cells))
-        local = _cell_matrices(prob, len(levels)) if constant \
-            else _coarsen(local, cells)
-        cells = tuple(c // 2 for c in cells)
+    while True:
         a = _Stencil(local, cells)
-    solve = None
-    if math.prod(c - 1 for c in cells) * len(cells) <= _COARSE_DIRECT:
-        solve = _coarse_solve(local, cells)
-    return levels, (a, _jacobi_scale(a), solve)
+        wide = [h for c, h in zip(cells, widths) if c >= 7]
+        if not wide:
+            return levels, (a, _coarse_solve(local, cells))
+        halved = tuple(c >= 7 and h <= 2.0 * min(wide)
+                       for c, h in zip(cells, widths))
+        levels.append((a, _jacobi_scale(a), halved))
+        widths = tuple(2.0 * h if s else h for h, s in zip(widths, halved))
+        local = _cell_matrices(prob, widths) if constant \
+            else _coarsen(local, cells, halved)
+        cells = tuple(_coarse_cells(c, s) for c, s in zip(cells, halved))
 
 
 def _coarse_solve(local, cells):
     """The direct solve of the coarsest level, on grid-layout vectors.
 
-    The level is written as a sparse matrix over the whole grid layout.
-    Each interior row holds the stencil planes, the slices of local that
-    _Stencil applies (_plane at _offset_rows), and each rim row is the
-    identity, so a residual with a zero rim gets a correction with a zero
-    rim.  splu factorises it once.
+    The interior block, components first like grid layout, is written as a
+    dense matrix from the stencil planes, the slices of local that _Stencil
+    applies (_plane at _offset_rows), and inverted once by numpy; at most
+    6 cells per axis keep it at 375 unknowns.  The correction's rim, where
+    u is fixed, is zero.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
     dim = len(cells)
     inner = tuple(c - 1 for c in cells)
-    index = np.arange(dim * math.prod(c + 1 for c in cells)).reshape(
-        (dim,) + tuple(c + 1 for c in cells))
-    rim = np.ones(index.shape, dtype=bool)
-    rim[_interior(dim)] = False
-    rows, cols, data = [index[rim]], [index[rim]], [np.ones(rim.sum())]
+    index = np.arange(dim * math.prod(inner)).reshape((dim,) + inner)
+    block = np.zeros((index.size,) * 2)
     for off, pairs in _stencil_offsets(dim):
-        at = _offset_rows(off, inner)
-        # component i of each node at, against component j of its neighbour
-        row, col = (np.moveaxis(index[(slice(None),) + tuple(
-            slice(r.start + 1 + o, r.stop + 1 + o) for r, o in zip(at, shift))],
-            0, -1) for shift in ((0,) * dim, off))
-        shape = row.shape + (dim,)
-        rows.append(np.broadcast_to(row[..., None], shape).ravel())
-        cols.append(np.broadcast_to(col[..., None, :], shape).ravel())
-        data.append(np.broadcast_to(_plane(local, at, pairs), shape).ravel())
-    a = sparse.csc_array((np.concatenate(data),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(index.size,) * 2)
-    return splu(a).solve
+        rows = _offset_rows(off, inner)
+        cols = tuple(slice(r.start + o, r.stop + o) for r, o in zip(rows, off))
+        # component i of each node of rows, against component j of its
+        # neighbour at off
+        row, col = (np.moveaxis(index[(slice(None),) + at], 0, -1)
+                    for at in (rows, cols))
+        block[row[..., :, None], col[..., None, :]] = _plane(local, rows,
+                                                             pairs)
+    inverse = np.linalg.inv(block)
+    interior = _interior(dim)
+    nodes = (dim,) + tuple(c + 1 for c in cells)
+
+    def solve(r):
+        x = np.zeros(nodes)
+        x[interior] = (inverse @ r.reshape(nodes)[interior].ravel()).reshape(
+            (dim,) + inner)
+        return x.reshape(-1)
+
+    return solve
 
 
 def _smooth(a, scale, b, x, sweeps: int):
@@ -697,52 +740,66 @@ def _vcycle(levels, coarsest, r):
     so that no reference cycle keeps the hierarchy alive after the solve.
     """
     rhs, iterates = [], []
-    for a, scale, cells in levels:
+    for a, scale, halved in levels:
         x = _smooth(a, scale, r, scale * r, _SWEEPS - 1)
         rhs.append(r)
         iterates.append(x)
-        r = _restrict(r - a @ x, cells)
-    a, scale, solve = coarsest
-    x = solve(r) if solve is not None \
-        else _smooth(a, scale, r, scale * r, 2 * _SWEEPS - 1)
-    for (a, scale, cells), b, x0 in zip(reversed(levels), reversed(rhs),
-                                        reversed(iterates)):
-        x = _smooth(a, scale, b, x0 + _prolong(x, cells), _SWEEPS)
+        r = _restrict(r - a @ x, a.cells, halved)
+    x = coarsest[1](r)
+    for (a, scale, halved), b, x0 in zip(reversed(levels), reversed(rhs),
+                                         reversed(iterates)):
+        x = _smooth(a, scale, b, x0 + _prolong(x, a.cells, halved), _SWEEPS)
     return x
-
-
-def _preconditioner(levels, coarsest) -> LinearOperator:
-    from scipy.sparse.linalg import LinearOperator
-
-    shape = (levels[0] if levels else coarsest)[0].shape
-    return LinearOperator(shape, dtype=float,
-                          matvec=partial(_vcycle, levels, coarsest))
 
 
 def _solve(prob: FemProblem, bf):
     """Solution, energy x.A x / 2 and CG iteration count for the load bf.
 
     CG runs on grid-layout vectors, so bf and the solution are in grid
-    layout, zero on the rim.
+    layout, zero on the rim.  Its arithmetic is that of scipy's cg (stop
+    once |r| < 1e-10 |b|, beta = rho / rho_prev, p = beta p + z), on the
+    load divided by the power of two 2^e just above max |bf|: exact both
+    ways, so u(2^k F) is 2^k u(F) bit for bit, and neither |b| nor rho
+    under- or overflows for a tiny or huge load.  A non-finite rho, alpha
+    or energy raises SolverDiverged, as does a residual still above the
+    bound after 20000 iterations.
     """
-    from scipy.sparse.linalg import cg
-
     levels, coarsest = _hierarchy(prob)
-    a = (levels[0] if levels else coarsest)[0]
-    iterations = 0
-
-    def tick(_):
-        nonlocal iterations
-        iterations += 1
-
-    xf, info = cg(a, bf, rtol=1e-10, atol=0.0, maxiter=20000,
-                  M=_preconditioner(levels, coarsest), callback=tick)
-    if info != 0:
-        raise SolverDiverged(f"conjugate gradients stopped with "
-                             f"info = {info}")
+    # at least 8 cells per side: the finest level is always halved
+    a = levels[0][0]
+    e = int(np.frexp(np.max(np.abs(bf)))[1])
+    b = np.ldexp(bf, -e)
+    x = np.zeros_like(b)
+    r = b.copy()
+    stop = 1e-10 * np.linalg.norm(b)
+    for iterations in range(20000):
+        if np.linalg.norm(r) < stop:
+            break
+        z = _vcycle(levels, coarsest, r)
+        rho = float(np.dot(r, z))
+        if iterations:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        q = a @ p
+        pq = float(np.dot(p, q))
+        alpha = rho / pq if pq else math.nan
+        if not (math.isfinite(rho) and math.isfinite(alpha)):
+            raise SolverDiverged(f"conjugate gradients broke down at "
+                                 f"iteration {iterations + 1}")
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    else:
+        raise SolverDiverged("conjugate gradients did not converge in "
+                             "20000 iterations")
     # u is zero on the boundary, so the free block carries the energy
-    energy = 0.5 * float(xf @ (a @ xf))
-    return xf, energy, iterations
+    with np.errstate(over="ignore"):
+        energy = float(np.ldexp(0.5 * float(x @ (a @ x)), 2 * e))
+    if not math.isfinite(energy):
+        raise SolverDiverged("the energy of the solution overflows")
+    return np.ldexp(x, e), energy, iterations
 
 
 def assemble_and_solve(prob: FemProblem) -> FemSolution:
@@ -756,8 +813,9 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     value under inf, and the load norm.
 
     Raises NotStrict when the declared p fails the admissibility test for
-    the coefficients and SolverDiverged if CG does not reach the residual;
-    a bad coefficient pair is already rejected by FemProblem.
+    the coefficients and SolverDiverged if CG breaks down, does not reach
+    the residual or yields an energy that overflows; a bad coefficient pair
+    is already rejected by FemProblem.
     """
     _check_admissible(prob)
     bf = _load_vector(prob)

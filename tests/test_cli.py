@@ -587,16 +587,16 @@ def test_main_roundtrip_through_yaml(tmp_path):
     assert keep_a == keep_b
 
 
-def test_check_loads_no_scipy(tmp_path):
-    # scipy is imported only inside the fem solver, the Young integral and
-    # the algebraic-margin polish, so the verdict path never pays for it.
-    doc = tmp_path / "run.yaml"
-    doc.write_text(f"command: check\nout: {tmp_path / 'report'}\n",
-                   encoding="utf-8")
+def _fresh_run_scipy_modules(tmp_path, doc):
+    """The exit code of a fresh interpreter that runs the config doc, and
+    the scipy modules loaded when it is done."""
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({**doc, "out": str(tmp_path / "report")}),
+                    encoding="utf-8")
     script = (
         "import sys\n"
         "import funcdiss.cli as cli\n"
-        f"code = cli.main([{str(doc)!r}])\n"
+        f"code = cli.main([{str(path)!r}])\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(code, loaded)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -604,7 +604,34 @@ def test_check_loads_no_scipy(tmp_path):
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{EXIT_OK} []\n", proc.stdout
+    return proc.stdout
+
+
+def test_check_loads_no_scipy(tmp_path):
+    # scipy is imported only inside the algebraic-margin polish and the
+    # Young integral, so the verdict path never pays for it.
+    assert _fresh_run_scipy_modules(tmp_path, {"command": "check"}) \
+        == f"{EXIT_OK} []\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "solve", "coefficients": {"lam": 1.0, "mu": 1.0},
+     "load": {"preset": "manufactured"}, "grid": [24, 24]},
+    {"command": "solve", "coefficients": {"lam": 1.0, "mu": 1.0},
+     "load": {"preset": "smooth"}, "grid": [8, 9, 10], "p": 3.0},
+    {"command": "solve", "coefficients": {"kind": "radial", "lam0": 1.0,
+                                          "mu0": 1.0, "amp": 0.1},
+     "load": {"preset": "smooth"}, "grid": [17, 16]},
+    {"command": "regularity", "coefficients": {"lam": 1.0, "mu": 1.0},
+     "load": {"preset": "smooth"}, "grid": [9, 8], "p": 4.0,
+     "refinements": 2},
+], ids=["solve-2d", "solve-3d", "solve-coefficient-grid", "regularity"])
+def test_solve_and_regularity_load_no_scipy(tmp_path, doc):
+    # the multigrid-preconditioned CG and its coarsest direct solve are
+    # numpy only
+    code, loaded = _fresh_run_scipy_modules(tmp_path, doc).split(" ", 1)
+    assert int(code) in (EXIT_OK, EXIT_NEGATIVE)
+    assert loaded == "[]\n"
 
 
 def test_main_missing_config_is_exit_3(tmp_path, capsys):

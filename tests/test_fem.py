@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -31,7 +32,7 @@ from funcdiss.coefficients import (
     ramp_field,
 )
 from funcdiss import fem
-from funcdiss.errors import EllipticityViolation
+from funcdiss.errors import EllipticityViolation, SolverDiverged
 from funcdiss.fem import (
     FemProblem,
     assemble_and_solve,
@@ -181,7 +182,7 @@ def _stencil_block(prob):
     the order of _free_dofs."""
     a = fem._Stencil(fem._cell_matrices(prob), prob.cells)
     grid = _grid_dofs(prob.cells)
-    unit = np.zeros(a.shape[0])
+    unit = np.zeros(prob.dim * math.prod(prob.node_shape))
     cols = []
     for k in grid:
         unit[k] = 1.0
@@ -225,11 +226,11 @@ def test_stencil_apply_matches_csr_matvec(prob):
     kff, _ = _einsum_assembly(prob)
     stencil = fem._Stencil(fem._cell_matrices(prob), prob.cells)
     grid = (dim,) + prob.node_shape
-    assert stencil.shape == (math.prod(grid),) * 2
     x = np.random.default_rng(dim).standard_normal((3, kff.shape[0]))
     for v in x:
         ref = kff @ v
         got = stencil @ _on_grid(v, prob.cells)
+        assert got.shape == (math.prod(grid),)
         assert np.max(np.abs(got[_grid_dofs(prob.cells)] - ref)) \
             <= 1e-13 * np.max(np.abs(ref))
         # the rim, where u is fixed, comes out zero
@@ -238,21 +239,35 @@ def test_stencil_apply_matches_csr_matvec(prob):
         assert not np.any(got.reshape(grid)[rim])
 
 
-def _prolongation(cells):
+def _prolongation(cells, halved):
     """The stored P on the free unknowns, the reference for the slice
     transfers and the Galerkin coarse operators: the Kronecker product of
-    the 1-D linear interpolants (stencil 1/2, 1, 1/2) from the cells/2 - 1
-    interior nodes of each halved axis to the cells - 1 of the fine one,
-    times the identity on the node-major displacement components."""
+    one 1-D factor per axis, times the identity on the node-major
+    displacement components.  A halved axis interpolates linearly (stencil
+    1/2, 1, 1/2) from the (c + 1) // 2 - 1 interior nodes of the coarse
+    axis, coarse node k at fine node 2k, to the c - 1 of the fine one; at
+    an odd end the last coarse interior node sits at the fine node c - 1,
+    whose right neighbour is the fixed rim, so its column holds 1/2, 1
+    only.  An axis that is not halved keeps the identity."""
     factors = []
-    for c in cells:
-        j = np.arange(c // 2 - 1)
+    for c, halve in zip(cells, halved):
+        if not halve:
+            factors.append(sparse.eye_array(c - 1))
+            continue
+        j = np.arange((c + 1) // 2 - 1)
         rows = np.concatenate([2 * j, 2 * j + 1, 2 * j + 2])
         vals = np.repeat([0.5, 1.0, 0.5], j.size)
-        factors.append(sparse.csr_array((vals, (rows, np.tile(j, 3))),
-                                        shape=(c - 1, j.size)))
+        keep = rows < c - 1
+        factors.append(sparse.csr_array(
+            (vals[keep], (rows[keep], np.tile(j, 3)[keep])),
+            shape=(c - 1, j.size)))
     return reduce(sparse.kron,
                   factors + [sparse.eye_array(len(cells))]).tocsr()
+
+
+def _coarser(cells, halved):
+    """The cell counts of the next level, odd counts c to (c + 1) // 2."""
+    return tuple((c + 1) // 2 if h else c for c, h in zip(cells, halved))
 
 
 def _csr_jacobi_scale(kff):
@@ -263,47 +278,73 @@ def _csr_jacobi_scale(kff):
     return (fem._DAMPING / float(np.max(rowsum / diag))) / diag
 
 
-def _galerkin_blocks(prob, ops):
-    """The reference free block of each level ops lists, fine to coarse:
-    the assembled one of prob, then P^T A P of the level above."""
+def _reference_levels(prob, levels):
+    """The reference free block and cell widths of each level, fine to
+    coarse, for the halvings that levels lists: the assembled block of
+    prob, then P^T A P of the level above with the P of _prolongation.  A
+    constant pair, whose one stencil is re-derived at the level's widths,
+    leaves P^T A P below its first odd halving: from there its reference
+    is the block assembled from the cell matrices at those widths."""
     blocks = [_einsum_assembly(prob)[0]]
-    for fine in ops[:-1]:
-        p = _prolongation(fine.cells)
-        blocks.append(p.T @ blocks[-1] @ p)
-    return blocks
+    widths = [prob.spacings]
+    cells = prob.cells
+    galerkin = True
+    for _, _, halved in levels:
+        widths.append(tuple(2.0 * h if s else h
+                            for h, s in zip(widths[-1], halved)))
+        galerkin &= not (isinstance(prob.coeffs, tuple) and any(
+            s and c % 2 for c, s in zip(cells, halved)))
+        if galerkin:
+            p = _prolongation(cells, halved)
+            blocks.append(p.T @ blocks[-1] @ p)
+        cells = _coarser(cells, halved)
+        if not galerkin:
+            blocks.append(_cell_assembly(
+                fem._cell_matrices(prob, widths[-1]), cells))
+    return blocks, widths
 
 
-_LEVEL_CASES = pytest.mark.parametrize("cells, coeffs", [
-    ((32, 16), (1.3, 0.7)),
-    ((16, 16, 32), (1.3, 0.7)),
-    ((32, 16), checkerboard_field(1.3, 0.7, 0.4,
-                                  domain=(0.0, 1.0, 0.0, 2.0))),
-], ids=["32x16", "16x16x32", "checkerboard-32x16"])
+_CHECKER = checkerboard_field(1.3, 0.7, 0.4, domain=(0.0, 1.0, 0.0, 2.0))
+# Each axis of at least 7 cells whose cells are at most twice as wide as
+# the narrowest such axis is halved, an odd count c to (c + 1) // 2; on the
+# box [0, 1] x [0, 2] (x [0, 0.5]) the cells of the last axis start
+# narrow, so it is halved alone at first.
+_LEVEL_CASES = pytest.mark.parametrize("cells, coeffs, sizes", [
+    ((32, 16), (1.3, 0.7), [(32, 16), (16, 16), (8, 8), (4, 4)]),
+    ((16, 16, 32), (1.3, 0.7),
+     [(16, 16, 32), (16, 16, 16), (8, 16, 8), (4, 8, 4), (4, 4, 4)]),
+    ((32, 16), _CHECKER, [(32, 16), (16, 16), (8, 8), (4, 4)]),
+    ((9, 50), (1.3, 0.7), [(9, 50), (9, 25), (5, 13), (5, 7), (5, 4)]),
+    ((9, 50), _CHECKER, [(9, 50), (9, 25), (5, 13), (5, 7), (5, 4)]),
+], ids=["32x16", "16x16x32", "checkerboard-32x16", "odd-9x50",
+        "checkerboard-odd-9x50"])
 
 
 @_LEVEL_CASES
-def test_stencil_levels_equal_galerkin_products(cells, coeffs):
-    # each level against P^T A P of the level above, starting from the
-    # assembled block: the level's cell matrices (re-derived at doubled
-    # spacings for a constant pair, coarsened for a CoefficientField), its
-    # stencil apply and its Jacobi scales
+def test_stencil_levels_equal_galerkin_products(cells, coeffs, sizes):
+    # each level against the reference of _reference_levels, P^T A P of
+    # the level above where the hierarchy forms it: the level's cell
+    # matrices (re-derived at the level's widths for a constant pair,
+    # coarsened for a CoefficientField), its stencil apply and its Jacobi
+    # scales
     prob = _anisotropic_box(len(cells), cells=cells, coeffs=coeffs)
     levels, coarsest = fem._hierarchy(prob)
     ops = [a for a, _, _ in levels] + [coarsest[0]]
-    assert len(ops) == 3
+    assert [a.cells for a in ops] == sizes
     local = fem._cell_matrices(prob)
-    galerkin = _galerkin_blocks(prob, ops)
-    scale = float(np.max(np.abs(galerkin[0].data)))
+    refs, widths = _reference_levels(prob, levels)
+    scale = float(np.max(np.abs(refs[0].data)))
     rng = np.random.default_rng(len(cells))
-    for level, (a, ref_a) in enumerate(zip(ops, galerkin)):
+    for level, (a, ref_a) in enumerate(zip(ops, refs)):
         assert isinstance(a, fem._Stencil)
         if level:
-            local = fem._cell_matrices(prob, level) \
+            local = fem._cell_matrices(prob, widths[level]) \
                 if isinstance(coeffs, tuple) \
-                else fem._coarsen(local, ops[level - 1].cells)
+                else fem._coarsen(local, ops[level - 1].cells,
+                                  levels[level - 1][2])
         # sparse: the finest 3-D block would take 3.5 GB as a dense array
         gap = (_cell_assembly(local, a.cells) - ref_a).data
-        assert np.max(np.abs(gap)) <= 1e-13 * scale, level
+        assert np.max(np.abs(gap), initial=0.0) <= 1e-13 * scale, level
         grid = _grid_dofs(a.cells)
         v = rng.standard_normal(ref_a.shape[0])
         ref = ref_a @ v
@@ -319,13 +360,14 @@ def test_stencil_levels_equal_galerkin_products(cells, coeffs):
 
 
 @_LEVEL_CASES
-def test_coarsest_solve_matches_galerkin_direct_solve(cells, coeffs):
+def test_coarsest_solve_matches_galerkin_direct_solve(cells, coeffs, sizes):
     # the coarsest level's direct solve on a grid-layout residual with a
-    # zero rim, against spsolve of the reference P^T A P; the correction's
-    # rim, where u is fixed, is exactly zero
+    # zero rim, against spsolve of the reference block of _reference_levels;
+    # the correction's rim, where u is fixed, is exactly zero
     prob = _anisotropic_box(len(cells), cells=cells, coeffs=coeffs)
-    levels, (a, _, solve) = fem._hierarchy(prob)
-    ref_a = _galerkin_blocks(prob, [op for op, _, _ in levels] + [a])[-1]
+    levels, (a, solve) = fem._hierarchy(prob)
+    assert a.cells == sizes[-1]
+    ref_a = _reference_levels(prob, levels)[0][-1]
     grid = _grid_dofs(a.cells)
     r = np.random.default_rng(len(cells)).standard_normal(len(grid))
     ref = spsolve(ref_a.tocsc(), r)
@@ -336,22 +378,34 @@ def test_coarsest_solve_matches_galerkin_direct_solve(cells, coeffs):
     assert np.all(x[rim] == 0.0)
 
 
-@pytest.mark.parametrize("cells", [(32, 16), (16, 16, 32), (64, 64)],
-                         ids=["32x16", "16x16x32", "64x64"])
-def test_slice_transfers_equal_prolongation(cells):
+@pytest.mark.parametrize("cells, halved", [
+    ((32, 16), (True, True)),
+    ((16, 16, 32), (True, True, True)),
+    ((64, 64), (True, True)),
+    ((27, 13), (True, True)),
+    ((9, 50), (False, True)),
+    ((15, 9, 11), (True, False, True)),
+], ids=["32x16", "16x16x32", "64x64", "odd-27x13", "y-only-9x50",
+        "odd-xz-15x9x11"])
+def test_slice_transfers_equal_prolongation(cells, halved):
     # _restrict and _prolong on grid-layout vectors against the stored P
     # and P^T on the free unknowns, one level
-    p = _prolongation(cells)
-    coarse = tuple(c // 2 for c in cells)
+    p = _prolongation(cells, halved)
+    coarse = _coarser(cells, halved)
     rng = np.random.default_rng(len(cells))
     for _ in range(3):
         r, x = rng.standard_normal(p.shape[0]), rng.standard_normal(p.shape[1])
         ref = p.T @ r
-        got = fem._restrict(_on_grid(r, cells), cells)[_grid_dofs(coarse)]
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        got = fem._restrict(_on_grid(r, cells), cells, halved)
+        assert np.max(np.abs(got[_grid_dofs(coarse)] - ref)) \
+            <= 1e-15 * np.max(np.abs(ref))
+        assert got.size == len(cells) * math.prod(c + 1 for c in coarse)
         ref = p @ x
-        got = fem._prolong(_on_grid(x, coarse), cells)[_grid_dofs(cells)]
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        got = fem._prolong(_on_grid(x, coarse), cells, halved)
+        assert np.max(np.abs(got[_grid_dofs(cells)] - ref)) \
+            <= 1e-15 * np.max(np.abs(ref))
+        # the rim, where u is fixed, comes out zero
+        assert not np.any(np.delete(got, _grid_dofs(cells)))
 
 
 def test_assembly_is_not_reduced_form_for_varying_mu():
@@ -587,7 +641,7 @@ def test_cg_iterations_under_lame_contrast(ratio, prob, bound):
 @pytest.mark.parametrize("prob", [
     smooth_problem((8, 8)),
     smooth_problem((12, 20)),
-    smooth_problem((9, 10)),          # odd: a single level, solved directly
+    smooth_problem((9, 10)),          # odd: halved once, to 5x5
     fiber_problem(32),
     smooth_problem((8, 8, 8)),
     smooth_problem((16, 24), coeffs=ramp_field(1.0, 1.0, 0.25)),
@@ -602,44 +656,104 @@ def test_solution_matches_direct_solve(prob):
 _RAMP = ramp_field(1.0, 1.0, 0.25)
 
 
-@pytest.mark.parametrize("cells, coeffs", [
-    ((32, 64), (1.0, 1.0)),
-    ((8, 8, 8), (1.0, 1.0)),
-    ((64, 65), (1.0, 1.0)),
-    ((32, 64), _RAMP),
-    ((64, 65), _RAMP),
-], ids=["2d-levels", "3d-levels", "smoothing-only", "ramp-levels",
-        "ramp-smoothing-only"])
-def test_vcycle_is_symmetric_positive(cells, coeffs):
-    prob = smooth_problem(cells, coeffs=coeffs)
+def _tall_box():
+    """64 x 64 cells on [0, 1] x [0, 8], eight times as long along y as
+    along x, with the load F_11 = sin(pi x) sin(pi y / 8)."""
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 65), np.linspace(0.0, 8.0, 65),
+                       indexing="ij")
+    rhs = np.zeros((65, 65, 2, 2))
+    rhs[..., 0, 0] = np.sin(np.pi * x) * np.sin(np.pi * y / 8.0)
+    return FemProblem(domain=(0.0, 1.0, 0.0, 8.0), cells=(64, 64),
+                      coeffs=(1.0, 1.0), rhs=rhs, p=2.0)
+
+
+@pytest.mark.parametrize("prob", [
+    smooth_problem((32, 64)),
+    smooth_problem((8, 8, 8)),
+    smooth_problem((25, 27)),
+    smooth_problem((15, 9, 11)),
+    smooth_problem((8, 100)),
+    smooth_problem((32, 64), coeffs=_RAMP),
+    smooth_problem((33, 31), coeffs=_RAMP),
+    _tall_box(),
+], ids=["2d-levels", "3d-levels", "odd-25x27", "odd-15x9x11",
+        "semicoarsened-8x100", "ramp-levels", "ramp-odd-33x31",
+        "semicoarsened-64x64-tall"])
+def test_vcycle_is_symmetric_positive(prob):
     levels, coarsest = fem._hierarchy(prob)
-    if cells == (64, 65):
-        assert not levels and coarsest[2] is None  # smoothed only
-    else:
-        assert levels and coarsest[2] is not None
-    precond = fem._preconditioner(levels, coarsest)
-    dim = len(cells)
-    free = dim * math.prod(c - 1 for c in cells)
+    # every grid reaches a directly solved level of at most 6 cells a side
+    assert levels and max(coarsest[0].cells) <= 6
+    dim = prob.dim
+    free = dim * math.prod(c - 1 for c in prob.cells)
     rng = np.random.default_rng(3)
     # grid-layout vectors, zero on the rim, as CG hands them over
-    x, y = (_on_grid(v, cells) for v in rng.standard_normal((2, free)))
-    my = precond.matvec(y)
+    x, y = (_on_grid(v, prob.cells) for v in rng.standard_normal((2, free)))
+    my = fem._vcycle(levels, coarsest, y)
     assert not np.any(my.reshape((dim,) + prob.node_shape)[:, 0])
-    xmy, ymx = x @ my, y @ precond.matvec(x)
+    xmy, ymx = x @ my, y @ fem._vcycle(levels, coarsest, x)
     scale = np.linalg.norm(x) * np.linalg.norm(my)
     assert abs(xmy - ymx) <= 1e-12 * scale
-    assert x @ precond.matvec(x) > 0.0
+    assert x @ fem._vcycle(levels, coarsest, x) > 0.0
+
+
+@pytest.mark.parametrize("prob", [
+    manufactured_problem(126),
+    manufactured_problem(127),
+    manufactured_problem(150),
+    manufactured_problem(250),
+    smooth_problem((24, 25, 26), p=2.0),
+    smooth_problem((8, 512), p=2.0),
+    _tall_box(),
+    smooth_problem(127, coeffs=radial_field(1.0, 1.0, 0.1), p=2.0),
+], ids=["126", "127", "150", "250", "24x25x26", "8x512", "64x64-tall",
+        "radial-127"])
+def test_cg_iterations_on_grids_that_do_not_halve_evenly(prob):
+    # Odd counts coarsen to (c + 1) / 2 cells and anisotropic grids halve
+    # their narrow axes alone, so every grid gets the full V-cycle.  With
+    # coarsening only while every count was even, these took 84, 188, 100,
+    # 167, 64, 602, 70 and 232 iterations.
+    assert assemble_and_solve(prob).iterations <= 25
+
+
+def test_cg_scales_tiny_and_huge_loads():
+    # CG runs on the load over a power of two near its largest entry, so
+    # u(cF) is c u(F) bit for bit for a power of two c, and to rounding for
+    # any other c, at the same iteration count, where |b| and rho would
+    # under- or overflow; an energy that overflows raises at once.
+    prob = smooth_problem(8, p=2.0)
+    base = assemble_and_solve(prob)
+
+    def scaled(c):
+        return assemble_and_solve(FemProblem(
+            domain=prob.domain, cells=prob.cells, coeffs=prob.coeffs,
+            rhs=c * prob.rhs, p=prob.p))
+
+    for c in (2.0 ** -600, 2.0 ** 500):
+        sol = scaled(c)
+        assert np.array_equal(sol.u, c * base.u)
+        assert sol.iterations == base.iterations
+    top = np.max(np.abs(base.u))
+    for c in (1e-200, 1e-160, 1e-155, 1e150):
+        sol = scaled(c)
+        assert np.max(np.abs(sol.u / c - base.u)) <= 1e-12 * top, c
+        assert sol.iterations == base.iterations, c
+    start = time.perf_counter()
+    with pytest.raises(SolverDiverged):
+        scaled(1e160)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("prob, bound_mb", [
     (lambda: smooth_problem(48, dim=3, p=3.0), 10.0),
     (lambda: smooth_problem(128, coeffs=radial_field(1.0, 1.0, 0.1)), 22.9),
-], ids=["pair-48x48x48", "radial-128x128"])
+    (lambda: smooth_problem((63, 64, 65), p=3.0), 10.0),
+], ids=["pair-48x48x48", "radial-128x128", "pair-63x64x65"])
 def test_hierarchy_peak_memory(prob, bound_mb):
     # A stored P (sparse.kron, int64 intermediates) took a constant pair's
     # _hierarchy to a 45 MB peak on a 48^3 grid.  A CoefficientField's
     # CSR levels, stored P and Galerkin products took it to 22.9 MB at
-    # 128^2, the first call's imports aside.
+    # 128^2, the first call's imports aside.  Below an odd halving a pair
+    # keeps one re-derived stencil per level, not per-node planes.
     prob = prob()
     fem._hierarchy(prob)
     tracemalloc.start()
