@@ -828,9 +828,9 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     u = np.ascontiguousarray(
         np.moveaxis(xf.reshape((dim,) + prob.node_shape), 0, -1))
     del bf, xf
-    umax = float(np.max(np.linalg.norm(u.reshape(-1, dim), axis=1)))
+    umax = _nodal_max(u)
     add_energies, energies = _weighted_energies(
-        prob.p, [2.0, 4.0, 8.0, max(2.0, 2.0 * umax + 1.0)])
+        prob.p, [2.0, 4.0, 8.0, max(2.0, 2.0 * umax + 1.0)], umax)
     add_load, load_norm = _load_norm(prob)
     _gauss_samples(prob, u, add_energies, add_load)
     return FemSolution(
@@ -891,27 +891,41 @@ def _sum_squares(rows, count: int):
     return rows.reshape(count, -1).sum(axis=0)
 
 
-def _weighted_energies(p: float, k_list):
+def _weighted_energies(p: float, k_list, u_max: float):
     """A visitor of _gauss_samples and the dict it fills: each level k maps
     to int |grad u|^2 phi_k(|u|) over the samples, and inf to the
     untruncated int |grad u|^2 |u|^{p-2}.
 
     Each block adds its share of every level and of the untruncated value.
-    A level listed twice is summed once.
+    A level listed twice is summed once.  u_max is the largest nodal |u|,
+    which the Q1 interpolant at a Gauss point cannot exceed (its weights
+    are nonnegative and sum to 1): a level with k - 1 > u_max (1 + 1e-9)
+    never truncates, phi_k(|u|) = |u|^{p-2} at every sample, so its sum is
+    the untruncated one, copied rather than evaluated again.
     """
     specs = {float(k): truncated_power(p, float(k)) for k in k_list}
-    out = dict.fromkeys([*specs, float("inf")], 0.0)
+    inf = float("inf")
+    copied = [k for k in specs if k - 1.0 > u_max * (1.0 + 1e-9)]
+    summed = {k: spec for k, spec in specs.items() if k not in copied}
+    out = dict.fromkeys([*specs, inf], 0.0)
 
     def add(umag, grad_sq, _, weights):
         wg = weights * grad_sq
-        for k, spec in specs.items():
+        for k, spec in summed.items():
             out[k] += float(np.sum(wg * spec.phi(umag)))
         if p > 2.0:
             live = umag > 0.0
             wg = wg * np.where(live, umag, 1.0) ** (p - 2.0) * live
-        out[float("inf")] += float(np.sum(wg))
+        out[inf] += float(np.sum(wg))
+        for k in copied:
+            out[k] = out[inf]
 
     return add, out
+
+
+def _nodal_max(u: np.ndarray) -> float:
+    """The largest |u| over the nodes of a field with components last."""
+    return float(np.max(np.linalg.norm(u.reshape(-1, u.shape[-1]), axis=1)))
 
 
 def weighted_energy(sol: FemSolution, p: float, k_list) -> dict:
@@ -921,7 +935,7 @@ def weighted_energy(sol: FemSolution, p: float, k_list) -> dict:
     the truncation never engages and the value equals
     int |grad u|^2 |u|^{p-2} dx exactly, reported under the key inf.
     """
-    add, out = _weighted_energies(p, k_list)
+    add, out = _weighted_energies(p, k_list, _nodal_max(sol.u))
     _gauss_samples(sol.problem, sol.u, add)
     return out
 

@@ -83,7 +83,10 @@ class TestField:
     """Analytic planar vector field with exact point values and Jacobian.
 
     value(pts) maps (n, 2) points to (n, 2) components; jacobian(pts)
-    returns (n, 2, 2) with jac[n, i, h] = d_h v_i.  support is a square
+    returns (n, 2, 2) with jac[n, i, h] = d_h v_i.  Either may be a
+    transposed view over component-major storage, as the built-in probes
+    return, so that each column vals[:, i] and jac[:, i, h] is one
+    contiguous row; the package only reads them.  support is a square
     box (x0, x1, y0, y1), and the field, value and Jacobian both, is
     exactly 0 at every point at or beyond the radius of the disk inscribed
     in it, as the built-in probes are: their radial profiles reach 0 at
@@ -108,28 +111,45 @@ class TestField:
     frame: tuple[float, float] | None = None
 
 
-def _bump(r, r0, r1):
-    # plateau for r <= r0, cubic smoothstep falloff, zero past r1
-    s = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+def _ramp(r, r0, r1):
+    # the falloff coordinate of a plateau bump: 0 for r <= r0, 1 past r1
+    return np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+
+
+def _bump(s):
+    # plateau for s = 0, cubic smoothstep falloff, zero at s = 1
     return 1.0 - s * s * (3.0 - 2.0 * s)
 
 
-def _bump_deriv(r, r0, r1):
-    s = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+def _bump_slope(s, r0, r1):
+    # d/dr of _bump(_ramp(r, r0, r1))
     return -6.0 * s * (1.0 - s) / (r1 - r0)
 
 
-def _offsets(pts, center):
-    """Offsets x - c and their lengths r, shared by all bumps."""
-    dx = pts - np.asarray(center, dtype=float)
-    return dx, np.hypot(dx[:, 0], dx[:, 1])
+def _offset_rows(pts, center):
+    """The offsets x - cx, y - cy of the points as 1-D rows, and their
+    lengths r."""
+    x = pts[:, 0] - center[0]
+    y = pts[:, 1] - center[1]
+    return x, y, np.hypot(x, y)
 
 
-def _radial_parts(pts, center):
-    """_offsets and the unit directions; dx is 0 exactly where r is, so
-    the direction there is 0."""
-    dx, r = _offsets(pts, center)
-    return dx, r, dx / np.where(r > 0.0, r, 1.0)[:, None]
+def _unit_rows(x, y, r):
+    """The rows of the unit direction (x, y)/r; both offsets are 0 exactly
+    where r is, so the direction there is 0."""
+    safe = np.where(r > 0.0, r, 1.0)
+    return x / safe, y / safe
+
+
+def _finite(*values) -> bool:
+    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
+
+
+def _center(center) -> tuple[float, float]:
+    c = np.asarray(center, dtype=float)
+    if c.shape != (2,) or not _finite(*c):
+        raise ValueError(f"center must be a finite 2-vector, got {center!r}")
+    return float(c[0]), float(c[1])
 
 
 def _support_box(center, r1):
@@ -144,22 +164,37 @@ def bump_field(center, r0: float, r1: float, offset, matrix,
     m = np.asarray(matrix, dtype=float)
     if a.shape != (2,) or m.shape != (2, 2):
         raise ValueError("offset must be length 2, matrix 2 x 2")
-    if not (0.0 <= r0 < r1):
-        raise ValueError("need 0 <= r0 < r1")
-    c = (float(center[0]), float(center[1]))
+    if not _finite(*a, *m.ravel()):
+        raise ValueError("offset and matrix must be finite")
+    if not (0.0 <= r0 < r1 < np.inf):
+        raise ValueError("need 0 <= r0 < r1 < inf")
+    c = _center(center)
+
+    def poly(x, y):
+        # the rows a_i + M_i0 x + M_i1 y of the linear part
+        return [a[i] + (m[i, 0] * x + m[i, 1] * y) for i in range(2)]
 
     def value(pts):
-        dx, r = _offsets(pts, c)
-        poly = a[None, :] + dx @ m.T
-        return _bump(r, r0, r1)[:, None] * poly
+        x, y, r = _offset_rows(pts, c)
+        b = _bump(_ramp(r, r0, r1))
+        out = np.empty((2, len(r)))
+        for i, p in enumerate(poly(x, y)):
+            np.multiply(b, p, out=out[i])
+        return out.T
 
     def jacobian(pts):
-        dx, r, unit = _radial_parts(pts, c)
-        poly = a[None, :] + dx @ m.T
-        slope = _bump_deriv(r, r0, r1)[:, None] * poly
-        jac = slope[:, :, None] * unit[:, None, :]
-        jac += _bump(r, r0, r1)[:, None, None] * m
-        return jac
+        x, y, r = _offset_rows(pts, c)
+        unit = _unit_rows(x, y, r)
+        s = _ramp(r, r0, r1)
+        b, db = _bump(s), _bump_slope(s, r0, r1)
+        # d_h v_i = b' p_i x_h / r + b M_ih
+        out = np.empty((2, 2, len(r)))
+        for i, p in enumerate(poly(x, y)):
+            slope = db * p
+            for h in range(2):
+                np.multiply(slope, unit[h], out=out[i, h])
+                out[i, h] += b * m[i, h]
+        return out.transpose(2, 0, 1)
 
     scale = float(np.abs(a).max(initial=0.0) + np.abs(m).sum() * r1)
     return TestField(label=label, family="bump", value=value,
@@ -195,36 +230,62 @@ def oscillatory_field(center, xi, rho: float, eta, *,
     With complex_phase the cosine becomes exp(i rho <xi, x - c>), which keeps
     |v| smooth.  background = (omega, amp, g_r0, g_r1) adds the slowly varying
     carrier amp * omega * g(|x - c|) used by the counterexample construction.
+    xi is normalized and must be finite and nonzero, rho finite and
+    positive, eta a finite 2-vector.  The envelope needs finite radii with
+    chi_r0 < chi_r1 and chi_r1 > 0 (a negative chi_r0 puts the centre on
+    the falloff already), and the carrier likewise g_r0 < g_r1, g_r1 > 0.
     """
     xi = np.asarray(xi, dtype=float)
-    xi = xi / np.linalg.norm(xi)
+    norm = float(np.linalg.norm(xi)) if xi.shape == (2,) else np.nan
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"xi must be a finite nonzero 2-vector, got {xi}")
+    xi = xi / norm
+    rho = float(rho)
+    if not (np.isfinite(rho) and rho > 0.0):
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     eta = np.asarray(eta, dtype=complex if complex_phase or
                      np.iscomplexobj(eta) else float)
-    c = (float(center[0]), float(center[1]))
-    rho = float(rho)
+    if eta.shape != (2,) or not np.all(np.isfinite(eta)):
+        raise ValueError(f"eta must be a finite 2-vector, got {eta}")
+    if not (_finite(chi_r0, chi_r1) and chi_r0 < chi_r1 and chi_r1 > 0.0):
+        raise ValueError("need chi_r0 < chi_r1 with chi_r1 > 0, both "
+                         f"finite, got {chi_r0}, {chi_r1}")
+    c = _center(center)
     r1 = chi_r1
     bg = None
     if background is not None:
         omega, amp, g_r0, g_r1 = background
         bg = (np.asarray(omega, dtype=float), float(amp),
               float(g_r0), float(g_r1))
-        r1 = max(r1, g_r1)
+        if bg[0].shape != (2,) or not _finite(*bg[0], *bg[1:]):
+            raise ValueError("background needs a finite 2-vector omega and "
+                             "a finite amplitude and radii")
+        if not (bg[2] < bg[3] and bg[3] > 0.0):
+            raise ValueError("need g_r0 < g_r1 with g_r1 > 0, got "
+                             f"{g_r0}, {g_r1}")
+        r1 = max(r1, bg[3])
 
     def value(pts):
-        dx, r = _offsets(pts, c)
-        chi = _bump(r, chi_r0, chi_r1)
-        theta = rho * (dx @ xi)
+        x, y, r = _offset_rows(pts, c)
+        theta = rho * (x * xi[0] + y * xi[1])
         mod = np.exp(1j * theta) if complex_phase else np.cos(theta)
-        out = np.multiply.outer(chi * mod, eta)
+        wave = _bump(_ramp(r, chi_r0, chi_r1)) * mod
+        out = np.empty((2, len(r)), dtype=eta.dtype)
+        for i in range(2):
+            np.multiply(wave, eta[i], out=out[i])
         if bg is not None:
             omega, amp, g0, g1 = bg
-            out = out + np.multiply.outer(amp * _bump(r, g0, g1), omega)
-        return out
+            carrier = amp * _bump(_ramp(r, g0, g1))
+            for i in range(2):
+                out[i] += carrier * omega[i]
+        return out.T
 
     def jacobian(pts):
-        dx, r, unit = _radial_parts(pts, c)
-        chi, dchi = _bump(r, chi_r0, chi_r1), _bump_deriv(r, chi_r0, chi_r1)
-        theta = rho * (dx @ xi)
+        x, y, r = _offset_rows(pts, c)
+        unit = _unit_rows(x, y, r)
+        s = _ramp(r, chi_r0, chi_r1)
+        chi, dchi = _bump(s), _bump_slope(s, chi_r0, chi_r1)
+        theta = rho * (x * xi[0] + y * xi[1])
         if complex_phase:
             mod = np.exp(1j * theta)
             dmod = 1j * mod
@@ -232,13 +293,21 @@ def oscillatory_field(center, xi, rho: float, eta, *,
             mod = np.cos(theta)
             dmod = -np.sin(theta)
         # d_h v_i = eta_i (chi' u_h mod + chi mod' rho xi_h)
-        grad = (dchi * mod)[:, None] * unit + (chi * dmod * rho)[:, None] * xi
-        jac = eta[:, None] * grad[:, None, :]
+        radial, along = dchi * mod, chi * dmod * rho
+        grad = [radial * unit[h] + along * xi[h] for h in range(2)]
+        del radial, along
+        out = np.empty((2, 2, len(r)), dtype=eta.dtype)
+        for i in range(2):
+            for h in range(2):
+                np.multiply(eta[i], grad[h], out=out[i, h])
         if bg is not None:
             omega, amp, g0, g1 = bg
-            carrier = _bump_deriv(r, g0, g1)[:, None] * unit
-            jac += (amp * omega)[:, None] * carrier[:, None, :]
-        return jac
+            dg = _bump_slope(_ramp(r, g0, g1), g0, g1)
+            for h in range(2):
+                carrier = dg * unit[h]
+                for i in range(2):
+                    out[i, h] += (amp * omega[i]) * carrier
+        return out.transpose(2, 0, 1)
 
     is_real = not (complex_phase or np.iscomplexobj(eta))
     scale = float(np.abs(eta).max() + (bg[1] if bg is not None else 0.0))
@@ -340,9 +409,10 @@ def _integrate(fn, v: TestField, *, order: int = 8,
     when a row alone is longer).  The chunk's points are cut from its rows'
     full box, which is freed before fn runs, so the chunk bounds the
     memory: the Lame integrand with a built-in field, value and Jacobian
-    included, peaks at about 220 bytes a node for a real field and 300 for
-    a complex one (tracemalloc), some 14 and 19 MB at the default 65,536
-    nodes.  Returns a length q vector (q = 1 for scalar integrands).
+    included, peaks at about 200 bytes a node for a real field and 285 for
+    a complex one (tracemalloc, the counterexample wave with its carrier),
+    some 13 and 18 MB at the default 65,536 nodes.  Returns a length q
+    vector (q = 1 for scalar integrands).
     """
     x0, x1, y0, y1 = v.support
     radius = 0.5 * (x1 - x0)

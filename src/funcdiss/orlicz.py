@@ -26,7 +26,7 @@ everything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -92,12 +92,24 @@ class YoungFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray] | None = None
     degenerate_tail: bool = False   # True when M(t)/t does not diverge
+    # t -> (M(t), M'(t)) in one evaluation that shares their common parts,
+    # set by a constructor whose fn and dfn have such parts
+    _joint: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = \
+        field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore"):
             out = np.asarray(self.fn(t), dtype=float)
         return out
+
+    def _with_derivative(self, t):
+        """M(t) and M'(t), from one evaluation where the function has one."""
+        if self._joint is None:
+            return self(t), self.derivative(t)
+        with np.errstate(over="ignore"):
+            m, dm = self._joint(np.asarray(t, dtype=float))
+        return np.asarray(m, dtype=float), np.asarray(dm, dtype=float)
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
@@ -217,13 +229,18 @@ def log_young(p: float):
         return t * np.log(t + math.e) ** a
 
     def dfn(t):
+        return joint(t)[1]
+
+    def joint(t):
         t = np.asarray(t, dtype=float)
         L = np.log(t + math.e)
-        # L^a + a t L^(a-1) / (t + e), factored to take a single power
-        return L ** a * (1.0 + a * t / (L * (t + math.e)))
+        La = L ** a
+        # M' = L^a + a t L^(a-1) / (t + e), factored to take a single power
+        return t * La, La * (1.0 + a * t / (L * (t + math.e)))
 
     n_tilde = YoungFunction(name=f"log_type(p={p:g})", fn=fn, dfn=dfn,
                             degenerate_tail=True)
+    n_tilde._joint = joint
     validate_young(n_tilde)
 
     def hypothesis(f: SampledField) -> float:
@@ -304,16 +321,19 @@ def _gauge_terms(M: YoungFunction, values: np.ndarray, weights: np.ndarray,
     J is left at 0 without slope.
 
     Both sums run over blocks of _SAMPLE_BLOCK samples, |f| taken per block,
-    so the temporaries of M and M' are bounded by the block, not the field.
+    so the temporaries of M and M' are bounded by the block, not the field;
+    with slope, M and M' come from one joint evaluation.
     """
     g = j = 0.0
     for b in _blocks(values.size):
         t = np.abs(values[b])
         t /= lam
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = M(t)
             if slope:
-                j += float(np.sum(weights[b] * (M.derivative(t) * t)))
+                vals, dvals = M._with_derivative(t)
+                j += float(np.sum(weights[b] * (dvals * t)))
+            else:
+                vals = M(t)
         vals = np.where(np.isnan(vals), np.inf, vals)
         g += float(np.sum(weights[b] * vals))
     return g, j

@@ -885,15 +885,35 @@ def test_blocked_weighted_energies_match_whole_sums(p):
     umag[::97] = 0.0
     samples = (umag, rng.uniform(0.0, 2.0, n), None,
                rng.uniform(0.5, 1.5, n))
-    levels = [2.0, 4.0, 8.0, 2.0]  # a level listed twice is summed once
-    add, got = fem._weighted_energies(p, levels)
+    # a level listed twice is summed once; 10 lies above every sample
+    levels = [2.0, 4.0, 8.0, 2.0, 10.0]
+    add, got = fem._weighted_energies(p, levels, float(umag.max()))
     for lo in range(0, n, fem._SAMPLE_BLOCK):
         add(*(a[lo:lo + fem._SAMPLE_BLOCK] if a is not None else None
               for a in samples))
     ref = _unblocked_energies(samples, p, levels)
-    assert list(got) == list(ref) == [2.0, 4.0, 8.0, INF]
+    assert list(got) == list(ref) == [2.0, 4.0, 8.0, 10.0, INF]
+    assert got[10.0] == got[INF]
     for k, val in ref.items():
         assert got[k] == pytest.approx(val, rel=1e-13, abs=0.0), k
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_levels_above_the_solution_copy_the_untruncated_sum(p):
+    # with u_max = inf every level is evaluated through phi_k; the levels
+    # above the solution range must come out bit for bit the same copied
+    sol = assemble_and_solve(manufactured_problem(16, p=p))
+    umax = fem._nodal_max(sol.u)
+    assert 1.0 < umax < 2.0  # levels 1.5 and 2 truncate, 4 does not
+    above = [4.0, 8.0, 2.0 * umax + 1.0, umax * (1.0 + 1e-8) + 1.0]
+    levels = [1.5, 2.0, *above]
+    add, copied = fem._weighted_energies(p, levels, umax)
+    add_ref, summed = fem._weighted_energies(p, levels, math.inf)
+    fem._gauss_samples(sol.problem, sol.u, add, add_ref)
+    assert copied == summed
+    assert [copied[k] for k in above] == [copied[INF]] * len(above)
+    if p > 2.0:
+        assert copied[2.0] < copied[INF]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -920,7 +940,8 @@ def test_post_solve_reductions_bounded_by_blocks():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        add_energies, energies = fem._weighted_energies(prob.p, levels)
+        add_energies, energies = fem._weighted_energies(
+            prob.p, levels, fem._nodal_max(sol.u))
         add_load, load_norm = fem._load_norm(prob)
         fem._gauss_samples(prob, sol.u, add_energies, add_load)
         load = load_norm()

@@ -17,6 +17,7 @@ from funcdiss import (
     power_phi,
     truncated_power,
 )
+from funcdiss import forms
 from funcdiss.coefficients import constant_field, radial_field, ramp_field
 from funcdiss.forms import (
     ZERO_SET_REL,
@@ -429,6 +430,181 @@ def test_field_jacobians_match_central_differences():
             fd = (field.value(pts + step) - field.value(pts - step)) / (2 * h)
             err = np.abs(jac[:, :, k] - fd)
             assert err.max() <= 1e-5 * np.abs(jac).max(), field.label
+
+
+# ---------------------------------------------------------------------------
+# probe layout: component rows against the broadcast closures
+
+
+def _ref_bump(r, r0, r1):
+    s = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+    return 1.0 - s * s * (3.0 - 2.0 * s)
+
+
+def _ref_bump_deriv(r, r0, r1):
+    s = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+    return -6.0 * s * (1.0 - s) / (r1 - r0)
+
+
+def _ref_radial_parts(pts, center):
+    dx = pts - np.asarray(center, dtype=float)
+    r = np.hypot(dx[:, 0], dx[:, 1])
+    return dx, r, dx / np.where(r > 0.0, r, 1.0)[:, None]
+
+
+def _ref_bump_closures(center, r0, r1, offset, matrix, label=None):
+    """value and jacobian of bump_field as (n, 2) and (n, 2, 2)
+    broadcasts, the layout the component rows replaced."""
+    a = np.asarray(offset, dtype=float)
+    m = np.asarray(matrix, dtype=float)
+
+    def value(pts):
+        dx, r, _ = _ref_radial_parts(pts, center)
+        return _ref_bump(r, r0, r1)[:, None] * (a[None, :] + dx @ m.T)
+
+    def jacobian(pts):
+        dx, r, unit = _ref_radial_parts(pts, center)
+        slope = _ref_bump_deriv(r, r0, r1)[:, None] * (a[None, :] + dx @ m.T)
+        jac = slope[:, :, None] * unit[:, None, :]
+        jac += _ref_bump(r, r0, r1)[:, None, None] * m
+        return jac
+
+    return value, jacobian
+
+
+def _ref_wave_closures(center, xi, rho, eta, *, chi_r0, chi_r1,
+                       complex_phase=False, background=None, label=None):
+    """value and jacobian of oscillatory_field in the broadcast layout."""
+    xi = np.asarray(xi, dtype=float)
+    xi = xi / np.linalg.norm(xi)
+    eta = np.asarray(eta, dtype=complex if complex_phase or
+                     np.iscomplexobj(eta) else float)
+
+    def value(pts):
+        dx, r, _ = _ref_radial_parts(pts, center)
+        theta = rho * (dx @ xi)
+        mod = np.exp(1j * theta) if complex_phase else np.cos(theta)
+        out = np.multiply.outer(_ref_bump(r, chi_r0, chi_r1) * mod, eta)
+        if background is not None:
+            omega, amp, g0, g1 = background
+            out = out + np.multiply.outer(amp * _ref_bump(r, g0, g1),
+                                          np.asarray(omega, dtype=float))
+        return out
+
+    def jacobian(pts):
+        dx, r, unit = _ref_radial_parts(pts, center)
+        chi = _ref_bump(r, chi_r0, chi_r1)
+        dchi = _ref_bump_deriv(r, chi_r0, chi_r1)
+        theta = rho * (dx @ xi)
+        if complex_phase:
+            mod = np.exp(1j * theta)
+            dmod = 1j * mod
+        else:
+            mod = np.cos(theta)
+            dmod = -np.sin(theta)
+        grad = (dchi * mod)[:, None] * unit + (chi * dmod * rho)[:, None] * xi
+        jac = eta[:, None] * grad[:, None, :]
+        if background is not None:
+            omega, amp, g0, g1 = background
+            carrier = _ref_bump_deriv(r, g0, g1)[:, None] * unit
+            jac += ((amp * np.asarray(omega, dtype=float))[:, None]
+                    * carrier[:, None, :])
+        return jac
+
+    return value, jacobian
+
+
+def _probes_with_references(monkeypatch):
+    """standard_ensemble(2026) and the counterexample probes at rho 1 and
+    128, real and complex, with and without the carrier, each with the
+    broadcast closures built from the same arguments."""
+    refs = {}
+    for name, ref in (("bump_field", _ref_bump_closures),
+                      ("oscillatory_field", _ref_wave_closures)):
+        def recorded(*args, _make=getattr(forms, name), _ref=ref, **kw):
+            field = _make(*args, **kw)
+            refs[field.label] = _ref(*args, **kw)
+            return field
+        monkeypatch.setattr(forms, name, recorded)
+    fields = list(forms.standard_ensemble(2026))
+    probe = oscillatory_counterexample(1.0, 1.0, power_phi(32.0), octaves=0)
+    for rho in (1.0, 128.0):
+        for complex_phase in (False, True):
+            for bg in (None, (probe.omega, 2.0, 0.35, 0.75)):
+                fields.append(forms.oscillatory_field(
+                    (0.0, 0.0), probe.xi, rho, probe.eta, chi_r0=-0.10,
+                    chi_r1=0.30, complex_phase=complex_phase, background=bg,
+                    label=f"counterexample-{rho:g}-{complex_phase}-{bg}"))
+    return [(f, refs[f.label]) for f in fields]
+
+
+def test_probe_rows_match_broadcast_closures(monkeypatch):
+    probes = _probes_with_references(monkeypatch)
+    assert len(probes) == 68
+    for i, (field, (ref_value, ref_jacobian)) in enumerate(probes):
+        pts = _reference_points(field, seed=i)
+        vals, jac = field.value(pts), field.jacobian(pts)
+        ref_vals, ref_jac = ref_value(pts), ref_jacobian(pts)
+        assert vals.shape == ref_vals.shape == (len(pts), 2), field.label
+        assert jac.shape == ref_jac.shape == (len(pts), 2, 2), field.label
+        assert vals.dtype == ref_vals.dtype, field.label
+        assert jac.dtype == ref_jac.dtype, field.label
+        # the explicit products round apart from the small matmuls, and a
+        # wave's phase error grows with rho; the Jacobian is measured
+        # against its own size, which the bump slope sets
+        rho = 2.0 * np.pi / field.wavelength if field.wavelength else 1.0
+        tol = 1e-15 * max(1.0, rho)
+        assert np.abs(vals - ref_vals).max() <= tol * field.scale, field.label
+        assert (np.abs(jac - ref_jac).max()
+                <= tol * np.abs(ref_jac).max()), field.label
+        for k in range(2):
+            assert vals[:, k].flags.c_contiguous, field.label
+            for h in range(2):
+                assert jac[:, k, h].flags.c_contiguous, field.label
+
+
+@pytest.mark.parametrize("change, match", [
+    pytest.param({"xi": (0.0, 0.0)}, "xi", id="xi-zero"),
+    pytest.param({"xi": (np.nan, 1.0)}, "xi", id="xi-nan"),
+    pytest.param({"xi": (1.0, 0.0, 0.0)}, "xi", id="xi-3-vector"),
+    pytest.param({"rho": 0.0}, "rho", id="rho-zero"),
+    pytest.param({"rho": -2.0}, "rho", id="rho-negative"),
+    pytest.param({"rho": np.nan}, "rho", id="rho-nan"),
+    pytest.param({"rho": np.inf}, "rho", id="rho-inf"),
+    pytest.param({"eta": (0.6, -0.8, 0.1)}, "eta", id="eta-3-vector"),
+    pytest.param({"eta": (np.inf, 0.0)}, "eta", id="eta-inf"),
+    pytest.param({"chi_r0": 0.4}, "chi_r0", id="chi-reversed"),
+    pytest.param({"chi_r0": 0.35}, "chi_r0", id="chi-equal"),
+    pytest.param({"chi_r1": np.inf}, "chi_r0", id="chi-inf"),
+    pytest.param({"chi_r0": -0.3, "chi_r1": -0.1}, "chi_r0",
+                 id="chi-negative"),
+    pytest.param({"background": ((0.0, 1.0), 2.0, 0.75, 0.35)}, "g_r0",
+                 id="carrier-reversed"),
+    pytest.param({"background": ((0.0, 1.0), 2.0, 0.35, np.nan)},
+                 "background", id="carrier-nan"),
+    pytest.param({"center": (np.nan, 0.0)}, "center", id="center-nan"),
+])
+def test_oscillatory_field_rejects_invalid_input(change, match):
+    args = {"center": (0.0, 0.0), "xi": (1.0, 0.4), "rho": 4.0,
+            "eta": (0.6, -0.8), "chi_r0": -0.1, "chi_r1": 0.35}
+    args.update(change)
+    with pytest.raises(ValueError, match=match):
+        oscillatory_field(**args)
+
+
+@pytest.mark.parametrize("change, match", [
+    pytest.param({"center": (np.inf, 0.0)}, "center", id="center-inf"),
+    pytest.param({"center": (0.0, np.nan)}, "center", id="center-nan"),
+    pytest.param({"r1": np.inf}, "r1", id="r1-inf"),
+    pytest.param({"matrix": [[np.nan, 0.0], [0.0, 1.0]]}, "finite",
+                 id="matrix-nan"),
+])
+def test_bump_field_rejects_non_finite_input(change, match):
+    args = {"center": (0.0, 0.0), "r0": 0.1, "r1": 0.5,
+            "offset": (0.3, -0.2), "matrix": [[1.0, 0.4], [-0.7, 0.2]]}
+    args.update(change)
+    with pytest.raises(ValueError, match=match):
+        bump_field(**args)
 
 
 def test_exp_square_margin_below_inversion_bracket():

@@ -190,6 +190,27 @@ def test_blocked_norms_match_whole_field_sums(monkeypatch):
         assert lux == pytest.approx(bisection_gauge(f, youngs[0]), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0, 7.0])
+def test_joint_log_young_terms_match_separate_calls(p):
+    # log_young evaluates M and M' from one log and power; the gauge sums
+    # G and J must equal those of separate M and M' calls bit for bit
+    M = log_young(p)[0]
+    a = (p - 2.0) / p
+
+    def dfn(t):
+        L = np.log(t + math.e)
+        return L ** a * (1.0 + a * t / (L * (t + math.e)))
+
+    separate = YoungFunction(name=M.name, fn=M.fn, dfn=dfn,
+                             degenerate_tail=True)
+    f = signed_spread_field(5, orlicz._SAMPLE_BLOCK + 777)
+    for lam in (1e-3, 0.7, 1.0, 40.0, 1e6):
+        assert (orlicz._gauge_terms(M, f.values, f.weights, lam)
+                == orlicz._gauge_terms(separate, f.values, f.weights, lam))
+    t = np.abs(f.values)
+    np.testing.assert_array_equal(M._with_derivative(t)[0], M(t))
+
+
 def test_luxemburg_memory_bounded_by_blocks():
     # 2^22 samples, 64 MB of input: the whole-field gauge held 224 MB of
     # temporaries above it at every Newton step
