@@ -556,6 +556,9 @@ def _load_rhs(cfg: RunConfig, cells: tuple[int, ...],
 
 
 def _solve_payload(cfg: RunConfig, sol) -> dict[str, Any]:
+    """The `solution` record.  Its u_max is the largest nodal component
+    |u_i|; the weighted-energy level max(2, 2 u_max + 1) is keyed by the
+    largest nodal norm |u| instead (fem.assemble_and_solve)."""
     u_max = float(np.max(np.abs(sol.u))) if sol.u.size else 0.0
     return {
         "cells": list(sol.problem.cells),

@@ -83,11 +83,11 @@ class CoefficientField:
     def shape(self) -> tuple[int, int]:
         return self.lam.shape
 
-    @property
+    @cached_property
     def lam_total(self) -> np.ndarray:
         return self.lam if self.eps is None else self.lam + self.eps
 
-    @property
+    @cached_property
     def mu_total(self) -> np.ndarray:
         return self.mu if self.sigma is None else self.mu + self.sigma
 
@@ -105,21 +105,32 @@ class CoefficientField:
         mu = self.mu_total
         return bmo_seminorm(mu * mu / (lam + 3.0 * mu))
 
+    @cached_property
+    def _bounds(self) -> EssBounds:
+        # cached_property stores nothing when the call raises, so a field
+        # that lost ellipticity raises on every ess_bounds call
+        return _grid_bounds(self.lam_total, self.mu_total)
+
     def lam_at(self, x, y) -> np.ndarray:
         return bilinear(self.lam_total, self.domain, x, y)
 
     def mu_at(self, x, y) -> np.ndarray:
         return bilinear(self.mu_total, self.domain, x, y)
 
+    def _lame_at(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(lam_at, mu_at) at the points, bit for bit, from one clamp,
+        cell index and set of bilinear weights."""
+        cell = _cell_weights(self.shape, self.domain, x, y)
+        return (_interpolate(self.lam_total, cell),
+                _interpolate(self.mu_total, cell))
 
-def bilinear(values: np.ndarray, domain, x, y) -> np.ndarray:
-    """Bilinear interpolation of node values at points (x, y).
 
-    Points are clamped to the rectangle, which matches the piecewise
-    bilinear reading of the node grid.
-    """
+def _cell_weights(shape, domain, x, y):
+    """The flat index k of each point's cell corner and the four bilinear
+    weights of the corners k, k + n2, k + 1 and k + n2 + 1 (x index outer),
+    with the points clamped to the rectangle."""
     x0, x1, y0, y1 = domain
-    n1, n2 = values.shape
+    n1, n2 = shape
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     tx = np.clip((x - x0) / (x1 - x0) * (n1 - 1), 0.0, n1 - 1 - 1e-12)
@@ -128,14 +139,26 @@ def bilinear(values: np.ndarray, domain, x, y) -> np.ndarray:
     j = ty.astype(int)
     fx = tx - i
     fy = ty - j
+    gx = 1 - fx
+    gy = 1 - fy
+    return i * n2 + j, (gx * gy, fx * gy, gx * fy, fx * fy)
+
+
+def _interpolate(values: np.ndarray, cell) -> np.ndarray:
+    k, (w00, w10, w01, w11) = cell
+    n2 = values.shape[1]
     flat = values.ravel()
-    k = i * n2 + j
-    v00 = flat.take(k)
-    v10 = flat.take(k + n2)
-    v01 = flat.take(k + 1)
-    v11 = flat.take(k + n2 + 1)
-    return ((1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10
-            + (1 - fx) * fy * v01 + fx * fy * v11)
+    return (w00 * flat.take(k) + w10 * flat.take(k + n2)
+            + w01 * flat.take(k + 1) + w11 * flat.take(k + n2 + 1))
+
+
+def bilinear(values: np.ndarray, domain, x, y) -> np.ndarray:
+    """Bilinear interpolation of node values at points (x, y).
+
+    Points are clamped to the rectangle, which matches the piecewise
+    bilinear reading of the node grid.
+    """
+    return _interpolate(values, _cell_weights(values.shape, domain, x, y))
 
 
 @dataclass(frozen=True)
@@ -146,9 +169,12 @@ class EssBounds:
 
 
 def ess_bounds(field: CoefficientField) -> EssBounds:
-    """Essential bounds over the node grid; raises on lost ellipticity."""
-    lam = field.lam_total
-    mu = field.mu_total
+    """Essential bounds over the node grid, computed once per field;
+    raises on lost ellipticity, at every call."""
+    return field._bounds
+
+
+def _grid_bounds(lam: np.ndarray, mu: np.ndarray) -> EssBounds:
     mu_min = float(np.min(mu))
     l2m_min = float(np.min(lam + 2.0 * mu))
     if mu_min <= 0.0 or l2m_min <= 0.0:

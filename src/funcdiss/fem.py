@@ -293,9 +293,8 @@ def _coefficient_samples(prob: FemProblem, order: int):
     shape = (prob.cells[0] * prob.cells[1], order * order)
     xs = px.reshape(shape)
     ys = py.reshape(shape)
-    lam = prob.coeffs.lam_at(xs.ravel(), ys.ravel()).reshape(shape)
-    mu = prob.coeffs.mu_at(xs.ravel(), ys.ravel()).reshape(shape)
-    return lam, mu
+    lam, mu = prob.coeffs._lame_at(xs.ravel(), ys.ravel())
+    return lam.reshape(shape), mu.reshape(shape)
 
 
 def _check_admissible(prob: FemProblem):

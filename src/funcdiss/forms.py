@@ -389,11 +389,10 @@ def _axis_cells(extent: float, wavelength: float | None,
     return n
 
 
-def _integrate(fn, v: TestField, *, order: int = 8,
+def _disk_rule(v: TestField, *, order: int = 8,
                cells_per_wavelength: float = 10.0, min_cells: int = 12,
-               max_axis_points: int = 60000,
-               max_chunk: int = 65_536) -> np.ndarray:
-    """Integrate fn(pts) -> (n,) or (n, q) over the support of v.
+               max_axis_points: int = 60000, max_chunk: int = 65_536):
+    """The quadrature nodes of v's support disk, as chunks (pts, weights).
 
     The tensor rule runs on the axes (u, w) of the field's frame: the
     support box itself for a field without a frame, and the box rotated
@@ -401,18 +400,14 @@ def _integrate(fn, v: TestField, *, order: int = 8,
     along u only.  The wavelength rule refines u, and w as well when there
     is no frame.  The field and its Jacobian vanish outside the disk
     inscribed in the square support box (the TestField contract), and so
-    does fn, which is local in them.  Each row of w nodes therefore keeps
-    only its run within R (1 + 1e-9) of the centre, R the half width, found
-    by two binary searches: the nodes dropped, about a fifth of the box's,
-    would add exact zeros.  The evaluation is chunked along u, whole rows
-    at a time, so that no chunk keeps more than max_chunk nodes (one row
-    when a row alone is longer).  The chunk's points are cut from its rows'
-    full box, which is freed before fn runs, so the chunk bounds the
-    memory: the Lame integrand with a built-in field, value and Jacobian
-    included, peaks at about 200 bytes a node for a real field and 285 for
-    a complex one (tracemalloc, the counterexample wave with its carrier),
-    some 13 and 18 MB at the default 65,536 nodes.  Returns a length q
-    vector (q = 1 for scalar integrands).
+    does any integrand local in them.  Each row of w nodes therefore keeps
+    only its run [lo, hi) within R (1 + 1e-9) of the centre, R the half
+    width, found by two binary searches: the nodes dropped, about a fifth
+    of the box's, would add exact zeros.  A chunk is whole rows with at
+    most max_chunk nodes (one row when a row alone is longer); its points
+    (origin + u a0) + w a1 and weights wu ww are taken straight from the
+    runs, node by node, with the box rule's arithmetic.  The generator
+    drops its references to a chunk before it builds the next one.
     """
     x0, x1, y0, y1 = v.support
     radius = 0.5 * (x1 - x0)
@@ -447,20 +442,40 @@ def _integrate(fn, v: TestField, *, order: int = 8,
     hi = np.searchsorted(ws, cw + reach, side="right")
     keep = hi > lo
     us, wu, lo, hi = us[keep], wu[keep], lo[keep], hi[keep]
-    ends = np.concatenate([[0], np.cumsum(hi - lo)])
-    col = np.arange(len(ws))
-    total: np.ndarray | None = None
+    counts = hi - lo
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    col_pts = ws[:, None] * axes[1]
     i0 = 0
     while i0 < len(us):
         i1 = max(i0 + 1, int(np.searchsorted(ends, ends[i0] + max_chunk,
                                              side="right")) - 1)
-        # flat (row, col) positions of the chunk's nodes in its box rows
-        nodes = np.flatnonzero((col >= lo[i0:i1, None])
-                               & (col < hi[i0:i1, None]))
-        pts = (origin + us[i0:i1, None, None] * axes[0]
-               + ws[:, None] * axes[1]).reshape(-1, 2).take(nodes, axis=0)
-        weights = np.multiply.outer(wu[i0:i1], ww).ravel().take(nodes)
-        del nodes
+        # each node's row in the chunk, and its column lo + (position -
+        # row start)
+        rows = np.repeat(np.arange(i1 - i0), counts[i0:i1])
+        cols = np.arange(ends[i0], ends[i1])
+        cols += np.repeat(lo[i0:i1] - ends[i0:i1], counts[i0:i1])
+        pts = (origin + us[i0:i1, None] * axes[0]).take(rows, axis=0)
+        pts += col_pts.take(cols, axis=0)
+        weights = wu[i0:i1].take(rows)
+        weights *= ww.take(cols)
+        del rows, cols
+        yield pts, weights
+        del pts, weights
+        i0 = i1
+
+
+def _integrate(fn, v: TestField, **rule) -> np.ndarray:
+    """Integrate fn(pts) -> (n,) or (n, q) over the support of v, on the
+    chunks of _disk_rule(v, **rule).  Each chunk's points, weights and
+    values are freed before the next chunk is built, so the chunk bounds
+    the memory: the Lame integrand with a built-in field, value and
+    Jacobian included, peaks at about 200 bytes a node for a real field
+    and 285 for a complex one (tracemalloc, the counterexample wave with
+    its carrier), some 13 and 18 MB at the default 65,536 nodes.  Returns
+    a length q vector (q = 1 for scalar integrands).
+    """
+    total: np.ndarray | None = None
+    for pts, weights in _disk_rule(v, **rule):
         vals = np.asarray(fn(pts))
         if vals.ndim == 1:
             vals = vals[:, None]
@@ -468,7 +483,6 @@ def _integrate(fn, v: TestField, *, order: int = 8,
         # freed before the next chunk is built, which then reuses the memory
         del pts, weights, vals
         total = part if total is None else total + part
-        i0 = i1
     assert total is not None
     if not np.all(np.isfinite(total)):
         raise QuadratureFailure("integrand produced non finite values")
@@ -522,7 +536,7 @@ def _re_dot(x, y):
     return x * y
 
 
-def _lame_integrand(lam_at, mu_at, phi_spec: PhiSpec, v: TestField,
+def _lame_integrand(target, phi_spec: PhiSpec, v: TestField,
                     kappa: float = 0.0):
     """Scalar coefficient route for the Lame tensor, shifted by -kappa
     Laplacian (kappa = 0 is the plain form).
@@ -537,8 +551,7 @@ def _lame_integrand(lam_at, mu_at, phi_spec: PhiSpec, v: TestField,
     """
 
     def fn(pts):
-        lam = lam_at(pts)
-        mu = mu_at(pts)
+        lam, mu = _coefficients_at(target, pts)
         return _lame_columns(lam, mu, phi_spec, v.scale, v.value(pts),
                              v.jacobian(pts), kappa)
 
@@ -573,12 +586,13 @@ def _lame_columns(lam, mu, phi_spec: PhiSpec, scale: float, vals, jac,
     return np.column_stack([form, grad2])
 
 
-def _coeff_samplers(target):
+def _coefficients_at(target, pts):
+    """(lambda, mu) at the points: bilinear samples of a CoefficientField,
+    or the floats of a constant pair."""
     if isinstance(target, CoefficientField):
-        return (lambda pts: target.lam_at(pts[:, 0], pts[:, 1]),
-                lambda pts: target.mu_at(pts[:, 0], pts[:, 1]))
+        return target._lame_at(pts[:, 0], pts[:, 1])
     lam, mu = target
-    return (lambda pts, v=float(lam): v, lambda pts, v=float(mu): v)
+    return float(lam), float(mu)
 
 
 def _form_and_energy(target, phi_spec: PhiSpec, v: TestField,
@@ -586,8 +600,7 @@ def _form_and_energy(target, phi_spec: PhiSpec, v: TestField,
     if isinstance(target, GeneralSystem):
         fn = _generic_integrand(target, phi_spec, v)
     elif isinstance(target, (CoefficientField, tuple)):
-        lam_at, mu_at = _coeff_samplers(target)
-        fn = _lame_integrand(lam_at, mu_at, phi_spec, v)
+        fn = _lame_integrand(target, phi_spec, v)
     else:
         raise TypeError("target must be a GeneralSystem, a CoefficientField "
                         "or a (lambda, mu) pair")
@@ -737,14 +750,12 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
     """
     if not v.is_real:
         raise ValueError("the frame breakdown needs a real valued field")
-    lam_at, mu_at = _coeff_samplers(field)
     lam_sup_sq = phi_spec.profile.limit.sup_bound
 
     def fn(pts):
-        lam = np.broadcast_to(np.asarray(lam_at(pts), dtype=float),
-                              (len(pts),))
-        mu = np.broadcast_to(np.asarray(mu_at(pts), dtype=float),
-                             (len(pts),))
+        lam, mu = _coefficients_at(field, pts)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), (len(pts),))
+        mu = np.broadcast_to(np.asarray(mu, dtype=float), (len(pts),))
         gam = mu * (lam + mu) / (lam + 3.0 * mu)
         # one evaluation of the probe per chunk serves every column
         vals = v.value(pts)

@@ -21,9 +21,12 @@ and the limit ratio
 whose limit Lambda_inf and sup of Lambda^2, together the tail, drive
 every dissipativity criterion downstream.  Each weight computes its tail
 once, as LambdaProfile.limit: the power families in closed form, every
-other weight from Lambda sampled on a fixed t grid.  One table solver
-inverts s*sqrt(phi(s)) for zeta, s*phi(s), and M' for the conjugates of
-orlicz.  The dual weight psi, with t*psi(t) the inverse of s*phi(s), keeps
+other weight from Lambda sampled on a fixed t grid.  exp_square needs no
+inversion: s*exp(a s^2) = t gives 2a s^2 = W(2a t^2), W the Lambert
+function, so zeta(t) = sqrt(W(t^2)) and Lambda(t) = -W/(1 + W).  One table
+solver inverts s*sqrt(phi(s)) for zeta and s*phi(s) of the other weights,
+and M' for the conjugates of orlicz.  The dual weight psi, with t*psi(t)
+the inverse of s*phi(s), keeps
 its base: sqrt(psi(|w|))*w = sqrt(phi(|u|))*u for w = phi(|u|)*u, so its
 profile reads zeta_psi(t) = t^2/zeta(t) and Lambda_psi = -Lambda off it.
 """
@@ -80,6 +83,11 @@ _EDGE_TIE = 1e-9
 # Relative margin by which a truncated power's closed-form Lambda bands
 # stop short of their junction targets, which Newton still solves.
 _BAND_MARGIN = 1e-9
+# Lambert W: Winitzki's start is within 2% relative, and each Newton step
+# squares the error, so three reach rounding level.  Below log x = -40,
+# W(x) = x (1 - x + ...) is x to rounding.
+_W_NEWTON_STEPS = 3
+_W_LOG_SMALL = -40.0
 # Sampled tails: Lambda on t in [1e-6, 1e8], 10 nodes per decade; the tail
 # has converged when its last three nodes vary by less than 1e-6 relative.
 _TAIL_T = np.geomspace(1e-6, 1e8, 140)
@@ -420,15 +428,12 @@ def _forward_table(g: Callable[[np.ndarray], np.ndarray], what: str):
     return np.log(s[keep]), np.log(v[keep])
 
 
-def _table_inverse(table, step, t: np.ndarray, what: str, *,
-                   clamp_low: bool = False):
-    """x = log s with g(s) = t, on the table of g: linear interpolation
-    starts Newton steps on log g(e^x) = log t, each kept in its table
-    interval by a bisection fallback; step(x) returns log g and its
-    log-slope from one evaluation of g at e^x.  Targets outside the table
+def _table_targets(table, t: np.ndarray, what: str, *,
+                   clamp_low: bool = False) -> np.ndarray:
+    """log t clipped to the table's range of log g.  Targets outside it
     raise BracketFailure; with clamp_low, those below it take its edge."""
     _check_targets(t, what)
-    us, vs = table
+    vs = table[1]
     y = np.log(t)
     bad = y > vs[-1] + _EDGE_TIE
     if not clamp_low:
@@ -438,7 +443,18 @@ def _table_inverse(table, step, t: np.ndarray, what: str, *,
             f"inverse of {what}: target {t[bad].flat[0]:.6g} "
             f"outside the tabulated range [{math.exp(vs[0]):.6g}, "
             f"{math.exp(vs[-1]):.6g}]")
-    y = np.clip(y, vs[0], vs[-1])
+    return np.clip(y, vs[0], vs[-1])
+
+
+def _table_inverse(table, step, t: np.ndarray, what: str, *,
+                   clamp_low: bool = False):
+    """x = log s with g(s) = t, on the table of g: linear interpolation
+    starts Newton steps on log g(e^x) = log t, each kept in its table
+    interval by a bisection fallback; step(x) returns log g and its
+    log-slope from one evaluation of g at e^x.  The targets are those of
+    _table_targets."""
+    us, vs = table
+    y = _table_targets(table, t, what, clamp_low=clamp_low)
     i = np.clip(np.searchsorted(vs, y), 1, len(vs) - 1)
     lo, hi = us[i - 1], us[i]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -451,6 +467,44 @@ def _table_inverse(table, step, t: np.ndarray, what: str, *,
             nxt = x - f / slope
             x = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
     return x
+
+
+def _lambert_w(log_x: np.ndarray) -> np.ndarray:
+    """The Lambert function W(x), w e^w = x, on log x, so that x itself
+    may overflow: Winitzki's uniform start
+    w0 = l (1 - log(1 + l)/(2 + l)), l = log(1 + x), then Newton steps on
+    w + log w = log x; where log x < _W_LOG_SMALL, W(x) = x, which also
+    covers an x that underflows.  The passes run in place."""
+    log_x = np.asarray(log_x, dtype=float)
+    flat = log_x.reshape(-1)
+    small = flat < _W_LOG_SMALL
+    big = np.where(small, 0.0, flat)
+    # l = log(1 + x), which is log x to rounding past log x = 36
+    l1 = np.minimum(big, 36.0)
+    np.exp(l1, out=l1)
+    np.log1p(l1, out=l1)
+    np.maximum(l1, big, out=l1)
+    w = np.log1p(l1)
+    w /= 2.0 + l1
+    np.subtract(1.0, w, out=w)
+    w *= l1
+    step, f = l1, np.empty_like(w)
+    for _ in range(_W_NEWTON_STEPS):
+        # w -= (w + log w - log x) * w/(1 + w)
+        np.log(w, out=f)
+        f += w
+        f -= big
+        np.add(w, 1.0, out=step)
+        np.divide(w, step, out=step)
+        f *= step
+        w -= f
+    if np.any(small):
+        w[small] = np.exp(flat[small])
+    return w.reshape(log_x.shape)
+
+
+def _what(a: float) -> str:
+    return "s*sqrt(phi)" if a == 0.5 else "s*phi"
 
 
 def inverse_s_phi(spec: PhiSpec, t):
@@ -496,12 +550,16 @@ class LambdaProfile:
     Power weights have Lambda = -(p-2)/p and zeta(t) = t^(2/p) in closed
     form, truncated powers Lambda_inf = 0 and sup Lambda^2 = ((p-2)/p)^2,
     and Lambda itself outside their junctions, and a dual weight reads
-    everything off its base's profile.  Otherwise
-    zeta(t) inverts s*sqrt(phi(s)), increasing under condition (ii) since
+    everything off its base's profile.  exp_square maps forward through
+    the Lambert function: zeta(t) = sqrt(W(t^2)), Lambda = -W/(1 + W), and
+    the inverse of s*phi(s) is sqrt(W(2 t^2)/2).  Otherwise zeta(t)
+    inverts s*sqrt(phi(s)), increasing under condition (ii) since
     (s^2*phi)' = s*(s*phi)' + s*phi > 0, by _table_inverse, and Lambda
-    comes from the s*phi'/phi of its final iterate.  The table and the
-    tail, limit, are computed on first use and kept, and PhiSpec.profile
-    keeps one profile per weight: all verdicts on a weight read one tail.
+    comes from the s*phi'/phi of its final iterate.  Every weight but the
+    power answers the targets of its table (exp_square too, so that both
+    routes reject the same ones).  The table and the tail, limit, are
+    computed on first use and kept, and PhiSpec.profile keeps one profile
+    per weight: all verdicts on a weight read one tail.
     """
 
     def __init__(self, spec: PhiSpec):
@@ -512,30 +570,45 @@ class LambdaProfile:
         label = self.spec.label or self.spec.family
         return _forward_table(self.spec.s_sqrt_phi, f"{label}: s*sqrt(phi)")
 
+    def _table_of(self, a: float):
+        """The table of log(s*phi(s)^a) against log s, read off the one
+        table as (1-2a)*log(s) + 2a*log(s*sqrt(phi))."""
+        us, vs = self._table
+        return us, (1.0 - 2.0 * a) * us + 2.0 * a * vs
+
     def _solve(self, t: np.ndarray, *, a: float = 0.5,
                clamp_low: bool = False):
         """s with s*phi(s)^a = t, and r = s*phi'(s)/phi(s) there: zeta for
-        a = 1/2, the inverse of s*phi(s) for a = 1.  Both read the one
-        table, as log(s*phi^a) = (1-2a)*log(s) + 2a*log(s*sqrt(phi))."""
+        a = 1/2, the inverse of s*phi(s) for a = 1, by _table_inverse."""
         spec = self.spec
 
         def step(x):
             log_phi, r = spec._log_phi_ratio(np.exp(x))
             return x + a * log_phi, 1.0 + a * r
 
-        us, vs = self._table
-        table = (us, (1.0 - 2.0 * a) * us + 2.0 * a * vs)
-        what = "s*sqrt(phi)" if a == 0.5 else "s*phi"
-        s = np.exp(_table_inverse(table, step, t, what, clamp_low=clamp_low))
+        s = np.exp(_table_inverse(self._table_of(a), step, t, _what(a),
+                                  clamp_low=clamp_low))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return s, spec._log_phi_ratio(s)[1]
 
+    def _exp_square_w(self, t: np.ndarray, a: float, *,
+                      clamp_low: bool = False) -> np.ndarray:
+        """W(2a t^2) = 2a s^2 for s*exp(a s^2) = t, on the targets of the
+        table of s*phi(s)^a."""
+        y = _table_targets(self._table_of(a), t, _what(a),
+                           clamp_low=clamp_low)
+        return _lambert_w(2.0 * y + math.log(2.0 * a))
+
     def _preimage(self, t: np.ndarray, a: float):
         """_solve, with power weights in closed form, s = t^(1/(1+a*(p-2))),
-        answering the same targets: those with s in the search range."""
+        answering the same targets: those with s in the search range, and
+        exp_square by W, s = sqrt(W(2a t^2)/(2a)) and r = 2 s^2."""
+        if self.spec.family == EXP_SQUARE:
+            s = np.sqrt(self._exp_square_w(t, a) / (2.0 * a))
+            return s, 2.0 * s * s
         if self.spec.family != POWER:
             return self._solve(t, a=a)
-        what = "s*sqrt(phi)" if a == 0.5 else "s*phi"
+        what = _what(a)
         _check_targets(t, what)
         s = t ** (1.0 / (1.0 + a * self.spec.r))
         if np.any(np.abs(np.log(s)) > math.log(_BRACKET_HI) + _EDGE_TIE):
@@ -565,7 +638,8 @@ class LambdaProfile:
         Positive targets below the table, t < zeta^-1(1e-12), take Lambda
         at its edge: Lambda is continuous at 0+, and for the built-in
         families the two differ by less than 1e-20.  Power weights take
-        their constant, truncated powers their two constant bands.
+        their constant, truncated powers their two constant bands,
+        exp_square -W(t^2)/(1 + W(t^2)).
         """
         t_arr = np.asarray(t, dtype=float)
         if self.spec.family == DUAL:
@@ -575,6 +649,9 @@ class LambdaProfile:
             out = np.full_like(t_arr, -(self.spec.p - 2.0) / self.spec.p)
         elif self.spec.family == TRUNCATED_POWER:
             out = self._truncated_lambda(t_arr)
+        elif self.spec.family == EXP_SQUARE:
+            w = self._exp_square_w(t_arr, 0.5, clamp_low=True)
+            out = -w / (1.0 + w)
         else:
             r = self._solve(t_arr, clamp_low=True)[1]
             out = -r / (r + 2.0)

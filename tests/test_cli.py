@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcdiss import cli
+from funcdiss import cli, coefficients
 from funcdiss.cli import (
     EXIT_ERROR,
     EXIT_NEGATIVE,
@@ -288,6 +288,26 @@ def test_check_variable_field(tmp_path):
     verdict = _by_kind(records, "verdict")[0]
     assert verdict["status"] in ("StrictDissipative", "Inconclusive")
     assert verdict["coefficients"]["shape"] == [33, 33]
+
+
+def test_check_sweep_computes_grid_bounds_once(tmp_path, monkeypatch):
+    calls = []
+    original = coefficients._grid_bounds
+
+    def counting(lam, mu):
+        calls.append(lam.shape)
+        return original(lam, mu)
+
+    monkeypatch.setattr(coefficients, "_grid_bounds", counting)
+    code, records, _ = _run_doc(tmp_path, {
+        "command": "check",
+        "coefficients": {"kind": "radial", "lam0": 1.0, "mu0": 1.0,
+                         "amp": 0.1, "shape": [65, 65]},
+        "p_sweep": {"lo": 2.0, "hi": 10.0, "count": 9},
+    })
+    assert code in (EXIT_OK, EXIT_NEGATIVE)
+    assert len(_by_kind(records, "verdict")) == 9
+    assert calls == [(65, 65)]
 
 
 # -- verify-forms --------------------------------------------------------

@@ -94,6 +94,35 @@ def test_bilinear_clamps_outside_points():
     assert out[1] == pytest.approx(4.0, rel=1e-9)
 
 
+def _perturbed(field, seed):
+    rng = np.random.default_rng(seed)
+    shape = field.shape
+    return CoefficientField(domain=field.domain, lam=field.lam, mu=field.mu,
+                            eps=0.05 * rng.normal(size=shape),
+                            sigma=0.05 * rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("field", [
+    ramp_field(1.0, 1.0, 0.4, shape=(9, 7), domain=(-1.0, 2.0, 0.5, 1.5)),
+    checkerboard_field(2.0, 1.0, 0.3, shape=(8, 11)),
+    radial_field(0.5, 1.2, 0.2, shape=(33, 17), domain=(-1.0, 1.0, 0.0, 3.0)),
+    _perturbed(ramp_field(1.0, 1.0, 0.4, shape=(6, 6)), seed=1),
+    _perturbed(radial_field(0.5, 1.2, 0.2, shape=(13, 9)), seed=2),
+], ids=["ramp", "checkerboard", "radial", "ramp-perturbed",
+        "radial-perturbed"])
+def test_joint_sampler_equals_bilinear_bit_for_bit(field):
+    x0, x1, y0, y1 = field.domain
+    rng = np.random.default_rng(3)
+    # inside, outside on every side, and on the far edge and corner
+    px = np.concatenate([rng.uniform(x0 - 0.5, x1 + 0.5, 500),
+                         [x1, x1, x0, x1, x0 - 1.0, x1 + 1.0]])
+    py = np.concatenate([rng.uniform(y0 - 0.5, y1 + 0.5, 500),
+                         [y1, y0, y1, 0.5 * (y0 + y1), y1 + 1.0, y0 - 1.0]])
+    lam, mu = field._lame_at(px, py)
+    assert np.array_equal(lam, bilinear(field.lam_total, field.domain, px, py))
+    assert np.array_equal(mu, bilinear(field.mu_total, field.domain, px, py))
+
+
 # ---------------------------------------------------------------------------
 # Essential bounds and derived fields
 
@@ -116,6 +145,14 @@ def test_ess_bounds_rejects_lost_ellipticity():
         ess_bounds(constant_field(1.0, -0.5))
     with pytest.raises(EllipticityViolation):
         ess_bounds(constant_field(-4.0, 1.0))
+
+
+def test_ess_bounds_raises_again_on_every_call():
+    # a failed call is not cached
+    field = constant_field(1.0, -0.5)
+    for _ in range(3):
+        with pytest.raises(EllipticityViolation):
+            ess_bounds(field)
 
 
 def test_gamma_identity():

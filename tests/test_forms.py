@@ -22,7 +22,7 @@ from funcdiss.coefficients import constant_field, radial_field, ramp_field
 from funcdiss.forms import (
     ZERO_SET_REL,
     _axis_rule,
-    _coeff_samplers,
+    _disk_rule,
     _integrate,
     _lame_integrand,
     _symbol_minimum,
@@ -319,6 +319,83 @@ def test_probes_vanish_at_every_dropped_node():
                         ("oscillatory", False)}
 
 
+def _box_and_mask_chunks(v, order=8, cells_per_wavelength=10.0,
+                         min_cells=12, max_chunk=65_536):
+    """The chunks (pts, weights) of the disk rule as first built, each
+    chunk's nodes masked out of its rows' full box, and the number of rows
+    kept; the reference for the run-length build of _disk_rule."""
+    pts_box, weights_box, _ = _box_rule(v, order, cells_per_wavelength,
+                                        min_cells)
+    x0, x1, y0, y1 = v.support
+    radius = 0.5 * (x1 - x0)
+    center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+    if v.frame is None:
+        origin, axes = np.zeros(2), np.eye(2)
+        ranges = ((x0, x1), (y0, y1))
+        wavelengths = (v.wavelength, v.wavelength)
+    else:
+        origin = center
+        xi = np.asarray(v.frame)
+        axes = np.array([xi, [-xi[1], xi[0]]])
+        ranges = ((x0 - center[0], x1 - center[0]),
+                  (y0 - center[1], y1 - center[1]))
+        wavelengths = (v.wavelength, None)
+    rules = []
+    for (a, b), wl in zip(ranges, wavelengths):
+        n = min_cells
+        if wl is not None:
+            n = max(n, math.ceil(cells_per_wavelength * (b - a) / wl))
+        rules.append(_axis_rule(a, b, n, order))
+    (us, wu), (ws, ww) = rules
+    cu, cw = axes @ (center - origin)
+    reach = np.sqrt(np.maximum(
+        (radius * (1.0 + 1e-9)) ** 2 - (us - cu) ** 2, 0.0))
+    lo = np.searchsorted(ws, cw - reach, side="left")
+    hi = np.searchsorted(ws, cw + reach, side="right")
+    rows = np.flatnonzero(hi > lo)
+    ends = np.concatenate([[0], np.cumsum(hi[rows] - lo[rows])])
+    col = np.arange(len(ws))
+    chunks = []
+    i0 = 0
+    while i0 < len(rows):
+        i1 = max(i0 + 1, int(np.searchsorted(ends, ends[i0] + max_chunk,
+                                             side="right")) - 1)
+        r = rows[i0:i1]
+        nodes = np.flatnonzero((col >= lo[r, None]) & (col < hi[r, None]))
+        box = slice(r[0] * len(ws), (r[-1] + 1) * len(ws))
+        assert np.array_equal(np.diff(r), np.ones(len(r) - 1, dtype=int))
+        chunks.append((pts_box[box].take(nodes, axis=0),
+                       weights_box[box].take(nodes)))
+        i0 = i1
+    return chunks, len(rows)
+
+
+@pytest.mark.parametrize("max_chunk", [65_536, 3000, 1],
+                         ids=["default", "multi-chunk", "single-row"])
+def test_disk_rule_matches_box_and_mask_build(max_chunk):
+    ensemble = standard_ensemble(2026, n_bump=3, n_rot=2, n_osc=4)
+    wave = ensemble[-1]
+    probes = list(ensemble) + [
+        # a wave without its frame refines both axes of the box
+        dataclasses.replace(wave, frame=None),
+        oscillatory_field((0.0, 0.0), (1.0, 0.0), 32.0, (0.6, 0.8),
+                          chi_r0=-0.1, chi_r1=0.3,
+                          background=((0.8, 0.6), 2.0, 0.35, 0.75)),
+    ]
+    assert {v.frame is None for v in probes} == {True, False}
+    for v in probes:
+        got = list(_disk_rule(v, max_chunk=max_chunk))
+        ref, rows = _box_and_mask_chunks(v, max_chunk=max_chunk)
+        assert len(got) == len(ref), v.label
+        # the small caps split every probe, the smallest into single rows
+        assert len(got) > 1 or max_chunk == 65_536, v.label
+        if max_chunk == 1:
+            assert len(got) == rows, v.label
+        for (pts, weights), (ref_pts, ref_weights) in zip(got, ref):
+            assert np.array_equal(pts, ref_pts), v.label
+            assert np.array_equal(weights, ref_weights), v.label
+
+
 def test_integrate_rejects_non_square_support():
     v = bump_field((0.0, 0.0), 0.1, 0.5, (1.0, 0.0), np.eye(2))
     wide = dataclasses.replace(v, support=(-0.5, 0.5, -0.4, 0.4))
@@ -335,14 +412,21 @@ def test_integrate_rejects_non_square_support():
 ], ids=["pair-power", "pair-truncated", "grid-exp_square",
         "grid-truncated"])
 def test_disk_rule_matches_box_rule_on_ensemble(target, spec):
-    lam_at, mu_at = _coeff_samplers(target)
     for v in standard_ensemble(2026):
-        fn = _lame_integrand(lam_at, mu_at, spec, v)
+        fn = _lame_integrand(target, spec, v)
         pts, weights, _ = _box_rule(v)
         box = weights @ fn(pts)
         form, grad2 = _integrate(fn, v)
         assert abs(form - box[0]) <= 1e-13 * box[1], v.label
         assert abs(grad2 - box[1]) <= 1e-13 * box[1], v.label
+
+
+def _samplers(target):
+    # lambda and mu sampled apart, through the public lam_at and mu_at
+    if isinstance(target, tuple):
+        return (lambda pts: target[0]), (lambda pts: target[1])
+    return (lambda pts: target.lam_at(pts[:, 0], pts[:, 1]),
+            lambda pts: target.mu_at(pts[:, 0], pts[:, 1]))
 
 
 def _einsum_lame_integrand(lam_at, mu_at, phi_spec, v, kappa=0.0):
@@ -408,12 +492,12 @@ def test_lame_integrand_matches_einsum_reference_per_node(spec, kappa):
     targets = [(1.2, 0.8),
                radial_field(1.0, 0.7, 0.4, domain=(-1.0, 1.0, -1.0, 1.0))]
     for t, target in enumerate(targets):
-        lam_at, mu_at = _coeff_samplers(target)
+        lam_at, mu_at = _samplers(target)
         for i, field in enumerate(_reference_probes()):
             pts = _reference_points(field, seed=10 * i + t)
             nv = np.linalg.norm(field.value(pts), axis=1)
             assert np.any(nv <= ZERO_SET_REL * field.scale)
-            got = _lame_integrand(lam_at, mu_at, spec, field, kappa)(pts)
+            got = _lame_integrand(target, spec, field, kappa)(pts)
             ref = _einsum_lame_integrand(lam_at, mu_at, spec, field,
                                          kappa)(pts)
             scale = np.max(np.abs(ref), axis=0)
@@ -686,8 +770,8 @@ def _unshared_breakdown(target, spec, v, kappa, **quad):
     # the eight columns of elasticity_breakdown with the probe evaluated
     # apart for the total, the weight mask and the frame split, kept as a
     # reference for the shared evaluation
-    lam_at, mu_at = _coeff_samplers(target)
-    form = _lame_integrand(lam_at, mu_at, spec, v, kappa)
+    lam_at, mu_at = _samplers(target)
+    form = _lame_integrand(target, spec, v, kappa)
 
     def fn(pts):
         lam = np.broadcast_to(np.asarray(lam_at(pts), dtype=float),

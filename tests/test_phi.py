@@ -297,6 +297,50 @@ def test_forward_route_matches_bisection(spec, junctions, lam_atol):
                                atol=0)
 
 
+def test_exp_square_lambert_route_matches_bisection():
+    # zeta = sqrt(W(t^2)), Lambda = -W/(1 + W) and the inverse of s*phi,
+    # sqrt(W(2 t^2)/2), against bisection to 1e-14 relative; the Lambda
+    # targets below the table take its edge on both routes
+    spec = exp_square_phi()
+    prof = LambdaProfile(spec)
+    t = np.concatenate([np.geomspace(1e-12, 1e12, 2401),
+                        [1e30, 1e60, 1e100, 1e150]])
+    below = np.array([1e-300, 1e-30, 1e-13, 0.5e-12])
+    lam_t = np.concatenate([below, t])
+    np.testing.assert_allclose(prof.lambda_of(lam_t),
+                               _bisection_lambda(spec, lam_t),
+                               rtol=1e-14, atol=0)
+    zeta = _invert_monotone(spec.s_sqrt_phi, t, "reference")
+    np.testing.assert_allclose(prof.zeta(t), zeta, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(prof.theta(t), zeta / t, rtol=1e-14, atol=0)
+    inv = t[t <= 1e150]
+    np.testing.assert_allclose(inverse_s_phi(spec, inv),
+                               _invert_monotone(spec.s_phi, inv, "reference"),
+                               rtol=1e-14, atol=0)
+
+
+def test_exp_square_and_its_dual_never_solve(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"_solve called for {self.spec.label}")
+
+    monkeypatch.setattr(LambdaProfile, "_solve", refuse)
+    spec = exp_square_phi()
+    t = np.geomspace(1e-12, 1e12, 97)
+    dual = dual_phi(spec)
+    for prof in (spec.profile, dual.profile):
+        prof.lambda_of(t)
+        prof.zeta(t)
+        prof.theta(t)
+        assert prof.limit.lambda_inf_sq > 0.9
+    inverse_s_phi(spec, t)
+    dual.phi(t)
+    dual.dphi(t)
+    assert validate_phi(dual).ok
+    v = bump_field((0.0, 0.0), 0.1, 0.4, (1.0, 0.5), np.eye(2))
+    for weight in (spec, dual):
+        dissipativity_form((1.0, 1.0), weight, v)
+
+
 @pytest.mark.parametrize("M, lo", [(exp_power_young(4.0), 1e2),
                                    (exp_young(), 20.0),
                                    (power_young(3.0, normalized=True), 1e-6)],
