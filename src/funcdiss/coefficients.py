@@ -357,9 +357,9 @@ class GeneralSystem:
         return self.tensor.shape[2]
 
     def contract_xi(self, xi: np.ndarray) -> np.ndarray:
-        """Q(xi) = sum_hk A^{hk} xi_h xi_k, an m x m matrix."""
+        """Q(xi) = sum_hk A^{hk} xi_h xi_k, m x m, for each xi (..., N)."""
         xi = np.asarray(xi, dtype=float)
-        return np.einsum("hkij,h,k->ij", self.tensor, xi, xi)
+        return np.einsum("hkij,...h,...k->...ij", self.tensor, xi, xi)
 
     def adjoint_gap(self) -> np.ndarray:
         """gap[h, k] = A^{hk} - (A^{kh})^*; zero iff formally self adjoint."""

@@ -22,7 +22,7 @@ Three ingredients combine into a verdict:
               with Q = sum A^{hk} xi_h xi_k and L = Lambda_inf.  For fixed
               xi and omega this is a quadratic form in eta over R^{2m}, so
               the inner minimum is an exact eigenvalue computation and only
-              the (xi, omega) sphere needs searching.
+              the (xi, omega) sphere needs searching, by zooming lattices.
 
 The kappa policy follows the spectral gap: delta is half the gap
 rhs - Lambda_inf^2 and kappa sits at 90 percent of
@@ -60,9 +60,13 @@ __all__ = [
 ]
 
 # algebraic_margin: lattice points per search angle, and the relative
-# change, against the coefficient scale, that the polish may still make.
+# change, against the coefficient scale, that the last zoom may still make.
 _PROBE_GRID = 32
 _POLISH_TOL = 1e-8
+# _lattice_minimum: nodes per zoom lattice axis, stop width, round budget.
+_ZOOM_POINTS = 7
+_ZOOM_WIDTH = 1e-12
+_ZOOM_ROUNDS = 200
 # Limit ratios within 1e-10 of a bound, relative, sit on it.
 _BOUNDARY_TOL = 1e-10
 
@@ -122,15 +126,16 @@ class MarginResult:
 
 def _real_embedding(Q: np.ndarray):
     """Symmetric matrix of Re(eta^* H eta) in coordinates [Re eta; Im eta]."""
-    H = 0.5 * (Q + Q.conj().T)
+    H = 0.5 * (Q + np.swapaxes(Q.conj(), -1, -2))
     Hr, Hi = H.real, H.imag
     return np.block([[Hr, -Hi], [Hi, Hr]])
 
 
 def _probe_matrix(Q: np.ndarray, omega: np.ndarray, lam_inf: float):
     """Real symmetric (2m, 2m) matrix whose min eigenvalue is the eta-minimum
-    of the algebraic form at fixed (xi, omega), for each omega (..., m)."""
-    Qw, QHw = omega @ Q.T, omega @ Q.conj()  # Q omega and Q^* omega
+    of the algebraic form at each (xi, omega), for omega (..., m) and Q."""
+    Qw = np.einsum("...ij,...j->...i", Q, omega)          # Q omega
+    QHw = np.einsum("...ji,...j->...i", Q.conj(), omega)  # Q^* omega
     a, b, c = (np.concatenate([v.real, v.imag], axis=-1)
                for v in (omega, Qw, QHw))
     qoo = np.real(np.sum(omega.conj() * Qw, axis=-1))[..., None, None]
@@ -141,6 +146,30 @@ def _probe_matrix(Q: np.ndarray, omega: np.ndarray, lam_inf: float):
 
     return (_real_embedding(Q) - (lam_inf ** 2) * qoo * outer(a, a)
             + 0.5 * (outer(d, a) + outer(a, d)))
+
+
+def _lattice_minimum(fn, upper, points: int):
+    """Minimize fn, which maps (n, d) points to n values, over [0, upper]:
+    a lattice of `points` nodes per axis, then lattices of _ZOOM_POINTS on a
+    box of 1.5 of their spacings a side, moved to a better node (so it can
+    follow a narrow valley) or halved when the centre holds, until
+    _ZOOM_WIDTH wide.  Returns the value, its point, the last improvement."""
+    centre = half = 0.5 * np.asarray(upper, dtype=float)
+    best = improvement = np.inf
+    for r in range(_ZOOM_ROUNDS + 1):
+        unit = np.indices((points,) * centre.size).reshape(centre.size, -1).T
+        nodes = centre + half * (unit * (2.0 / (points - 1)) - 1.0)
+        values = fn(nodes)
+        i = int(np.argmin(values))
+        improvement = max(best - float(values[i]), 0.0)
+        if values[i] < best:
+            best, centre = float(values[i]), nodes[i]
+        elif 2.0 * np.max(half) <= _ZOOM_WIDTH:
+            break
+        if r == 0 or not improvement:
+            half = half * (3.0 / (points - 1))
+        points = _ZOOM_POINTS
+    return best, centre, improvement
 
 
 def algebraic_form(system: GeneralSystem, lam_inf: float, xi, eta, omega) -> float:
@@ -157,72 +186,36 @@ def algebraic_form(system: GeneralSystem, lam_inf: float, xi, eta, omega) -> flo
     return float(t1 + t2 + t3)
 
 
-def algebraic_margin(system: GeneralSystem, lam_inf: float, *,
-                     polish: bool = True) -> MarginResult:
+def algebraic_margin(system: GeneralSystem, lam_inf: float) -> MarginResult:
     """Minimize the algebraic form over |xi| = |eta| = |omega| = 1.
 
-    Coarse search on a 32 x 32 x 32 lattice of (xi angle, omega polar
-    angle, omega relative phase), with eta handled exactly by the eigenvalue
-    reduction; then simplex polish from the best lattice point.  Raises
-    BudgetExhausted when two successive polish rounds still move the value
-    by more than 1e-8 relative to the coefficient scale.
+    _lattice_minimum searches (xi angle, omega polar angle, omega relative
+    phase) from a 32 x 32 x 32 lattice, with eta handled exactly by the
+    eigenvalue reduction.  Raises BudgetExhausted when its last round still
+    moves the value by more than 1e-8 relative to the coefficient scale.
     """
     if system.dim != 2 or system.components != 2:
         raise ValueError("probe search implemented for N = 2, m = 2 systems")
+    if not math.isfinite(lam_inf):
+        raise ValueError(f"lam_inf must be finite, got {lam_inf}")
 
     scale = float(np.max(np.abs(system.tensor))) or 1.0
-    a_grid = np.linspace(0.0, np.pi, _PROBE_GRID, endpoint=False)
-    e_grid = np.linspace(0.0, np.pi / 2.0, _PROBE_GRID)
-    f_grid = np.linspace(0.0, 2.0 * np.pi, _PROBE_GRID, endpoint=False)
-    ee, ff = np.meshgrid(e_grid, f_grid, indexing="ij")
-    omegas = np.stack([np.cos(ee).ravel() + 0j,
-                       np.sin(ee).ravel() * np.exp(1j * ff.ravel())], axis=1)
 
-    best = (np.inf, None, None)
-    for a in a_grid:
-        xi = np.array([np.cos(a), np.sin(a)])
-        M = _probe_matrix(system.contract_xi(xi), omegas, lam_inf)
-        eigs = np.linalg.eigvalsh(M)[:, 0]
-        g = int(np.argmin(eigs))
-        if eigs[g] < best[0]:
-            best = (float(eigs[g]), float(a), omegas[g].copy())
+    def probes(nodes):  # xi, omega and the probe matrix at each angle triple
+        a, e, f = nodes.T
+        xi = np.stack([np.cos(a), np.sin(a)], axis=-1)
+        om = np.stack([np.cos(e) + 0j, np.sin(e) * np.exp(1j * f)], axis=-1)
+        return xi, om, _probe_matrix(system.contract_xi(xi), om, lam_inf)
 
-    min_val, a_star, _ = best
+    min_val, params, improvement = _lattice_minimum(
+        lambda nodes: np.linalg.eigvalsh(probes(nodes)[2])[:, 0],
+        [np.pi, np.pi / 2.0, 2.0 * np.pi], _PROBE_GRID)
+    if improvement > _POLISH_TOL * scale:
+        raise BudgetExhausted(
+            f"probe zoom still moving by {improvement:.3g} "
+            f"after the refinement budget")
 
-    def objective(params):
-        aa, e, f = params
-        xi = np.array([np.cos(aa), np.sin(aa)])
-        om = np.array([np.cos(e) + 0j, np.sin(e) * np.exp(1j * f)])
-        Q = system.contract_xi(xi)
-        M = _probe_matrix(Q, om, lam_inf)
-        return float(np.linalg.eigvalsh(M)[0])
-
-    e_star = float(np.arccos(np.clip(best[2][0].real, -1.0, 1.0)))
-    f_star = float(np.angle(best[2][1])) if abs(best[2][1]) > 0 else 0.0
-    params = np.array([a_star, e_star, f_star])
-    if polish:
-        from scipy.optimize import minimize
-
-        prev = min_val
-        for _ in range(2):
-            res = minimize(objective, params, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12 * scale,
-                                    "maxiter": 2000})
-            params = res.x
-            improvement = prev - float(res.fun)
-            prev = float(res.fun)
-        if abs(improvement) > _POLISH_TOL * scale:
-            raise BudgetExhausted(
-                f"probe polish still moving by {improvement:.3g} "
-                f"after the refinement budget")
-        min_val = prev
-
-    aa, e, f = params
-    xi = np.array([np.cos(aa), np.sin(aa)])
-    om = np.array([np.cos(e) + 0j, np.sin(e) * np.exp(1j * f)])
-    om = om / np.linalg.norm(om)
-    Q = system.contract_xi(xi)
-    M = _probe_matrix(Q, om, lam_inf)
+    xi, om, M = (v[0] for v in probes(params[None, :]))
     w, V = np.linalg.eigh(M)
     x = V[:, 0]
     eta = x[:2] + 1j * x[2:]

@@ -22,7 +22,7 @@ checks the algebra rather than the mesh.
 Everything here is deterministic: test fields are generated from explicit
 seeds, quadrature is tensor Gauss-Legendre with a resolution rule tied to
 the field's wavelength, and the symbol minimum of the counterexample is a
-1-d grid search with a golden-section polish.  The resolution rule follows
+lattice zoom in one angle.  The resolution rule follows
 the wave direction: a plane wave is integrated on its support box rotated
 into its own frame (xi, xi-perp), and only the xi axis is refined per
 wavelength, so the node count of an oscillatory probe doubles, rather than
@@ -40,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CoefficientField, GeneralSystem
+from .criteria import _lattice_minimum
 from .errors import QuadratureFailure
 from .phi import PhiSpec
 
@@ -887,32 +888,25 @@ class CounterexampleReport:
 def _symbol_minimum(lam: float, mu: float, lam_sup_sq: float):
     """Minimize eta^T [Q - L^2 (w^T Q w) w w^T] eta over real unit
     (xi, omega, eta), Q = mu I + (lambda + mu) xi xi^T.  By rotation and
-    reflection xi = e1, Q = diag(lambda + 2 mu, mu) and omega = (sqrt x,
-    sqrt(1 - x)); the smallest eigenvalue, from trace and determinant, is
-    minimized on an x grid and polished by golden section.  eta is its unit
-    eigenvector with <eta, omega> >= 0.
+    reflection xi = e1, Q = diag(lambda + 2 mu, mu) and omega = (cos e,
+    sin e); _lattice_minimum minimizes the smallest eigenvalue, from trace
+    and determinant, over e.  eta is its eigenvector with <eta, omega> >= 0.
     """
     a, b = lam + 2.0 * mu, mu
 
-    def matrix(x):
-        q = lam_sup_sq * (a * x + b * (1.0 - x))
-        return a - q * x, b - q * (1.0 - x), -q * np.sqrt(x * (1.0 - x))
+    def matrix(e):
+        c, s = np.cos(e), np.sin(e)
+        q = lam_sup_sq * (a * c * c + b * s * s)
+        return a - q * c * c, b - q * s * s, -q * c * s
 
-    def low(x):  # tr/2 - sqrt(tr^2/4 - det)
-        m11, m22, m12 = matrix(x)
+    def low(nodes):  # tr/2 - sqrt(tr^2/4 - det)
+        m11, m22, m12 = matrix(nodes[:, 0])
         return 0.5 * (m11 + m22 - np.hypot(m11 - m22, 2.0 * m12))
 
-    xs = np.linspace(0.0, 1.0, 2049)
-    i = int(np.argmin(low(xs)))
-    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    golden = 0.5 * (5.0 ** 0.5 - 1.0)
-    for _ in range(60):
-        c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
-        lo, hi = (lo, d) if low(c) <= low(d) else (c, hi)
-    x = min(xs[i], 0.5 * (lo + hi), key=low)
-    m11, m22, m12 = matrix(x)
+    _, (e,), _ = _lattice_minimum(low, [np.pi / 2.0], 2049)
+    m11, m22, m12 = matrix(e)
     vals, vecs = np.linalg.eigh([[m11, m12], [m12, m22]])
-    omega = np.array([np.sqrt(x), np.sqrt(1.0 - x)])
+    omega = np.array([np.cos(e), np.sin(e)])
     eta = vecs[:, 0] if vecs[:, 0] @ omega >= 0.0 else -vecs[:, 0]
     return float(vals[0]), np.array([1.0, 0.0]), omega, eta
 

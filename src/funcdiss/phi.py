@@ -92,6 +92,9 @@ _W_LOG_SMALL = -40.0
 # has converged when its last three nodes vary by less than 1e-6 relative.
 _TAIL_T = np.geomspace(1e-6, 1e8, 140)
 _TAIL_TOL = 1e-6
+# Young integrals: dyadic panels and the two Gauss-Legendre orders.
+_YOUNG_PANELS = 60
+_YOUNG_ORDERS = (32, 24)
 
 
 @dataclass(frozen=True)
@@ -770,9 +773,9 @@ def dual_phi(spec: PhiSpec) -> PhiSpec:
 class YoungPair:
     """Conjugate Young functions built from a weight and its dual.
 
-    Phi(s) integrates sigma*phi(sigma) from 0; Psi integrates sigma*psi.
-    Young's inequality s*t <= Phi(s) + Psi(t) holds with equality at
-    t = s*phi(s).
+    Phi(s) integrates sigma*phi(sigma) from 0; a dual weight's Psi(t) is
+    t*S - Phi(S), S the inverse of s*phi at t, so Young's inequality
+    s*t <= Phi(s) + Psi(t) holds with equality at t = s*phi(s).
     """
 
     phi_spec: PhiSpec
@@ -786,21 +789,30 @@ class YoungPair:
 
 
 def _young_integral(spec: PhiSpec, upper: float) -> float:
-    from scipy.integrate import quad
-
+    """Gauss-Legendre on panels of [0, upper] that halve towards 0, where
+    alone sigma*phi(sigma) may be singular, and that break at a truncated
+    power's junctions; two orders' difference is the error estimate."""
+    if not (math.isfinite(upper) and upper >= 0.0):
+        raise ValueError(f"Young functions take finite s >= 0, got {upper}")
     if upper == 0.0:
         return 0.0
-    if upper < 0.0:
-        raise ValueError("Young functions are defined for nonnegative arguments")
-    # sigma*phi(sigma) -> 0 as sigma -> 0 under (iv), so the integrand is
-    # bounded; adaptive quadrature with an absolute floor handles the rest.
-    val, err = quad(lambda s: float(spec.s_phi(s)), 0.0, upper,
-                    epsabs=1e-12, epsrel=1e-10, limit=200)
-    if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1.0) + 1e-10:
+    if spec.family == DUAL:
+        s = inverse_s_phi(spec.base, upper)
+        return upper * s - _young_integral(spec.base, s)
+    from numpy.polynomial.legendre import leggauss
+    breaks = np.append(0.0, upper * 0.5 ** np.arange(_YOUNG_PANELS, -1, -1.0))
+    if spec.family == TRUNCATED_POWER:
+        breaks = np.union1d(breaks, np.minimum([spec.k - 1.0, spec.k], upper))
+    half = 0.5 * np.diff(breaks)[:, None]
+    high, low = (float(np.sum(half * w * spec.s_phi(breaks[:-1, None]
+                                                    + half * (x + 1.0))))
+                 for x, w in map(leggauss, _YOUNG_ORDERS))
+    err = abs(high - low)
+    if not (math.isfinite(high) and err <= 1e-6 * max(abs(high), 1.0) + 1e-10):
         raise QuadratureFailure(
             f"Young integral unreliable on [0, {upper:.3g}]: "
-            f"value {val:.6g}, error estimate {err:.3g}")
-    return float(val)
+            f"value {high:.6g}, error estimate {err:.3g}")
+    return high
 
 
 def young_pair(spec: PhiSpec) -> YoungPair:

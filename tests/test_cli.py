@@ -628,10 +628,40 @@ def _fresh_run_scipy_modules(tmp_path, doc):
 
 
 def test_check_loads_no_scipy(tmp_path):
-    # scipy is imported only inside the algebraic-margin polish and the
-    # Young integral, so the verdict path never pays for it.
+    # the package never imports scipy, so the verdict path never pays for it
     assert _fresh_run_scipy_modules(tmp_path, {"command": "check"}) \
         == f"{EXIT_OK} []\n"
+
+
+def test_young_functions_and_margin_run_without_scipy():
+    # a fresh interpreter in which any import of scipy fails
+    script = (
+        "import json, math, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from funcdiss import (algebraic_margin, custom_phi, dual_phi,\n"
+        "    exp_square_phi, lame_system, power_phi, truncated_power,\n"
+        "    young_pair)\n"
+        "specs = [power_phi(3.0), exp_square_phi(), truncated_power(4.0, 2.0),\n"
+        "         custom_phi(lambda s: 1.0 + s * s), dual_phi(power_phi(3.0))]\n"
+        "pairs = [young_pair(spec) for spec in specs]\n"
+        "young = [[pair.Phi(1.5), pair.Psi(1.5)] for pair in pairs]\n"
+        "margin = algebraic_margin(lame_system(1.0, 1.0), math.sqrt(0.8))\n"
+        "print(json.dumps({'young': young, 'margin': margin.min_value}))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    power, _, _, custom, dual = out["young"]
+    # Phi(s) = s^3/3 and Psi(t) = t^(3/2)/(3/2) for p = 3, and the dual
+    # pair swaps them; 1 + s^2 integrates to s^2/2 + s^4/4
+    assert power == pytest.approx([1.5 ** 3 / 3.0, 1.5 ** 1.5 / 1.5],
+                                  rel=1e-12)
+    assert dual == pytest.approx(power[::-1], rel=1e-12)
+    assert custom[0] == pytest.approx(1.5 ** 2 / 2.0 + 1.5 ** 4 / 4.0,
+                                      rel=1e-12)
+    assert out["margin"] == pytest.approx(-0.08113883008419095, abs=1e-12)
 
 
 @pytest.mark.parametrize("doc", [

@@ -18,6 +18,7 @@ from funcdiss import (
     NOT_DISSIPATIVE,
     STRICT_DISSIPATIVE,
     BracketFailure,
+    BudgetExhausted,
     EllipticityViolation,
     NotStrict,
     PhiSpec,
@@ -42,7 +43,7 @@ from funcdiss import (
     truncated_power,
     validate_phi,
 )
-from funcdiss import coefficients
+from funcdiss import coefficients, criteria
 from funcdiss.criteria import _probe_matrix
 
 P_STAR = 8.0 + 4.0 * math.sqrt(3.0)
@@ -77,12 +78,71 @@ def test_margin_flip_locates_necessary_bound(lam, mu):
     lo, hi = 0.0, 1.0
     for _ in range(22):
         mid = 0.5 * (lo + hi)
-        val = algebraic_margin(sys, math.sqrt(mid), polish=False).min_value
+        val = algebraic_margin(sys, math.sqrt(mid)).min_value
         if val > 0.0:
             lo = mid
         else:
             hi = mid
     assert 0.5 * (lo + hi) == pytest.approx(expect, abs=5e-6)
+
+
+# (lambda, mu, Lambda_inf, minimum) of algebraic_margin under the earlier
+# search, a 32^3 lattice and a Nelder-Mead polish
+MARGIN_VALUES = (
+    (1.0, 1.0, 0.0, 0.9999999999999998),
+    (-1.5, 1.0, 0.0, 0.49999999999999983),
+    (1.0, 1.0, 0.5, 0.7042936150558197),
+    (1.0, 1.0, math.sqrt(0.8), -0.08113883008419095),
+    (1.0, 1.0, -0.9375, -0.21402463844004677),
+    (2.0, 0.5, math.sqrt(0.5), -0.011857892036909647),
+    (2.0, 0.5, -math.sqrt(0.9), -0.5366514518826097),
+    (0.8, 1.1, 0.6, 0.6437177214281269),
+    (1.3, 0.6, -0.7, 0.14588811477630537),
+    (-1.5, 1.0, -math.sqrt(0.9), -0.007522597763920027),
+)
+
+
+@pytest.mark.parametrize("lam, mu, lam_inf, expect", MARGIN_VALUES)
+def test_margin_matches_earlier_search(lam, mu, lam_inf, expect):
+    sys = lame_system(lam, mu)
+    scale = float(np.max(np.abs(sys.tensor)))
+    assert algebraic_margin(sys, lam_inf).min_value == pytest.approx(
+        expect, rel=0.0, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("lam, mu, lam_inf, rounds", [
+    (1.0, 1.0, math.sqrt(0.8), 0),   # the lattice alone has no last move
+    (2.0, 0.5, math.sqrt(0.5), 2),   # round 2 lowers it by 2.9e-8 * scale
+])
+def test_margin_budget_exhausted(monkeypatch, lam, mu, lam_inf, rounds):
+    monkeypatch.setattr(criteria, "_ZOOM_ROUNDS", rounds)
+    with pytest.raises(BudgetExhausted):
+        algebraic_margin(lame_system(lam, mu), lam_inf)
+
+
+@pytest.mark.parametrize("angle", [0.7, 2.0, 2.6])
+def test_lattice_minimum_follows_a_narrow_valley(angle):
+    # condition number 1000, the valley rotated off the lattice axes; a box
+    # halved every round stops 0.06 to 0.16 away from these minimisers
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    hess = rot @ np.diag([1000.0, 1.0]) @ rot.T
+    target = np.array([0.123456789, 0.987654321])
+
+    def fn(nodes):
+        d = nodes - target
+        return np.einsum("ni,ij,nj->n", d, hess, d)
+
+    value, point, improvement = criteria._lattice_minimum(fn, [2.0, 3.0], 33)
+    assert 0.0 <= value < 1e-20
+    assert np.allclose(point, target, rtol=0.0, atol=1e-11)
+    assert improvement == 0.0
+
+
+@pytest.mark.parametrize("lam_inf", [math.nan, math.inf, -math.inf])
+def test_margin_rejects_non_finite_ratio(lam_inf):
+    with pytest.raises(ValueError, match="finite"):
+        algebraic_margin(lame_system(1.0, 1.0), lam_inf)
 
 
 def test_probe_matrix_matches_direct_evaluation():
