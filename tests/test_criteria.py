@@ -111,8 +111,9 @@ def test_margin_matches_earlier_search(lam, mu, lam_inf, expect):
 
 
 @pytest.mark.parametrize("lam, mu, lam_inf, rounds", [
-    (1.0, 1.0, math.sqrt(0.8), 0),   # the lattice alone has no last move
+    (1.0, 1.0, math.sqrt(0.8), 0),   # the lattice alone
     (2.0, 0.5, math.sqrt(0.5), 2),   # round 2 lowers it by 2.9e-8 * scale
+    (1.0, 1.0, -math.sqrt(0.8), 3),  # a 7e-9 move, the box 0.15 wide
 ])
 def test_margin_budget_exhausted(monkeypatch, lam, mu, lam_inf, rounds):
     monkeypatch.setattr(criteria, "_ZOOM_ROUNDS", rounds)
@@ -133,10 +134,10 @@ def test_lattice_minimum_follows_a_narrow_valley(angle):
         d = nodes - target
         return np.einsum("ni,ij,nj->n", d, hess, d)
 
-    value, point, improvement = criteria._lattice_minimum(fn, [2.0, 3.0], 33)
+    value, point, narrowed = criteria._lattice_minimum(fn, [2.0, 3.0], 33)
     assert 0.0 <= value < 1e-20
     assert np.allclose(point, target, rtol=0.0, atol=1e-11)
-    assert improvement == 0.0
+    assert narrowed
 
 
 @pytest.mark.parametrize("lam_inf", [math.nan, math.inf, -math.inf])
@@ -254,10 +255,26 @@ def test_kappa_policy_frozen_numbers():
         kappa_policy(0.0, 0.0, 1.0, 3.0)
 
 
-def test_verdict_exp_square_refuted_by_grid_bound():
+def test_verdict_exp_square_refuted_in_closed_form():
     v = lame2d_verdict(exp_square_phi(), constant_field(1.0, 1.0))
     assert v.status == NOT_DISSIPATIVE
-    assert any("unconverged" in n for n in v.notes)
+    assert v.lambda_inf_sq == 1.0
+    assert not any("unconverged" in n for n in v.notes)
+
+
+@pytest.mark.parametrize("weight", [exp_square_phi,
+                                    lambda: dual_phi(exp_square_phi())],
+                         ids=["exp_square", "dual"])
+@pytest.mark.parametrize("lam, status", [(-0.5, NOT_DISSIPATIVE),
+                                         (-0.9, NOT_DISSIPATIVE),
+                                         (-1.0, DISSIPATIVE_BOUNDARY)])
+def test_verdict_exp_square_near_balance(weight, lam, status):
+    # Lambda_inf^2 = 1 exceeds 1 - ((lambda+mu)/(lambda+3mu))^2 for every
+    # pair off balance, also where that bound is above 0.94; the balanced
+    # pair lambda = -mu sits on it.
+    v = lame2d_verdict(weight(), constant_field(lam, 1.0))
+    assert v.status == status
+    assert v.lambda_inf_sq == 1.0
 
 
 def _bump_ratio_phi():

@@ -8,6 +8,7 @@ the non monotone ratio.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from funcdiss import (
     BadTruncation,
     BracketFailure,
+    LambdaLimit,
     LambdaProfile,
     NonPositivePhi,
     NotIncreasing,
@@ -460,20 +462,23 @@ def test_one_tail_per_weight(monkeypatch):
         return original(self, t)
 
     monkeypatch.setattr(LambdaProfile, "lambda_of", counting)
-    spec = exp_square_phi()
     pair = (1.0, 1.0)
     v = bump_field((0.1, -0.05), 0.15, 0.45, (1.0, 0.5),
                    [[0.3, -0.2], [0.1, 0.4]])
-    assert lame2d_verdict(spec, constant_field(*pair)).status == \
-        "NotDissipative"
-    lameNd_sufficient(spec, *pair)
-    assert perturbation_budget(spec, *pair, 0.1) > 0.0
-    breakdown = elasticity_breakdown(pair, spec, v)
-    oscillatory_counterexample(*pair, spec, octaves=0)
-    assert samplings == ["exp_square"]
-    # The breakdown's total is the integrand of dissipativity_form.
-    assert breakdown.total == pytest.approx(dissipativity_form(pair, spec, v),
-                                            rel=1e-13)
+    # Only a custom weight samples its tail, once for every consumer; the
+    # built-in families and their duals take it in closed form.
+    for spec in (custom_phi(lambda s: 1.0 + s * s, label="sampled"),
+                 power_phi(4.0), truncated_power(4.0, 2.0),
+                 exp_square_phi(), dual_phi(exp_square_phi())):
+        lame2d_verdict(spec, constant_field(*pair))
+        lameNd_sufficient(spec, *pair)
+        assert perturbation_budget(spec, *pair, 0.1) > 0.0
+        breakdown = elasticity_breakdown(pair, spec, v)
+        oscillatory_counterexample(*pair, spec, octaves=0)
+        # The breakdown's total is the integrand of dissipativity_form.
+        assert breakdown.total == pytest.approx(
+            dissipativity_form(pair, spec, v), rel=1e-13)
+    assert samplings == ["sampled"]
 
 
 def test_limit_power_converges_exactly():
@@ -486,14 +491,19 @@ def test_limit_power_converges_exactly():
     assert lim.tail_variation < 1e-10
 
 
-def test_limit_exp_square_tail_is_honest():
-    lim = LambdaProfile(exp_square_phi()).limit
-    assert not lim.converged
-    assert not lim.sup_bounded
-    assert abs(lim.lambda_inf_sq - 1.0) < 0.01
-    # Grid sup stays a certified lower bound well inside (0, 1).
-    assert 0.90 < lim.sup_lambda_sq < 1.0
-    assert lim.tail_variation > 1e-6
+def test_limit_exp_square_closed_form():
+    # |Lambda| = W(t^2)/(1 + W(t^2)) rises to 1 without reaching it, so
+    # Lambda_inf = -1 and sup Lambda^2 = 1 hold in closed form, and the sup
+    # is not bounded below 1.  The dual differs only in Lambda_inf's sign.
+    lim = exp_square_phi().profile.limit
+    assert lim == LambdaLimit(lambda_inf=-1.0, lambda_inf_sq=1.0,
+                              sup_lambda_sq=1.0, sup_bounded=False,
+                              converged=True, tail_variation=0.0)
+    assert lim.sup_bound == 1.0
+    assert dual_phi(exp_square_phi()).profile.limit == \
+        replace(lim, lambda_inf=1.0)
+    lam_sq = exp_square_phi().profile.lambda_of(_TAIL_T) ** 2
+    assert np.all(np.diff(lam_sq) > 0.0) and lam_sq[-1] < 1.0
 
 
 def test_limit_truncated_power_vanishes():
@@ -606,11 +616,8 @@ def test_dual_profile_reads_base(spec):
     for prof in (psi.profile, own):
         np.testing.assert_allclose(prof.zeta(t) * base.zeta(t), t * t,
                                    rtol=1e-13, atol=0)
-    lim, dual = base.limit, psi.profile.limit
-    assert dual.lambda_inf == -lim.lambda_inf
-    assert dual.lambda_inf_sq_lower == lim.lambda_inf_sq_lower
-    assert dual.sup_lambda_sq == lim.sup_lambda_sq
-    assert dual.sup_bounded == lim.sup_bounded
+    lim = base.limit
+    assert psi.profile.limit == replace(lim, lambda_inf=-lim.lambda_inf)
 
 
 def test_dual_inherits_vi_exemption():
