@@ -539,7 +539,9 @@ def _load_rhs(cfg: RunConfig, cells: tuple[int, ...],
         if dim != 2 or cells[1] != 16 * cells[0]:
             raise ValueError("the fiber load solves a planar grid [g, 16 g] "
                              f"on (0, 1) x (0, 16), got {list(cells)}")
-        return fiber_problem(cells_x=cells[0], lam=pair[0], mu=pair[1])
+        prob = fiber_problem(cells_x=cells[0], lam=pair[0], mu=pair[1])
+        return dataclasses.replace(prob, rhs=cfg.load["amp"] * prob.rhs,
+                                   p=cfg.p)
     if preset == "manufactured":
         if dim != 2 or cells[0] != cells[1]:
             raise ValueError("the manufactured load needs a square planar "

@@ -32,14 +32,17 @@ an odd count c becomes (c + 1) / 2 cells, the last of which spans one fine
 cell (vertex-centred coarsening).  Every vector of the solve lives on the
 node grid, components first, with a zero rim where u is fixed: the load,
 the CG iterates and the V-cycle's residuals and corrections.  P and P^T
-are slice passes along each halved axis.  A CoefficientField's coarse
-operator is the Galerkin product P^T A P, formed without P by summing the
-cell matrices of each coarse cell's children against the coarse basis; a
-constant pair re-derives its one stencil at the level's cell widths, which
-is P^T A P after even halvings and a rediscretization after odd ones.  The
-coarsest level's interior block is inverted as a dense matrix, built from
-the same stencil planes, so the stencil planes are the one description of
-the operator and grid layout the one vector layout.  The iteration count
+are slice passes along each halved axis.  The element quadrature runs
+once, on the fine grid, and every coarse operator comes from one rule: the
+cell matrices of each coarse cell's children summed against the coarse
+basis, which forms the Galerkin product P^T A P without P.  A
+CoefficientField gets P^T A P on every level.  A constant pair coarsens its
+one cell matrix to the one matrix of a coarse cell with two children per
+halved axis: P^T A P after even halvings, and below an odd end a
+rediscretization that leaves out the narrower last cell.  The coarsest
+level's interior block is inverted as a dense matrix, built from the same
+stencil planes, so the stencil planes are the one description of the
+operator and grid layout the one vector layout.  The iteration count
 does not grow with the grid at a fixed lambda/mu.
 
 The solver exists to probe the weighted energy estimate
@@ -273,28 +276,31 @@ def _coefficient_samples(prob: FemProblem, order: int):
 
     A constant pair gives arrays of shape (1, G), one row that the
     assembler broadcasts over every cell; a CoefficientField gives
-    (nel, G), sampled per cell.
+    (nel, G), sampled per cell, in blocks of whole cell rows of at most
+    _SAMPLE_BLOCK Gauss points, so the coordinates and the temporaries of
+    the lookup are bounded by the block, not the grid.
     """
     if not isinstance(prob.coeffs, CoefficientField):
         lam, mu = prob.coeffs
         npts = order ** prob.dim
         return np.full((1, npts), lam), np.full((1, npts), mu)
     g1, _ = _gauss_1d(order)
-    hx, hy = prob.spacings
-    ex = prob.domain[0] + hx * np.arange(prob.cells[0])
-    ey = prob.domain[2] + hy * np.arange(prob.cells[1])
+    (hx, hy), (nx, ny) = prob.spacings, prob.cells
+    ex = prob.domain[0] + hx * np.arange(nx)
+    ey = prob.domain[2] + hy * np.arange(ny)
     gx = (ex[:, None] + hx * g1[None, :])
     gy = (ey[:, None] + hy * g1[None, :])
-    # tensor Gauss points per element, matching _reference ordering
-    px = np.repeat(gx[:, None, :, None], prob.cells[1], axis=1)
-    py = np.repeat(gy[None, :, None, :], prob.cells[0], axis=0)
-    px = np.broadcast_to(px, (prob.cells[0], prob.cells[1], order, order))
-    py = np.broadcast_to(py, (prob.cells[0], prob.cells[1], order, order))
-    shape = (prob.cells[0] * prob.cells[1], order * order)
-    xs = px.reshape(shape)
-    ys = py.reshape(shape)
-    lam, mu = prob.coeffs._lame_at(xs.ravel(), ys.ravel())
-    return lam.reshape(shape), mu.reshape(shape)
+    lam, mu = (np.empty((nx * ny, order * order)) for _ in range(2))
+    step = max(1, _SAMPLE_BLOCK // (ny * order * order))
+    for lo in range(0, nx, step):
+        # tensor Gauss points of the cell rows lo.., matching _reference
+        shape = (min(step, nx - lo), ny, order, order)
+        xs = np.broadcast_to(gx[lo:lo + step, None, :, None], shape)
+        ys = np.broadcast_to(gy[None, :, None, :], shape)
+        rows = slice(lo * ny, (lo + shape[0]) * ny)
+        lam[rows], mu[rows] = (v.reshape(-1, order * order) for v in
+                               prob.coeffs._lame_at(xs.ravel(), ys.ravel()))
+    return lam, mu
 
 
 def _check_admissible(prob: FemProblem):
@@ -330,19 +336,19 @@ def _stencil_offsets(dim: int):
     return out
 
 
-def _cell_matrices(prob: FemProblem, spacings=None, order: int = 2):
-    """The Q1 cell matrices local[..., a, i, b, j] of the bilinear form.
+def _cell_matrices(prob: FemProblem):
+    """The Q1 cell matrices local[..., a, i, b, j] of the bilinear form on
+    the problem's grid, with the 2-point Gauss rule.
 
     One product over all cells: (nel or 1, G) coefficient samples times
     (G, (2^N N)^2) Gauss blocks, seen as local[cell..., a, i, b, j] for a
     CoefficientField and as one local[a, i, b, j] shared by every cell for
-    a constant pair.  spacings, for a constant pair only, gives the cell of
-    those per-axis widths instead of the problem's.
+    a constant pair.
     """
     dim = prob.dim
     nbasis = 2 ** dim
-    div_blk, grad_blk = _local_blocks(dim, order, spacings or prob.spacings)
-    lam, mu = _coefficient_samples(prob, order)
+    div_blk, grad_blk = _local_blocks(dim, 2, prob.spacings)
+    lam, mu = _coefficient_samples(prob, 2)
     ngauss = lam.shape[1]
     local = (lam @ div_blk.reshape(ngauss, -1)
              + mu @ grad_blk.reshape(ngauss, -1))
@@ -376,8 +382,9 @@ def _children(c: int, halved: bool):
 
 
 def _coarsen(local, cells, halved):
-    """The cell matrices of a CoefficientField on the next level, halved
-    along the axes that halved flags.
+    """The cell matrices on the next level, halved along the axes that
+    halved flags: local[cell..., a, i, b, j] per cell, or a constant
+    pair's one local[a, i, b, j] shared by every cell.
 
     Coarse cell C takes sum_k R_k^T local[k] R_k over its children k (2 per
     halved axis but at an odd end, 1 per other axis), with R_k[a, A] the
@@ -385,8 +392,18 @@ def _coarsen(local, cells, halved):
     1-D weights of _children.  The coarse space is nested in the fine one
     and P maps interior nodes to interior nodes, so the coarse free block
     is P^T A P exactly.  The children are read as strided views of local.
+
+    A shared matrix gives one shared matrix, that of a coarse cell with two
+    children along each halved axis and one along the others, so the level
+    keeps one stencil.  That is P^T A P after even halvings; below an odd
+    end the one matrix leaves out the narrower last cell, which spans a
+    single fine cell, so the level is a rediscretization there.
     """
     dim = len(cells)
+    if local.ndim == 4:
+        two = tuple(2 if h else 1 for h in halved)
+        return _coarsen(np.broadcast_to(local, two + local.shape), two,
+                        halved)[(0,) * dim]
     nbasis = 2 ** dim
     coarse = np.zeros(tuple(_coarse_cells(c, h) for c, h in zip(cells, halved))
                       + local.shape[dim:])
@@ -658,17 +675,15 @@ def _hierarchy(prob: FemProblem):
     coarsest level, once no axis has 7 cells, has at most 50 unknowns in
     2-D and 375 in 3-D, and gets its direct solve from _coarse_solve.
 
-    Every level is a _Stencil.  A constant pair re-derives its one stencil
-    at the level's widths, the fine widths doubled along each halving: the
-    coarse space is nested in the fine one and the 2-point Gauss rule is
-    exact for a constant pair, so after even halvings that stencil equals
-    P^T A P, and below an odd end it is a rediscretization that ignores
-    the narrower last cell.  A CoefficientField coarsens its cell matrices
-    (_coarsen), P^T A P on every level.  The cell matrices of a level are
-    dropped once the next are formed.
+    Every level is a _Stencil.  The cell matrices are formed once, on the
+    fine grid, and each coarser level's come from _coarsen: P^T A P on
+    every level for a CoefficientField, and for a constant pair one shared
+    matrix, P^T A P after even halvings and below an odd end a
+    rediscretization that leaves out the narrower last cell.  The widths,
+    doubled along each halving, only choose the axes to halve.  The cell
+    matrices of a level are dropped once the next are formed.
     """
     cells, widths = prob.cells, prob.spacings
-    constant = not isinstance(prob.coeffs, CoefficientField)
     local = _cell_matrices(prob)
     levels = []
     while True:
@@ -680,8 +695,7 @@ def _hierarchy(prob: FemProblem):
                        for c, h in zip(cells, widths))
         levels.append((a, _jacobi_scale(a), halved))
         widths = tuple(2.0 * h if s else h for h, s in zip(widths, halved))
-        local = _cell_matrices(prob, widths) if constant \
-            else _coarsen(local, cells, halved)
+        local = _coarsen(local, cells, halved)
         cells = tuple(_coarse_cells(c, s) for c, s in zip(cells, halved))
 
 

@@ -92,9 +92,13 @@ _W_LOG_SMALL = -40.0
 # has converged when its last three nodes vary by less than 1e-6 relative.
 _TAIL_T = np.geomspace(1e-6, 1e8, 140)
 _TAIL_TOL = 1e-6
-# Young integrals: dyadic panels and the two Gauss-Legendre orders.
+# Young integrals: dyadic panels and the two Gauss-Legendre orders; a
+# panel whose orders differ by more than _YOUNG_SPLIT of the total is
+# halved, for at most _YOUNG_ROUNDS rounds.
 _YOUNG_PANELS = 60
 _YOUNG_ORDERS = (32, 24)
+_YOUNG_SPLIT = 1e-13
+_YOUNG_ROUNDS = 40
 
 
 @dataclass(frozen=True)
@@ -787,7 +791,11 @@ class YoungPair:
 def _young_integral(spec: PhiSpec, upper: float) -> float:
     """Gauss-Legendre on panels of [0, upper] that halve towards 0, where
     alone sigma*phi(sigma) may be singular, and that break at a truncated
-    power's junctions; two orders' difference is the error estimate."""
+    power's junctions; two orders' difference is the error estimate.
+
+    Each round halves the panels whose two orders disagree by more than
+    _YOUNG_SPLIT of the total, so a steep integrand such as s e^{s^2} gets
+    narrow panels at the top; the final check reads the whole sum."""
     if not (math.isfinite(upper) and upper >= 0.0):
         raise ValueError(f"Young functions take finite s >= 0, got {upper}")
     if upper == 0.0:
@@ -799,10 +807,19 @@ def _young_integral(spec: PhiSpec, upper: float) -> float:
     breaks = np.append(0.0, upper * 0.5 ** np.arange(_YOUNG_PANELS, -1, -1.0))
     if spec.family == TRUNCATED_POWER:
         breaks = np.union1d(breaks, np.minimum([spec.k - 1.0, spec.k], upper))
-    half = 0.5 * np.diff(breaks)[:, None]
-    high, low = (float(np.sum(half * w * spec.s_phi(breaks[:-1, None]
-                                                    + half * (x + 1.0))))
-                 for x, w in map(leggauss, _YOUNG_ORDERS))
+    rules = [leggauss(n) for n in _YOUNG_ORDERS]
+    for _ in range(_YOUNG_ROUNDS):
+        half = 0.5 * np.diff(breaks)[:, None]
+        high, low = (half * w * spec.s_phi(breaks[:-1, None]
+                                           + half * (x + 1.0))
+                     for x, w in rules)
+        total = abs(float(np.sum(high)))
+        split = (np.abs(high.sum(axis=1) - low.sum(axis=1))
+                 > _YOUNG_SPLIT * total)
+        if not split.any():
+            break
+        breaks = np.union1d(breaks, breaks[:-1][split] + half[split, 0])
+    high, low = float(np.sum(high)), float(np.sum(low))
     err = abs(high - low)
     if not (math.isfinite(high) and err <= 1e-6 * max(abs(high), 1.0) + 1e-10):
         raise QuadratureFailure(

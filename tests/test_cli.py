@@ -548,6 +548,25 @@ def test_regularity_fiber_reports_the_cells_it_solved(tmp_path):
                                                            "16x256"]
 
 
+def test_fiber_load_takes_the_configured_amp_and_p(tmp_path):
+    # The fiber preset scales its unit load by load.amp and solves at the
+    # configured p, as the other presets do; the solve is linear in F.
+    sols = []
+    for amp in (1.0, 3.0):
+        code, records, _ = _run_doc(tmp_path / str(amp), {
+            "command": "solve",
+            "coefficients": {"lam": 1.0, "mu": 1.0},
+            "load": {"preset": "fiber", "amp": amp},
+            "grid": [8, 128],
+            "p": 4.0,
+        })
+        assert code == EXIT_OK
+        sols.append(_by_kind(records, "solution")[0])
+    assert [s["p"] for s in sols] == [4.0, 4.0]
+    assert sols[1]["u_max"] == pytest.approx(3.0 * sols[0]["u_max"],
+                                             rel=1e-12)
+
+
 @pytest.mark.parametrize("doc", [
     {"command": "regularity", "load": {"preset": "fiber"}, "grid": [8, 8],
      "refinements": 2},

@@ -278,20 +278,27 @@ def _csr_jacobi_scale(kff):
     return (fem._DAMPING / float(np.max(rowsum / diag))) / diag
 
 
+def _pair_cell_matrix(coeffs, widths):
+    """The one cell matrix local[a, i, b, j] of a constant pair on cells of
+    the given widths, from the 2-point Gauss blocks of fem._local_blocks."""
+    lam, mu = coeffs
+    div_blk, grad_blk = fem._local_blocks(len(widths), 2, widths)
+    return lam * div_blk.sum(axis=0) + mu * grad_blk.sum(axis=0)
+
+
 def _reference_levels(prob, levels):
-    """The reference free block and cell widths of each level, fine to
-    coarse, for the halvings that levels lists: the assembled block of
-    prob, then P^T A P of the level above with the P of _prolongation.  A
-    constant pair, whose one stencil is re-derived at the level's widths,
-    leaves P^T A P below its first odd halving: from there its reference
-    is the block assembled from the cell matrices at those widths."""
+    """The reference free block of each level, fine to coarse, for the
+    halvings that levels lists: the assembled block of prob, then P^T A P
+    of the level above with the P of _prolongation.  A constant pair, whose
+    one coarsened cell matrix leaves out the narrower last cell of an odd
+    end, leaves P^T A P below its first odd halving: from there its
+    reference is the block assembled from the cell matrix that the 2-point
+    Gauss blocks give at the level's widths."""
     blocks = [_einsum_assembly(prob)[0]]
-    widths = [prob.spacings]
-    cells = prob.cells
+    widths, cells = prob.spacings, prob.cells
     galerkin = True
     for _, _, halved in levels:
-        widths.append(tuple(2.0 * h if s else h
-                            for h, s in zip(widths[-1], halved)))
+        widths = tuple(2.0 * h if s else h for h, s in zip(widths, halved))
         galerkin &= not (isinstance(prob.coeffs, tuple) and any(
             s and c % 2 for c, s in zip(cells, halved)))
         if galerkin:
@@ -299,9 +306,9 @@ def _reference_levels(prob, levels):
             blocks.append(p.T @ blocks[-1] @ p)
         cells = _coarser(cells, halved)
         if not galerkin:
-            blocks.append(_cell_assembly(
-                fem._cell_matrices(prob, widths[-1]), cells))
-    return blocks, widths
+            blocks.append(_cell_assembly(_pair_cell_matrix(
+                prob.coeffs, widths), cells))
+    return blocks
 
 
 _CHECKER = checkerboard_field(1.3, 0.7, 0.4, domain=(0.0, 1.0, 0.0, 2.0))
@@ -324,24 +331,21 @@ _LEVEL_CASES = pytest.mark.parametrize("cells, coeffs, sizes", [
 def test_stencil_levels_equal_galerkin_products(cells, coeffs, sizes):
     # each level against the reference of _reference_levels, P^T A P of
     # the level above where the hierarchy forms it: the level's cell
-    # matrices (re-derived at the level's widths for a constant pair,
-    # coarsened for a CoefficientField), its stencil apply and its Jacobi
-    # scales
+    # matrices, coarsened from the level above for both coefficient kinds,
+    # its stencil apply and its Jacobi scales
     prob = _anisotropic_box(len(cells), cells=cells, coeffs=coeffs)
     levels, coarsest = fem._hierarchy(prob)
     ops = [a for a, _, _ in levels] + [coarsest[0]]
     assert [a.cells for a in ops] == sizes
     local = fem._cell_matrices(prob)
-    refs, widths = _reference_levels(prob, levels)
+    refs = _reference_levels(prob, levels)
     scale = float(np.max(np.abs(refs[0].data)))
     rng = np.random.default_rng(len(cells))
     for level, (a, ref_a) in enumerate(zip(ops, refs)):
         assert isinstance(a, fem._Stencil)
         if level:
-            local = fem._cell_matrices(prob, widths[level]) \
-                if isinstance(coeffs, tuple) \
-                else fem._coarsen(local, ops[level - 1].cells,
-                                  levels[level - 1][2])
+            local = fem._coarsen(local, ops[level - 1].cells,
+                                 levels[level - 1][2])
         # sparse: the finest 3-D block would take 3.5 GB as a dense array
         gap = (_cell_assembly(local, a.cells) - ref_a).data
         assert np.max(np.abs(gap), initial=0.0) <= 1e-13 * scale, level
@@ -367,7 +371,7 @@ def test_coarsest_solve_matches_galerkin_direct_solve(cells, coeffs, sizes):
     prob = _anisotropic_box(len(cells), cells=cells, coeffs=coeffs)
     levels, (a, solve) = fem._hierarchy(prob)
     assert a.cells == sizes[-1]
-    ref_a = _reference_levels(prob, levels)[0][-1]
+    ref_a = _reference_levels(prob, levels)[-1]
     grid = _grid_dofs(a.cells)
     r = np.random.default_rng(len(cells)).standard_normal(len(grid))
     ref = spsolve(ref_a.tocsc(), r)
@@ -376,6 +380,60 @@ def test_coarsest_solve_matches_galerkin_direct_solve(cells, coeffs, sizes):
     rim = np.ones(x.shape, dtype=bool)
     rim[grid] = False
     assert np.all(x[rim] == 0.0)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 10.0])
+@pytest.mark.parametrize("cells, halved", [
+    ((8, 10), (True, True)),
+    ((8, 10), (False, True)),
+    ((8, 10, 9), (True, False, True)),
+], ids=["xy", "y", "xz"])
+def test_pair_coarsens_to_its_cell_matrix_at_doubled_widths(cells, halved,
+                                                            ratio):
+    # The 2-point Gauss rule is exact for a constant pair's form, so the
+    # one coarsened cell matrix, two children per halved axis, is the cell
+    # matrix at the widths doubled along those axes.
+    prob = _anisotropic_box(len(cells), cells=cells, coeffs=(ratio, 1.0))
+    coarse = fem._coarsen(fem._cell_matrices(prob), prob.cells, halved)
+    widths = tuple(2.0 * h if s else h for h, s in zip(prob.spacings, halved))
+    ref = _pair_cell_matrix(prob.coeffs, widths)
+    assert coarse.shape == ref.shape
+    assert np.max(np.abs(coarse - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("prob", [
+    lambda: manufactured_problem(64),
+    lambda: smooth_problem(64, coeffs=radial_field(1.0, 1.0, 0.1)),
+], ids=["pair", "radial"])
+def test_solve_runs_the_element_quadrature_once(prob, monkeypatch):
+    # Every coarse level's cell matrices come from _coarsen, so the cell
+    # matrices are formed once per solve, on the fine grid.
+    calls = []
+    cell_matrices = fem._cell_matrices
+
+    def counted(problem, *args):
+        calls.append(problem.cells)
+        return cell_matrices(problem, *args)
+
+    monkeypatch.setattr(fem, "_cell_matrices", counted)
+    assemble_and_solve(prob())
+    assert calls == [(64, 64)]
+
+
+def test_coefficient_samples_peak_memory():
+    # Sampled in blocks of whole cell rows: the 1.2 MB of coordinates and
+    # lookup temporaries per block, not per grid, beside the 4 MB of
+    # samples.  Sampled all at once, 256^2 peaked at 32 MB.
+    prob = smooth_problem(256, coeffs=radial_field(1.0, 1.0, 0.1))
+    fem._coefficient_samples(prob, 2)
+    tracemalloc.start()
+    try:
+        lam, mu = fem._coefficient_samples(prob, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lam.shape == mu.shape == (256 * 256, 4)
+    assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
 
 @pytest.mark.parametrize("cells, halved", [
@@ -753,7 +811,7 @@ def test_hierarchy_peak_memory(prob, bound_mb):
     # _hierarchy to a 45 MB peak on a 48^3 grid.  A CoefficientField's
     # CSR levels, stored P and Galerkin products took it to 22.9 MB at
     # 128^2, the first call's imports aside.  Below an odd halving a pair
-    # keeps one re-derived stencil per level, not per-node planes.
+    # keeps one coarsened cell matrix per level, not per-node planes.
     prob = prob()
     fem._hierarchy(prob)
     tracemalloc.start()

@@ -657,8 +657,12 @@ YOUNG_CLOSED_FORMS = (
     + [(f"dual-power-{p:g}", dual_phi(power_phi(p)), s,
         s ** (p / (p - 1.0)) * (p - 1.0) / p)
        for p in (1.5, 3.0, 8.0) for s in (0.2, 1.0, 2.5, 4.0)]
+    # exp_square from s = 12 on and the steep powers: their top dyadic
+    # panels are halved until the two Gauss-Legendre orders agree
     + [("exp_square", exp_square_phi(), s, 0.5 * math.expm1(s * s))
-       for s in (0.1, 1.0, 1.5, 2.5, 4.0)]
+       for s in (0.1, 1.0, 1.5, 2.5, 4.0, 12.0, 20.0, 26.0)]
+    + [(f"power-{p:g}", power_phi(p), s, s ** p / p)
+       for p, s in ((400.0, 1.2), (1000.0, 1.1))]
     + [("truncated-4-2", truncated_power(4.0, 2.0), s, young_truncated_4_2(s))
        for s in (0.5, 1.0, 1.5, 2.0, 3.0)])
 
