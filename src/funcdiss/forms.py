@@ -29,6 +29,11 @@ wavelength, so the node count of an oscillatory probe doubles, rather than
 quadruples, per frequency octave.  Every probe vanishes, with its
 Jacobian, outside the disk inscribed in its support box, and the rule keeps
 only the nodes of each row inside that disk, about pi/4 of the box's.
+
+Quadrature evaluates a probe in one place, _integrate, once per chunk of
+nodes: every integrand is a function of the nodes and of the field's
+values and Jacobian there.  The zero-set rule, under which the |v|^-2 and
+|v|^-4 terms are extended by zero, is stated once, in _modulus.
 """
 
 from __future__ import annotations
@@ -98,7 +103,9 @@ class TestField:
     the field then varies slowly along xi-perp, so the quadrature rotates
     the box into the frame (xi, xi-perp) and resolves the wavelength along
     xi only.  scale is an amplitude hint used by the zero set convention
-    |v| <= 1e-14 * scale.
+    |v| <= 1e-14 * scale, which _modulus applies.  Quadrature calls value
+    and then jacobian once per chunk of nodes, in _integrate, and hands
+    both to the integrand.
     """
 
     label: str
@@ -466,23 +473,27 @@ def _disk_rule(v: TestField, *, order: int = 8,
 
 
 def _integrate(fn, v: TestField, **rule) -> np.ndarray:
-    """Integrate fn(pts) -> (n,) or (n, q) over the support of v, on the
-    chunks of _disk_rule(v, **rule).  Each chunk's points, weights and
-    values are freed before the next chunk is built, so the chunk bounds
-    the memory: the Lame integrand with a built-in field, value and
-    Jacobian included, peaks at about 200 bytes a node for a real field
-    and 285 for a complex one (tracemalloc, the counterexample wave with
-    its carrier), some 13 and 18 MB at the default 65,536 nodes.  Returns
-    a length q vector (q = 1 for scalar integrands).
+    """Integrate fn(pts, vals, jac) -> (n,) or (n, q) over the support of
+    v, on the chunks of _disk_rule(v, **rule).
+
+    This is the one place where quadrature evaluates a probe: each chunk
+    calls v.value and then v.jacobian once, and fn receives both, so an
+    integrand never calls the probe itself.  Each chunk's points, weights,
+    field values and columns are freed before the next chunk is built, so
+    the chunk bounds the memory: the Lame integrand with a built-in field,
+    value and Jacobian included, peaks at about 200 bytes a node for a real
+    field and 285 for a complex one (tracemalloc, the counterexample wave
+    with its carrier), some 13 and 18 MB at the default 65,536 nodes.
+    Returns a length q vector (q = 1 for scalar integrands).
     """
     total: np.ndarray | None = None
     for pts, weights in _disk_rule(v, **rule):
-        vals = np.asarray(fn(pts))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        part = weights @ vals
+        cols = np.asarray(fn(pts, v.value(pts), v.jacobian(pts)))
+        if cols.ndim == 1:
+            cols = cols[:, None]
+        part = weights @ cols
         # freed before the next chunk is built, which then reuses the memory
-        del pts, weights, vals
+        del pts, weights, cols
         total = part if total is None else total + part
     assert total is not None
     if not np.all(np.isfinite(total)):
@@ -494,28 +505,43 @@ def _integrate(fn, v: TestField, **rule) -> np.ndarray:
 # the dissipativity form
 
 
-def _field_data(v: TestField, pts):
-    vals = v.value(pts)
-    jac = v.jacobian(pts)
-    nv = np.linalg.norm(vals, axis=1)
-    tiny = ZERO_SET_REL * v.scale
-    mask = nv > tiny
+def _re_dot(x, y):
+    """Re(conj(x) y) per node, in real arithmetic only."""
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        return x.real * y.real + x.imag * y.imag
+    return x * y
+
+
+def _modulus(vals, jac, scale: float):
+    """The zero-set rule of every form integrand, stated once.
+
+    Returns (mask, safe, d1, d2): mask is |v| > ZERO_SET_REL * scale, the
+    nodes off the zero set; safe is |v| on the mask and 1 elsewhere, so
+    dividing by it is always defined; d1 and d2 are the rows
+    d_k|v| = Re<v, d_k v>/|v| (k = 1, 2) on the mask.  Terms with |v|^-2
+    or |v|^-4 are extended by zero where mask is False.  Everything runs
+    in real arithmetic, so a real field never touches a complex array.
+    """
+    v1, v2 = vals[:, 0], vals[:, 1]
+    nv = np.sqrt(_re_dot(v1, v1) + _re_dot(v2, v2))
+    mask = nv > ZERO_SET_REL * scale
     safe = np.where(mask, nv, 1.0)
-    unit = vals / safe[:, None]
-    # d_k = Re <v, d_k v> / |v| = d_k |v| on the support of v
-    d = np.einsum("ni,nik->nk", np.conj(vals), jac).real / safe[:, None]
-    return vals, jac, nv, mask, unit, d
+    d1 = (_re_dot(v1, jac[:, 0, 0]) + _re_dot(v2, jac[:, 1, 0])) / safe
+    d2 = (_re_dot(v1, jac[:, 0, 1]) + _re_dot(v2, jac[:, 1, 1])) / safe
+    return mask, safe, d1, d2
 
 
 def _generic_integrand(system: GeneralSystem, phi_spec: PhiSpec,
-                       v: TestField):
+                       scale: float):
     tensor = system.tensor
     gap = system.adjoint_gap()
     has_gap = bool(np.max(np.abs(gap)) > 1e-14)
 
-    def fn(pts):
-        vals, jac, nv, mask, unit, d = _field_data(v, pts)
-        lam = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
+    def fn(pts, vals, jac):
+        mask, safe, d1, d2 = _modulus(vals, jac, scale)
+        unit = vals / safe[:, None]
+        d = np.column_stack([d1, d2])
+        lam = phi_spec.profile.lambda_of(safe)
         t1 = np.einsum("hkij,njk,nih->n", tensor, jac, np.conj(jac))
         weighted = np.zeros(len(pts), dtype=complex)
         if has_gap:
@@ -530,17 +556,11 @@ def _generic_integrand(system: GeneralSystem, phi_spec: PhiSpec,
     return fn
 
 
-def _re_dot(x, y):
-    """Re(conj(x) y) per node, in real arithmetic only."""
-    if np.iscomplexobj(x) or np.iscomplexobj(y):
-        return x.real * y.real + x.imag * y.imag
-    return x * y
-
-
-def _lame_integrand(target, phi_spec: PhiSpec, v: TestField,
+def _lame_integrand(target, phi_spec: PhiSpec, scale: float,
                     kappa: float = 0.0):
     """Scalar coefficient route for the Lame tensor, shifted by -kappa
-    Laplacian (kappa = 0 is the plain form).
+    Laplacian (kappa = 0 is the plain form), as an integrand of
+    (pts, vals, jac) for a field of amplitude hint scale.
 
     Valid for complex fields: the first order term vanishes because the
     tensor is formally self adjoint, and the weighted term reduces to
@@ -551,10 +571,9 @@ def _lame_integrand(target, phi_spec: PhiSpec, v: TestField,
     real and imaginary parts; a real field never touches a complex array.
     """
 
-    def fn(pts):
+    def fn(pts, vals, jac):
         lam, mu = _coefficients_at(target, pts)
-        return _lame_columns(lam, mu, phi_spec, v.scale, v.value(pts),
-                             v.jacobian(pts), kappa)
+        return _lame_columns(lam, mu, phi_spec, scale, vals, jac, kappa)
 
     return fn
 
@@ -571,12 +590,8 @@ def _lame_columns(lam, mu, phi_spec: PhiSpec, scale: float, vals, jac,
     div = j11 + j22
     swap = diag + 2.0 * _re_dot(j12, j21)
     base = (mu - kappa) * grad2 + lam * _re_dot(div, div) + mu * swap
-    nv = np.sqrt(_re_dot(v1, v1) + _re_dot(v2, v2))
-    mask = nv > ZERO_SET_REL * scale
-    safe = np.where(mask, nv, 1.0)
+    mask, safe, d1, d2 = _modulus(vals, jac, scale)
     lv = phi_spec.profile.lambda_of(safe)
-    d1 = (_re_dot(v1, j11) + _re_dot(v2, j21)) / safe
-    d2 = (_re_dot(v1, j12) + _re_dot(v2, j22)) / safe
     qv = v1 * d1 + v2 * d2  # |v| q
     corr = (lv * lv) * ((lam + mu) * _re_dot(qv, qv) / (safe * safe)
                         + (mu - kappa) * (d1 * d1 + d2 * d2))
@@ -599,9 +614,9 @@ def _coefficients_at(target, pts):
 def _form_and_energy(target, phi_spec: PhiSpec, v: TestField,
                      **quad) -> tuple[float, float]:
     if isinstance(target, GeneralSystem):
-        fn = _generic_integrand(target, phi_spec, v)
+        fn = _generic_integrand(target, phi_spec, v.scale)
     elif isinstance(target, (CoefficientField, tuple)):
-        fn = _lame_integrand(target, phi_spec, v)
+        fn = _lame_integrand(target, phi_spec, v.scale)
     else:
         raise TypeError("target must be a GeneralSystem, a CoefficientField "
                         "or a (lambda, mu) pair")
@@ -623,8 +638,7 @@ def dissipativity_form(target, phi_spec: PhiSpec, v: TestField,
 
 
 def gradient_energy(v: TestField, **quad) -> float:
-    def fn(pts):
-        jac = v.jacobian(pts)
+    def fn(pts, vals, jac):
         return np.einsum("nih,nih->n", jac, np.conj(jac)).real
 
     return float(_integrate(fn, v, **quad)[0])
@@ -683,12 +697,7 @@ def _xy_parts(vals, jac, scale: float):
         raise ValueError("frame decomposition needs a real valued field")
     vals = vals.real
     jac = jac.real
-    nv = np.hypot(vals[:, 0], vals[:, 1])
-    mask = nv > ZERO_SET_REL * scale
-    safe = np.where(mask, nv, 1.0)
-    # d_k|v| = (v1 d_k v1 + v2 d_k v2)/|v|
-    d1 = (vals[:, 0] * jac[:, 0, 0] + vals[:, 1] * jac[:, 1, 0]) / safe
-    d2 = (vals[:, 0] * jac[:, 0, 1] + vals[:, 1] * jac[:, 1, 1]) / safe
+    mask, safe, d1, d2 = _modulus(vals, jac, scale)
     x1 = (vals[:, 0] * d1 + vals[:, 1] * d2) / safe
     x2 = (vals[:, 1] * d1 - vals[:, 0] * d2) / safe
     div = jac[:, 0, 0] + jac[:, 1, 1]
@@ -753,21 +762,16 @@ def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
         raise ValueError("the frame breakdown needs a real valued field")
     lam_sup_sq = phi_spec.profile.limit.sup_bound
 
-    def fn(pts):
+    def fn(pts, vals, jac):
         lam, mu = _coefficients_at(field, pts)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), (len(pts),))
         mu = np.broadcast_to(np.asarray(mu, dtype=float), (len(pts),))
         gam = mu * (lam + mu) / (lam + 3.0 * mu)
-        # one evaluation of the probe per chunk serves every column
-        vals = v.value(pts)
-        jac = v.jacobian(pts)
         total = _lame_columns(lam, mu, phi_spec, v.scale, vals, jac,
                               kappa)[:, 0]
         x1, x2, y1, y2 = _xy_parts(vals, jac, v.scale)
-        vals = vals.real
-        nv = np.hypot(vals[:, 0], vals[:, 1])
-        mask = nv > ZERO_SET_REL * v.scale
-        lv = phi_spec.profile.lambda_of(np.where(mask, nv, 1.0))
+        mask, safe, _, _ = _modulus(vals.real, jac.real, v.scale)
+        lv = phi_spec.profile.lambda_of(safe)
         lam2 = np.where(mask, lv * lv, 0.0)
         cols = [
             total,
@@ -817,10 +821,10 @@ def commutator_ibp(v: TestField, grad_f: Callable[[np.ndarray], np.ndarray],
             = sum_k int d_k f (v_k div v - v_j d_j v_k).
     """
 
-    def fn(pts):
+    def fn(pts, vals, jac):
         g = np.asarray(grad_f(pts), dtype=float)
-        vals = v.value(pts).real
-        jac = v.jacobian(pts).real
+        vals = vals.real
+        jac = jac.real
         div = jac[:, 0, 0] + jac[:, 1, 1]
         # v_k div v - v_j d_j v_k  (index k)
         carried = vals * div[:, None] - np.einsum("nj,nkj->nk", vals, jac)

@@ -761,7 +761,10 @@ def dual_phi(spec: PhiSpec) -> PhiSpec:
     s0_dual = float(spec.s_phi(spec.s0))
     s1_dual = float(spec.s_phi(spec.s1))
     probe = np.geomspace(s0_dual / 10.0, 10.0 * s1_dual, 64)
-    ratio = (psi(probe) + probe * dpsi(probe)) / probe ** r_dual
+    # (t psi)' = psi/(1 + r) = s/(t (1 + r)), read off the forward map: psi'
+    # underflows to 0 at the top of a steep weight's window
+    s, r = spec.profile._preimage(probe, 1.0)
+    ratio = s / (probe * (1.0 + r)) / probe ** r_dual
     return PhiSpec(
         family=DUAL, r=r_dual, s0=s0_dual, s1=s1_dual,
         c1=0.5 * float(np.min(ratio)), c2=2.0 * float(np.max(ratio)),

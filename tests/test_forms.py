@@ -413,9 +413,9 @@ def test_integrate_rejects_non_square_support():
         "grid-truncated"])
 def test_disk_rule_matches_box_rule_on_ensemble(target, spec):
     for v in standard_ensemble(2026):
-        fn = _lame_integrand(target, spec, v)
+        fn = _lame_integrand(target, spec, v.scale)
         pts, weights, _ = _box_rule(v)
-        box = weights @ fn(pts)
+        box = weights @ fn(pts, v.value(pts), v.jacobian(pts))
         form, grad2 = _integrate(fn, v)
         assert abs(form - box[0]) <= 1e-13 * box[1], v.label
         assert abs(grad2 - box[1]) <= 1e-13 * box[1], v.label
@@ -497,7 +497,8 @@ def test_lame_integrand_matches_einsum_reference_per_node(spec, kappa):
             pts = _reference_points(field, seed=10 * i + t)
             nv = np.linalg.norm(field.value(pts), axis=1)
             assert np.any(nv <= ZERO_SET_REL * field.scale)
-            got = _lame_integrand(target, spec, field, kappa)(pts)
+            got = _lame_integrand(target, spec, field.scale, kappa)(
+                pts, field.value(pts), field.jacobian(pts))
             ref = _einsum_lame_integrand(lam_at, mu_at, spec, field,
                                          kappa)(pts)
             scale = np.max(np.abs(ref), axis=0)
@@ -771,9 +772,9 @@ def _unshared_breakdown(target, spec, v, kappa, **quad):
     # apart for the total, the weight mask and the frame split, kept as a
     # reference for the shared evaluation
     lam_at, mu_at = _samplers(target)
-    form = _lame_integrand(target, spec, v, kappa)
+    form = _lame_integrand(target, spec, v.scale, kappa)
 
-    def fn(pts):
+    def fn(pts, _vals, _jac):
         lam = np.broadcast_to(np.asarray(lam_at(pts), dtype=float),
                               (len(pts),))
         mu = np.broadcast_to(np.asarray(mu_at(pts), dtype=float),
@@ -786,7 +787,7 @@ def _unshared_breakdown(target, spec, v, kappa, **quad):
         lam2 = np.where(mask, lv * lv, 0.0)
         x1, x2, y1, y2 = xy_decompose(v, pts)
         return np.column_stack([
-            form(pts)[:, 0],
+            form(pts, v.value(pts), v.jacobian(pts))[:, 0],
             (lam + 2.0 * mu - kappa) * (1.0 - lam2) * x1 * x1,
             (mu - kappa) * (1.0 - lam2) * x2 * x2,
             (lam + 2.0 * mu - kappa) * y1 * y1,
@@ -811,25 +812,52 @@ def _counted_probe(field, seen):
     return dataclasses.replace(field, value=value, jacobian=jacobian)
 
 
-def test_breakdown_evaluates_probe_once_per_chunk():
-    spec = power_phi(4.0)
-    grid = ramp_field(1.0, 1.0, 0.3, shape=(65, 65),
-                      domain=(-1.0, 1.0, -1.0, 1.0))
+_ONCE_SPEC = power_phi(4.0)
+_ONCE_GRID = ramp_field(1.0, 1.0, 0.3, shape=(65, 65),
+                        domain=(-1.0, 1.0, -1.0, 1.0))
+_ONCE_BREAKDOWN = {"breakdown-pair": (1.2, 0.8),
+                   "breakdown-grid": _ONCE_GRID}
+
+
+def _breakdown_columns(target):
+    def run(v, **quad):
+        bd = elasticity_breakdown(target, _ONCE_SPEC, v, kappa=0.1, **quad)
+        return [bd.total, bd.x1_sq, bd.x2_sq, bd.y1_sq, bd.y2_sq,
+                bd.cross_x1y1, bd.cross_x2y2, bd.commutator_term]
+    return run
+
+
+# every public route into the quadrature, as a function of (probe, quad)
+_ONCE_INTEGRATORS = {
+    "form-pair": lambda v, **quad: dissipativity_form(
+        (1.2, 0.8), _ONCE_SPEC, v, **quad),
+    "form-grid": lambda v, **quad: dissipativity_form(
+        _ONCE_GRID, _ONCE_SPEC, v, **quad),
+    "form-system": lambda v, **quad: dissipativity_form(
+        lame_system(1.2, 0.8), _ONCE_SPEC, v, **quad),
+    "gradient_energy": gradient_energy,
+    "strict_margin": lambda v, **quad: strict_margin(
+        (1.2, 0.8), _ONCE_SPEC, [v], 0.1, **quad).min_residual,
+    "commutator_ibp": lambda v, **quad: commutator_ibp(
+        v, lambda pts: pts, **quad),
+    **{name: _breakdown_columns(target)
+       for name, target in _ONCE_BREAKDOWN.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(_ONCE_INTEGRATORS))
+def test_integrator_evaluates_probe_once_per_chunk(name):
+    # quadrature calls value, then jacobian, once per chunk and nowhere else
     quad = {"max_chunk": 4096}
-    for target in ((1.2, 0.8), grid):
-        for field in five_real_fields():
-            chunks = []
-            gradient_energy(_counted_probe(field, chunks), **quad)
-            seen = []
-            bd = elasticity_breakdown(target, spec,
-                                      _counted_probe(field, seen),
-                                      kappa=0.1, **quad)
-            assert len(chunks) > 1
-            assert seen.count("value") == len(chunks), field.label
-            assert seen.count("jacobian") == len(chunks), field.label
-            ref = _unshared_breakdown(target, spec, field, 0.1, **quad)
-            got = [bd.total, bd.x1_sq, bd.x2_sq, bd.y1_sq, bd.y2_sq,
-                   bd.cross_x1y1, bd.cross_x2y2, bd.commutator_term]
+    for field in five_real_fields():
+        seen = []
+        got = _ONCE_INTEGRATORS[name](_counted_probe(field, seen), **quad)
+        chunks = len(list(_disk_rule(field, **quad)))
+        assert chunks > 1, field.label
+        assert seen == ["value", "jacobian"] * chunks, field.label
+        if name in _ONCE_BREAKDOWN:
+            ref = _unshared_breakdown(_ONCE_BREAKDOWN[name], _ONCE_SPEC,
+                                      field, 0.1, **quad)
             np.testing.assert_allclose(
                 got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)),
                 err_msg=field.label)

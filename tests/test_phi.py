@@ -8,6 +8,7 @@ the non monotone ratio.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -574,6 +575,17 @@ def test_dual_of_power_is_conjugate_power():
     assert np.allclose(psi.phi(t), t ** -0.5, rtol=1e-10)
     assert psi.r == pytest.approx(-0.5, rel=1e-15)
     assert np.allclose(psi.dphi(t), -0.5 * t ** -1.5, rtol=1e-8)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 200.0, 400.0, 1000.0])
+def test_dual_envelope_constants_of_power(p):
+    # (t psi)' = t^(p'-2)/(p - 1) exactly, so c1 and c2 are 0.5/(p - 1)
+    # and 2/(p - 1); a steep weight must read them without overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        psi = dual_phi(power_phi(p))
+    assert psi.c1 == pytest.approx(0.5 / (p - 1.0), rel=1e-12)
+    assert psi.c2 == pytest.approx(2.0 / (p - 1.0), rel=1e-12)
 
 
 def test_dual_lambda_negates():
