@@ -20,15 +20,12 @@ from .phi import (
     PhiValidation,
     LambdaProfile,
     LambdaLimit,
-    YoungPair,
     power_phi,
     exp_square_phi,
     truncated_power,
     custom_phi,
     validate_phi,
-    inverse_s_phi,
     dual_phi,
-    young_pair,
 )
 from .coefficients import (
     CoefficientField,
@@ -43,7 +40,6 @@ from .coefficients import (
     checkerboard_field,
     radial_field,
     lame_system,
-    save_field,
     load_field,
 )
 from .criteria import (
@@ -54,11 +50,8 @@ from .criteria import (
     algebraic_form,
     lame2d_verdict,
     lameNd_sufficient,
-    perturbation_budget,
-    comparison_constant,
     kappa_policy,
     constant_threshold,
-    poisson_threshold,
     STRICT_DISSIPATIVE,
     DISSIPATIVE_BOUNDARY,
     NOT_DISSIPATIVE,
@@ -73,27 +66,18 @@ from .forms import (
     standard_ensemble,
     xy_decompose,
     dissipativity_form,
-    gradient_energy,
     strict_margin,
     MarginReport,
-    FormBreakdown,
-    elasticity_breakdown,
-    commutator_ibp,
-    laplacian_shift,
-    weighted_map_gradients,
     oscillatory_counterexample,
     CounterexampleReport,
 )
 from .orlicz import (
     SampledField,
     YoungFunction,
-    validate_young,
     power_young,
     exp_young,
     exp_conjugate,
-    exp_power_young,
     log_young,
-    legendre_conjugate,
     luxemburg_norm,
     orlicz_norm,
     holder_orlicz,
@@ -105,8 +89,6 @@ from .fem import (
     assemble_and_solve,
     weighted_energy,
     regularity_ratio,
-    holder_split_check,
-    HolderSplitReport,
     manufactured_problem,
     manufactured_reference,
     fiber_problem,

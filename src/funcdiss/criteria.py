@@ -52,11 +52,8 @@ __all__ = [
     "algebraic_form",
     "lame2d_verdict",
     "lameNd_sufficient",
-    "perturbation_budget",
-    "comparison_constant",
     "kappa_policy",
     "constant_threshold",
-    "poisson_threshold",
 ]
 
 # algebraic_margin: lattice points per search angle.
@@ -335,17 +332,6 @@ def constant_threshold(lam: float, mu: float) -> float:
     return 1.0
 
 
-def poisson_threshold(nu: float) -> float:
-    """The same bound through the Poisson ratio nu = lambda/(2(lambda+mu)):
-    (1-2nu)/(2(1-nu)) for nu < 1/2 and 2(1-nu)/(1-2nu) for nu > 1."""
-    if nu < 0.5:
-        return (1.0 - 2.0 * nu) / (2.0 * (1.0 - nu))
-    if nu > 1.0:
-        return 2.0 * (1.0 - nu) / (1.0 - 2.0 * nu)
-    raise ValueError("Poisson ratio must satisfy nu < 1/2 or nu > 1 "
-                     "for an elliptic constant pair")
-
-
 def lameNd_sufficient(phi_spec: PhiSpec, lam: float, mu: float) -> Verdict:
     """Sufficient criterion for the constant coefficient operator in any
     dimension, read off the weight's tail phi_spec.profile.limit.  Returns
@@ -363,33 +349,3 @@ def lameNd_sufficient(phi_spec: PhiSpec, lam: float, mu: float) -> Verdict:
                               "constant coefficient sufficient bound met"))
     return Verdict(INCONCLUSIVE, lam2, threshold, margin,
                    notes=(basis, "sufficient bound not met; no conclusion"))
-
-
-def comparison_constant(phi_spec: PhiSpec, dim: int = 2) -> float:
-    """Coefficient-wise bound C on the perturbation form: the terms
-    sigma |grad v|^2, eps (div v)^2, sigma sum d_k v_j d_j v_k and the
-    Lambda^2 weighted gradient terms give
-    C = max(2 + 2 S, dim + S) with S = phi_spec.profile.limit.sup_bound."""
-    lam2 = phi_spec.profile.limit.sup_bound
-    return max(2.0 + 2.0 * lam2, dim + lam2)
-
-
-def perturbation_budget(phi_spec: PhiSpec, lam0: float, mu0: float,
-                        kappa0: float, *, dim: int = 2) -> float:
-    """Sup norm budget for coefficient perturbations that keeps half the
-    strict margin.
-
-    For the constant pair (lam0, mu0) strictly dissipative with margin
-    kappa0, any perturbation (eps, sigma) with |||eps| + |sigma|||_inf at
-    most kappa0/(2C) leaves the operator strictly dissipative with margin
-    kappa0/2, with C from the weight's tail phi_spec.profile.limit.  The
-    budget is linear in kappa0; a zero margin buys nothing, and a negative
-    or non-finite one raises NotStrict.
-    """
-    if not (math.isfinite(kappa0) and kappa0 >= 0.0):
-        raise NotStrict(f"kappa0 must be finite and nonnegative, got {kappa0:.6g}")
-    if kappa0 == 0.0:
-        return 0.0
-    # The base pair must actually be elliptic for the bound to mean anything.
-    constant_threshold(lam0, mu0)
-    return kappa0 / (2.0 * comparison_constant(phi_spec, dim))

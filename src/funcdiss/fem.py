@@ -49,19 +49,17 @@ The solver exists to probe the weighted energy estimate
 
     int |grad u|^2 |u|^{p-2} dx <= C ( int |F|^{Np/(N+p-2)} )^{(N+p-2)/N}
 
-through truncated weights, Holder exponent splits and refinement studies,
-not to be a general purpose elasticity code.  Each solve samples |u|,
-|grad u|^2 and |F| in one pass at order-4 Gauss points, in fixed blocks of
-cells, and each block adds its share to both sides of the estimate, so no
-sample array scales with the grid but the planar |F|^2 that the Orlicz
-gauge re-reads.
+through truncated weights and refinement studies, not to be a general
+purpose elasticity code.  Each solve samples |u|, |grad u|^2 and |F| in
+one pass at order-4 Gauss points, in fixed blocks of cells, and each block
+adds its share to both sides of the estimate, so no sample array scales
+with the grid but the planar |F|^2 that the Orlicz gauge re-reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Mapping
@@ -85,8 +83,6 @@ __all__ = [
     "assemble_and_solve",
     "weighted_energy",
     "regularity_ratio",
-    "holder_split_check",
-    "HolderSplitReport",
     "manufactured_problem",
     "manufactured_reference",
     "fiber_problem",
@@ -1014,70 +1010,6 @@ def regularity_ratio(sol: FemSolution) -> float:
     else:
         rhs = norm ** (prob.p / 2.0)
     return lhs / rhs
-
-
-@dataclass(frozen=True)
-class HolderSplitReport:
-    alpha: Fraction | None  # None encodes the p = 2 endpoint (alpha = inf)
-    alpha_prime: Fraction
-    conjugate_ok: bool
-    k: float
-    chain_worst_slack: float
-    split_lhs: float
-    split_rhs: float
-    split_slack: float
-
-
-def holder_split_check(sol: FemSolution, k: float = 3.0) -> HolderSplitReport:
-    """Certify the exponent bookkeeping behind the weighted estimate.
-
-    With alpha = Np/((N-2)(p-2)) and alpha' = Np/(2(N+p)-4) the pair is
-    conjugate (checked exactly in rationals), the truncated weight obeys
-    phi_k(|u|) <= |v_k|^{2(p-2)/p} pointwise for v_k = sqrt(phi_k(|u|)) u,
-    and int |F|^2 phi_k(|u|) splits by Holder against those exponents.
-    Needs N >= 3; the planar case runs on the Orlicz route instead.
-    """
-    prob = sol.problem
-    if prob.dim < 3:
-        raise ValueError("the Holder split needs N >= 3")
-    p = prob.p
-    n = prob.dim
-    pf = Fraction(p)  # exact for float input; conjugacy is then symbolic
-    alpha_prime = (n * pf) / (2 * (n + pf) - 4)
-    if p == 2.0:
-        # alpha degenerates to infinity and the split pair is (sup, L^1)
-        alpha = None
-        conj = alpha_prime == 1
-    else:
-        alpha = (n * pf) / ((n - 2) * (pf - 2))
-        conj = (1 / alpha + 1 / alpha_prime) == 1
-
-    spec = truncated_power(p, float(k))
-    ap = float(alpha_prime)
-    a = 0.0 if alpha is None else float(alpha)
-    lhs = phik_max = phik_sum = fmag_sum = 0.0
-    chain_slack = math.inf
-
-    def add(umag, _, fmag, weights):
-        nonlocal chain_slack, lhs, phik_max, phik_sum, fmag_sum
-        phik = spec.phi(umag)
-        vmag_sq = phik * umag * umag
-        chain_rhs = vmag_sq ** ((p - 2.0) / p) if p > 2.0 else 1.0
-        chain_slack = min(chain_slack, float(np.min(chain_rhs - phik)))
-        lhs += float(np.sum(weights * fmag ** 2 * phik))
-        phik_max = max(phik_max, float(np.max(phik)))
-        if alpha is not None:
-            phik_sum += float(np.sum(weights * phik ** a))
-        fmag_sum += float(np.sum(weights * fmag ** (2.0 * ap)))
-
-    _gauss_samples(prob, sol.u, add)
-    phik_norm = phik_max if alpha is None else phik_sum ** (1.0 / a)
-    rhs = phik_norm * fmag_sum ** (1.0 / ap)
-    return HolderSplitReport(alpha=alpha, alpha_prime=alpha_prime,
-                             conjugate_ok=bool(conj), k=float(k),
-                             chain_worst_slack=chain_slack,
-                             split_lhs=lhs, split_rhs=rhs,
-                             split_slack=rhs - lhs)
 
 
 # ---------------------------------------------------------------------------

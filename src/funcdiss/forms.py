@@ -15,9 +15,8 @@ to scalar coefficient combinations of
     |grad v|^2, (div v)^2, sum_kj d_k v_j d_j v_k, |grad |v||^2,
     and |v|^-2 (v_h d_h |v|)^2,
 
-which this module evaluates both directly and through the X/Y frame
-decomposition; the two routes share quadrature nodes, so their agreement
-checks the algebra rather than the mesh.
+which this module evaluates directly; xy_decompose gives a field's X/Y
+frame components at given points.
 
 Everything here is deterministic: test fields are generated from explicit
 seeds, quadrature is tensor Gauss-Legendre with a resolution rule tied to
@@ -58,15 +57,9 @@ __all__ = [
     "standard_ensemble",
     "xy_decompose",
     "dissipativity_form",
-    "gradient_energy",
     "strict_margin",
     "FieldResidual",
     "MarginReport",
-    "FormBreakdown",
-    "elasticity_breakdown",
-    "commutator_ibp",
-    "laplacian_shift",
-    "weighted_map_gradients",
     "CounterexampleReport",
     "oscillatory_counterexample",
 ]
@@ -637,13 +630,6 @@ def dissipativity_form(target, phi_spec: PhiSpec, v: TestField,
     return _form_and_energy(target, phi_spec, v, **quad)[0]
 
 
-def gradient_energy(v: TestField, **quad) -> float:
-    def fn(pts, vals, jac):
-        return np.einsum("nih,nih->n", jac, np.conj(jac)).real
-
-    return float(_integrate(fn, v, **quad)[0])
-
-
 @dataclass(frozen=True)
 class FieldResidual:
     label: str
@@ -676,7 +662,7 @@ def strict_margin(target, phi_spec: PhiSpec, ensemble, kappa: float,
 
 
 # ---------------------------------------------------------------------------
-# X/Y frame decomposition and the elasticity breakdown
+# X/Y frame decomposition
 
 
 def xy_decompose(v: TestField, pts):
@@ -688,16 +674,12 @@ def xy_decompose(v: TestField, pts):
     on the zero set of v.
     """
     pts = np.asarray(pts, dtype=float)
-    return _xy_parts(v.value(pts), v.jacobian(pts), v.scale)
-
-
-def _xy_parts(vals, jac, scale: float):
-    """xy_decompose from the field's values and Jacobian at the nodes."""
+    vals = v.value(pts)
     if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) > 0.0:
         raise ValueError("frame decomposition needs a real valued field")
     vals = vals.real
-    jac = jac.real
-    mask, safe, d1, d2 = _modulus(vals, jac, scale)
+    jac = v.jacobian(pts).real
+    mask, safe, d1, d2 = _modulus(vals, jac, v.scale)
     x1 = (vals[:, 0] * d1 + vals[:, 1] * d2) / safe
     x2 = (vals[:, 1] * d1 - vals[:, 0] * d2) / safe
     div = jac[:, 0, 0] + jac[:, 1, 1]
@@ -708,171 +690,6 @@ def _xy_parts(vals, jac, scale: float):
     for arr in (x1, x2, y1, y2):
         arr[zero] = 0.0
     return x1, x2, y1, y2
-
-
-@dataclass(frozen=True)
-class FormBreakdown:
-    """Term by term split of the strict Lame form.
-
-    total is the direct quadrature of the kappa shifted form, on the
-    integrand of dissipativity_form; the seven parts re-express it in the
-    X/Y frame with the cross weights moved to
-    gamma = mu (lambda + mu)/(lambda + 3 mu), the choice that balances the
-    two discriminants.  commutator_term collects what that shift displaces,
-    2 (gamma - mu)(X1 Y1 + X2 Y2), an integrand equal pointwise to
-    mu^2/(lambda + 3 mu) times the null Lagrangian defect
-    sum d_k v_j d_j v_k - (div v)^2 scaled by 2.
-    """
-
-    total: float
-    x1_sq: float
-    x2_sq: float
-    y1_sq: float
-    y2_sq: float
-    cross_x1y1: float
-    cross_x2y2: float
-    commutator_term: float
-    kappa: float
-    lambda_sup_sq: float
-    disgamma_ok: bool
-    disgamma2_ok: bool
-
-    @property
-    def parts_sum(self) -> float:
-        return (self.x1_sq + self.x2_sq + self.y1_sq + self.y2_sq
-                + self.cross_x1y1 + self.cross_x2y2 + self.commutator_term)
-
-
-def elasticity_breakdown(field, phi_spec: PhiSpec, v: TestField,
-                         kappa: float = 0.0, **quad) -> FormBreakdown:
-    """Evaluate the kappa shifted Lame form and its frame split.
-
-    field is a CoefficientField or a constant (lambda, mu) pair; v must be
-    real valued.  The discriminant flags certify, node-wise over the
-    coefficient grid, that
-
-        gamma^2 < (mu - kappa)^2 (1 - sup Lambda^2)
-        (lambda + mu - gamma)^2 < (lambda + 2 mu - kappa)^2 (1 - sup Lambda^2)
-
-    which is exactly what makes the two quadratic forms in (X1, Y1) and
-    (X2, Y2) jointly positive regardless of the probe, with sup Lambda^2
-    read as LambdaLimit.sup_bound.
-    """
-    if not v.is_real:
-        raise ValueError("the frame breakdown needs a real valued field")
-    lam_sup_sq = phi_spec.profile.limit.sup_bound
-
-    def fn(pts, vals, jac):
-        lam, mu = _coefficients_at(field, pts)
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), (len(pts),))
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), (len(pts),))
-        gam = mu * (lam + mu) / (lam + 3.0 * mu)
-        total = _lame_columns(lam, mu, phi_spec, v.scale, vals, jac,
-                              kappa)[:, 0]
-        x1, x2, y1, y2 = _xy_parts(vals, jac, v.scale)
-        mask, safe, _, _ = _modulus(vals.real, jac.real, v.scale)
-        lv = phi_spec.profile.lambda_of(safe)
-        lam2 = np.where(mask, lv * lv, 0.0)
-        cols = [
-            total,
-            (lam + 2.0 * mu - kappa) * (1.0 - lam2) * x1 * x1,
-            (mu - kappa) * (1.0 - lam2) * x2 * x2,
-            (lam + 2.0 * mu - kappa) * y1 * y1,
-            (mu - kappa) * y2 * y2,
-            2.0 * (lam + mu - gam) * x1 * y1,
-            -2.0 * gam * x2 * y2,
-            2.0 * (gam - mu) * (x1 * y1 + x2 * y2),
-        ]
-        return np.column_stack(cols)
-
-    out = _integrate(fn, v, **quad)
-
-    if isinstance(field, CoefficientField):
-        lam_n = field.lam_total.ravel()
-        mu_n = field.mu_total.ravel()
-    else:
-        lam_n = np.array([float(field[0])])
-        mu_n = np.array([float(field[1])])
-    gam_n = mu_n * (lam_n + mu_n) / (lam_n + 3.0 * mu_n)
-    slack = 1.0 - lam_sup_sq
-    dis1 = bool(np.all(mu_n - kappa > 0.0)
-                and np.all(gam_n ** 2 < (mu_n - kappa) ** 2 * slack))
-    dis2 = bool(np.all(lam_n + 2.0 * mu_n - kappa > 0.0)
-                and np.all((lam_n + mu_n - gam_n) ** 2
-                           < (lam_n + 2.0 * mu_n - kappa) ** 2 * slack))
-
-    return FormBreakdown(total=float(out[0]), x1_sq=float(out[1]),
-                         x2_sq=float(out[2]), y1_sq=float(out[3]),
-                         y2_sq=float(out[4]), cross_x1y1=float(out[5]),
-                         cross_x2y2=float(out[6]),
-                         commutator_term=float(out[7]), kappa=float(kappa),
-                         lambda_sup_sq=lam_sup_sq, disgamma_ok=dis1,
-                         disgamma2_ok=dis2)
-
-
-def commutator_ibp(v: TestField, grad_f: Callable[[np.ndarray], np.ndarray],
-                   **quad) -> float:
-    """Integrated by parts value of int f (sum d_k v_j d_j v_k - (div v)^2).
-
-    grad_f(pts) returns (n, 2) with the exact gradient of the scalar factor
-    f = 2 mu^2/(lambda + 3 mu).  For compactly supported v the identity is
-
-        int f (sum d_k v_j d_j v_k - (div v)^2)
-            = sum_k int d_k f (v_k div v - v_j d_j v_k).
-    """
-
-    def fn(pts, vals, jac):
-        g = np.asarray(grad_f(pts), dtype=float)
-        vals = vals.real
-        jac = jac.real
-        div = jac[:, 0, 0] + jac[:, 1, 1]
-        # v_k div v - v_j d_j v_k  (index k)
-        carried = vals * div[:, None] - np.einsum("nj,nkj->nk", vals, jac)
-        return np.einsum("nk,nk->n", g, carried)
-
-    return float(_integrate(fn, v, **quad)[0])
-
-
-def laplacian_shift(system: GeneralSystem, kappa: float) -> GeneralSystem:
-    """A - kappa Delta as a tensor: subtract kappa d_hk d_ij."""
-    n = system.dim
-    m = system.components
-    shift = np.einsum("hk,ij->hkij", np.eye(n), np.eye(m))
-    return GeneralSystem(tensor=system.tensor - kappa * shift,
-                         label=f"{system.label}-{kappa:g}*laplacian")
-
-
-# ---------------------------------------------------------------------------
-# the substitution v = sqrt(phi(|u|)) u, pointwise
-
-
-def weighted_map_gradients(phi_spec: PhiSpec, u_vals, u_jacs):
-    """Pointwise |grad v|^2 for v = sqrt(phi(|u|)) u, plus the comparison
-    quantities phi(|u|) |grad u|^2 and |u|.
-
-    Off the zero set,
-        d_h v = sqrt(phi) d_h u + phi'/(2 sqrt(phi)) d_h|u| u.
-    Entries where u vanishes are returned as zero; the lower bound
-    |grad v|^2 >= phi(|u|) |grad u|^2 / 4 and the growth-capped upper bound
-    are checked against these arrays by the test-suite.
-    """
-    u_vals = np.asarray(u_vals)
-    u_jacs = np.asarray(u_jacs)
-    nu = np.linalg.norm(u_vals, axis=1)
-    mask = nu > 0.0
-    safe = np.where(mask, nu, 1.0)
-    dnu = np.einsum("ni,nih->nh", np.conj(u_vals), u_jacs).real / safe[:, None]
-    phi = phi_spec.phi(safe)
-    dphi = phi_spec.dphi(safe)
-    root = np.sqrt(phi)
-    jac_v = (root[:, None, None] * u_jacs
-             + (dphi / (2.0 * root))[:, None, None]
-             * np.einsum("nh,ni->nih", dnu, u_vals))
-    grad_v_sq = np.einsum("nih,nih->n", jac_v, np.conj(jac_v)).real
-    grad_u_sq = np.einsum("nih,nih->n", u_jacs, np.conj(u_jacs)).real
-    grad_v_sq = np.where(mask, grad_v_sq, 0.0)
-    weighted_u = np.where(mask, phi * grad_u_sq, 0.0)
-    return grad_v_sq, weighted_u, np.where(mask, nu, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,8 @@ the sandwich |||f||| <= ||f|| <= 2 |||f|||, and the Holder inequality
 int |uv| <= 2 |||u|||_M |||v|||_N holds for a complementary pair (M, N).
 
 The inventory: power functions t^p (plain and /p normalized), the
-exponential M0(t) = e^{at} - 1 with closed form conjugate, the
-exponential power e^{a t^q} - 1 with q = p/(p-2), the log type
-Ntilde(t) = t (log(t+e))^{(p-2)/p}, and a numeric Legendre conjugate for
-everything else.
+exponential M0(t) = e^{at} - 1 with closed form conjugate, and the log
+type Ntilde(t) = t (log(t+e))^{(p-2)/p}.
 """
 
 from __future__ import annotations
@@ -33,20 +31,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotIntegrable, OrliczNormFailure
-from .phi import _forward_table, _table_inverse
 
 __all__ = [
     "SampledField",
     "YoungFunction",
     "HolderReport",
-    "validate_young",
     "power_young",
     "exp_young",
-    "exp_power_young",
     "log_young",
     "exp_conjugate",
-    "legendre_conjugate",
-    "conjugate_ratio",
     "luxemburg_norm",
     "orlicz_norm",
     "holder_orlicz",
@@ -91,7 +84,6 @@ class YoungFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray] | None = None
-    degenerate_tail: bool = False   # True when M(t)/t does not diverge
     # t -> (M(t), M'(t)) in one evaluation that shares their common parts,
     # set by a constructor whose fn and dfn have such parts
     _joint: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = \
@@ -119,33 +111,6 @@ class YoungFunction:
         h = np.maximum(1e-7, 1e-7 * np.abs(t))
         return (self(t + h) - self(np.maximum(t - h, 0.0))) / (
             h + np.minimum(t, h))
-
-
-def validate_young(M: YoungFunction) -> None:
-    """Raise OrliczNormFailure unless M looks like a Young function on 400
-    log-spaced nodes of [1e-6, 1e5]: M(0) = 0, nondecreasing, midpoint
-    convex, and superlinear at the tail (the last check is skipped for
-    degenerate tags)."""
-    if abs(float(M(0.0))) > 1e-14:
-        raise OrliczNormFailure(f"{M.name}: M(0) must vanish")
-    grid = np.geomspace(1e-6, 1e5, 400)
-    vals = M(grid)
-    if np.any(~np.isfinite(vals)):
-        fin = np.isfinite(vals)
-        grid, vals = grid[fin], vals[fin]
-    if np.any(np.diff(vals) < -1e-12 * np.max(np.abs(vals))):
-        raise OrliczNormFailure(f"{M.name}: not nondecreasing")
-    mid = M(0.5 * (grid[:-1] + grid[1:]))
-    chord = 0.5 * (vals[:-1] + vals[1:])
-    tol = 1e-10 * np.maximum(np.abs(chord), 1.0)
-    if np.any(mid > chord + tol):
-        worst = float(np.max(mid - chord))
-        raise OrliczNormFailure(f"{M.name}: midpoint convexity fails "
-                                f"by {worst:.3g}")
-    if not M.degenerate_tail:
-        t_hi = grid[-1]
-        if not float(M(t_hi)) / t_hi > float(M(t_hi / 10.0)) / (t_hi / 10.0):
-            raise OrliczNormFailure(f"{M.name}: tail is not superlinear")
 
 
 # ---------------------------------------------------------------------------
@@ -192,33 +157,13 @@ def exp_conjugate(scale: float = MOSER_SCALE) -> YoungFunction:
                          fn=fn, dfn=dfn)
 
 
-def exp_power_young(p: float, scale: float = MOSER_SCALE) -> YoungFunction:
-    """M(t) = e^{scale * t^q} - 1 with q = p/(p-2), p > 2."""
-    if p <= 2.0:
-        raise ValueError(f"exp power Young function needs p > 2, got {p}")
-    q = p / (p - 2.0)
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.expm1(scale * t ** q)
-
-    def dfn(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return scale * q * t ** (q - 1.0) * np.exp(scale * t ** q)
-
-    return YoungFunction(name=f"exp_power(p={p:g}, scale={scale:g})",
-                         fn=fn, dfn=dfn)
-
-
 def log_young(p: float):
     """The log type Young function Ntilde(t) = t (log(t+e))^{(p-2)/p} and
     the matching hypothesis functional F -> int |F|^2 (log(|F|+e))^{(p-2)/p}.
 
     Ntilde is convex for p > 2: both factors are positive, increasing and
-    log-concave corrections stay dominated, which validate_young confirms
-    numerically on construction.  The tail is degenerate by design,
-    Ntilde(t)/t grows only logarithmically.
+    log-concave corrections stay dominated.  The tail is degenerate by
+    design, Ntilde(t)/t grows only logarithmically.
     """
     if p <= 2.0:
         raise ValueError(f"log type Young function needs p > 2, got {p}")
@@ -238,54 +183,14 @@ def log_young(p: float):
         # M' = L^a + a t L^(a-1) / (t + e), factored to take a single power
         return t * La, La * (1.0 + a * t / (L * (t + math.e)))
 
-    n_tilde = YoungFunction(name=f"log_type(p={p:g})", fn=fn, dfn=dfn,
-                            degenerate_tail=True)
+    n_tilde = YoungFunction(name=f"log_type(p={p:g})", fn=fn, dfn=dfn)
     n_tilde._joint = joint
-    validate_young(n_tilde)
 
     def hypothesis(f: SampledField) -> float:
         v = np.abs(f.values)
         return float(np.sum(f.weights * v * v * np.log(v + math.e) ** a))
 
     return n_tilde, hypothesis
-
-
-def legendre_conjugate(M: YoungFunction) -> YoungFunction:
-    """Numeric conjugate N(t) = sup_s (st - M(s)).
-
-    The supremum is attained where M'(s) = t, found by the table solver of
-    phi; below M'(0+) the conjugate vanishes.
-    """
-    what = f"d({M.name})"
-    table = _forward_table(M.derivative, what)
-
-    def step(x):
-        # The log-slope by central differences, 1e-5 either way in log s.
-        u = x + np.array([[-1e-5], [0.0], [1e-5]])
-        lg = np.log(M.derivative(np.exp(u)))
-        return lg[1], (lg[2] - lg[0]) / 2e-5
-
-    def fn(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t_arr)
-        floor = float(M.derivative(1e-12))
-        live = t_arr > floor * (1.0 + 1e-9)
-        if np.any(live):
-            s = np.exp(_table_inverse(table, step, t_arr[live], what))
-            out[live] = s * t_arr[live] - M(s)
-        return out.reshape(np.shape(t))
-
-    return YoungFunction(name=f"conjugate({M.name})", fn=fn)
-
-
-def conjugate_ratio(p: float, t, scale: float = MOSER_SCALE):
-    """Ratio of the numeric conjugate of e^{scale*s^q} - 1 against the
-    leading asymptotic t (log(t+e)/scale)^{(p-2)/p}; tends to 1 from below
-    as t grows, with logarithmic speed."""
-    N = legendre_conjugate(exp_power_young(p, scale))
-    t = np.asarray(t, dtype=float)
-    lead = t * (np.log(t + math.e) / scale) ** ((p - 2.0) / p)
-    return N(t) / lead
 
 
 # ---------------------------------------------------------------------------

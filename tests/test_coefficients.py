@@ -22,7 +22,6 @@ from funcdiss import (
     load_field,
     radial_field,
     ramp_field,
-    save_field,
 )
 
 
@@ -214,10 +213,24 @@ def test_bmo_shift_and_scale(shift, scale):
 # Grid file round trip
 
 
+def write_grid(path, domain, columns):
+    """A coefficient grid file as load_field reads it: the format marker,
+    the domain and node shape, the column names, then one row per node in
+    row major order; columns maps each name to its (n1, n2) array."""
+    arrays = list(columns.values())
+    n1, n2 = arrays[0].shape
+    lines = ["# funcdiss coefficient grid v1",
+             ",".join(repr(float(x)) for x in domain) + f",{n1},{n2}",
+             ",".join(columns)]
+    lines += [",".join(repr(float(v)) for v in row)
+              for row in np.column_stack([a.ravel() for a in arrays])]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_save_load_round_trip(tmp_path):
     f = radial_field(0.8, 1.2, 0.3, shape=(9, 13), domain=(0.0, 2.0, 1.0, 4.0))
     path = tmp_path / "field.grid"
-    save_field(f, path)
+    write_grid(path, f.domain, {"lambda": f.lam, "mu": f.mu})
     g = load_field(path)
     assert g.domain == f.domain
     assert np.array_equal(g.lam, f.lam)
@@ -230,7 +243,8 @@ def test_save_load_round_trip_with_perturbations(tmp_path):
     f = CoefficientField(domain=(0, 1, 0, 1), lam=base, mu=base + 1.0,
                          eps=0.1 * base, sigma=-0.01 * base)
     path = tmp_path / "field.grid"
-    save_field(f, path)
+    write_grid(path, f.domain, {"lambda": f.lam, "mu": f.mu,
+                                "eps": f.eps, "sigma": f.sigma})
     g = load_field(path)
     assert np.array_equal(g.eps, f.eps)
     assert np.array_equal(g.sigma, f.sigma)

@@ -35,8 +35,6 @@ from funcdiss import (
     lame2d_verdict,
     lameNd_sufficient,
     lame_system,
-    perturbation_budget,
-    poisson_threshold,
     power_phi,
     radial_field,
     ramp_field,
@@ -482,15 +480,6 @@ def test_nonfinite_constant_pair_is_rejected():
             lameNd_sufficient(power_phi(4.0), lam, mu)
 
 
-def test_poisson_threshold_agrees_with_lame_form():
-    for lam, mu in [(1.0, 1.0), (2.0, 0.5), (-1.5, 1.0)]:
-        nu = lam / (2.0 * (lam + mu))
-        assert poisson_threshold(nu) == pytest.approx(
-            constant_threshold(lam, mu), rel=1e-14)
-    with pytest.raises(ValueError):
-        poisson_threshold(0.75)
-
-
 def test_lameNd_sufficient_verdicts():
     v = lameNd_sufficient(power_phi(4.0), 1.0, 1.0)
     assert v.status == STRICT_DISSIPATIVE
@@ -516,35 +505,6 @@ def test_sufficient_never_contradicts_planar_necessary():
                     continue
                 planar = lame2d_verdict(spec, cf)
                 assert planar.status != NOT_DISSIPATIVE, (lam, mu, spec.label)
-
-
-# ---------------------------------------------------------------------------
-# Perturbation budget
-
-
-def test_perturbation_budget_frozen_values():
-    # kappa0 from the verdict's own margin choice; C = 2 at p = 2.
-    v = lame2d_verdict(power_phi(2.0), constant_field(1.0, 1.0))
-    assert v.kappa == pytest.approx(0.16875, rel=1e-12)
-    budget = perturbation_budget(power_phi(2.0), 1.0, 1.0, v.kappa)
-    assert budget == pytest.approx(v.kappa / 4.0, rel=1e-15)
-
-    # p = 4: sup Lambda^2 = 0.25, C = max(2.5, 2.25) = 2.5.
-    b4 = perturbation_budget(power_phi(4.0), 1.0, 1.0, 0.15)
-    assert b4 == pytest.approx(0.15 / 5.0, rel=1e-12)
-
-
-def test_perturbation_budget_is_linear_in_kappa0():
-    b1 = perturbation_budget(power_phi(2.0), 1.0, 1.0, 0.1)
-    b2 = perturbation_budget(power_phi(2.0), 1.0, 1.0, 0.2)
-    assert b2 == pytest.approx(2.0 * b1, rel=1e-15)
-    assert perturbation_budget(power_phi(2.0), 1.0, 1.0, 0.0) == 0.0
-
-
-def test_perturbation_budget_rejects_negative_margin():
-    for kappa0 in (-0.1, math.nan, math.inf):
-        with pytest.raises(NotStrict):
-            perturbation_budget(power_phi(2.0), 1.0, 1.0, kappa0)
 
 
 def test_kappa_hint_is_respected_and_validated():

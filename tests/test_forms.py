@@ -1,4 +1,4 @@
-"""Form evaluation: frame identities, quadrature routes, breakdown, probes."""
+"""Form evaluation: frame identities, quadrature routes, probes."""
 
 import dataclasses
 import math
@@ -27,18 +27,13 @@ from funcdiss.forms import (
     _lame_integrand,
     _symbol_minimum,
     bump_field,
-    commutator_ibp,
     dissipativity_form,
-    elasticity_breakdown,
-    gradient_energy,
     gradient_field,
-    laplacian_shift,
     oscillatory_counterexample,
     oscillatory_field,
     rotation_field,
     standard_ensemble,
     strict_margin,
-    weighted_map_gradients,
     xy_decompose,
 )
 
@@ -170,9 +165,11 @@ def test_form_scales_quadratically_for_power_weights():
 def test_form_positive_at_p2_for_elliptic_pair():
     # p = 2 strips the weight entirely; the classical Lame energy remains
     spec = power_phi(2.0)
-    for field in five_real_fields():
+    fields = five_real_fields()
+    rows = strict_margin((1.0, 1.0), spec, fields, 0.0).rows
+    for field, row in zip(fields, rows):
         form = dissipativity_form((1.0, 1.0), spec, field)
-        grad2 = gradient_energy(field)
+        grad2 = row.gradient_sq
         assert form >= 1.0 * grad2 - 1e-9 * grad2  # min(mu, lam+2mu) = 1
 
 
@@ -400,7 +397,7 @@ def test_integrate_rejects_non_square_support():
     v = bump_field((0.0, 0.0), 0.1, 0.5, (1.0, 0.0), np.eye(2))
     wide = dataclasses.replace(v, support=(-0.5, 0.5, -0.4, 0.4))
     with pytest.raises(ValueError, match="not a square"):
-        gradient_energy(wide)
+        dissipativity_form((1.0, 1.0), power_phi(2.0), wide)
 
 
 @pytest.mark.parametrize("target, spec", [
@@ -701,105 +698,6 @@ def test_exp_square_margin_below_inversion_bracket():
         assert np.isfinite(report.min_residual)
 
 
-# ---------------------------------------------------------------------------
-# breakdown of the strict Lame form
-
-
-def test_breakdown_total_matches_parts():
-    spec = power_phi(4.0)
-    for field in five_real_fields():
-        bd = elasticity_breakdown((1.2, 0.8), spec, field, kappa=0.1)
-        assert bd.total == pytest.approx(bd.parts_sum, rel=1e-10, abs=1e-12)
-
-
-def test_breakdown_rotation_kills_first_block():
-    # X1 = Y1 = 0 for a divergence free rotation core
-    spec = power_phi(4.0)
-    bd = elasticity_breakdown((1.0, 1.0), spec,
-                              rotation_field((0.0, 0.0), 0.1, 0.5, 1.0))
-    assert abs(bd.x1_sq) < 1e-20
-    assert abs(bd.y1_sq) < 1e-20
-    assert abs(bd.cross_x1y1) < 1e-20
-    assert bd.x2_sq > 0.0 and bd.y2_sq > 0.0
-
-
-def test_breakdown_discriminants_flip_with_power():
-    field = five_real_fields()[0]
-    ok = elasticity_breakdown((1.0, 1.0), power_phi(4.0), field)
-    assert ok.disgamma_ok and ok.disgamma2_ok
-    # (1 - 2/p)^2 crosses 1 - (gamma/mu)^2 ... = 3/4 near p = 14.93
-    bad = elasticity_breakdown((1.0, 1.0), power_phi(16.0), field)
-    assert not bad.disgamma_ok
-    assert not bad.disgamma2_ok
-
-
-def test_breakdown_needs_real_field():
-    wave = oscillatory_field((0.0, 0.0), (1.0, 0.0), 4.0, (1.0, 1.0),
-                             chi_r0=-0.1, chi_r1=0.35, complex_phase=True)
-    with pytest.raises(ValueError):
-        elasticity_breakdown((1.0, 1.0), power_phi(4.0), wave)
-
-
-def test_commutator_vanishes_for_constant_coefficients():
-    spec = power_phi(4.0)
-    field = five_real_fields()[0]
-    bd = elasticity_breakdown((1.2, 0.8), spec, field, min_cells=24)
-    # int (sum d_k v_j d_j v_k - div^2) is a null Lagrangian on compact support
-    assert abs(bd.commutator_term) < 5e-6
-    assert commutator_ibp(field, lambda pts: np.zeros_like(pts)) == 0.0
-
-
-def test_commutator_matches_integration_by_parts_on_ramp():
-    lam0, mu0, slope = 1.0, 1.0, 0.3
-    grid = ramp_field(lam0, mu0, slope, shape=(65, 65),
-                      domain=(-1.0, 1.0, -1.0, 1.0))
-    field = five_real_fields()[0]
-    bd = elasticity_breakdown(grid, power_phi(4.0), field, min_cells=24)
-
-    def grad_f(pts):
-        mu = mu0 + slope * (pts[:, 0] + 1.0)
-        g = np.zeros_like(pts)
-        g[:, 0] = 2.0 * slope * mu * (2.0 * lam0 + 3.0 * mu) \
-            / (lam0 + 3.0 * mu) ** 2
-        return g
-
-    ibp = commutator_ibp(field, grad_f, min_cells=24)
-    assert bd.commutator_term == pytest.approx(ibp, abs=5e-6)
-
-
-def _unshared_breakdown(target, spec, v, kappa, **quad):
-    # the eight columns of elasticity_breakdown with the probe evaluated
-    # apart for the total, the weight mask and the frame split, kept as a
-    # reference for the shared evaluation
-    lam_at, mu_at = _samplers(target)
-    form = _lame_integrand(target, spec, v.scale, kappa)
-
-    def fn(pts, _vals, _jac):
-        lam = np.broadcast_to(np.asarray(lam_at(pts), dtype=float),
-                              (len(pts),))
-        mu = np.broadcast_to(np.asarray(mu_at(pts), dtype=float),
-                             (len(pts),))
-        gam = mu * (lam + mu) / (lam + 3.0 * mu)
-        vals = v.value(pts).real
-        nv = np.hypot(vals[:, 0], vals[:, 1])
-        mask = nv > ZERO_SET_REL * v.scale
-        lv = spec.profile.lambda_of(np.where(mask, nv, 1.0))
-        lam2 = np.where(mask, lv * lv, 0.0)
-        x1, x2, y1, y2 = xy_decompose(v, pts)
-        return np.column_stack([
-            form(pts, v.value(pts), v.jacobian(pts))[:, 0],
-            (lam + 2.0 * mu - kappa) * (1.0 - lam2) * x1 * x1,
-            (mu - kappa) * (1.0 - lam2) * x2 * x2,
-            (lam + 2.0 * mu - kappa) * y1 * y1,
-            (mu - kappa) * y2 * y2,
-            2.0 * (lam + mu - gam) * x1 * y1,
-            -2.0 * gam * x2 * y2,
-            2.0 * (gam - mu) * (x1 * y1 + x2 * y2),
-        ])
-
-    return _integrate(fn, v, **quad)
-
-
 def _counted_probe(field, seen):
     def value(pts):
         seen.append("value")
@@ -815,16 +713,6 @@ def _counted_probe(field, seen):
 _ONCE_SPEC = power_phi(4.0)
 _ONCE_GRID = ramp_field(1.0, 1.0, 0.3, shape=(65, 65),
                         domain=(-1.0, 1.0, -1.0, 1.0))
-_ONCE_BREAKDOWN = {"breakdown-pair": (1.2, 0.8),
-                   "breakdown-grid": _ONCE_GRID}
-
-
-def _breakdown_columns(target):
-    def run(v, **quad):
-        bd = elasticity_breakdown(target, _ONCE_SPEC, v, kappa=0.1, **quad)
-        return [bd.total, bd.x1_sq, bd.x2_sq, bd.y1_sq, bd.y2_sq,
-                bd.cross_x1y1, bd.cross_x2y2, bd.commutator_term]
-    return run
 
 
 # every public route into the quadrature, as a function of (probe, quad)
@@ -835,13 +723,8 @@ _ONCE_INTEGRATORS = {
         _ONCE_GRID, _ONCE_SPEC, v, **quad),
     "form-system": lambda v, **quad: dissipativity_form(
         lame_system(1.2, 0.8), _ONCE_SPEC, v, **quad),
-    "gradient_energy": gradient_energy,
     "strict_margin": lambda v, **quad: strict_margin(
         (1.2, 0.8), _ONCE_SPEC, [v], 0.1, **quad).min_residual,
-    "commutator_ibp": lambda v, **quad: commutator_ibp(
-        v, lambda pts: pts, **quad),
-    **{name: _breakdown_columns(target)
-       for name, target in _ONCE_BREAKDOWN.items()},
 }
 
 
@@ -851,69 +734,10 @@ def test_integrator_evaluates_probe_once_per_chunk(name):
     quad = {"max_chunk": 4096}
     for field in five_real_fields():
         seen = []
-        got = _ONCE_INTEGRATORS[name](_counted_probe(field, seen), **quad)
+        _ONCE_INTEGRATORS[name](_counted_probe(field, seen), **quad)
         chunks = len(list(_disk_rule(field, **quad)))
         assert chunks > 1, field.label
         assert seen == ["value", "jacobian"] * chunks, field.label
-        if name in _ONCE_BREAKDOWN:
-            ref = _unshared_breakdown(_ONCE_BREAKDOWN[name], _ONCE_SPEC,
-                                      field, 0.1, **quad)
-            np.testing.assert_allclose(
-                got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)),
-                err_msg=field.label)
-
-
-# ---------------------------------------------------------------------------
-# shifting by a Laplacian
-
-
-def test_laplacian_shift_equivalence_per_field():
-    # strict margin kappa transfers to plain positivity of A - kappa Delta
-    # and back with kappa (1 - sup Lambda^2)
-    spec = power_phi(4.0)
-    sup_sq = 0.25
-    sys2 = lame_system(1.0, 1.0)
-    kappa = 0.3
-    shifted = laplacian_shift(sys2, kappa)
-    for field in five_real_fields():
-        form = dissipativity_form(sys2, spec, field)
-        grad2 = gradient_energy(field)
-        residual = form - kappa * grad2
-        shifted_form = dissipativity_form(shifted, spec, field)
-        assert shifted_form >= residual - 1e-10 * max(abs(residual), 1.0)
-        back = form - kappa * (1.0 - sup_sq) * grad2
-        assert back >= shifted_form - 1e-10 * max(abs(shifted_form), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# the substitution v = sqrt(phi(|u|)) u
-
-
-@pytest.mark.parametrize("spec", [power_phi(3.0), exp_square_phi(),
-                                  truncated_power(4.0, 2.0)],
-                         ids=["power", "exp_square", "truncated"])
-def test_weighted_gradient_lower_bound(spec):
-    field = five_real_fields()[0]
-    pts = sample_points(field, 4000, seed=11)
-    grad_v_sq, weighted_u, _ = weighted_map_gradients(
-        spec, field.value(pts), field.jacobian(pts))
-    assert np.all(grad_v_sq >= 0.25 * weighted_u
-                  - 1e-12 * np.maximum(weighted_u, 1.0))
-
-
-@pytest.mark.parametrize("spec", [power_phi(3.0), exp_square_phi(),
-                                  truncated_power(4.0, 2.0)],
-                         ids=["power", "exp_square", "truncated"])
-def test_weighted_gradient_growth_cap(spec):
-    # |t phi'/phi| <= K bounds the distortion by K^2/4 + K + 1
-    field = five_real_fields()[0]
-    pts = sample_points(field, 4000, seed=12)
-    grad_v_sq, weighted_u, nu = weighted_map_gradients(
-        spec, field.value(pts), field.jacobian(pts))
-    pos = nu > 0.0
-    k = np.max(np.abs(nu[pos] * spec.dphi(nu[pos]) / spec.phi(nu[pos])))
-    cap = (0.25 * k * k + k + 1.0) * weighted_u
-    assert np.all(grad_v_sq <= cap + 1e-9 * np.maximum(cap, 1.0))
 
 
 # ---------------------------------------------------------------------------

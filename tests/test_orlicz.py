@@ -4,8 +4,8 @@ Closed-form oracles: for M(t) = t^p the Luxemburg gauge is the Lebesgue
 p-norm, so a constant c on measure m gives c*m^(1/p); for the normalized
 M(t) = t^p/p the Amemiya minimization has the classical closed form
 (p')^(1/p') * ||f||_p, which at p = 2 makes the factor-2 sandwich tight.
-The exponential function e^{at} - 1 has an explicit conjugate, pinning the
-numeric Legendre transform.
+The exponential function e^{at} - 1 has an explicit conjugate, checked
+against a brute-force supremum.
 """
 
 import math
@@ -15,23 +15,19 @@ import numpy as np
 import pytest
 
 from funcdiss import fem, orlicz
-from funcdiss.errors import NotIntegrable, OrliczNormFailure
+from funcdiss.errors import NotIntegrable
 from funcdiss.orlicz import (
     HolderReport,
     MOSER_SCALE,
     SampledField,
     YoungFunction,
-    conjugate_ratio,
     exp_conjugate,
-    exp_power_young,
     exp_young,
     holder_orlicz,
-    legendre_conjugate,
     log_young,
     luxemburg_norm,
     orlicz_norm,
     power_young,
-    validate_young,
 )
 
 
@@ -42,6 +38,20 @@ def rng_field(seed, n=257, lo=0.0, hi=3.0, measure=1.0):
 
 def lebesgue_p(f: SampledField, p: float) -> float:
     return float(np.sum(f.weights * np.abs(f.values) ** p)) ** (1.0 / p)
+
+
+def exp_power(p: float, derivative: bool = True) -> YoungFunction:
+    """A steep input: M(t) = e^{MOSER_SCALE t^q} - 1 with q = p/(p-2)."""
+    q = p / (p - 2.0)
+
+    def dfn(t):
+        with np.errstate(divide="ignore"):
+            return MOSER_SCALE * q * t ** (q - 1.0) * np.exp(MOSER_SCALE
+                                                             * t ** q)
+
+    return YoungFunction(name=f"exp_power(p={p:g})",
+                         fn=lambda t: np.expm1(MOSER_SCALE * t ** q),
+                         dfn=dfn if derivative else None)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +81,7 @@ def test_luxemburg_power_is_lebesgue_norm():
 
 def test_luxemburg_scaling():
     f = rng_field(11)
-    M = exp_power_young(4.0)
+    M = exp_power(4.0)
     base = luxemburg_norm(f, M)
     for alpha in (0.25, 3.0, -2.0):
         assert luxemburg_norm(f.scaled(alpha), M) == pytest.approx(
@@ -127,8 +137,7 @@ def counted_young(M):
         calls.append(np.size(t))
         return M.fn(t)
 
-    return YoungFunction(name=M.name, fn=fn, dfn=M.dfn,
-                         degenerate_tail=M.degenerate_tail), calls
+    return YoungFunction(name=M.name, fn=fn, dfn=M.dfn), calls
 
 
 def passes(calls, f):
@@ -177,7 +186,7 @@ def test_blocked_norms_match_whole_field_sums(monkeypatch):
     n = 3 * orlicz._SAMPLE_BLOCK + 4321
     fields = [signed_spread_field(seed, n) for seed in (3, 4)]
     youngs = [log_young(4.0)[0], power_young(3.0), exp_young(),
-              exp_power_young(4.0)]
+              exp_power(4.0)]
     blocked = [(luxemburg_norm(f, M), orlicz_norm(f, M))
                for f in fields for M in youngs]
     monkeypatch.setattr(orlicz, "_SAMPLE_BLOCK", n)
@@ -201,8 +210,7 @@ def test_joint_log_young_terms_match_separate_calls(p):
         L = np.log(t + math.e)
         return L ** a * (1.0 + a * t / (L * (t + math.e)))
 
-    separate = YoungFunction(name=M.name, fn=M.fn, dfn=dfn,
-                             degenerate_tail=True)
+    separate = YoungFunction(name=M.name, fn=M.fn, dfn=dfn)
     f = signed_spread_field(5, orlicz._SAMPLE_BLOCK + 777)
     for lam in (1e-3, 0.7, 1.0, 40.0, 1e6):
         assert (orlicz._gauge_terms(M, f.values, f.weights, lam)
@@ -317,7 +325,7 @@ def spread_field(seed, n=257):
 def amemiya_youngs():
     return [power_young(2.0, normalized=True), power_young(3.0),
             power_young(1.5), exp_young(), log_young(4.0)[0],
-            exp_power_young(4.0)]
+            exp_power(4.0)]
 
 
 def test_orlicz_norm_matches_golden_section():
@@ -329,9 +337,13 @@ def test_orlicz_norm_matches_golden_section():
 
 
 def test_orlicz_norm_matches_golden_section_without_derivative():
-    # no dfn: P' = t M'' is a finite difference of a finite difference
-    youngs = [legendre_conjugate(exp_power_young(4.0)),
-              legendre_conjugate(power_young(3.0)), exp_conjugate()]
+    # no dfn: P' = t M'' is a finite difference of a finite difference;
+    # 2 (t/3)^(3/2) is the conjugate of t^3
+    youngs = [exp_power(4.0, derivative=False),
+              YoungFunction(name="conjugate(power(p=3))",
+                            fn=lambda t: 2.0 * (t / 3.0) ** 1.5),
+              YoungFunction(name="exp_conjugate", fn=exp_conjugate().fn),
+              exp_conjugate()]
     for seed in range(10):
         f = spread_field(seed)
         for M in youngs:
@@ -368,8 +380,7 @@ def test_orlicz_norm_reads_m_once_per_gauge_step():
         dm_calls.append(np.size(t))
         return M.dfn(t)
 
-    counted = YoungFunction(name=M.name, fn=fn, dfn=dfn,
-                            degenerate_tail=True)
+    counted = YoungFunction(name=M.name, fn=fn, dfn=dfn)
     f = SampledField.uniform(np.random.default_rng(4).uniform(0.0, 3.0, 1000))
     assert orlicz_norm(f, counted) == pytest.approx(
         golden_amemiya(f, M), rel=1e-12)
@@ -384,8 +395,7 @@ def test_orlicz_norm_unattained_infimum():
     # grows without bound
     M = YoungFunction(name="sqrt(1+t^2)-1",
                       fn=lambda t: np.sqrt(1.0 + t * t) - 1.0,
-                      dfn=lambda t: t / np.sqrt(1.0 + t * t),
-                      degenerate_tail=True)
+                      dfn=lambda t: t / np.sqrt(1.0 + t * t))
     f = SampledField.uniform(np.linspace(0.1, 1.0, 100), measure=0.5)
     l1 = float(np.sum(f.weights * np.abs(f.values)))
     assert orlicz_norm(f, M) == pytest.approx(l1, rel=1e-9)
@@ -396,8 +406,7 @@ def test_orlicz_norm_unattained_infimum_passes():
     # 2^-200 max|f| in fallback moves that double, not one octave a step
     M = YoungFunction(name="sqrt(1+t^2)-1",
                       fn=lambda t: np.sqrt(1.0 + t * t) - 1.0,
-                      dfn=lambda t: t / np.sqrt(1.0 + t * t),
-                      degenerate_tail=True)
+                      dfn=lambda t: t / np.sqrt(1.0 + t * t))
     f = SampledField.uniform(np.linspace(0.1, 1.0, 100), measure=0.5)
     l1 = float(np.sum(f.weights * np.abs(f.values)))
     counted, calls = counted_young(M)
@@ -461,25 +470,6 @@ def test_holder_requires_shared_grid():
 # Young function inventory
 
 
-def test_validate_young_accepts_inventory():
-    for M in (power_young(2.0), power_young(3.0, normalized=True),
-              exp_young(), exp_power_young(4.0), exp_conjugate()):
-        validate_young(M)
-
-
-def test_validate_young_rejects_concave():
-    bad = YoungFunction(name="sqrt", fn=lambda t: np.sqrt(t),
-                        degenerate_tail=True)
-    with pytest.raises(OrliczNormFailure):
-        validate_young(bad)
-
-
-def test_validate_young_rejects_offset():
-    bad = YoungFunction(name="affine", fn=lambda t: t + 1.0)
-    with pytest.raises(OrliczNormFailure):
-        validate_young(bad)
-
-
 def test_log_young_values():
     n4, hyp = log_young(4.0)
     assert n4(0.0) == 0.0
@@ -520,38 +510,13 @@ def test_log_young_derivative_matches_two_power_form(p):
 
 
 def test_numeric_conjugate_matches_exponential_closed_form():
+    # N(t) = sup_s (s t - M(s)) by brute force on a fine grid of s
     M = exp_young()
-    N_num = legendre_conjugate(M)
     N_exact = exp_conjugate()
+    s = np.linspace(0.0, 1.0, 200001)
     for t in (20.0, 100.0, 1e4):
-        assert float(N_num(t)) == pytest.approx(float(N_exact(t)), rel=1e-6)
-    # Below the derivative floor the conjugate vanishes.
-    assert float(N_num(10.0)) == 0.0
+        brute = float(np.max(s * t - M(s)))
+        assert float(N_exact(t)) == pytest.approx(brute, rel=1e-6)
+    # Below the derivative floor M'(0) = MOSER_SCALE the conjugate vanishes.
+    assert float(np.max(s * 10.0 - M(s))) == 0.0
     assert float(N_exact(10.0)) == 0.0
-
-
-def test_numeric_conjugate_power_pair():
-    # Conjugate of t^p/p is t^p'/p'.
-    p = 3.0
-    pp = 1.5
-    N_num = legendre_conjugate(power_young(p, normalized=True))
-    t = np.array([0.5, 1.0, 2.0, 7.0])
-    assert np.allclose(N_num(t), t ** pp / pp, rtol=1e-8)
-
-
-@pytest.mark.xfail(strict=True, reason="the stated 5% agreement at t = 1e6 "
-                   "is not attainable: the conjugate approaches its leading "
-                   "asymptotic only logarithmically and sits near 0.84 there")
-def test_conjugate_asymptotic_at_calibrated_horizon():
-    ratio = float(conjugate_ratio(4.0, 1e6))
-    assert abs(ratio - 1.0) <= 0.05
-
-
-def test_conjugate_asymptotic_monotone_approach():
-    ratios = np.asarray(conjugate_ratio(4.0, np.array([1e3, 1e6, 1e12, 1e30])))
-    assert np.all(np.diff(ratios) > 0.0)
-    assert np.all(ratios < 1.0)
-    assert ratios[-1] > 0.95
-    # The t = 1e6 value itself, frozen: the deficit is structural, about
-    # 1/q * log(scale*q)/log t plus 1/(q log t) for q = p/(p-2).
-    assert ratios[1] == pytest.approx(0.8378, abs=5e-3)
