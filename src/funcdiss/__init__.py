@@ -20,12 +20,14 @@ from .phi import (
     PhiValidation,
     LambdaProfile,
     LambdaLimit,
+    YoungPair,
     power_phi,
     exp_square_phi,
     truncated_power,
     custom_phi,
     validate_phi,
     dual_phi,
+    young_pair,
 )
 from .coefficients import (
     CoefficientField,

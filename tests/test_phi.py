@@ -2,7 +2,8 @@
 
 The power weight phi(s) = s^(p-2) is the oracle backbone: every derived
 quantity has a closed form there (s*phi = s^(p-1), zeta(t) = t^(2/p),
-Lambda = -(p-2)/p, dual psi = power with the conjugate exponent).  exp(s^2) exercises the saturating tail, the truncated power
+Lambda = -(p-2)/p, Phi(s) = s^p/p, dual psi = power with the conjugate
+exponent).  exp(s^2) exercises the saturating tail, the truncated power
 the non monotone ratio.
 """
 
@@ -12,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings, strategies as st
 
 from funcdiss import (
@@ -22,6 +24,7 @@ from funcdiss import (
     NonPositivePhi,
     NotIncreasing,
     PhiSpec,
+    QuadratureFailure,
     bump_field,
     constant_field,
     custom_phi,
@@ -36,6 +39,7 @@ from funcdiss import (
     strict_margin,
     truncated_power,
     validate_phi,
+    young_pair,
 )
 from funcdiss.phi import _BRACKET_HI, _BRACKET_LO, _TAIL_T
 
@@ -535,7 +539,7 @@ def test_validate_rejects_decreasing_s_phi():
 
 
 # ---------------------------------------------------------------------------
-# Dual weight
+# Dual weight and Young pair
 
 
 def test_dual_of_power_is_conjugate_power():
@@ -618,3 +622,79 @@ def test_weighted_image_identity():
         w = spec.s_phi(s)
         assert np.allclose(np.sqrt(psi.phi(w)) * w,
                            spec.s_sqrt_phi(s), rtol=1e-10), spec.label
+
+
+def young_truncated_4_2(s):
+    """Phi of truncated_power(4, 2) by exact polynomial integration: s^4/4
+    below 1, sigma*rho(sigma)^2 with rho(sigma) = -sigma^2/2 + 2 sigma - 1/2
+    on [1, 2], and the plateau sigma*(3/2)^2 above."""
+    band = (Polynomial([0.0, 1.0]) * Polynomial([-0.5, 2.0, -0.5]) ** 2).integ()
+    if s <= 1.0:
+        return s ** 4 / 4.0
+    if s <= 2.0:
+        return 0.25 + band(s) - band(1.0)
+    return 0.25 + band(2.0) - band(1.0) + 2.25 * (s * s - 4.0) / 2.0
+
+
+YOUNG_CLOSED_FORMS = (
+    [(f"power-{p:g}", power_phi(p), s, s ** p / p)
+     for p in (1.5, 3.0, 8.0) for s in (0.2, 1.0, 2.0, 2.5)]
+    # the dual's Phi is the base's Psi, t^q/q with q = p/(p-1)
+    + [(f"dual-power-{p:g}", dual_phi(power_phi(p)), s,
+        s ** (p / (p - 1.0)) * (p - 1.0) / p)
+       for p in (1.5, 3.0, 8.0) for s in (0.2, 1.0, 2.5, 4.0)]
+    # exp_square from s = 12 on and the steep powers: their top dyadic
+    # panels are halved until the two Gauss-Legendre orders agree
+    + [("exp_square", exp_square_phi(), s, 0.5 * math.expm1(s * s))
+       for s in (0.1, 1.0, 1.5, 2.5, 4.0, 12.0, 20.0, 26.0)]
+    + [(f"power-{p:g}", power_phi(p), s, s ** p / p)
+       for p, s in ((400.0, 1.2), (1000.0, 1.1))]
+    + [("truncated-4-2", truncated_power(4.0, 2.0), s, young_truncated_4_2(s))
+       for s in (0.5, 1.0, 1.5, 2.0, 3.0)])
+
+
+@pytest.mark.parametrize("name, spec, s, expect", YOUNG_CLOSED_FORMS,
+                         ids=[f"{c[0]}-{c[2]:g}" for c in YOUNG_CLOSED_FORMS])
+def test_young_function_closed_forms(name, spec, s, expect):
+    assert young_pair(spec).Phi(s) == pytest.approx(expect, rel=1e-12)
+
+
+YOUNG_SPECS = {"power-3": power_phi(3.0), "exp_square": exp_square_phi(),
+               "truncated-4-2": truncated_power(4.0, 2.0)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(YOUNG_SPECS)), s=st.floats(0.05, 5.0),
+       t=st.floats(0.05, 5.0))
+def test_young_inequality_property(name, s, t):
+    pair = young_pair(YOUNG_SPECS[name])
+    assert s * t <= pair.Phi(s) + pair.Psi(t) + 1e-9
+
+
+def test_young_equality_at_the_gradient():
+    for name, spec in YOUNG_SPECS.items():
+        pair = young_pair(spec)
+        for s in (0.3, 0.8, 1.4, 2.5):
+            t = float(pair.phi_spec.s_phi(s))
+            total = pair.Phi(s) + pair.Psi(t)
+            assert total == pytest.approx(s * t, rel=1e-12), (name, s)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_young_functions_reject_non_finite_and_negative(bad):
+    for spec in (power_phi(3.0), dual_phi(power_phi(3.0))):
+        pair = young_pair(spec)
+        with pytest.raises(ValueError):
+            pair.Phi(bad)
+        with pytest.raises(ValueError):
+            pair.Psi(bad)
+
+
+def test_young_integral_of_a_nan_weight_fails():
+    # NaN on a band that the inversion tables skip but the integral crosses
+    spec = custom_phi(lambda s: np.where((s > 0.5) & (s < 0.6), np.nan, s),
+                      r=1.0, label="nan-band")
+    pair = young_pair(spec)
+    assert pair.Phi(0.4) == pytest.approx(0.4 ** 3 / 3.0, rel=1e-12)
+    with pytest.raises(QuadratureFailure):
+        pair.Phi(1.0)
