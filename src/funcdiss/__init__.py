@@ -89,6 +89,7 @@ from .fem import (
     FemProblem,
     FemSolution,
     assemble_and_solve,
+    scaled_solution,
     weighted_energy,
     regularity_ratio,
     manufactured_problem,

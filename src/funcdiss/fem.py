@@ -58,6 +58,7 @@ with the grid but the planar |F|^2 that the Orlicz gauge re-reads.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,6 +82,7 @@ __all__ = [
     "FemProblem",
     "FemSolution",
     "assemble_and_solve",
+    "scaled_solution",
     "weighted_energy",
     "regularity_ratio",
     "manufactured_problem",
@@ -761,25 +763,32 @@ def _vcycle(levels, coarsest, r):
     return x
 
 
-def _solve(prob: FemProblem, bf):
+def _solve(prob: FemProblem, bf, start=None):
     """Solution, energy x.A x / 2 and CG iteration count for the load bf.
 
-    CG runs on grid-layout vectors, so bf and the solution are in grid
-    layout, zero on the rim.  Its arithmetic is that of scipy's cg (stop
-    once |r| < 1e-10 |b|, beta = rho / rho_prev, p = beta p + z), on the
-    load divided by the power of two 2^e just above max |bf|: exact both
-    ways, so u(2^k F) is 2^k u(F) bit for bit, and neither |b| nor rho
-    under- or overflows for a tiny or huge load.  A non-finite rho, alpha
-    or energy raises SolverDiverged, as does a residual still above the
-    bound after 20000 iterations.
+    CG runs on grid-layout vectors, so bf, start and the solution are in
+    grid layout, zero on the rim.  Its arithmetic is that of scipy's cg
+    (stop once |r| < 1e-10 |b|, beta = rho / rho_prev, p = beta p + z), on
+    the load divided by the power of two 2^e just above max |bf|: exact
+    both ways, so u(2^k F) is 2^k u(F) bit for bit, and neither |b| nor rho
+    under- or overflows for a tiny or huge load.  CG begins at start,
+    divided by the same 2^e, or at zero without one; the stopping rule
+    reads the load alone, so a start changes the iteration count, not the
+    residual reached, and a start scaled with F keeps u(2^k F) = 2^k u(F).
+    A non-finite rho, alpha or energy raises SolverDiverged, as does a
+    residual still above the bound after 20000 iterations.
     """
     levels, coarsest = _hierarchy(prob)
     # at least 8 cells per side: the finest level is always halved
     a = levels[0][0]
     e = int(np.frexp(np.max(np.abs(bf)))[1])
     b = np.ldexp(bf, -e)
-    x = np.zeros_like(b)
-    r = b.copy()
+    if start is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.ldexp(start, -e)
+        r = b - a @ x
     stop = 1e-10 * np.linalg.norm(b)
     for iterations in range(20000):
         if np.linalg.norm(r) < stop:
@@ -811,7 +820,8 @@ def _solve(prob: FemProblem, bf):
     return np.ldexp(x, e), energy, iterations
 
 
-def assemble_and_solve(prob: FemProblem) -> FemSolution:
+def assemble_and_solve(prob: FemProblem,
+                       coarse: FemSolution | None = None) -> FemSolution:
     """Assemble the Q1 system, solve it and attach the energy bookkeeping.
 
     CG preconditioned by one geometric multigrid V-cycle runs to a fixed
@@ -821,22 +831,75 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     max(2, 2 u_max + 1) (u_max the largest nodal |u|) plus the untruncated
     value under inf, and the load norm.
 
+    coarse, a solution of the same load on the grid with every axis halved,
+    is a nested start: CG begins at its u interpolated to this grid (P of
+    the multigrid hierarchy), and the Luxemburg gauge of the load norm at
+    its sobolev_norm_F.  Without one CG begins at zero and the gauge at the
+    geometric mean of the L^1 bounds of _load_norm.  Either start moves the
+    results by rounding within the two tolerances, never their stopping
+    rules.
+
     Raises NotStrict when the declared p fails the admissibility test for
     the coefficients and SolverDiverged if CG breaks down, does not reach
     the residual or yields an energy that overflows; a bad coefficient pair
-    is already rejected by FemProblem.
+    is already rejected by FemProblem, and a coarse solution on another
+    grid or domain raises ValueError.
     """
     _check_admissible(prob)
+    start, norm_start = None, math.nan
+    if coarse is not None:
+        start, norm_start = _prolonged(coarse, prob), coarse.sobolev_norm_F
     bf = _load_vector(prob)
     dim = prob.dim
     xf, energy, iterations = np.zeros_like(bf), 0.0, 0
     if np.any(bf != 0.0):
-        xf, energy, iterations = _solve(prob, bf)
+        xf, energy, iterations = _solve(prob, bf, start)
     work = float(bf @ xf)
     # grid layout, components first, to the nodal field, components last
     u = np.ascontiguousarray(
         np.moveaxis(xf.reshape((dim,) + prob.node_shape), 0, -1))
-    del bf, xf
+    del bf, xf, start
+    return _sampled(prob, u, energy, work, iterations, norm_start)
+
+
+def scaled_solution(sol: FemSolution, c: float) -> FemSolution:
+    """The solution of the load c F read off the solution of F, no CG.
+
+    The solve is linear in F: u becomes c u, and the energy and the load
+    work c^2 times theirs.  For a power of two c that is bit for bit what
+    assemble_and_solve returns for c F, and for any other c it differs by
+    rounding.  Only the sampling pass runs again, on c u and c F: the
+    weighted energies are not homogeneous in u, nor the Luxemburg gauge in
+    F, whose search begins at c^2 times the norm of F.  iterations is 0.
+    Raises SolverDiverged when the scaled energy overflows, as the solve
+    would.
+    """
+    prob = dataclasses.replace(sol.problem, rhs=c * sol.problem.rhs)
+    with np.errstate(over="ignore"):
+        energy = sol.energy * c * c
+    if not math.isfinite(energy):
+        raise SolverDiverged("the energy of the solution overflows")
+    return _sampled(prob, c * sol.u, energy, sol.rhs_work * c * c, 0,
+                    c * c * sol.sobolev_norm_F)
+
+
+def _prolonged(coarse: FemSolution, prob: FemProblem):
+    """The nodal u of coarse, interpolated to the grid of prob, whose every
+    axis has twice its cells, in grid layout."""
+    doubled = tuple(2 * c for c in coarse.problem.cells)
+    if tuple(coarse.problem.domain) != tuple(prob.domain) \
+            or prob.cells != doubled:
+        raise ValueError("a coarse solution must be on the same box with "
+                         "every axis halved")
+    x = np.moveaxis(coarse.u, -1, 0).ravel()
+    return _prolong(x, prob.cells, (True,) * prob.dim)
+
+
+def _sampled(prob: FemProblem, u, energy: float, work: float,
+             iterations: int, norm_start: float) -> FemSolution:
+    """The FemSolution of the nodal field u (components last) of prob: one
+    sampling pass adds up the weighted energies and the load norm, whose
+    Luxemburg gauge begins at norm_start (see _load_norm)."""
     umax = _nodal_max(u)
     add_energies, energies = _weighted_energies(
         prob.p, [2.0, 4.0, 8.0, max(2.0, 2.0 * umax + 1.0)], umax)
@@ -844,7 +907,7 @@ def assemble_and_solve(prob: FemProblem) -> FemSolution:
     _gauss_samples(prob, u, add_energies, add_load)
     return FemSolution(
         problem=prob, u=u, energy=energy, rhs_work=work,
-        weighted_energies=energies, sobolev_norm_F=load_norm(),
+        weighted_energies=energies, sobolev_norm_F=load_norm(norm_start),
         iterations=iterations)
 
 
@@ -960,7 +1023,13 @@ def _load_norm(prob: FemProblem):
 
     The integrals are added block by block in the pass.  The Luxemburg
     gauge re-reads |F|^2 at every step, so the pass writes it once, block
-    by block, and the gauge walks those blocks.
+    by block, and the gauge walks those blocks.  norm(start) begins the
+    gauge at start, and without a start that is positive, normal and
+    finite at the geometric mean of two bounds on it that the pass
+    also adds up: with g = |F|^2, Ntilde(t) >= t gives ||g||_1, and
+    Ntilde(t) <= t log(T + e)^a for t <= T gives
+    ||g||_1 log(max g / ||g||_1 + e)^a, a = (p - 2)/p.  Either start only
+    places the first step of the search.
     """
     dim = prob.dim
     p = prob.p
@@ -971,11 +1040,13 @@ def _load_norm(prob: FemProblem):
     def add(_, __, fmag, weights):
         nonlocal total
         if dim == 2 and p > 2.0:
-            blocks.append((fmag ** 2, weights))
+            g = fmag ** 2
+            blocks.append((g, weights))
+            total += float(np.sum(weights * g))
         else:
             total += float(np.sum(weights * fmag ** q))
 
-    def norm() -> float:
+    def norm(start: float = math.nan) -> float:
         if not blocks:
             return total ** (1.0 / q) if dim >= 3 else total
         n_tilde, _ = log_young(p)
@@ -984,7 +1055,11 @@ def _load_norm(prob: FemProblem):
             g, j = zip(*(_gauge_terms(n_tilde, f, w, lam) for f, w in blocks))
             return sum(g), sum(j)
 
-        return _gauge(terms, max(_abs_max(f) for f, _ in blocks))
+        amax = max(_abs_max(f) for f, _ in blocks)
+        # total is ||g||_1; a zero one leaves the gauge its max|f| start
+        cold = total * math.log(amax / total + math.e) ** (
+            (p - 2.0) / (2.0 * p)) if total > 0.0 else math.nan
+        return _gauge(terms, amax, start, cold)
 
     return add, norm
 

@@ -24,6 +24,7 @@ type Ntilde(t) = t (log(t+e))^{(p-2)/p}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -227,7 +228,8 @@ def _gauge_terms(M: YoungFunction, values: np.ndarray, weights: np.ndarray,
 
     Both sums run over blocks of _SAMPLE_BLOCK samples, |f| taken per block,
     so the temporaries of M and M' are bounded by the block, not the field;
-    with slope, M and M' come from one joint evaluation.
+    with slope, M and M' come from one joint evaluation.  A block whose sum
+    is NaN, from a NaN sample whatever its weight, adds inf to G.
     """
     g = j = 0.0
     for b in _blocks(values.size):
@@ -239,8 +241,8 @@ def _gauge_terms(M: YoungFunction, values: np.ndarray, weights: np.ndarray,
                 j += float(np.sum(weights[b] * (dvals * t)))
             else:
                 vals = M(t)
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        g += float(np.sum(weights[b] * vals))
+        share = float(np.sum(weights[b] * vals))
+        g += math.inf if math.isnan(share) else share
     return g, j
 
 
@@ -263,8 +265,10 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
     of one octave toward the open side while one side is still open,
     doubled on each such move that follows another, and by geometric
     bisection once both are known.  The search stops when hi/lo drops
-    below 1 + 1e-9 and returns sqrt(lo hi).  The bracket may reach 2^200
-    max|f| either way: above that NotIntegrable, below it the gauge is 0.
+    below 1 + 1e-9 and returns the target of the last Newton step, moved
+    into [lo, hi], or sqrt(lo hi) when that step had no finite slope.  The
+    bracket may reach 2^200 max|f| either way: above that NotIntegrable,
+    below it the gauge is 0.
 
     Each step is one pass over the samples in blocks of _SAMPLE_BLOCK, so
     the search holds no array of the field's size beyond the field itself.
@@ -273,10 +277,17 @@ def luxemburg_norm(f: SampledField, M: YoungFunction) -> float:
                   _abs_max(f.values))
 
 
-def _gauge(terms, amax: float) -> float:
+def _gauge(terms, amax: float, *starts: float) -> float:
     """The search of luxemburg_norm on terms(lambda) = (G, J), the integral
     and its log slope as _gauge_terms gives them, for a field with
-    max|f| = amax; the caller chooses how the samples are walked."""
+    max|f| = amax; the caller chooses how the samples are walked.
+
+    The search begins at the first of starts that is a positive, normal,
+    finite number, and at max|f| when none is: a start only places the
+    first step, never a side of the bracket.  The range of 2^200 max|f|
+    either way, and with it the NotIntegrable and zero-gauge rules, stays
+    anchored at max|f|, and a start outside it begins at its end.
+    """
     if not math.isfinite(amax):
         raise NotIntegrable("field contains non-finite samples")
     if amax == 0.0:
@@ -287,7 +298,9 @@ def _gauge(terms, amax: float) -> float:
     s_min = math.log(amax) - _LUX_OCTAVES * octave
     s_max = math.log(amax) + _LUX_OCTAVES * octave
     lo, hi = -math.inf, math.inf
-    s = math.log(amax)
+    start = next((x for x in starts
+                  if math.isfinite(x) and x >= sys.float_info.min), amax)
+    s = min(max(math.log(start), s_min), s_max)
     last = before_last = math.inf
     reach = octave
     while True:
@@ -304,11 +317,16 @@ def _gauge(terms, amax: float) -> float:
                 # gauge is the infimum of an interval reaching 0.
                 return 0.0
             hi = s
-        if hi - lo <= tol:
-            return math.exp(0.5 * (lo + hi))
         step = math.log(g) * g / j if 0.0 < g < math.inf and j > 0.0 \
             else math.nan
-        nxt = s + step + math.copysign(0.25 * tol, step)
+        if hi - lo <= tol:
+            # the last Newton target, the best point of the closed bracket
+            root = s + step
+            return math.exp(0.5 * (lo + hi) if math.isnan(root)
+                            else min(max(root, lo), hi))
+        # past the target, away from the side s just closed: a start on
+        # the root, G = 1 exactly, steps down from hi, not out of it
+        nxt = s + step + (0.25 * tol if g > 1.0 else -0.25 * tol)
         if lo < nxt < hi and abs(step) <= 0.5 * abs(before_last):
             reach = octave
         elif hi == math.inf:

@@ -10,9 +10,10 @@ import pytest
 import funcdiss
 
 PACKAGE = Path(funcdiss.__file__).parent
-# the exception hierarchy is not a layer and keeps no __all__
+# the exception hierarchy and the python -m entry point are not layers
+# and keep no __all__
 LAYERS = sorted(p.stem for p in PACKAGE.glob("*.py")
-                if p.stem not in ("__init__", "errors"))
+                if p.stem not in ("__init__", "__main__", "errors"))
 
 
 def _init_imports():

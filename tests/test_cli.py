@@ -533,6 +533,35 @@ def test_regularity_degenerate_scaling_ratio_is_not_invariant(tmp_path):
     assert all(r["rel_drift"] == "nan" for r in rows)
 
 
+def test_regularity_solves_each_grid_once(tmp_path, monkeypatch):
+    # one CG solve per refinement level, each from the prolonged solution
+    # of the level before it; the scale rows read c u off the first level
+    from funcdiss import fem
+    solves = []
+    solve = fem._solve
+
+    def counted(prob, bf, start=None):
+        solves.append((prob.cells, start is not None))
+        return solve(prob, bf, start)
+
+    monkeypatch.setattr(fem, "_solve", counted)
+    code, records, cfg = _run_doc(tmp_path, {
+        "command": "regularity",
+        "coefficients": {"lam": 1.0, "mu": 1.0},
+        "load": {"preset": "manufactured", "amp": 1.5},
+        "grid": [8, 8],
+        "p": 4.0,
+        "refinements": 3,
+        "scale_factors": [0.5, 1.0, 2.0, 4.0],
+    })
+    assert code == EXIT_OK
+    assert solves == [((8, 8), False), ((16, 16), True), ((32, 32), True)]
+    ratios = _by_kind(records, "refinement_study")[0]["ratios"]
+    with open(cfg.out + "_scaling.csv", encoding="utf-8") as fh:
+        scale = [float(r["ratio"]) for r in csv.DictReader(fh)]
+    assert scale == pytest.approx([ratios[0]] * 4, rel=1e-9, abs=0.0)
+
+
 def test_regularity_fiber_reports_the_cells_it_solved(tmp_path):
     code, _, cfg = _run_doc(tmp_path, {
         "command": "regularity",
@@ -787,6 +816,25 @@ def test_solve_and_regularity_load_no_scipy(tmp_path, doc):
     code, loaded = _fresh_run_scipy_modules(tmp_path, doc).split(" ", 1)
     assert int(code) in (EXIT_OK, EXIT_NEGATIVE)
     assert loaded == "[]\n"
+
+
+def test_python_dash_m_runs_without_a_runtime_warning(tmp_path):
+    # python -m funcdiss.cli ran a second copy of cli as __main__ after
+    # the package had imported it, which runpy warns about; the package's
+    # own __main__ calls cli.main
+    path = tmp_path / "check.yaml"
+    path.write_text(yaml.safe_dump({
+        "command": "check", "coefficients": {"lam": 1.0, "mu": 1.0},
+        "p_sweep": {"lo": 2.0, "hi": 8.0, "count": 4},
+        "out": str(tmp_path / "out" / "check")}), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "funcdiss",
+         str(path)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert (tmp_path / "out" / "check.jsonl").exists()
 
 
 def test_main_missing_config_is_exit_3(tmp_path, capsys):

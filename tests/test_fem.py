@@ -881,6 +881,97 @@ def test_problem_validation():
 
 
 # ---------------------------------------------------------------------------
+# nested start and load scaling
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_nested_start_agrees_with_cold_solve_in_fewer_iterations():
+    # CG from the prolonged 64^2 solution stops at the same 1e-10 residual
+    # of the load as CG from zero, at lambda/mu = 100 where it takes 74
+    # iterations cold; the gauge starts at the coarse load norm
+    coarse = assemble_and_solve(manufactured_problem(64, 100.0, 1.0))
+    prob = manufactured_problem(128, 100.0, 1.0)
+    cold = assemble_and_solve(prob)
+    warm = assemble_and_solve(prob, coarse)
+    assert rel_diff(warm.u, cold.u) <= 1e-9
+    assert warm.energy == pytest.approx(cold.energy, rel=1e-9, abs=0.0)
+    assert warm.sobolev_norm_F == pytest.approx(cold.sobolev_norm_F,
+                                                rel=1e-9, abs=0.0)
+    assert warm.iterations < cold.iterations
+
+
+@pytest.mark.parametrize("make, p", [
+    (lambda n: manufactured_problem(n, 1.0, 1.0, p=4.0), 4.0),
+    (lambda n: fiber_problem(n), 2.0),
+    (lambda n: smooth_problem(n, dim=3, p=3.0), 3.0),
+], ids=["manufactured-p4", "fiber-16-to-1", "smooth-3d"])
+def test_nested_start_on_every_grid_the_study_refines(make, p):
+    # the fiber strip doubles its 16:1 grid exactly, and a 3-D box too
+    coarse = assemble_and_solve(make(8))
+    prob = make(16)
+    assert prob.p == p
+    cold = assemble_and_solve(prob)
+    warm = assemble_and_solve(prob, coarse)
+    assert rel_diff(warm.u, cold.u) <= 1e-9
+    assert regularity_ratio(warm) == pytest.approx(regularity_ratio(cold),
+                                                   rel=1e-9, abs=0.0)
+    assert warm.iterations <= cold.iterations
+
+
+def test_nested_start_needs_the_halved_grid():
+    coarse = assemble_and_solve(manufactured_problem(8))
+    for prob in (manufactured_problem(24), smooth_problem((16, 8)),
+                 smooth_problem((16, 16, 16))):
+        with pytest.raises(ValueError, match="every axis halved"):
+            assemble_and_solve(prob, coarse)
+    moved = manufactured_problem(16)
+    moved.domain = (0.0, 2.0, 0.0, 2.0)
+    with pytest.raises(ValueError, match="same box"):
+        assemble_and_solve(moved, coarse)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_scaled_solution_is_the_solve_of_the_scaled_load(c, monkeypatch):
+    # _solve divides the load by a power of two, so for a power of two c
+    # the solve of c F is c u(F) bit for bit; scaled_solution reads it off
+    # u(F) without CG and samples c u and c F again
+    prob = manufactured_problem(32, 1.3, 1.3, amp=1.2, p=4.1)
+    base = assemble_and_solve(prob)
+    fresh = assemble_and_solve(FemProblem(
+        domain=prob.domain, cells=prob.cells, coeffs=prob.coeffs,
+        rhs=c * prob.rhs, p=prob.p))
+
+    def no_cg(*_):
+        raise AssertionError("scaled_solution ran CG")
+
+    monkeypatch.setattr(fem, "_solve", no_cg)
+    scaled = fem.scaled_solution(base, c)
+    assert np.array_equal(scaled.u, fresh.u)
+    assert scaled.energy == fresh.energy
+    assert scaled.rhs_work == fresh.rhs_work
+    assert np.array_equal(scaled.problem.rhs, fresh.problem.rhs)
+    assert scaled.iterations == 0
+    assert scaled.weighted_energies == pytest.approx(fresh.weighted_energies,
+                                                     rel=1e-12, abs=0.0)
+    assert regularity_ratio(scaled) == pytest.approx(
+        regularity_ratio(fresh), rel=1e-9, abs=0.0)
+
+
+def test_scaled_solution_of_an_underflowed_or_overflowed_load():
+    # c^2 times the load norm underflows to 0 at c = 1e-200, a start the
+    # gauge does not take; c = 1e160 overflows the energy as the solve does
+    base = assemble_and_solve(smooth_problem(8, p=4.0))
+    tiny = fem.scaled_solution(base, 1e-200)
+    assert tiny.sobolev_norm_F == 0.0
+    assert regularity_ratio(tiny) == 0.0
+    with pytest.raises(SolverDiverged, match="overflows"):
+        fem.scaled_solution(base, 1e160)
+
+
+# ---------------------------------------------------------------------------
 # weighted energies
 
 
@@ -1004,6 +1095,33 @@ def test_post_solve_reductions_bounded_by_blocks():
                                      abs=0.0)
     assert load == pytest.approx(sol.sobolev_norm_F, rel=1e-13, abs=0.0)
     assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("p", [3.2, 4.9])
+def test_load_norm_gauge_starts_between_its_l1_bounds(p, monkeypatch):
+    # the cold gauge of the planar load norm starts at the geometric mean
+    # of ||g||_1 and ||g||_1 log(max g / ||g||_1 + e)^a, g = |F|^2: four
+    # passes over the samples where a start at max g took five
+    seen = []
+    gauge = fem._gauge
+
+    def counted(terms, amax, *starts):
+        def count(lam):
+            seen.append(lam)
+            return terms(lam)
+        return gauge(count, amax, *starts)
+
+    monkeypatch.setattr(fem, "_gauge", counted)
+    for cells in (32, 64):
+        prob = manufactured_problem(cells, p=p)
+        seen.clear()
+        sol = assemble_and_solve(prob)
+        add, norm = fem._load_norm(prob)
+        fem._gauss_samples(prob, sol.u, add)
+        assert len(seen) <= 4, (cells, len(seen))
+        # and a far start lands on the same norm
+        assert norm(1e3 * sol.sobolev_norm_F) == pytest.approx(
+            sol.sobolev_norm_F, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,116 @@ def test_joint_log_young_terms_match_separate_calls(p):
     np.testing.assert_array_equal(M._with_derivative(t)[0], M(t))
 
 
+def test_gauge_terms_read_a_nan_sample_as_infinite():
+    # a NaN sample makes its block's G sum NaN, which reads as inf, with a
+    # zero weight on the sample too (inf times that weight was NaN)
+    M = log_young(4.0)[0]
+    for weights in ([0.5, 0.5, 0.0], [0.25, 0.25, 0.5]):
+        g, _ = orlicz._gauge_terms(M, np.array([1.0, 2.0, np.nan]),
+                                   np.array(weights), 1.0)
+        assert g == math.inf, weights
+    # NaN-free samples sum as before, bit for bit
+    f = signed_spread_field(6, orlicz._SAMPLE_BLOCK + 99)
+    for lam in (1e-3, 1.0, 1e3):
+        t = np.abs(f.values) / lam
+        vals, dvals = M._with_derivative(t)
+        g, j = orlicz._gauge_terms(M, f.values, f.weights, lam)
+        assert g == sum(float(np.sum(f.weights[b] * vals[b]))
+                        for b in orlicz._blocks(t.size))
+        assert j == sum(float(np.sum(f.weights[b] * (dvals[b] * t[b])))
+                        for b in orlicz._blocks(t.size))
+
+
+def counted_terms(f, M):
+    """The gauge terms of f and M, and the list of the lambdas they read."""
+    seen = []
+
+    def terms(lam):
+        seen.append(lam)
+        return orlicz._gauge_terms(M, f.values, f.weights, lam)
+
+    return terms, seen
+
+
+@pytest.mark.parametrize("M", [log_young(4.0)[0], power_young(3.0),
+                               exp_young()], ids=["log", "power", "exp"])
+def test_gauge_start_places_the_first_step_only(M):
+    f = rng_field(11, hi=1.5)
+    amax = orlicz._abs_max(f.values)
+    cold_terms, cold_seen = counted_terms(f, M)
+    cold = orlicz._gauge(cold_terms, amax)
+    assert cold == pytest.approx(bisection_gauge(f, M), rel=1e-9)
+    # a start that is zero, subnormal or non-finite falls back to max|f|,
+    # and the first usable start is the one taken
+    for bad in (0.0, 5e-324, math.inf, math.nan, -1.0):
+        terms, seen = counted_terms(f, M)
+        assert orlicz._gauge(terms, amax, bad) == cold
+        assert seen == cold_seen
+        terms, seen = counted_terms(f, M)
+        orlicz._gauge(terms, amax, bad, 0.5 * cold)
+        assert seen[0] == pytest.approx(0.5 * cold, rel=1e-14)
+    # any usable start, near or far, lands on the same gauge
+    for start in (cold, 1.001 * cold, 1e-3 * cold, 1e3 * cold, 1e-300,
+                  1e300):
+        terms, seen = counted_terms(f, M)
+        assert orlicz._gauge(terms, amax, start) == pytest.approx(
+            cold, rel=1e-12, abs=0.0), start
+        assert seen[0] == pytest.approx(min(max(start, amax * 2.0 ** -200),
+                                            amax * 2.0 ** 200), rel=1e-12)
+    # a near start takes no more passes (a power's log G is linear in
+    # log lambda, so Newton lands from anywhere)
+    terms, seen = counted_terms(f, M)
+    orlicz._gauge(terms, amax, 1.001 * cold)
+    assert len(seen) <= len(cold_seen)
+
+
+def test_gauge_started_on_its_root_closes_at_once():
+    # G(lambda) = (2 / lambda)^2 is 1 exactly at the start lambda = 2; the
+    # step past the target goes down from that upper side, so the bracket
+    # closes in two passes instead of reopening an octave below
+    seen = []
+
+    def terms(lam):
+        seen.append(lam)
+        g = (2.0 / lam) ** 2
+        return g, 2.0 * g
+
+    assert orlicz._gauge(terms, 3.0, 2.0) == pytest.approx(2.0, rel=1e-15)
+    assert len(seen) == 2
+
+
+def test_gauge_start_keeps_the_range_rules():
+    # the 2^200 range stays anchored at max|f|, whatever the start: G
+    # above 1 everywhere is NotIntegrable, G below 1 everywhere a zero
+    # gauge, and a start beyond the range begins at its end
+    with pytest.raises(NotIntegrable):
+        orlicz._gauge(lambda lam: (2.0, 1.0), 1.0, 1e-10)
+    assert orlicz._gauge(lambda lam: (0.5, 1.0), 1.0, 1e10) == 0.0
+    f = SampledField.uniform([1e-30, 1.0])
+    M = power_young(2.0)
+    terms, seen = counted_terms(f, M)
+    assert orlicz._gauge(terms, 1.0, 1e100) == pytest.approx(
+        luxemburg_norm(f, M), rel=1e-12)
+    assert seen[0] == pytest.approx(2.0 ** 200, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.2, 4.9, 12.0])
+def test_log_young_gauge_between_its_l1_bounds(p):
+    # Ntilde(t) >= t, and Ntilde(t) <= t log(T + e)^a for t <= T, bound
+    # the gauge of g >= 0 by ||g||_1 and ||g||_1 log(max g/||g||_1 + e)^a
+    M = log_young(p)[0]
+    a = (p - 2.0) / p
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.0, 1.0, 500) ** 4 * 10.0 ** rng.uniform(-3, 3)
+        f = SampledField.uniform(g, measure=rng.uniform(0.5, 2.0))
+        l1 = float(np.sum(f.weights * g))
+        lux = luxemburg_norm(f, M)
+        assert l1 <= lux * (1.0 + 1e-9)
+        assert lux <= l1 * math.log(g.max() / l1 + math.e) ** a \
+            * (1.0 + 1e-9)
+
+
 def test_luxemburg_memory_bounded_by_blocks():
     # 2^22 samples, 64 MB of input: the whole-field gauge held 224 MB of
     # temporaries above it at every Newton step
