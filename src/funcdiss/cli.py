@@ -58,6 +58,7 @@ from .criteria import (
     lameNd_sufficient,
 )
 from .fem import (
+    FIBER_ASPECT,
     FemProblem,
     assemble_and_solve,
     fiber_problem,
@@ -537,9 +538,10 @@ def _load_rhs(cfg: RunConfig, cells: tuple[int, ...],
     if preset in ("fiber", "manufactured") and cfg.domain is not None:
         raise ValueError(f"the {preset} load fixes its own domain")
     if preset == "fiber":
-        if dim != 2 or cells[1] != 16 * cells[0]:
-            raise ValueError("the fiber load solves a planar grid [g, 16 g] "
-                             f"on (0, 1) x (0, 16), got {list(cells)}")
+        if dim != 2 or cells[1] != FIBER_ASPECT * cells[0]:
+            raise ValueError(
+                f"the fiber load solves a planar grid [g, {FIBER_ASPECT} g] "
+                f"on (0, 1) x (0, {FIBER_ASPECT}), got {list(cells)}")
         prob = fiber_problem(cells_x=cells[0], lam=pair[0], mu=pair[1])
         return dataclasses.replace(prob, rhs=cfg.load["amp"] * prob.rhs,
                                    p=cfg.p)

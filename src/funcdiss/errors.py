@@ -27,7 +27,8 @@ class BadTruncation(ToolkitError):
 
 
 class QuadratureFailure(ToolkitError):
-    """Adaptive quadrature reported an unreliable result."""
+    """A form's quadrature cannot be trusted: the probe needs more nodes per
+    axis than the cap, or the integral is not finite."""
 
 
 class EllipticityViolation(ToolkitError):
@@ -47,7 +48,7 @@ class SolverDiverged(ToolkitError):
 
 
 class NotIntegrable(ToolkitError):
-    """A Young function integral diverges on the supplied data."""
+    """A field's Orlicz modular diverges or its samples are not finite."""
 
 
 class OrliczNormFailure(ToolkitError):

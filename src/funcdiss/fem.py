@@ -1124,20 +1124,23 @@ def manufactured_reference(prob: FemProblem, amp: float = 1.0) -> np.ndarray:
     return np.stack([s, s], axis=-1)
 
 
-def fiber_problem(cells_x: int = 32, aspect: int = 16, lam: float = 1.0,
+FIBER_ASPECT = 16  # the fiber strip's height over its width
+
+
+def fiber_problem(cells_x: int = 32, lam: float = 1.0,
                   mu: float = 1.0) -> FemProblem:
-    """Quasi 1-D strip [0,1] x [0,aspect]: F11 = 1 on x <= 1/2, else 0.
+    """Quasi 1-D strip [0,1] x [0,FIBER_ASPECT]: F11 = 1 on x <= 1/2, else 0.
 
     Away from the far walls the displacement reduces to the two point
     boundary problem (lam + 2 mu) u1'' = d F11/dx, whose solution is a hat
     with peak near 0.25/(lam + 2 mu) at x = 1/2.
     """
-    cells_y = cells_x * aspect
+    cells_y = cells_x * FIBER_ASPECT
     nodes = (cells_x + 1, cells_y + 1)
     xs = np.linspace(0.0, 1.0, nodes[0])
     f = np.zeros(nodes + (2, 2))
     f[:, :, 0, 0] = (xs <= 0.5)[:, None]
-    return FemProblem(domain=(0.0, 1.0, 0.0, float(aspect)),
+    return FemProblem(domain=(0.0, 1.0, 0.0, float(FIBER_ASPECT)),
                       cells=(cells_x, cells_y), coeffs=(lam, mu), rhs=f,
                       p=2.0)
 

@@ -549,10 +549,8 @@ def _generic_integrand(system: GeneralSystem, phi_spec: PhiSpec,
     return fn
 
 
-def _lame_integrand(target, phi_spec: PhiSpec, scale: float,
-                    kappa: float = 0.0):
-    """Scalar coefficient route for the Lame tensor, shifted by -kappa
-    Laplacian (kappa = 0 is the plain form), as an integrand of
+def _lame_integrand(target, phi_spec: PhiSpec, scale: float):
+    """Scalar coefficient route for the Lame tensor, as an integrand of
     (pts, vals, jac) for a field of amplitude hint scale.
 
     Valid for complex fields: the first order term vanishes because the
@@ -566,13 +564,12 @@ def _lame_integrand(target, phi_spec: PhiSpec, scale: float,
 
     def fn(pts, vals, jac):
         lam, mu = _coefficients_at(target, pts)
-        return _lame_columns(lam, mu, phi_spec, scale, vals, jac, kappa)
+        return _lame_columns(lam, mu, phi_spec, scale, vals, jac)
 
     return fn
 
 
-def _lame_columns(lam, mu, phi_spec: PhiSpec, scale: float, vals, jac,
-                  kappa: float):
+def _lame_columns(lam, mu, phi_spec: PhiSpec, scale: float, vals, jac):
     """The (n, 2) form and |grad v|^2 columns of _lame_integrand from the
     field's values and Jacobian at the nodes."""
     v1, v2 = vals[:, 0], vals[:, 1]
@@ -582,12 +579,12 @@ def _lame_columns(lam, mu, phi_spec: PhiSpec, scale: float, vals, jac,
     grad2 = diag + _re_dot(j12, j12) + _re_dot(j21, j21)
     div = j11 + j22
     swap = diag + 2.0 * _re_dot(j12, j21)
-    base = (mu - kappa) * grad2 + lam * _re_dot(div, div) + mu * swap
+    base = mu * grad2 + lam * _re_dot(div, div) + mu * swap
     mask, safe, d1, d2 = _modulus(vals, jac, scale)
     lv = phi_spec.profile.lambda_of(safe)
     qv = v1 * d1 + v2 * d2  # |v| q
     corr = (lv * lv) * ((lam + mu) * _re_dot(qv, qv) / (safe * safe)
-                        + (mu - kappa) * (d1 * d1 + d2 * d2))
+                        + mu * (d1 * d1 + d2 * d2))
     form = base - np.where(mask, corr, 0.0)
     # stacked while the temporaries above are still held, so that freeing
     # them leaves no free block at the top of the heap for malloc to trim

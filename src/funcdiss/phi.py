@@ -44,7 +44,6 @@ from .errors import (
     BracketFailure,
     NonPositivePhi,
     NotIncreasing,
-    QuadratureFailure,
 )
 
 __all__ = [
@@ -53,14 +52,12 @@ __all__ = [
     "ConditionCheck",
     "LambdaProfile",
     "LambdaLimit",
-    "YoungPair",
     "power_phi",
     "exp_square_phi",
     "truncated_power",
     "custom_phi",
     "validate_phi",
     "dual_phi",
-    "young_pair",
 ]
 
 POWER = "power"
@@ -90,13 +87,6 @@ _W_LOG_SMALL = -40.0
 # has converged when its last three nodes vary by less than 1e-6 relative.
 _TAIL_T = np.geomspace(1e-6, 1e8, 140)
 _TAIL_TOL = 1e-6
-# Young integrals: dyadic panels and the two Gauss-Legendre orders; a
-# panel whose orders differ by more than _YOUNG_SPLIT of the total is
-# halved, for at most _YOUNG_ROUNDS rounds.
-_YOUNG_PANELS = 60
-_YOUNG_ORDERS = (32, 24)
-_YOUNG_SPLIT = 1e-13
-_YOUNG_ROUNDS = 40
 
 
 @dataclass(frozen=True)
@@ -725,7 +715,7 @@ class LambdaProfile:
 
 
 # ---------------------------------------------------------------------------
-# Dual weight and Young pair
+# Dual weight
 
 
 def dual_phi(spec: PhiSpec) -> PhiSpec:
@@ -761,66 +751,3 @@ def dual_phi(spec: PhiSpec) -> PhiSpec:
         c1=0.5 * float(np.min(ratio)), c2=2.0 * float(np.max(ratio)),
         phi_fn=psi, dphi_fn=dpsi, vi_exempt=spec.vi_exempt,
         label=f"dual({spec.label or spec.family})", base=spec)
-
-
-@dataclass(frozen=True)
-class YoungPair:
-    """Conjugate Young functions built from a weight and its dual.
-
-    Phi(s) integrates sigma*phi(sigma) from 0; a dual weight's Psi(t) is
-    t*S - Phi(S), S the inverse of s*phi at t, so Young's inequality
-    s*t <= Phi(s) + Psi(t) holds with equality at t = s*phi(s).
-    """
-
-    phi_spec: PhiSpec
-    psi_spec: PhiSpec
-
-    def Phi(self, s: float) -> float:
-        return _young_integral(self.phi_spec, float(s))
-
-    def Psi(self, t: float) -> float:
-        return _young_integral(self.psi_spec, float(t))
-
-
-def _young_integral(spec: PhiSpec, upper: float) -> float:
-    """Gauss-Legendre on panels of [0, upper] that halve towards 0, where
-    alone sigma*phi(sigma) may be singular, and that break at a truncated
-    power's junctions; two orders' difference is the error estimate.
-
-    Each round halves the panels whose two orders disagree by more than
-    _YOUNG_SPLIT of the total, so a steep integrand such as s e^{s^2} gets
-    narrow panels at the top; the final check reads the whole sum."""
-    if not (math.isfinite(upper) and upper >= 0.0):
-        raise ValueError(f"Young functions take finite s >= 0, got {upper}")
-    if upper == 0.0:
-        return 0.0
-    if spec.family == DUAL:
-        s = float(spec.base.profile._preimage(np.asarray(upper), 1.0)[0])
-        return upper * s - _young_integral(spec.base, s)
-    from numpy.polynomial.legendre import leggauss
-    breaks = np.append(0.0, upper * 0.5 ** np.arange(_YOUNG_PANELS, -1, -1.0))
-    if spec.family == TRUNCATED_POWER:
-        breaks = np.union1d(breaks, np.minimum([spec.k - 1.0, spec.k], upper))
-    rules = [leggauss(n) for n in _YOUNG_ORDERS]
-    for _ in range(_YOUNG_ROUNDS):
-        half = 0.5 * np.diff(breaks)[:, None]
-        high, low = (half * w * spec.s_phi(breaks[:-1, None]
-                                           + half * (x + 1.0))
-                     for x, w in rules)
-        total = abs(float(np.sum(high)))
-        split = (np.abs(high.sum(axis=1) - low.sum(axis=1))
-                 > _YOUNG_SPLIT * total)
-        if not split.any():
-            break
-        breaks = np.union1d(breaks, breaks[:-1][split] + half[split, 0])
-    high, low = float(np.sum(high)), float(np.sum(low))
-    err = abs(high - low)
-    if not (math.isfinite(high) and err <= 1e-6 * max(abs(high), 1.0) + 1e-10):
-        raise QuadratureFailure(
-            f"Young integral unreliable on [0, {upper:.3g}]: "
-            f"value {high:.6g}, error estimate {err:.3g}")
-    return high
-
-
-def young_pair(spec: PhiSpec) -> YoungPair:
-    return YoungPair(phi_spec=spec, psi_spec=dual_phi(spec))

@@ -750,19 +750,17 @@ def test_young_functions_and_margin_run_without_scipy():
         "from funcdiss import (SampledField, algebraic_margin, custom_phi,\n"
         "    dual_phi, exp_conjugate, exp_square_phi, exp_young, lame_system,\n"
         "    log_young, luxemburg_norm, orlicz_norm, power_phi, power_young,\n"
-        "    truncated_power, young_pair)\n"
+        "    truncated_power)\n"
         "specs = [power_phi(3.0), exp_square_phi(), truncated_power(4.0, 2.0),\n"
         "         custom_phi(lambda s: 1.0 + s * s), dual_phi(power_phi(3.0))]\n"
         "sups = [spec.profile.limit.sup_bound for spec in specs]\n"
-        "pairs = [young_pair(spec) for spec in specs]\n"
-        "young = [[pair.Phi(1.5), pair.Psi(1.5)] for pair in pairs]\n"
         "preimage = float(dual_phi(power_phi(3.0)).s_phi(1.5))\n"
         "f = SampledField.uniform([0.5, 1.0, 1.5])\n"
         "youngs = [power_young(3.0), exp_young(), exp_conjugate(),\n"
         "          log_young(4.0)[0]]\n"
         "norms = [[luxemburg_norm(f, M), orlicz_norm(f, M)] for M in youngs]\n"
         "margin = algebraic_margin(lame_system(1.0, 1.0), math.sqrt(0.8))\n"
-        "print(json.dumps({'sups': sups, 'young': young,\n"
+        "print(json.dumps({'sups': sups,\n"
         "                  'preimage': preimage,\n"
         "                  'norms': norms, 'margin': margin.min_value}))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -779,14 +777,6 @@ def test_young_functions_and_margin_run_without_scipy():
     assert exp_square == 1.0
     assert truncated == pytest.approx(0.25, rel=1e-12)
     assert 0.0 < custom <= 1.0
-    power, _, _, custom, dual = out["young"]
-    # Phi(s) = s^3/3 and Psi(t) = t^(3/2)/(3/2) for p = 3, and the dual
-    # pair swaps them; 1 + s^2 integrates to s^2/2 + s^4/4
-    assert power == pytest.approx([1.5 ** 3 / 3.0, 1.5 ** 1.5 / 1.5],
-                                  rel=1e-12)
-    assert dual == pytest.approx(power[::-1], rel=1e-12)
-    assert custom[0] == pytest.approx(1.5 ** 2 / 2.0 + 1.5 ** 4 / 4.0,
-                                      rel=1e-12)
     # the preimage of 1.5 under s*phi(s) = s^2
     assert out["preimage"] == pytest.approx(1.5 ** 0.5, rel=1e-12)
     # the Luxemburg norm of t^3 is the Lebesgue 3-norm, here 1.5^(1/3),

@@ -426,7 +426,7 @@ def _samplers(target):
             lambda pts: target.mu_at(pts[:, 0], pts[:, 1]))
 
 
-def _einsum_lame_integrand(lam_at, mu_at, phi_spec, v, kappa=0.0):
+def _einsum_lame_integrand(lam_at, mu_at, phi_spec, v):
     # the tensor-contraction form of the scalar Lame integrand, kept as a
     # reference for the component arithmetic of _lame_integrand
     def fn(pts):
@@ -444,10 +444,10 @@ def _einsum_lame_integrand(lam_at, mu_at, phi_spec, v, kappa=0.0):
         div = jac[:, 0, 0] + jac[:, 1, 1]
         divsq = (div * np.conj(div)).real
         swap = np.einsum("njk,nkj->n", jac, np.conj(jac)).real
-        base = (mu - kappa) * grad2 + lam * divsq + mu * swap
+        base = mu * grad2 + lam * divsq + mu * swap
         q = np.einsum("nk,nk->n", unit, d)
         corr = (lv * lv) * ((lam + mu) * np.abs(q) ** 2
-                            + (mu - kappa) * np.einsum("nk,nk->n", d, d))
+                            + mu * np.einsum("nk,nk->n", d, d))
         form = base - np.where(mask, corr, 0.0)
         return np.column_stack([form, grad2])
 
@@ -482,10 +482,9 @@ def _reference_points(field, seed):
     return np.vstack([pts, [centre, [x0, y0], [x1, y1], [x0, centre[1]]]])
 
 
-@pytest.mark.parametrize("kappa", [0.0, 0.3])
 @pytest.mark.parametrize("spec", [power_phi(4.0), exp_square_phi()],
                          ids=["power", "exp_square"])
-def test_lame_integrand_matches_einsum_reference_per_node(spec, kappa):
+def test_lame_integrand_matches_einsum_reference_per_node(spec):
     targets = [(1.2, 0.8),
                radial_field(1.0, 0.7, 0.4, domain=(-1.0, 1.0, -1.0, 1.0))]
     for t, target in enumerate(targets):
@@ -494,10 +493,9 @@ def test_lame_integrand_matches_einsum_reference_per_node(spec, kappa):
             pts = _reference_points(field, seed=10 * i + t)
             nv = np.linalg.norm(field.value(pts), axis=1)
             assert np.any(nv <= ZERO_SET_REL * field.scale)
-            got = _lame_integrand(target, spec, field.scale, kappa)(
+            got = _lame_integrand(target, spec, field.scale)(
                 pts, field.value(pts), field.jacobian(pts))
-            ref = _einsum_lame_integrand(lam_at, mu_at, spec, field,
-                                         kappa)(pts)
+            ref = _einsum_lame_integrand(lam_at, mu_at, spec, field)(pts)
             scale = np.max(np.abs(ref), axis=0)
             assert np.all(np.abs(got - ref) <= 1e-13 * scale), field.label
 
