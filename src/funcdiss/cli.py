@@ -395,6 +395,18 @@ def _coeff_summary(field_: CoefficientField) -> dict[str, Any]:
     }
 
 
+def _verdict(cfg: RunConfig, spec: PhiSpec, coeffs: CoefficientField):
+    """The planar verdict under the document's c0 and kappa_hint."""
+    return lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
+
+
+def _sweep(cfg: RunConfig, coeffs: CoefficientField):
+    """(p, verdict) for each power exponent of the document's p_sweep."""
+    lo, hi, count = cfg.p_sweep
+    for p in np.linspace(lo, hi, count):
+        yield float(p), _verdict(cfg, power_phi(float(p)), coeffs)
+
+
 def _record_planar_verdict(writer: ReportWriter, verdict, coeffs, **weight):
     """The verdict record of a planar check: the verdict, the weight it
     was taken for (p or phi), the coefficient summary and the basis."""
@@ -408,16 +420,12 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
     worst = EXIT_OK
 
     if cfg.p_sweep is not None:
-        lo, hi, count = cfg.p_sweep
         rows: list[list[Any]] = []
-        for p in np.linspace(lo, hi, count):
-            spec = power_phi(float(p))
-            verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
-            rows.append([float(p), verdict.lambda_inf_sq, verdict.rhs,
-                         verdict.margin,
-                         verdict.kappa if verdict.kappa is not None else "",
+        for p, verdict in _sweep(cfg, coeffs):
+            rows.append([p, verdict.lambda_inf_sq, verdict.rhs, verdict.margin,
+                         "" if verdict.kappa is None else verdict.kappa,
                          verdict.status])
-            _record_planar_verdict(writer, verdict, coeffs, p=float(p))
+            _record_planar_verdict(writer, verdict, coeffs, p=p)
             if verdict.status == NOT_DISSIPATIVE:
                 worst = EXIT_NEGATIVE
         path = writer.csv("p_sweep",
@@ -427,7 +435,7 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
         return worst
 
     spec = phi_from_mapping(cfg.phi)
-    verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
+    verdict = _verdict(cfg, spec, coeffs)
     _record_planar_verdict(writer, verdict, coeffs, phi=dict(cfg.phi))
 
     pair = cfg.constant_pair
@@ -444,7 +452,7 @@ def _cmd_check(cfg: RunConfig, writer: ReportWriter) -> int:
 def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
     coeffs = coefficients_from_mapping(cfg.coefficients)
     spec = phi_from_mapping(cfg.phi)
-    verdict = lame2d_verdict(spec, coeffs, cfg.c0, cfg.kappa_hint)
+    verdict = _verdict(cfg, spec, coeffs)
     _record_planar_verdict(writer, verdict, coeffs, phi=dict(cfg.phi))
 
     kappa = verdict.kappa if verdict.status == STRICT_DISSIPATIVE else 0.0
@@ -482,7 +490,7 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
             crows = [[rho, form, grad] for rho, form, grad in report.rows]
             cpath = writer.csv("counterexample",
                                ["rho", "form_value", "gradient_sq"], crows)
-            writer.record("counterexample", {
+            record = {
                 "algebraic_min": report.algebraic_min,
                 "flip_rho": report.flip_rho,
                 "xi": list(report.xi),
@@ -493,7 +501,12 @@ def _cmd_verify_forms(cfg: RunConfig, writer: ReportWriter) -> int:
                 "basis": "oscillatory direction-field probe at the "
                          "minimizing algebraic directions, frequency doubled "
                          "per step",
-            })
+            }
+            if report.unresolved_rho is not None:
+                record["note"] = (
+                    f"the sweep ends at rho {report.rows[-1][0]!r}: the "
+                    f"quadrature node cap stops rho {report.unresolved_rho!r}")
+            writer.record("counterexample", record)
         else:
             writer.record("counterexample", {
                 "witness_found": False,
@@ -701,12 +714,8 @@ def _cmd_report(cfg: RunConfig, writer: ReportWriter) -> int:
 
     if cfg.p_sweep is not None:
         coeffs = coefficients_from_mapping(cfg.coefficients)
-        lo, hi, count = cfg.p_sweep
-        srows: list[list[Any]] = []
-        for p in np.linspace(lo, hi, count):
-            verdict = lame2d_verdict(power_phi(float(p)), coeffs, cfg.c0)
-            srows.append([float(p), verdict.lambda_inf_sq, verdict.rhs,
-                          verdict.margin, verdict.status])
+        srows = [[p, v.lambda_inf_sq, v.rhs, v.margin, v.status]
+                 for p, v in _sweep(cfg, coeffs)]
         spath = writer.csv("p_margins",
                            ["p", "lambda_inf_sq", "rhs", "margin", "status"],
                            srows)

@@ -111,54 +111,35 @@ class CoefficientField:
         # that lost ellipticity raises on every ess_bounds call
         return _grid_bounds(self.lam_total, self.mu_total)
 
-    def lam_at(self, x, y) -> np.ndarray:
-        return bilinear(self.lam_total, self.domain, x, y)
 
-    def mu_at(self, x, y) -> np.ndarray:
-        return bilinear(self.mu_total, self.domain, x, y)
-
-    def _lame_at(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """(lam_at, mu_at) at the points, bit for bit, from one clamp,
-        cell index and set of bilinear weights."""
-        cell = _cell_weights(self.shape, self.domain, x, y)
-        return (_interpolate(self.lam_total, cell),
-                _interpolate(self.mu_total, cell))
-
-
-def _cell_weights(shape, domain, x, y):
-    """The flat index k of each point's cell corner and the four bilinear
-    weights of the corners k, k + n2, k + 1 and k + n2 + 1 (x index outer),
-    with the points clamped to the rectangle."""
-    x0, x1, y0, y1 = domain
-    n1, n2 = shape
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tx = np.clip((x - x0) / (x1 - x0) * (n1 - 1), 0.0, n1 - 1 - 1e-12)
-    ty = np.clip((y - y0) / (y1 - y0) * (n2 - 1), 0.0, n2 - 1 - 1e-12)
-    i = tx.astype(int)
-    j = ty.astype(int)
-    fx = tx - i
-    fy = ty - j
-    gx = 1 - fx
-    gy = 1 - fy
-    return i * n2 + j, (gx * gy, fx * gy, gx * fy, fx * fy)
-
-
-def _interpolate(values: np.ndarray, cell) -> np.ndarray:
-    k, (w00, w10, w01, w11) = cell
-    n2 = values.shape[1]
-    flat = values.ravel()
-    return (w00 * flat.take(k) + w10 * flat.take(k + n2)
-            + w01 * flat.take(k + 1) + w11 * flat.take(k + n2 + 1))
-
-
-def bilinear(values: np.ndarray, domain, x, y) -> np.ndarray:
+def bilinear(values, domain, x, y):
     """Bilinear interpolation of node values at points (x, y).
 
-    Points are clamped to the rectangle, which matches the piecewise
-    bilinear reading of the node grid.
+    values is one node grid, or a tuple of node grids of one shape: each
+    point's cell and four weights are worked out once, and a tuple gives
+    one sample array per grid, each bit for bit the sample of its grid
+    alone.  Points are clamped to the rectangle, which matches the
+    piecewise bilinear reading of the node grid.
     """
-    return _interpolate(values, _cell_weights(values.shape, domain, x, y))
+    grids = values if isinstance(values, tuple) else (values,)
+    n1, n2 = grids[0].shape
+    if any(g.shape != (n1, n2) for g in grids):
+        raise ValueError("the grids sampled together must share one shape")
+    x0, x1, y0, y1 = domain
+    tx = np.clip((np.asarray(x, dtype=float) - x0) / (x1 - x0) * (n1 - 1),
+                 0.0, n1 - 1 - 1e-12)
+    ty = np.clip((np.asarray(y, dtype=float) - y0) / (y1 - y0) * (n2 - 1),
+                 0.0, n2 - 1 - 1e-12)
+    i, j = tx.astype(int), ty.astype(int)
+    fx, fy = tx - i, ty - j
+    k = i * n2 + j  # the flat index of the corner (i, j), x index outer
+    del tx, ty, i, j
+    gx, gy = 1 - fx, 1 - fy
+    w00, w10, w01, w11 = gx * gy, fx * gy, gx * fy, fx * fy
+    del fx, fy, gx, gy  # freed before the gathers, which reuse the memory
+    samples = [w00 * f.take(k) + w10 * f.take(k + n2) + w01 * f.take(k + 1)
+               + w11 * f.take(k + n2 + 1) for f in (g.ravel() for g in grids)]
+    return tuple(samples) if isinstance(values, tuple) else samples[0]
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coefficients import CoefficientField, constant_field
+from .coefficients import CoefficientField, bilinear, constant_field
 from .criteria import (
     STRICT_DISSIPATIVE,
     constant_threshold,
@@ -296,8 +296,9 @@ def _coefficient_samples(prob: FemProblem, order: int):
         xs = np.broadcast_to(gx[lo:lo + step, None, :, None], shape)
         ys = np.broadcast_to(gy[None, :, None, :], shape)
         rows = slice(lo * ny, (lo + shape[0]) * ny)
-        lam[rows], mu[rows] = (v.reshape(-1, order * order) for v in
-                               prob.coeffs._lame_at(xs.ravel(), ys.ravel()))
+        samples = bilinear((prob.coeffs.lam_total, prob.coeffs.mu_total),
+                           prob.coeffs.domain, xs.ravel(), ys.ravel())
+        lam[rows], mu[rows] = (v.reshape(-1, order * order) for v in samples)
     return lam, mu
 
 
@@ -445,7 +446,7 @@ def _interior(dim: int):
     return (slice(None),) + (slice(1, -1),) * dim
 
 
-def _load_vector(prob: FemProblem, order: int = 2):
+def _load_vector(prob: FemProblem):
     """Load vector bf in grid layout, as a stencil over the nodal load.
 
     r[(a,J)] = int Fhat_{iJ} d_i phi_a, with Fhat the Q1 interpolant, is
@@ -460,7 +461,7 @@ def _load_vector(prob: FemProblem, order: int = 2):
     """
     dim = prob.dim
     inner = tuple(c - 1 for c in prob.cells)
-    wv, vals, phys = _physical(dim, order, prob.spacings)
+    wv, vals, phys = _physical(dim, 2, prob.spacings)
     load_op = np.einsum("g,gai,gb->aib", wv, phys, vals)
     planes = [(off, sum(load_op[a, :, b] for a, b in pairs))
               for off, pairs in _stencil_offsets(dim)]
@@ -915,8 +916,7 @@ def _sampled(prob: FemProblem, u, energy: float, work: float,
 # quadrature over the solved field
 
 
-def _gauss_samples(prob: FemProblem, u: np.ndarray, *visitors,
-                   order: int = 4):
+def _gauss_samples(prob: FemProblem, u: np.ndarray, *visitors):
     """One pass over |u|, |grad u|^2 and |F| at order-4 Gauss points.
 
     The cells run in blocks of _SAMPLE_BLOCK Gauss points, and each block
@@ -930,7 +930,7 @@ def _gauss_samples(prob: FemProblem, u: np.ndarray, *visitors,
     point); each norm then sums the squares of contiguous rows.
     """
     dim = prob.dim
-    wv, vals, phys = _physical(dim, order, prob.spacings)
+    wv, vals, phys = _physical(dim, 4, prob.spacings)
     nbasis = 2 ** dim
     ngauss = len(wv)
     nel = math.prod(prob.cells)

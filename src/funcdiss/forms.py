@@ -37,13 +37,13 @@ values and Jacobian there.  The zero-set rule, under which the |v|^-2 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientField, GeneralSystem
+from .coefficients import CoefficientField, GeneralSystem, bilinear
 from .criteria import _lattice_minimum
 from .errors import QuadratureFailure
 from .phi import PhiSpec
@@ -108,7 +108,6 @@ class TestField:
     support: tuple[float, float, float, float]
     wavelength: float | None = None
     scale: float = 1.0
-    is_real: bool = True
     frame: tuple[float, float] | None = None
 
 
@@ -207,18 +206,16 @@ def rotation_field(center, r0: float, r1: float, amp: float = 1.0,
                    label: str = "rotation") -> TestField:
     """Divergence free core b(r) * amp * (-(y - cy), x - cx)."""
     m = amp * np.array([[0.0, -1.0], [1.0, 0.0]])
-    f = bump_field(center, r0, r1, (0.0, 0.0), m, label=label)
-    return TestField(label=label, family="rotation", value=f.value,
-                     jacobian=f.jacobian, support=f.support, scale=f.scale)
+    return replace(bump_field(center, r0, r1, (0.0, 0.0), m, label=label),
+                   family="rotation")
 
 
 def gradient_field(center, r0: float, r1: float, amp: float = 1.0,
                    label: str = "gradient") -> TestField:
     """Curl free core b(r) * amp * (x - c), the gradient of a radial potential
     up to the bump factor."""
-    f = bump_field(center, r0, r1, (0.0, 0.0), amp * np.eye(2), label=label)
-    return TestField(label=label, family="gradient", value=f.value,
-                     jacobian=f.jacobian, support=f.support, scale=f.scale)
+    return replace(bump_field(center, r0, r1, (0.0, 0.0), amp * np.eye(2),
+                              label=label), family="gradient")
 
 
 def oscillatory_field(center, xi, rho: float, eta, *,
@@ -310,12 +307,11 @@ def oscillatory_field(center, xi, rho: float, eta, *,
                     out[i, h] += (amp * omega[i]) * carrier
         return out.transpose(2, 0, 1)
 
-    is_real = not (complex_phase or np.iscomplexobj(eta))
     scale = float(np.abs(eta).max() + (bg[1] if bg is not None else 0.0))
     return TestField(label=label, family="oscillatory", value=value,
                      jacobian=jacobian, support=_support_box(c, r1),
                      wavelength=2.0 * np.pi / rho, scale=max(scale, 1e-30),
-                     is_real=is_real, frame=(float(xi[0]), float(xi[1])))
+                     frame=(float(xi[0]), float(xi[1])))
 
 
 def standard_ensemble(seed: int = 2026, *, n_bump: int = 20, n_rot: int = 20,
@@ -382,6 +378,10 @@ def _axis_rule(a: float, b: float, n_cells: int, order: int):
     return nodes, weights
 
 
+class _NodeCap(QuadratureFailure):
+    """The resolution rule asks for more nodes per axis than its cap."""
+
+
 def _axis_cells(extent: float, wavelength: float | None,
                 cells_per_wavelength: float, min_cells: int) -> int:
     n = min_cells
@@ -430,7 +430,7 @@ def _disk_rule(v: TestField, *, order: int = 8,
     nu = _axis_cells(u1 - u0, v.wavelength, cells_per_wavelength, min_cells)
     nw = _axis_cells(w1 - w0, w_wavelength, cells_per_wavelength, min_cells)
     if max(nu, nw) * order > max_axis_points:
-        raise QuadratureFailure(
+        raise _NodeCap(
             f"resolution rule asks for {max(nu, nw) * order} nodes per axis "
             f"(cap {max_axis_points}); the probe oscillates too fast")
     us, wu = _axis_rule(u0, u1, nu, order)
@@ -527,8 +527,7 @@ def _modulus(vals, jac, scale: float):
 def _generic_integrand(system: GeneralSystem, phi_spec: PhiSpec,
                        scale: float):
     tensor = system.tensor
-    gap = system.adjoint_gap()
-    has_gap = bool(np.max(np.abs(gap)) > 1e-14)
+    gap = None if system.self_adjoint else system.adjoint_gap()
 
     def fn(pts, vals, jac):
         mask, safe, d1, d2 = _modulus(vals, jac, scale)
@@ -537,7 +536,7 @@ def _generic_integrand(system: GeneralSystem, phi_spec: PhiSpec,
         lam = phi_spec.profile.lambda_of(safe)
         t1 = np.einsum("hkij,njk,nih->n", tensor, jac, np.conj(jac))
         weighted = np.zeros(len(pts), dtype=complex)
-        if has_gap:
+        if gap is not None:
             weighted += lam * np.einsum("hkij,nj,nih,nk->n", gap, unit,
                                         np.conj(jac), d)
         weighted -= (lam * lam) * np.einsum("hkij,nj,ni,nh,nk->n", tensor,
@@ -596,7 +595,8 @@ def _coefficients_at(target, pts):
     """(lambda, mu) at the points: bilinear samples of a CoefficientField,
     or the floats of a constant pair."""
     if isinstance(target, CoefficientField):
-        return target._lame_at(pts[:, 0], pts[:, 1])
+        return bilinear((target.lam_total, target.mu_total), target.domain,
+                        pts[:, 0], pts[:, 1])
     lam, mu = target
     return float(lam), float(mu)
 
@@ -701,6 +701,7 @@ class CounterexampleReport:
     omega: tuple[float, float]
     eta: tuple[float, float]
     rows: tuple[tuple[float, float, float], ...]  # (rho, form, grad_sq)
+    unresolved_rho: float | None = None  # past the node cap: the sweep ended
 
 
 def _symbol_minimum(lam: float, mu: float, lam_sup_sq: float):
@@ -742,18 +743,24 @@ def oscillatory_counterexample(lam: float, mu: float, phi_spec: PhiSpec, *,
     negative minimum must surface within a few octaves.  Returns the first
     dyadic rho with a negative form value (flip_rho is None when the sweep
     stays non negative, which is the expected outcome below the threshold).
+    The sweep ends early, at the last octave within the quadrature rule's
+    node cap (unresolved_rho); any other QuadratureFailure propagates.
     """
     lam_sup_sq = phi_spec.profile.limit.sup_bound
     alg_min, xi, omega, eta = _symbol_minimum(lam, mu, lam_sup_sq)
     rows = []
-    flip: float | None = None
+    flip = unresolved = None
     for j in range(octaves + 1):
         rho = float(2 ** j)
         v = oscillatory_field((0.0, 0.0), xi, rho, eta,
                               chi_r0=-0.10, chi_r1=0.30,
                               background=(omega, _BACKGROUND_AMP, 0.35, 0.75),
                               label=f"counterexample-2^{j}")
-        form, grad2 = _form_and_energy((lam, mu), phi_spec, v, **quad)
+        try:
+            form, grad2 = _form_and_energy((lam, mu), phi_spec, v, **quad)
+        except _NodeCap:
+            unresolved = rho
+            break
         rows.append((rho, form, grad2))
         if form < 0.0 and flip is None:
             flip = rho
@@ -763,4 +770,4 @@ def oscillatory_counterexample(lam: float, mu: float, phi_spec: PhiSpec, *,
                                 xi=(float(xi[0]), float(xi[1])),
                                 omega=(float(omega[0]), float(omega[1])),
                                 eta=(float(eta[0]), float(eta[1])),
-                                rows=tuple(rows))
+                                rows=tuple(rows), unresolved_rho=unresolved)

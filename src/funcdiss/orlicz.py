@@ -131,31 +131,31 @@ def power_young(p: float, normalized: bool = False) -> YoungFunction:
     )
 
 
-def exp_young(scale: float = MOSER_SCALE) -> YoungFunction:
-    """M0(t) = e^{scale*t} - 1; its conjugate has the closed form in
-    exp_conjugate."""
+def exp_young() -> YoungFunction:
+    """M0(t) = e^{s t} - 1, s = MOSER_SCALE; its conjugate has the closed
+    form in exp_conjugate."""
+    s = MOSER_SCALE
     return YoungFunction(
-        name=f"exp(scale={scale:g})",
-        fn=lambda t: np.expm1(scale * np.asarray(t, dtype=float)),
-        dfn=lambda t: scale * np.exp(scale * np.asarray(t, dtype=float)),
+        name=f"exp(scale={s:g})",
+        fn=lambda t: np.expm1(s * np.asarray(t, dtype=float)),
+        dfn=lambda t: s * np.exp(s * np.asarray(t, dtype=float)),
     )
 
 
-def exp_conjugate(scale: float = MOSER_SCALE) -> YoungFunction:
-    """Legendre conjugate of e^{scale*t} - 1:
-    N0(t) = (t/scale)(log(t/scale) - 1) + 1 for t >= scale, else 0."""
+def exp_conjugate() -> YoungFunction:
+    """Legendre conjugate of e^{s t} - 1, s = MOSER_SCALE:
+    N0(t) = (t/s)(log(t/s) - 1) + 1 for t >= s, else 0."""
+    s = MOSER_SCALE
+
     def fn(t):
-        t = np.asarray(t, dtype=float)
-        u = np.maximum(t / scale, 1.0)
+        u = np.maximum(np.asarray(t, dtype=float) / s, 1.0)
         return u * np.log(u) - u + 1.0
 
     def dfn(t):
-        t = np.asarray(t, dtype=float)
-        u = np.maximum(t / scale, 1.0)
-        return np.log(u) / scale
+        u = np.maximum(np.asarray(t, dtype=float) / s, 1.0)
+        return np.log(u) / s
 
-    return YoungFunction(name=f"exp_conjugate(scale={scale:g})",
-                         fn=fn, dfn=dfn)
+    return YoungFunction(name=f"exp_conjugate(scale={s:g})", fn=fn, dfn=dfn)
 
 
 def log_young(p: float):

@@ -383,6 +383,25 @@ def test_verify_forms_counterexample(tmp_path):
     assert ce["flip_rho"] is not None
 
 
+def test_counterexample_sweep_ends_at_the_node_cap(tmp_path):
+    # rho = 4096 needs 78,232 nodes per axis, past the cap of 60,000; the
+    # sweep ends at 2048 and the refuted verdict still exits 2
+    code, records, cfg = _run_doc(tmp_path, {
+        "command": "verify-forms",
+        "phi": {"family": "power", "p": 15.2},
+        "coefficients": {"lam": 1.0, "mu": 1.0},
+        "octaves": cli.MAX_OCTAVES,
+    })
+    assert code == EXIT_NEGATIVE
+    assert _by_kind(records, "verdict")[0]["status"] == "NotDissipative"
+    ce = _by_kind(records, "counterexample")[0]
+    assert ce["witness_found"] is False and ce["flip_rho"] is None
+    assert "rho 2048.0" in ce["note"] and "rho 4096.0" in ce["note"]
+    with open(cfg.out + "_counterexample.csv", encoding="utf-8") as fh:
+        rhos = [float(row["rho"]) for row in csv.DictReader(fh)]
+    assert rhos == [2.0 ** j for j in range(12)]
+
+
 def test_verify_forms_exp_square_skips_probe(tmp_path):
     code, records, _ = _run_doc(tmp_path, {
         "command": "verify-forms",
@@ -643,6 +662,21 @@ def test_report_profile_and_margins(tmp_path):
     assert len(profile) == 201
     margins = list(open(cfg.out + "_p_margins.csv", encoding="utf-8"))
     assert len(margins) == 6
+
+
+def test_check_and_report_sweeps_give_one_status_per_exponent(tmp_path):
+    # kappa_hint 0.001 leaves the ramp's sufficiency side open, in both
+    doc = {"coefficients": {"kind": "ramp", "slope": 0.1},
+           "kappa_hint": 0.001,
+           "p_sweep": {"lo": 2.0, "hi": 6.0, "count": 3}}
+    statuses = {}
+    for command, tag in (("check", "p_sweep"), ("report", "p_margins")):
+        _, _, cfg = _run_doc(tmp_path / command, {**doc, "command": command})
+        with open(f"{cfg.out}_{tag}.csv", encoding="utf-8") as fh:
+            statuses[command] = [(row["p"], row["status"])
+                                 for row in csv.DictReader(fh)]
+    assert statuses["check"] == statuses["report"]
+    assert [s for _, s in statuses["check"]] == ["Inconclusive"] * 3
 
 
 def test_report_exp_square_tail_in_closed_form(tmp_path):

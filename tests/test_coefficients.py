@@ -71,8 +71,9 @@ def test_node_values_match_interpolant():
     f = ramp_field(1.0, 1.0, 0.5, shape=(9, 7), domain=(0.0, 2.0, -1.0, 1.0))
     xs, ys = f.nodes()
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    assert np.allclose(f.mu_at(xx, yy), f.mu, rtol=1e-12)
-    assert np.allclose(f.lam_at(xx, yy), f.lam, rtol=1e-12)
+    lam, mu = bilinear((f.lam_total, f.mu_total), f.domain, xx, yy)
+    assert np.allclose(mu, f.mu, rtol=1e-12)
+    assert np.allclose(lam, f.lam, rtol=1e-12)
 
 
 def test_bilinear_reproduces_linear_functions():
@@ -117,7 +118,8 @@ def test_joint_sampler_equals_bilinear_bit_for_bit(field):
                          [x1, x1, x0, x1, x0 - 1.0, x1 + 1.0]])
     py = np.concatenate([rng.uniform(y0 - 0.5, y1 + 0.5, 500),
                          [y1, y0, y1, 0.5 * (y0 + y1), y1 + 1.0, y0 - 1.0]])
-    lam, mu = field._lame_at(px, py)
+    # one grid tuple against one call per grid
+    lam, mu = bilinear((field.lam_total, field.mu_total), field.domain, px, py)
     assert np.array_equal(lam, bilinear(field.lam_total, field.domain, px, py))
     assert np.array_equal(mu, bilinear(field.mu_total, field.domain, px, py))
 

@@ -18,7 +18,12 @@ from funcdiss import (
     truncated_power,
 )
 from funcdiss import forms
-from funcdiss.coefficients import constant_field, radial_field, ramp_field
+from funcdiss.coefficients import (
+    bilinear,
+    constant_field,
+    radial_field,
+    ramp_field,
+)
 from funcdiss.forms import (
     ZERO_SET_REL,
     _axis_rule,
@@ -310,7 +315,7 @@ def test_probes_vanish_at_every_dropped_node():
         assert 0.15 < len(out) / len(pts) < 0.25, v.label
         assert np.all(v.value(out) == 0.0), v.label
         assert np.all(v.jacobian(out) == 0.0), v.label
-        families.add((v.family, v.is_real))
+        families.add((v.family, not np.iscomplexobj(v.value(out))))
     assert families == {("bump", True), ("rotation", True),
                         ("gradient", True), ("oscillatory", True),
                         ("oscillatory", False)}
@@ -419,11 +424,12 @@ def test_disk_rule_matches_box_rule_on_ensemble(target, spec):
 
 
 def _samplers(target):
-    # lambda and mu sampled apart, through the public lam_at and mu_at
+    # lambda and mu sampled apart, one bilinear call per grid
     if isinstance(target, tuple):
         return (lambda pts: target[0]), (lambda pts: target[1])
-    return (lambda pts: target.lam_at(pts[:, 0], pts[:, 1]),
-            lambda pts: target.mu_at(pts[:, 0], pts[:, 1]))
+    def sampler(grid):
+        return lambda pts: bilinear(grid, target.domain, pts[:, 0], pts[:, 1])
+    return sampler(target.lam_total), sampler(target.mu_total)
 
 
 def _einsum_lame_integrand(lam_at, mu_at, phi_spec, v):
@@ -767,6 +773,20 @@ def test_counterexample_quiet_below_threshold():
     assert report.algebraic_min > 0.0
     assert report.flip_rho is None
     assert all(row[1] > 0.0 for row in report.rows)
+
+
+def test_counterexample_sweep_ends_only_at_the_node_cap(monkeypatch):
+    # the probe box is 1.5 wide: rho = 32 asks for 8 x 77 nodes along xi,
+    # past a cap of 600, and the sweep keeps the octaves up to 16
+    sweep = dict(octaves=8, max_axis_points=600)
+    report = oscillatory_counterexample(1.0, 1.0, power_phi(4.0), **sweep)
+    assert report.unresolved_rho == 32.0
+    assert [row[0] for row in report.rows] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    # a non-finite integral is no resolution limit: it still raises
+    monkeypatch.setattr(forms, "_lame_columns",
+                        lambda *args: np.full((len(args[-1]), 2), np.nan))
+    with pytest.raises(QuadratureFailure, match="non finite"):
+        oscillatory_counterexample(1.0, 1.0, power_phi(4.0), **sweep)
 
 
 def test_probe_search_matches_complex_margin():
